@@ -7,9 +7,14 @@ compare measured acceptance against that tail bound.
 """
 
 import numpy as np
-from scipy.stats import binom
 
-from tamperstore.experiments import ExperimentConfig, build_instance, run_tamper_experiment
+from tamperstore.experiments import (
+    ExperimentConfig,
+    build_instance,
+    run_tamper_experiment,
+    tamper_acceptance_bound,
+)
+from tamperstore.qsim import InterceptResend
 
 ###############################################################################
 # The analytic side first: the acceptance bound for each basis policy.
@@ -23,7 +28,7 @@ p = instance.params
 threshold = int(np.floor(p.beta * p.r))
 print(f"r = {p.r} traps, accepted errors <= beta r = {threshold}")
 for policy, flip in (("random-basis", 0.25), ("all-standard", 0.5)):
-    bound = binom.cdf(threshold, p.r, flip)
+    _, bound = tamper_acceptance_bound(p, InterceptResend(policy=policy))
     print(f"  {policy:13s}: per-trap flip {flip}, acceptance bound {bound:.3e}")
 
 ###############################################################################

@@ -77,8 +77,12 @@ class Bits:
     @classmethod
     def from_bytes(cls, raw: bytes) -> tuple["Bits", bytes]:
         """Inverse of :meth:`to_bytes`; returns the value and leftover bytes."""
+        if len(raw) < 4:
+            raise ValueError(f"{len(raw)} bytes cannot hold a length prefix")
         length = int.from_bytes(raw[:4], "little")
         nbytes = (length + 7) // 8
+        if len(raw) < 4 + nbytes:
+            raise ValueError(f"{length} bits need {nbytes} bytes, got {len(raw) - 4}")
         value = int.from_bytes(raw[4 : 4 + nbytes], "little")
         return cls(value, length), raw[4 + nbytes :]
 
@@ -88,8 +92,11 @@ class Bits:
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "Bits":
-        value = int.from_bytes(bytes.fromhex(text), "little") if text else 0
-        return cls(value & ((1 << length) - 1), length)
+        """Inverse of :meth:`hex`: exactly ceil(length/8) bytes, no excess bits."""
+        raw = bytes.fromhex(text)
+        if len(raw) != (length + 7) // 8:
+            raise ValueError(f"{len(raw)} hex bytes for {length} bits")
+        return cls(int.from_bytes(raw, "little"), length)
 
     # -- operations --------------------------------------------------------
 

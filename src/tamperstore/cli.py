@@ -39,7 +39,6 @@ from .params import (
 )
 from .protocol import (
     ProtocolInstance,
-    RecursionUnprofitableError,
     ServerBundle,
     ClientSecrets,
     recursive_store,
@@ -66,39 +65,9 @@ def _out_dir(value: str | None) -> Path:
     return path
 
 
-def _params_to_kv(params: ProtocolParams) -> dict:
-    return {
-        "epsilon": params.epsilon,
-        "eps0": params.eps0,
-        "eps_mac": params.eps_mac,
-        "eps_qp": params.eps_qp,
-        "beta0": params.beta0,
-        "beta": params.beta,
-        "nu": params.nu,
-        "r": params.r,
-        "n": params.n,
-        "kappa": params.kappa,
-        "ell": params.ell,
-        "ell0": params.ell0,
-        "d": params.d,
-        "lam": params.lam,
-        "code_name": params.code_name,
-        "delta": params.delta,
-        "correctness_bound": correctness_bound(params),
-        "security_bound": security_bound(params),
-    }
-
-
-def _params_from_kv(mapping: dict) -> ProtocolParams:
-    names = (
-        "epsilon eps0 eps_mac eps_qp beta0 beta nu r n kappa ell ell0 d lam code_name"
-    ).split()
-    return ProtocolParams(**{name: mapping[name] for name in names})
-
-
 def _cmd_params(args) -> int:
     params = derive_params(args.epsilon, args.ber, args.ell, ell0=args.ell0)
-    text = kv.dumps("params", _params_to_kv(params))
+    text = kv.dumps("params", params.to_kv())
     if args.out:
         Path(args.out).write_text(text)
     sys.stdout.write(text)
@@ -129,7 +98,7 @@ def _cmd_store(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = _out_dir(args.out)
     prefix.dump(out / "prefix_code.txt")
-    kv.dump(out / "params.txt", "params", _params_to_kv(params))
+    kv.dump(out / "params.txt", "params", params.to_kv())
     if args.depth > 1:
         chain = recursive_store(
             message, params, args.depth, rng, prefix,
@@ -138,7 +107,7 @@ def _cmd_store(args) -> int:
         for i, level in enumerate(chain.levels, start=1):
             level.bundle.dump(out / f"bundle_level{i}.txt")
             level.secrets.dump(out / f"secrets_level{i}.txt")
-            kv.dump(out / f"params_level{i}.txt", "params", _params_to_kv(level.params))
+            kv.dump(out / f"params_level{i}.txt", "params", level.params.to_kv())
         print(f"stored message at depth {chain.depth}; qubits: {chain.total_qubits()}, "
               f"local bits: {chain.local_bits()}")
         return 0
@@ -154,7 +123,7 @@ def _cmd_store(args) -> int:
 def _cmd_retrieve(args) -> int:
     out = _out_dir(args.out)
     _, mapping = kv.load(out / "params.txt")
-    params = _params_from_kv(mapping)
+    params = ProtocolParams.from_kv(mapping)
     code = default_registry().by_name(params.code_name)
     prefix = PrefixCode.load(out / "prefix_code.txt")
     bundle = ServerBundle.load(out / "bundle.txt")
@@ -385,8 +354,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    except (InfeasibleParamsError, RecursionUnprofitableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_EXIT
+    except KeyError as exc:  # a key missing from a file, or a message outside the prefix code
+        sys.stderr.write(f"error: no entry for {exc}\n")
         return USAGE_EXIT
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import binom
 
 from . import __version__, kv
 from .bits import Bits
@@ -256,21 +255,37 @@ def _apply_strategy(
     return tampered, transcript
 
 
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """Pr[Binomial(n, p) <= k] for 0 < p < 1.
+
+    Each term is formed in log space from lgamma, and the terms are summed
+    with fsum after dividing out the largest, so no single term underflows.
+    """
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    logs = [
+        log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q
+        for i in range(k + 1)
+    ]
+    top = max(logs)
+    return math.exp(top + math.log(math.fsum(math.exp(x - top) for x in logs)))
+
+
 def tamper_acceptance_bound(params: ProtocolParams, strategy: EveStrategy) -> tuple[str, float]:
     if isinstance(strategy, InterceptResend):
-        if strategy.policy == "random-basis":
-            flip = 0.25
-        elif strategy.policy == "all-standard":
-            flip = 0.5  # every trap sits in the other basis
-        else:
-            flip = 0.5 * params.n / (params.n + params.r)  # payload-basis attack
         if strategy.policy == "all-hadamard":
             # traps undisturbed: the trap test cannot see this attack
             return "trivial_bound", 1.0
+        # a trap measured in the other basis flips with probability 1/2;
+        # "all-standard" puts every trap in the other basis
+        flip = 0.25 if strategy.policy == "random-basis" else 0.5
         threshold = math.floor(params.beta * params.r)
         return (
             f"binom_cdf(r={params.r}, p={flip}, k<={threshold})",
-            float(binom.cdf(threshold, params.r, flip)),
+            binomial_cdf(threshold, params.r, flip),
         )
     if isinstance(strategy, ClassicalTamper):
         return "mac_forgery_bound", params.eps_mac

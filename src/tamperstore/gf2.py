@@ -131,10 +131,6 @@ def poly_invmod(a: int, m: int) -> int:
     return poly_mod(s0, m)
 
 
-def _mulmod(a: int, b: int, m: int) -> int:
-    return poly_mod(clmul(a, b), m)
-
-
 def _sqmod(a: int, m: int) -> int:
     return poly_mod(clsq(a), m)
 

@@ -30,6 +30,8 @@ def _encode(value) -> str:
     if isinstance(value, float):
         return f"float:{value!r}"
     if isinstance(value, str):
+        if "\n" in value or "\r" in value:
+            raise ValueError(f"str value {value!r} spans lines")
         return f"str:{value}"
     if isinstance(value, (bytes, bytearray)):
         return "bytes:" + base64.b64encode(bytes(value)).decode()
@@ -75,7 +77,11 @@ def loads(text: str) -> tuple[str, dict]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition(" = ")
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise ValueError(f"line {line!r} is not 'key = value'")
+        if key in mapping:
+            raise ValueError(f"duplicate key {key!r}")
         mapping[key] = _decode(value)
     return kind, mapping
 

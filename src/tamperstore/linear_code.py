@@ -1,14 +1,16 @@
 """Binary linear codes exposing syndrome computation and syndrome decoding.
 
-Three families are registered:
+Two families are registered:
 
 * table codes (n <= 24): exhaustive coset-leader decoding, exact;
-* primitive narrow-sense BCH codes with Berlekamp-Massey decoding, for
-  moderate lengths;
 * concatenated codes, shortened Reed-Solomon over GF(2^8) outside and a
   first-order Reed-Muller [128, 8, 64] inside, for the large guaranteed
   correction radii the protocol recipe needs (a fraction of n close to
-  1/8 at small message lengths, which no moderate-length BCH reaches).
+  1/8 at small message lengths).
+
+The recipe in ``params`` can only pick a concatenated code: it needs
+n > 2r with r > 16 ln 16 > 44, beyond every table code.  The table codes
+back hand-built parameters, ``choose_code`` and the self-test.
 
 ``t_corr`` is a guarantee: every error pattern of weight <= t_corr is
 decoded exactly.  Heavier patterns may decode to a wrong pattern or
@@ -354,109 +356,6 @@ def golay_code() -> MatrixCode:
 
 
 # ---------------------------------------------------------------------------
-# primitive narrow-sense BCH codes
-# ---------------------------------------------------------------------------
-
-def _cyclotomic_cosets(n: int, upto: int) -> list[list[int]]:
-    seen = set()
-    cosets = []
-    for j in range(1, upto + 1):
-        if j in seen:
-            continue
-        coset, cur = [], j
-        while cur not in coset:
-            coset.append(cur)
-            seen.add(cur)
-            cur = (cur * 2) % n
-        cosets.append(coset)
-    return cosets
-
-
-def bch_dimension(m: int, t: int) -> int:
-    """Message length of the (2^m - 1) BCH code with designed radius t."""
-    n = (1 << m) - 1
-    return n - sum(len(c) for c in _cyclotomic_cosets(n, 2 * t))
-
-
-class BchCode(LinearCode):
-    def __init__(self, m: int, t: int):
-        self.m = m
-        self.t = t
-        self.n = (1 << m) - 1
-        if not 1 <= t <= self.n // 2:
-            raise ValueError("designed radius out of range")
-        self.table = _gf_table(m)
-        gen_poly = [1]
-        for coset in _cyclotomic_cosets(self.n, 2 * t):
-            for j in coset:
-                root = self.table.pow_alpha(j)  # multiply by (X + alpha^j)
-                gen_poly = [
-                    (gen_poly[i - 1] if i > 0 else 0)
-                    ^ self.table.mul(root, gen_poly[i] if i < len(gen_poly) else 0)
-                    for i in range(len(gen_poly) + 1)
-                ]
-        if any(c not in (0, 1) for c in gen_poly):
-            raise AssertionError("generator polynomial not binary")
-        self._gen_int = sum(c << i for i, c in enumerate(gen_poly))
-        self.kappa = self.n - (len(gen_poly) - 1)
-        if self.kappa <= 0:
-            raise ValueError("degenerate BCH code (kappa <= 0)")
-        self.t_corr = t
-        self.name = f"bch({self.n},{self.kappa},t={t})"
-
-    def syn(self, x: Bits) -> Bits:
-        self._check_word(x)
-        from .gf2 import poly_divmod
-
-        return Bits(poly_divmod(x.value, self._gen_int)[1], self.syndrome_len)
-
-    def _power_syndromes(self, s: Bits) -> list[int]:
-        positions = [i for i in range(s.length) if (s.value >> i) & 1]
-        out = []
-        for j in range(1, 2 * self.t + 1):
-            acc = 0
-            for p in positions:
-                acc ^= self.table.pow_alpha(j * p)
-            out.append(acc)
-        return out
-
-    def syn_dec(self, s: Bits) -> Bits | None:
-        self._check_syndrome(s)
-        if s.value == 0:
-            return Bits.zeros(self.n)
-        synd = self._power_syndromes(s)
-        if all(v == 0 for v in synd):
-            # nonzero remainder cannot be error-free within the designed radius
-            return None
-        locator = _berlekamp_massey(self.table, synd)
-        if not locator or len(locator) - 1 > self.t:
-            return None
-        degree = len(locator) - 1
-        pattern = 0
-        roots = 0
-        for i in range(self.n):
-            if self.table.poly_eval(locator, self.table.pow_alpha(-i)) == 0:
-                pattern |= 1 << i
-                roots += 1
-        if roots != degree:
-            return None
-        err = Bits(pattern, self.n)
-        if self.syn(err) != s:
-            return None
-        return err
-
-    def parity_check_matrix(self) -> np.ndarray:
-        # syndrome map x -> x mod g as an explicit matrix
-        from .gf2 import poly_divmod
-
-        cols = []
-        for i in range(self.n):
-            rem = poly_divmod(1 << i, self._gen_int)[1]
-            cols.append([(rem >> b) & 1 for b in range(self.syndrome_len)])
-        return np.array(cols, dtype=np.uint8).T
-
-
-# ---------------------------------------------------------------------------
 # concatenated code: shortened Reed-Solomon outside, first-order RM inside
 # ---------------------------------------------------------------------------
 
@@ -708,7 +607,6 @@ class RmRsCode(LinearCode):
 # registry
 # ---------------------------------------------------------------------------
 
-_BCH_MENU = [(m, t) for m in (4, 5, 6, 7, 8) for t in (1, 2, 3, 5, 7, 11, 15, 21, 27, 31, 43, 55)]
 _RMRS_MENU = [
     (n, k)
     for n in (12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64, 72, 76, 80, 88, 96, 112, 128, 160, 192, 224, 255)
@@ -718,7 +616,7 @@ _RMRS_MENU = [
 
 
 class CodeRegistry:
-    """Parameter search over the three families; construction is lazy."""
+    """Parameter search over the two families; construction is lazy."""
 
     def __init__(self):
         self._specs: list[tuple[CodeSpec, tuple]] = []
@@ -732,14 +630,6 @@ class CodeRegistry:
                 (CodeSpec(f"hamming({n},{n - r})", n, n - r, 1, "MatrixCode"), ("hamming", r))
             )
         self._specs.append((CodeSpec("golay(23,12)", 23, 12, 3, "MatrixCode"), ("golay",)))
-        for m, t in _BCH_MENU:
-            n = (1 << m) - 1
-            kappa = bch_dimension(m, t)
-            if kappa <= 0:
-                continue
-            self._specs.append(
-                (CodeSpec(f"bch({n},{kappa},t={t})", n, kappa, t, "BchCode"), ("bch", m, t))
-            )
         inner = 1 << _RM_M
         t_in = (1 << (_RM_M - 1)) // 2 - 1
         for n_out, k_out in _RMRS_MENU:
@@ -784,8 +674,6 @@ class CodeRegistry:
             return hamming_code(key[1])
         if kind == "golay":
             return golay_code()
-        if kind == "bch":
-            return BchCode(key[1], key[2])
         if kind == "rmrs":
             return RmRsCode(key[1], key[2])
         raise KeyError(key)

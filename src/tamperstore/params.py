@@ -29,9 +29,7 @@ chosen code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-from scipy.optimize import brentq
+from dataclasses import dataclass
 
 from .entropy import binary_entropy
 from .linear_code import CodeRegistry, CodeSpec, default_registry
@@ -65,6 +63,10 @@ class ProtocolParams:
     code_name: str
     alpha: float | None = None  # trap-scaling exponent, for asymptotic studies
 
+    _KV_FIELDS = tuple(
+        "epsilon eps0 eps_mac eps_qp beta0 beta nu r n kappa ell ell0 d lam code_name".split()
+    )
+
     @property
     def delta(self) -> float:
         """Sampling-deviation bound exp(-2 nu^2 r * nr / ((n+r)(r+1)))."""
@@ -77,6 +79,19 @@ class ProtocolParams:
 
     def r_floor(self) -> float:
         return (0.5 - self.beta0) ** -2 * 4 * math.log(8 / self.epsilon)
+
+    def to_kv(self) -> dict:
+        """The stored fields plus the derived bounds, for reading by people."""
+        mapping = {name: getattr(self, name) for name in self._KV_FIELDS}
+        mapping["delta"] = self.delta
+        mapping["correctness_bound"] = correctness_bound(self)
+        mapping["security_bound"] = security_bound(self)
+        return mapping
+
+    @classmethod
+    def from_kv(cls, mapping: dict) -> "ProtocolParams":
+        """Inverse of :meth:`to_kv`; the derived bounds are recomputed, not read."""
+        return cls(**{name: mapping[name] for name in cls._KV_FIELDS})
 
     def validate(self) -> None:
         if not 0 < self.epsilon < 0.5:
@@ -200,14 +215,6 @@ def _lambda_for(eps_mac: float, msg_bits: int) -> int:
     return lam
 
 
-def with_message_lengths(params: ProtocolParams, ell0: int) -> ProtocolParams:
-    """Re-pin l0 (and hence the authenticated message size) on derived params."""
-    if ell0 < params.ell:
-        raise InfeasibleParamsError("l0 must be at least l", "ell-range")
-    lam = _lambda_for(params.eps_mac, ell0 + params.d + params.ell)
-    return replace(params, ell0=ell0, lam=lam)
-
-
 # ---------------------------------------------------------------------------
 # bound calculators
 # ---------------------------------------------------------------------------
@@ -250,8 +257,20 @@ class AsymptoticRates:
 
 
 def qkd_threshold() -> float:
-    """Root of 1 - 2 h(beta): the largest error rate with positive usefulness."""
-    return float(brentq(lambda b: 1 - 2 * binary_entropy(b), 1e-12, 0.5 - 1e-12))
+    """Root of 1 - 2 h(beta): the largest error rate with positive usefulness.
+
+    Bisection on (0, 1/2), where 1 - 2 h is strictly decreasing, until the
+    bracket cannot shrink in floating point.
+    """
+    lo, hi = 1e-12, 0.5 - 1e-12
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        if 1 - 2 * binary_entropy(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def asymptotic_rates(beta0: float) -> AsymptoticRates:

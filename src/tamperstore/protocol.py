@@ -33,7 +33,6 @@ from .randomizer import ParseError, PrefixCode, compress, decompress, derandomiz
 
 BUNDLE_VARS = ("w", "u", "c", "theta", "register")
 SECRET_VARS = ("mac_key", "layout", "v", "s", "m_nabla")
-DISCARDED_VARS = ("xi", "x", "z", "p", "m", "m0", "mu")
 
 
 class RecursionUnprofitableError(ValueError):
@@ -57,7 +56,6 @@ class ServerBundle:
     def to_kv(self) -> dict:
         return {
             "w": self.w.bits,
-            "w_modulus": Bits(self.w.field.modulus, self.w.field.degree + 1),
             "u": self.u,
             "c": self.c,
             "theta": self.theta,
@@ -67,10 +65,17 @@ class ServerBundle:
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ServerBundle":
-        mod = mapping["w_modulus"]
-        field = GF2Field(mod.length - 1, mod.value)
+        for key in ("w", "u", "c", "theta"):
+            if not isinstance(mapping[key], Bits):
+                raise ValueError(f"bundle field {key} is not a bit string")
+        if not isinstance(mapping["register"], bytes):
+            raise ValueError("bundle field register is not bytes")
+        # The seed field is pinned by the length of w, never read from the
+        # file: the MAC does not cover a modulus, so a stored one could be
+        # swapped.  A "w_modulus" key left by older files is ignored.
+        w = mapping["w"]
         return cls(
-            w=field.element(mapping["w"]),
+            w=GF2Field(w.length).element(w),
             u=mapping["u"],
             c=mapping["c"],
             theta=mapping["theta"],

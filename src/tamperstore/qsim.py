@@ -103,10 +103,14 @@ class QubitRegister:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "QubitRegister":
+        if len(raw) < 5:
+            raise ValueError(f"checkpoint of {len(raw)} bytes has no header")
         if raw[0] != _CHECKPOINT_VERSION:
             raise ValueError(f"unknown checkpoint version {raw[0]}")
         size = int.from_bytes(raw[1:5], "little")
         nbytes = (size + 7) // 8
+        if len(raw) != 5 + 2 * nbytes:
+            raise ValueError(f"checkpoint of {size} qubits has {len(raw)} bytes")
         basis = np.unpackbits(
             np.frombuffer(raw[5 : 5 + nbytes], dtype=np.uint8), bitorder="little"
         )[:size]

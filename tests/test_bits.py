@@ -55,3 +55,22 @@ def test_value_range_checked():
         Bits(8, 3)
     with pytest.raises(ValueError):
         Bits(-1, 3)
+
+
+def test_from_hex_rejects_wrong_size_and_excess_bits():
+    assert Bits.from_hex("ff1f", 13) == Bits(0x1FFF, 13)
+    with pytest.raises(ValueError):
+        Bits.from_hex("ff1f00", 13)  # one byte too many
+    with pytest.raises(ValueError):
+        Bits.from_hex("ff", 13)  # one byte too few
+    with pytest.raises(ValueError):
+        Bits.from_hex("ff3f", 13)  # bit 13 set: wider than the length
+    with pytest.raises(ValueError):
+        Bits.from_hex("00", 0)
+
+
+def test_from_bytes_rejects_truncation():
+    raw = Bits(0x1FFF, 13).to_bytes()
+    for cut in range(len(raw)):
+        with pytest.raises(ValueError):
+            Bits.from_bytes(raw[:cut])

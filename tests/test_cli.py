@@ -155,3 +155,47 @@ def test_attack_support_from_file(capsys, tmp_path):
 def test_attack_support_unknown_scheme(capsys):
     code, _, err = run(capsys, "attack-support", "--scheme", "missing")
     assert code == 1
+
+
+def test_retrieve_missing_bundle_key_is_an_error(capsys, tmp_path):
+    session = tmp_path / "session"
+    code, _, _ = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
+        "--message", "777", "--seed", "5", "--out", str(session),
+    )
+    assert code == 0
+    bundle = session / "bundle.txt"
+    lines = bundle.read_text().splitlines(keepends=True)
+    bundle.write_text("".join(line for line in lines if not line.startswith("u = ")))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith("error:") and "'u'" in err
+    assert "omega" not in out
+
+
+def test_store_message_outside_prefix_code_is_an_error(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
+        "--message", "5000", "--dist", "example1:12", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "5000" in err
+
+
+def test_runtime_imports_leave_out_scipy():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tamperstore
+
+    env = dict(os.environ, PYTHONPATH=str(Path(tamperstore.__file__).parents[1]))
+    probe = (
+        "import sys, tamperstore, tamperstore.experiments, tamperstore.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from tamperstore.experiments import (
     ExperimentConfig,
+    binomial_cdf,
     build_instance,
     make_strategy,
     parse_dist,
@@ -12,6 +15,7 @@ from tamperstore.experiments import (
     trial_rng,
     wilson_interval,
 )
+from tamperstore.params import derive_params
 from tamperstore.protocol import ProtocolInstance
 from tamperstore.qsim import ClassicalTamper, InterceptResend, PassiveEve, apply_storage_noise
 from tamperstore.randomizer import example1_code
@@ -162,3 +166,24 @@ def test_scenario_mismatch_rejected():
     config = ExperimentConfig("correctness", 0.05, 0.0, 4, trials=1)
     with pytest.raises(ValueError):
         run_tamper_experiment(config)
+
+
+@pytest.mark.parametrize(
+    "epsilon,beta0,ell", [(0.05, 0.0, 4), (0.05, 0.05, 4), (0.01, 0.05, 3)], ids="ABC"
+)
+def test_binomial_cdf_matches_scipy_oracle(epsilon, beta0, ell):
+    from scipy.stats import binom
+
+    params = derive_params(epsilon, beta0, ell, ell0=example1_code(12).max_len)
+    k = math.floor(params.beta * params.r)
+    # random-basis, all-standard, and a payload-basis flip n / (2(n + r))
+    for p in (0.25, 0.5, 0.5 * params.n / (params.n + params.r)):
+        oracle = float(binom.cdf(k, params.r, p))
+        assert math.isclose(binomial_cdf(k, params.r, p), oracle, rel_tol=1e-9, abs_tol=0.0)
+
+
+def test_binomial_cdf_edges():
+    assert binomial_cdf(-1, 10, 0.3) == 0.0
+    assert binomial_cdf(10, 10, 0.3) == 1.0
+    assert math.isclose(binomial_cdf(0, 10, 0.3), 0.7**10, rel_tol=1e-12)
+    assert math.isclose(binomial_cdf(2, 4, 0.5), 11 / 16, rel_tol=1e-12)

@@ -5,11 +5,9 @@ import pytest
 
 from tamperstore.bits import Bits
 from tamperstore.linear_code import (
-    BchCode,
     MatrixCode,
     NoCodeError,
     RmRsCode,
-    bch_dimension,
     choose_code,
     default_registry,
     gf2_nullspace,
@@ -143,70 +141,6 @@ def test_step8_identity_hamming():
 def test_golay_parameters():
     code = golay_code()
     assert (code.n, code.kappa, code.t_corr) == (23, 12, 3)
-
-
-# -- BCH -------------------------------------------------------------------------
-
-def test_bch_dimensions_match_standard_table():
-    known = {
-        (4, 1): 11, (4, 2): 7, (4, 3): 5,
-        (5, 1): 26, (5, 2): 21, (5, 3): 16, (5, 5): 11, (5, 7): 6,
-        (6, 1): 57, (6, 2): 51, (6, 3): 45,
-        (7, 1): 120, (7, 2): 113, (7, 3): 106,
-    }
-    for (m, t), k in known.items():
-        assert bch_dimension(m, t) == k, (m, t)
-
-
-def test_bch_generator_divides_and_syndromes():
-    code = BchCode(4, 2)
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        x, y = Bits.random(15, rng), Bits.random(15, rng)
-        assert code.syn(x ^ y) == code.syn(x) ^ code.syn(y)
-
-
-@pytest.mark.parametrize("m,t", [(4, 2), (4, 3), (5, 3), (6, 7)])
-def test_bch_decodes_within_radius(m, t):
-    code = BchCode(m, t)
-    rng = np.random.default_rng(m * 10 + t)
-    for _ in range(300):
-        weight = int(rng.integers(0, t + 1))
-        e = random_error(code.n, weight, rng)
-        assert code.syn_dec(code.syn(e)) == e
-
-
-def test_bch_radius_sampled_10k():
-    code = BchCode(5, 5)  # (31, 11)
-    rng = np.random.default_rng(7)
-    for _ in range(10_000):
-        weight = int(rng.integers(0, code.t_corr + 1))
-        e = random_error(code.n, weight, rng)
-        assert code.syn_dec(code.syn(e)) == e
-
-
-def test_bch_beyond_radius_fails_or_miscorrects_consistently():
-    code = BchCode(4, 2)
-    rng = np.random.default_rng(8)
-    failures = 0
-    for _ in range(300):
-        e = random_error(code.n, code.t_corr + 2, rng)
-        out = code.syn_dec(code.syn(e))
-        if out is None:
-            failures += 1
-        else:
-            assert code.syn(out) == code.syn(e)  # soundness even when wrong
-    assert failures > 0  # the failure path is reachable
-
-
-def test_bch_parity_check_matrix_consistent():
-    code = BchCode(4, 2)
-    h = code.parity_check_matrix()
-    assert gf2_rank(h) == code.n - code.kappa
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        x = Bits.random(code.n, rng)
-        assert np.array_equal(code.syn(x).to_array(), (h @ x.to_array()) % 2)
 
 
 # -- concatenated RS * RM ----------------------------------------------------------
@@ -358,7 +292,6 @@ def test_registry_build_by_name():
     code = reg.by_name("rs(12,4)*rm(1,7)")
     assert isinstance(code, RmRsCode)
     specs = reg.specs()
-    assert any(s.family == "BchCode" for s in specs)
     assert any(s.family == "MatrixCode" for s in specs)
 
 

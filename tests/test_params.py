@@ -179,3 +179,10 @@ def test_ideal_code_scaling_converges():
         assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))  # monotone
         assert ratios[-1] <= 1.1 * target  # within 10% at 10^6
         assert ratios[-1] >= target  # never below the capacity limit
+
+
+def test_threshold_matches_brentq_oracle():
+    from scipy.optimize import brentq
+
+    oracle = brentq(lambda b: 1 - 2 * binary_entropy(b), 1e-12, 0.5 - 1e-12)
+    assert abs(qkd_threshold() - oracle) <= 1e-12

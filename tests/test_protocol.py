@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tamperstore import kv
 from tamperstore.bits import Bits
 from tamperstore.entropy import DiscreteDistribution, uniform
 from tamperstore.gf2 import GF2Field
@@ -194,6 +195,33 @@ def test_serialization_round_trips(tmp_path):
     assert secrets2 == secrets
     out = inst.retrieve(bundle2, secrets2, rng)
     assert (out.omega, out.message) == (1, 3)
+
+
+def test_bundle_modulus_is_not_read_from_the_file(tmp_path):
+    # params A; the stored seed field is GF(2^13) with the pinned 0x201b
+    inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        bundle, secrets = inst.store(777, rng)
+        mapping = bundle.to_kv()
+        assert "w_modulus" not in mapping
+        mapping["w_modulus"] = Bits(0x2027, 14)  # another irreducible of degree 13
+        kv.dump(tmp_path / "bundle.txt", "bundle", mapping)
+        loaded = ServerBundle.load(tmp_path / "bundle.txt")
+        assert loaded.w.field.modulus == bundle.w.field.modulus
+        out = inst.retrieve(loaded, secrets, rng)
+        assert out.omega == 0 or out.message == 777
+        assert (out.omega, out.message) == (1, 777)
+
+
+@pytest.mark.parametrize("key", ["w", "u", "c", "theta", "register"])
+def test_bundle_field_of_wrong_type_rejected(tmp_path, key):
+    bundle, _ = tiny_instance().store(3, np.random.default_rng(7))
+    mapping = bundle.to_kv()
+    mapping[key] = 5
+    kv.dump(tmp_path / "bundle.txt", "bundle", mapping)
+    with pytest.raises(ValueError):
+        ServerBundle.load(tmp_path / "bundle.txt")
 
 
 def test_tiny_instance_ciphertext_near_uniform_exact():

@@ -185,3 +185,12 @@ def test_trap_layout_uniformity_smoke():
         counts[layout.trap_indices] += 1
     expected = 6000 * 2 / 6
     assert np.all(np.abs(counts - expected) < 5 * expected**0.5)
+
+
+def test_checkpoint_rejects_truncated_or_padded_bytes():
+    rng = np.random.default_rng(5)
+    _, _, reg = random_setup(77, 20, rng)
+    blob = reg.to_bytes()
+    for raw in (b"", blob[:1], blob[:5], blob[:-1], blob + b"\0"):
+        with pytest.raises(ValueError):
+            QubitRegister.from_bytes(raw)
