@@ -5,7 +5,16 @@ as the constant coefficient.  Every supported degree has exactly one
 reduction polynomial: the table below pins the published choices, and any
 other degree gets the lexicographically smallest irreducible polynomial
 x^nu + tail (smallest tail value), generated deterministically and cached.
-Serialized artifacts always carry the modulus so results are reproducible.
+A serialized field element carries its modulus; a stored bundle does not,
+because the modulus of a degree is fixed by this rule.
+
+Two fast paths live next to the generic big-int arithmetic:
+
+* ``GF2Field.byte_tables`` precomputes, for one constant c, the product
+  c*x as an XOR of one 256-entry table lookup per byte of x, which turns a
+  Horner step in a small field into a few list lookups;
+* ``GFTable`` holds exp/log tables of a small field GF(2^m) and multiplies
+  whole numpy arrays of symbols with one gather.
 
 The hash ``phi(w, x, l)`` is the first l bits of w*x.  Over the full seed
 space it is two-universal; the protocol layer draws w nonzero so that the
@@ -287,6 +296,28 @@ class GF2Field:
             e >>= 1
         return r
 
+    def byte_tables(self, c: int) -> list[list[int]]:
+        """Per-byte product tables of the constant c.
+
+        ``tables[j][v]`` is c * (v << 8j) reduced, so c * x is the XOR of
+        ``tables[j][(x >> 8j) & 0xFF]`` over the bytes of x.  Built from
+        the degree shift-and-reduce multiples c * x^k, then one 256-entry
+        table per byte by doubling (the GHASH per-key table technique).
+        """
+        cols = []
+        for _ in range(self.degree):
+            cols.append(c)
+            c <<= 1
+            if c >> self.degree:
+                c ^= self.modulus
+        tables = []
+        for start in range(0, self.degree, 8):
+            table = [0]
+            for col in cols[start : start + 8]:
+                table += [t ^ col for t in table]
+            tables.append(table)
+        return tables
+
     # element interface ------------------------------------------------------
 
     def element(self, value) -> "FieldElement":
@@ -379,6 +410,67 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement(GF(2^{self.field.degree}), {self.value:#x})"
+
+
+# ---------------------------------------------------------------------------
+# small fields: exp/log tables and array multiplication
+# ---------------------------------------------------------------------------
+
+class GFTable:
+    """Exp/log tables over GF(2^m) with a deterministically chosen generator.
+
+    ``log[0]`` is a sentinel of 2 * order and ``exp`` is zero from index
+    2 * order on, so ``exp[log[a] + log[b]]`` is the product for every pair,
+    zero operands included, and whole arrays multiply with one gather.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.field = GF2Field(m)
+        self.order = (1 << m) - 1
+        factors = _prime_factors(self.order)
+        gen = None
+        for cand in range(2, 1 << m):
+            if all(self.field.pow_int(cand, self.order // p) != 1 for p in factors):
+                gen = cand
+                break
+        self.generator = gen
+        exp = np.zeros(4 * self.order + 1, dtype=np.int64)
+        acc = 1
+        for i in range(self.order):
+            exp[i] = acc
+            acc = self.field.mul_int(acc, gen)
+        exp[self.order : 2 * self.order] = exp[: self.order]
+        self.exp = exp
+        log = np.full(1 << m, 2 * self.order, dtype=np.int64)
+        log[exp[: self.order]] = np.arange(self.order)
+        self.log = log
+
+    def mul(self, a, b):
+        """Product of symbols, or elementwise of broadcast symbol arrays."""
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a):
+        """Inverse of a nonzero symbol, or elementwise of a symbol array."""
+        if np.any(np.asarray(a) == 0):
+            raise ZeroDivisionError("zero symbol")
+        return self.exp[self.order - self.log[a]]
+
+    def pow_alpha(self, e):
+        """generator ** e for any integer e, or elementwise for an array."""
+        return self.exp[np.mod(e, self.order)]
+
+    def poly_eval(self, coeffs: list[int], x):
+        """Evaluate sum coeffs[i] * x^i (Horner) at a symbol or symbol array."""
+        acc = np.zeros_like(x)
+        for c in reversed(coeffs):
+            acc = self.mul(acc, x) ^ c
+        return acc
+
+
+@lru_cache(maxsize=None)
+def gf_table(m: int) -> GFTable:
+    return GFTable(m)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ The recipe in ``params`` can only pick a concatenated code: it needs
 n > 2r with r > 16 ln 16 > 44, beyond every table code.  The table codes
 back hand-built parameters, ``choose_code`` and the self-test.
 
+The GF(2^8) symbol arithmetic is ``gf2.GFTable``.  The Reed-Solomon
+syndrome map, its preimage (a closed-form Vandermonde inverse built once
+per code), the Chien search and the Forney step each act on whole symbol
+arrays through its gathers; only Berlekamp-Massey runs symbol by symbol.
+
 ``t_corr`` is a guarantee: every error pattern of weight <= t_corr is
 decoded exactly.  Heavier patterns may decode to a wrong pattern or
 return failure (None); failure is a value, not an exception.
@@ -26,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import Bits
-from .gf2 import GF2Field, _prime_factors
+from .gf2 import GFTable, gf_table
 
 _RM_M = 7  # inner Reed-Muller order parameter: [2^m, m+1, 2^(m-1)]
 
@@ -94,60 +99,8 @@ def gf2_right_inverse(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# GF(2^m) symbol arithmetic via exp/log tables
+# Reed-Solomon decoding helpers over gf2.GFTable symbols
 # ---------------------------------------------------------------------------
-
-class GFTable:
-    """Exp/log tables over GF(2^m) with a deterministically chosen generator."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.field = GF2Field(m)
-        self.order = (1 << m) - 1
-        factors = _prime_factors(self.order)
-        gen = None
-        for cand in range(2, 1 << m):
-            if all(self.field.pow_int(cand, self.order // p) != 1 for p in factors):
-                gen = cand
-                break
-        self.generator = gen
-        exp = np.empty(2 * self.order, dtype=np.int64)
-        acc = 1
-        for i in range(self.order):
-            exp[i] = acc
-            acc = self.field.mul_int(acc, gen)
-        exp[self.order :] = exp[: self.order]
-        self.exp = exp
-        log = np.zeros(1 << m, dtype=np.int64)
-        log[exp[: self.order]] = np.arange(self.order)
-        self.log = log
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[self.log[a] + self.log[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero symbol")
-        return int(self.exp[self.order - self.log[a]])
-
-    def pow_alpha(self, e: int) -> int:
-        """generator ** e for any integer e."""
-        return int(self.exp[e % self.order])
-
-    def poly_eval(self, coeffs: list[int], x: int) -> int:
-        """Evaluate sum coeffs[i] * x^i (Horner)."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.mul(acc, x) ^ c
-        return acc
-
-
-@lru_cache(maxsize=None)
-def _gf_table(m: int) -> GFTable:
-    return GFTable(m)
-
 
 def _berlekamp_massey(table: GFTable, syndromes: list[int]) -> list[int]:
     """Minimal LFSR (error locator) for the given syndrome sequence."""
@@ -423,7 +376,7 @@ class RmRsCode(LinearCode):
         inner = _inner_rm()
         self.inner = inner
         symbol_bits = inner.k
-        self.table = _gf_table(symbol_bits)
+        self.table = gf_table(symbol_bits)
         if not 1 <= outer_k < outer_n <= self.table.order:
             raise ValueError("outer parameters out of range")
         self.outer_n = outer_n
@@ -434,96 +387,78 @@ class RmRsCode(LinearCode):
         self.kappa = outer_k * symbol_bits
         self.t_corr = (self.t_out + 1) * (inner.t_corr + 1) - 1
         self.name = f"rs({outer_n},{outer_k})*rm(1,{inner.m})"
-        # LU-style inverse of the syndrome map restricted to the first
-        # `redundancy` symbol positions, for syndrome preimages
+        # syndrome map: row j-1 holds x_i^j for the symbol locator x_i = alpha^i
         r = self.redundancy
-        v = np.zeros((r, r), dtype=np.int64)
-        for j in range(1, r + 1):
-            for i in range(r):
-                v[j - 1, i] = self.table.pow_alpha(j * i)
-        self._v_inv = self._invert_symbol_matrix(v)
+        self._powers = self.table.pow_alpha(np.outer(np.arange(1, r + 1), np.arange(outer_n)))
+        # inverse of the syndrome map restricted to the first `redundancy`
+        # symbol positions, for syndrome preimages
+        self._v_inv = self._vandermonde_inverse(self._powers[0, :r])
         self._sym_weights = 1 << np.arange(symbol_bits, dtype=np.int64)
 
     # -- symbol-matrix helpers ------------------------------------------------
 
-    def _invert_symbol_matrix(self, mat: np.ndarray) -> np.ndarray:
+    def _vandermonde_inverse(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of V[j-1, i] = x_i^j (j = 1..r) for distinct nonzero x.
+
+        V = W diag(x) with W[k, i] = x_i^k, so row i of the inverse is the
+        coefficient vector of the Lagrange basis polynomial
+        L_i(z) = P(z) / ((z - x_i) P'(x_i)), P(z) = prod_m (z - x_m),
+        divided by x_i.  Every step runs over all i at once.
+        """
         t = self.table
-        r = mat.shape[0]
-        a = mat.copy()
-        inv = np.eye(r, dtype=np.int64)
-        for col in range(r):
-            piv = next(row for row in range(col, r) if a[row, col] != 0)
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-            scale = t.inv(int(a[col, col]))
-            for j in range(r):
-                a[col, j] = t.mul(int(a[col, j]), scale)
-                inv[col, j] = t.mul(int(inv[col, j]), scale)
-            for row in range(r):
-                if row != col and a[row, col] != 0:
-                    factor = int(a[row, col])
-                    for j in range(r):
-                        a[row, j] ^= t.mul(factor, int(a[col, j]))
-                        inv[row, j] ^= t.mul(factor, int(inv[col, j]))
-        return inv
+        r = x.size
+        p = np.zeros(r + 1, dtype=np.int64)  # P, lowest coefficient first
+        p[0] = 1
+        for xm in x:  # p <- p * (z + xm)
+            p[1:] = p[:-1] ^ t.mul(p[1:], xm)
+            p[0] = t.mul(p[0], xm)
+        q = np.zeros((r, r), dtype=np.int64)  # row i: P(z) / (z + x_i)
+        q[:, r - 1] = 1
+        for k in range(r - 1, 0, -1):
+            q[:, k - 1] = p[k] ^ t.mul(x, q[:, k])
+        # P'(x_i) = (P / (z + x_i))(x_i), by Horner over all rows
+        deriv = np.zeros(r, dtype=np.int64)
+        for k in range(r - 1, -1, -1):
+            deriv = t.mul(deriv, x) ^ q[:, k]
+        return t.mul(q, t.inv(t.mul(x, deriv))[:, None])
 
     def _rs_syndromes(self, symbols: np.ndarray) -> np.ndarray:
-        t = self.table
-        nz = np.nonzero(symbols)[0]
-        out = np.zeros(self.redundancy, dtype=np.int64)
-        if nz.size == 0:
-            return out
-        logs = t.log[symbols[nz]]
-        for j in range(1, self.redundancy + 1):
-            terms = t.exp[(logs + j * nz) % t.order]
-            out[j - 1] = np.bitwise_xor.reduce(terms)
-        return out
+        return np.bitwise_xor.reduce(self.table.mul(self._powers, symbols), axis=1)
 
     def _rs_preimage(self, syndromes: np.ndarray) -> np.ndarray:
         """Symbols supported on the first `redundancy` positions hitting them."""
-        t = self.table
         out = np.zeros(self.outer_n, dtype=np.int64)
-        for i in range(self.redundancy):
-            acc = 0
-            for j in range(self.redundancy):
-                acc ^= t.mul(int(self._v_inv[i, j]), int(syndromes[j]))
-            out[i] = acc
+        out[: self.redundancy] = np.bitwise_xor.reduce(
+            self.table.mul(self._v_inv, syndromes), axis=1
+        )
         return out
 
     def _rs_decode(self, symbols: np.ndarray) -> np.ndarray | None:
         """Errors-only bounded-distance decode toward the zero-syndrome codeword."""
         t = self.table
-        synd = [int(v) for v in self._rs_syndromes(symbols)]
-        if all(v == 0 for v in synd):
+        synd = self._rs_syndromes(symbols)
+        if not synd.any():
             return symbols
-        locator = _berlekamp_massey(t, synd)
+        locator = _berlekamp_massey(t, synd.tolist())
         if not locator or len(locator) - 1 > self.t_out:
             return None
         degree = len(locator) - 1
-        positions = [
-            i
-            for i in range(self.outer_n)
-            if t.poly_eval(locator, t.pow_alpha(-i)) == 0
-        ]
-        if len(positions) != degree:
+        # Chien search over every position at once: roots are alpha^-i
+        x_inv = t.pow_alpha(-np.arange(self.outer_n))
+        positions = np.flatnonzero(t.poly_eval(locator, x_inv) == 0)
+        if positions.size != degree:
             return None
         # Forney: omega = S(X) * locator(X) mod X^redundancy
-        omega = [0] * self.redundancy
-        for i, s in enumerate(synd):
-            if s == 0:
-                continue
-            for j, lj in enumerate(locator):
-                if i + j < self.redundancy and lj:
-                    omega[i + j] ^= t.mul(s, lj)
+        omega = np.zeros(self.redundancy, dtype=np.int64)
+        for j, lj in enumerate(locator):
+            omega[j:] ^= t.mul(synd[: self.redundancy - j], lj)
         deriv = [locator[i] if i % 2 == 1 else 0 for i in range(1, len(locator))]
+        x = x_inv[positions]
+        den = t.poly_eval(deriv, x)
+        if np.any(den == 0):
+            return None
         fixed = symbols.copy()
-        for i in positions:
-            x_inv = t.pow_alpha(-i)
-            num = t.poly_eval(omega, x_inv)
-            den = t.poly_eval(deriv, x_inv)
-            if den == 0:
-                return None
-            fixed[i] ^= t.mul(num, t.inv(den))
+        fixed[positions] ^= t.mul(t.poly_eval(omega, x), t.inv(den))
         if np.any(self._rs_syndromes(fixed)):
             return None
         return fixed

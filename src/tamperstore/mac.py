@@ -62,23 +62,24 @@ def _blocks(msg: Bits, lam: int) -> list[int]:
     limit = lam * (1 << lam)
     if msg.length > limit:
         raise OversizeMessageError(f"{msg.length} bits exceeds lam * 2^lam = {limit}")
-    out = []
-    for start in range(0, msg.length, lam):
-        width = min(lam, msg.length - start)
-        out.append(msg[start : start + width].value)  # zero-padded implicitly
-    if lam == 1:
-        out.append(1)
-    else:
-        out.append(1 + msg.length % ((1 << lam) - 1))
+    mask = (1 << lam) - 1
+    value = msg.value
+    out = [(value >> start) & mask for start in range(0, msg.length, lam)]
+    # the last block is zero-padded implicitly; the length block follows
+    out.append(1 + msg.length % mask)
     return out
 
 
 def tag(key: MacKey, msg: Bits) -> Bits:
     """Deterministic one-time tag of lam bits."""
-    field = GF2Field(key.lam)
+    tables = GF2Field(key.lam).byte_tables(key.a)
     acc = 0
     for block in reversed(_blocks(msg, key.lam)):  # Horner: sum m_i a^i
-        acc = field.mul_int(acc ^ block, key.a)
+        y = acc ^ block
+        acc = 0
+        for table in tables:  # acc = y * a, one lookup per byte of y
+            acc ^= table[y & 0xFF]
+            y >>= 8
     return Bits(acc ^ key.b, key.lam)
 
 

@@ -6,7 +6,8 @@ into qubits with hidden traps, extract a one-time pad and syndrome, tag)
 and returns the server bundle next to the client secrets; everything else
 is discarded.  ``retrieve`` runs the four testing/decryption steps against
 a possibly tampered bundle and returns an outcome flag instead of raising:
-aborts are regular results.
+aborts are regular results, and a bundle whose field lengths differ from
+the parameters' aborts with reason "format" before the MAC is checked.
 
 Variable homes (the classical state of one session):
   server bundle   w, u, c, theta, qubit register
@@ -160,7 +161,7 @@ class ClientSecrets:
 class RetrievalOutcome:
     omega: int
     message: int | None
-    abort_reason: str  # "mac", "trap", "decode", or "none"
+    abort_reason: str  # "format", "mac", "trap", "decode", or "none"
 
     def __post_init__(self):
         if (self.omega == 1) != (self.message is not None):
@@ -242,6 +243,22 @@ def store(
     return _store_padded(m0, params, code, rng, prefix_code.name or "custom")
 
 
+def _lengths_match(bundle: ServerBundle, params: ProtocolParams) -> bool:
+    """Every bundle length is the one params fix.
+
+    The MAC covers the unframed concatenation w || u || c, so a bundle that
+    moves bits across a field boundary keeps its tag; checking each length
+    first makes such a bundle an abort instead of a malformed computation.
+    """
+    return (
+        bundle.w.field.degree == params.ell0
+        and bundle.u.length == params.d
+        and bundle.c.length == params.ell
+        and bundle.theta.length == params.lam
+        and bundle.register.size == params.n + params.r
+    )
+
+
 def _retrieve_padded(
     bundle: ServerBundle,
     secrets: ClientSecrets,
@@ -252,6 +269,8 @@ def _retrieve_padded(
     """Steps 6-9 up to derandomisation; returns (abort_reason, m0_hat)."""
     if secrets.s is None:
         raise ValueError("syndrome unavailable (delegated and not yet recovered)")
+    if not _lengths_match(bundle, params):
+        return "format", None
     transcript = bundle.classical_bits()
     if not verify(secrets.mac_key, transcript, bundle.theta):
         return "mac", None

@@ -41,8 +41,9 @@ class TrapLayout:
     def random(cls, total: int, r: int, rng: np.random.Generator) -> "TrapLayout":
         if not 0 <= r <= total:
             raise ValueError("r out of range")
-        positions = rng.choice(total, size=r, replace=False)
-        return cls(Bits(int(sum(1 << int(p) for p in positions)), total), r)
+        mask = np.zeros(total, dtype=np.uint8)
+        mask[rng.choice(total, size=r, replace=False)] = 1
+        return cls(Bits.from_array(mask), r)
 
     @property
     def trap_indices(self) -> np.ndarray:

@@ -42,6 +42,9 @@ class PrefixCode:
         if len(decode) != len(self.codewords):
             raise ValueError("duplicate codewords")
         object.__setattr__(self, "_decode", decode)
+        object.__setattr__(
+            self, "_max_len", max(cw.length for cw in self.codewords.values())
+        )
         strings = sorted(cw.to_01() for cw in self.codewords.values())
         for a, b in zip(strings, strings[1:]):
             if b.startswith(a):
@@ -52,7 +55,7 @@ class PrefixCode:
     @property
     def max_len(self) -> int:
         """Length of the longest codeword; the padded length l0."""
-        return max(cw.length for cw in self.codewords.values())
+        return self.__dict__["_max_len"]
 
     def kraft_sum(self) -> float:
         return float(sum(2.0 ** -cw.length for cw in self.codewords.values()))

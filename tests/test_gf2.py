@@ -10,10 +10,12 @@ from tamperstore.gf2 import (
     DegreeMismatchError,
     FieldElement,
     GF2Field,
+    GFTable,
     NonInvertibleError,
     PINNED_MODULI,
     clmul,
     generate_modulus,
+    gf_table,
     is_irreducible,
     phi,
     phi_invert,
@@ -195,3 +197,43 @@ def test_bits_element_bridge():
     assert f.element(b).bits == b
     with pytest.raises(DegreeMismatchError):
         f.element(Bits.from_01("101"))
+
+
+@pytest.mark.parametrize("degree", [1, 3, 8, 9, 15, 19, 23, 64, 65, 128])
+def test_byte_tables_multiply_by_the_constant(degree):
+    field = GF2Field(degree)
+    rng = np.random.default_rng(degree)
+    mask = (1 << degree) - 1
+    constants = [0, 1, mask] + [Bits.random(degree, rng).value for _ in range(5)]
+    for c in constants:
+        tables = field.byte_tables(c)
+        assert len(tables) == -(-degree // 8)
+        for x in [0, 1, mask] + [Bits.random(degree, rng).value for _ in range(20)]:
+            got = 0
+            for j, table in enumerate(tables):
+                got ^= table[(x >> (8 * j)) & 0xFF]
+            assert got == schoolbook_mul(c, x, field.modulus)
+
+
+def test_gftable_array_mul_matches_field_on_every_pair():
+    table = gf_table(8)
+    field = GF2Field(8)
+    a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    products = table.mul(a, b)
+    for x in range(256):
+        for y in range(256):
+            expected = field.mul_int(x, y)
+            assert products[x, y] == expected
+            assert table.mul(x, y) == expected
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_gftable_inverse_and_powers(m):
+    table = GFTable(m)
+    symbols = np.arange(1, 1 << m)
+    assert np.all(table.mul(symbols, table.inv(symbols)) == 1)
+    with pytest.raises(ZeroDivisionError):
+        table.inv(0)
+    powers = table.pow_alpha(np.arange(-table.order, 2 * table.order))
+    assert sorted(set(powers.tolist())) == list(range(1, 1 << m))  # a generator
+    assert table.pow_alpha(-1) == table.inv(table.generator)

@@ -5,6 +5,7 @@ import pytest
 
 from tamperstore.bits import Bits
 from tamperstore.linear_code import (
+    _RMRS_MENU,
     MatrixCode,
     NoCodeError,
     RmRsCode,
@@ -197,6 +198,51 @@ def test_rmrs_syndrome_linearity():
     for _ in range(10):
         x, y = Bits.random(code.n, rng), Bits.random(code.n, rng)
         assert code.syn(x ^ y) == code.syn(x) ^ code.syn(y)
+
+
+def test_rmrs_vandermonde_inverse_for_every_redundancy():
+    # _v_inv . V = I over GF(2^8), V[j-1, i] = alpha^(j i) on the first r positions
+    built = {}
+    for n, k in _RMRS_MENU:
+        built.setdefault(n - k, (n, k))
+    for r, (n, k) in sorted(built.items()):
+        code = RmRsCode(n, k)
+        t = code.table
+        v = t.pow_alpha(np.outer(np.arange(1, r + 1), np.arange(r)))
+        product = np.zeros((r, r), dtype=np.int64)
+        for j in range(r):
+            product ^= t.mul(code._v_inv[:, j, None], v[j])
+        assert np.array_equal(product, np.eye(r, dtype=np.int64)), (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(12, 4), (76, 5)])
+def test_rmrs_syndromes_match_scalar_loop(n, k):
+    # s_j = sum_i y_i (alpha^i)^j, with the big-int field ops as reference
+    code = RmRsCode(n, k)
+    field = code.table.field
+    locators = [field.pow_int(code.table.generator, i) for i in range(n)]
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        symbols = rng.integers(0, 256, size=n)
+        symbols[rng.random(n) < 0.3] = 0
+        expected = [0] * code.redundancy
+        for y, x in zip(symbols.tolist(), locators):
+            term = y
+            for j in range(code.redundancy):
+                term = field.mul_int(term, x)
+                expected[j] ^= term
+        assert code._rs_syndromes(symbols).tolist() == expected
+
+
+@pytest.mark.parametrize("n,k", [(12, 4), (20, 4), (76, 5), (255, 2)])
+def test_rmrs_preimage_hits_its_syndromes(n, k):
+    code = RmRsCode(n, k)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        s = rng.integers(0, 256, size=code.redundancy)
+        pre = code._rs_preimage(s)
+        assert not pre[code.redundancy :].any()
+        assert np.array_equal(code._rs_syndromes(pre), s)
 
 
 def test_rmrs_decodes_random_patterns_within_radius():

@@ -55,6 +55,33 @@ def test_tag_is_polynomial_evaluation():
         assert tag(key, msg).value == expected
 
 
+def explicit_tag(key: MacKey, msg: Bits) -> int:
+    """b + sum m_i a^i with blocks cut by Bits slicing and generic field ops."""
+    lam = key.lam
+    field = GF2Field(lam)
+    blocks = [msg[start : start + lam].value for start in range(0, msg.length, lam)]
+    blocks.append(1 + msg.length % ((1 << lam) - 1))
+    expected = key.b
+    for i, block in enumerate(blocks, start=1):
+        expected ^= field.mul_int(block, field.pow_int(key.a, i))
+    return expected
+
+
+@pytest.mark.parametrize("lam", [1, 7, 8, 9, 15, 16, 17, 19, 23])
+def test_tag_matches_explicit_sum_oracle(lam):
+    rng = np.random.default_rng(lam)
+    limit = lam * (1 << lam)  # the longest message, kept when the oracle is fast
+    candidates = (0, 3 * lam, 3 * lam + 1 + lam // 2, 37 * lam - 1, limit)
+    lengths = [n for n in candidates if n <= min(limit, 4000)]
+    top = (1 << lam) - 1
+    keys = [MacKey(0, 1, lam), MacKey(1, 0, lam), MacKey(top, top, lam)]
+    keys += [MacKey.random(lam, rng) for _ in range(4)]
+    for length in lengths:
+        for key in keys:
+            msg = Bits.random(length, rng)
+            assert tag(key, msg).value == explicit_tag(key, msg), (lam, length, key)
+
+
 def test_exhaustive_forgery_bound_lambda4():
     # 2-block messages, lam = 4: success over keys is at most (B+1)/2^lam = 3/16
     lam = 4

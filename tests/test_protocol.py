@@ -28,7 +28,7 @@ from tamperstore.protocol import (
     usefulness,
     usefulness_cardinality,
 )
-from tamperstore.qsim import apply_storage_noise
+from tamperstore.qsim import QubitRegister, apply_storage_noise
 from tamperstore.randomizer import build_prefix_code, example1_code
 
 
@@ -222,6 +222,54 @@ def test_bundle_field_of_wrong_type_rejected(tmp_path, key):
     kv.dump(tmp_path / "bundle.txt", "bundle", mapping)
     with pytest.raises(ValueError):
         ServerBundle.load(tmp_path / "bundle.txt")
+
+
+def _params_a_session(seed: int):
+    inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
+    rng = np.random.default_rng(seed)
+    bundle, secrets = inst.store(777, rng)
+    return inst, bundle, secrets, rng
+
+
+def _assert_format_abort(inst, bundle, secrets, rng):
+    out = inst.retrieve(bundle, secrets, rng)
+    assert (out.omega, out.message, out.abort_reason) == (0, None, "format")
+
+
+def test_uc_boundary_shift_aborts_on_format():
+    # moving the last bit of u to the front of c keeps w || u || c and its tag
+    inst, bundle, secrets, rng = _params_a_session(0)
+    u, c = bundle.u, bundle.c
+    shifted = replace(
+        bundle, u=u.first(u.length - 1), c=Bits(u[u.length - 1], 1).concat(c)
+    )
+    assert shifted.classical_bits() == bundle.classical_bits()
+    _assert_format_abort(inst, shifted, secrets, rng)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_resized_register_aborts_on_format(delta):
+    inst, bundle, secrets, rng = _params_a_session(1)
+    basis, value = bundle.register._records()
+    size = basis.size + delta
+    resized = QubitRegister(np.resize(basis, size), np.resize(value, size))
+    _assert_format_abort(inst, replace(bundle, register=resized), secrets, rng)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_length_w_aborts_on_format(delta):
+    inst, bundle, secrets, rng = _params_a_session(2)
+    degree = inst.params.ell0 + delta
+    w = GF2Field(degree).element(bundle.w.value & ((1 << degree) - 1))
+    _assert_format_abort(inst, replace(bundle, w=w), secrets, rng)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_length_theta_aborts_on_format(delta):
+    inst, bundle, secrets, rng = _params_a_session(3)
+    theta = bundle.theta
+    resized = theta.first(theta.length - 1) if delta < 0 else theta.concat(Bits(0, 1))
+    _assert_format_abort(inst, replace(bundle, theta=resized), secrets, rng)
 
 
 def test_tiny_instance_ciphertext_near_uniform_exact():
