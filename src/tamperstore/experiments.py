@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__, kv
 from .bits import Bits
 from .entropy import DiscreteDistribution, example1, load_distribution, uniform
-from .gf2 import GF2Field
 from .params import ProtocolParams, correctness_bound
 from .protocol import ProtocolInstance, ServerBundle
 from .qsim import ClassicalTamper, EveStrategy, EveView, InterceptResend, PassiveEve
@@ -84,7 +83,6 @@ class ExperimentConfig:
     strategy: str = "passive"
     trials: int = 1000
     master_seed: int = 2024
-    out: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -104,7 +102,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ExperimentConfig":
-        return cls(**{k: mapping[k] for k in mapping if k != "out"})
+        return cls(**mapping)
 
     def dump(self, path) -> None:
         kv.dump(path, "config", self.to_kv())
@@ -238,16 +236,15 @@ def _apply_strategy(
     rng: np.random.Generator,
 ) -> tuple[ServerBundle, dict]:
     transcript = {
-        "w": bundle.w.bits,
+        "w": bundle.w,
         "u": bundle.u,
         "c": bundle.c,
         "theta": bundle.theta,
     }
     strategy.apply(EveView(bundle.register), transcript, rng)
-    seed_field = GF2Field(params.ell0)
     tampered = replace(
         bundle,
-        w=seed_field.element(transcript["w"]),
+        w=transcript["w"],
         u=transcript["u"],
         c=transcript["c"],
         theta=transcript["theta"],

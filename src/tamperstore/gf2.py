@@ -5,8 +5,7 @@ as the constant coefficient.  Every supported degree has exactly one
 reduction polynomial: the table below pins the published choices, and any
 other degree gets the lexicographically smallest irreducible polynomial
 x^nu + tail (smallest tail value), generated deterministically and cached.
-A serialized field element carries its modulus; a stored bundle does not,
-because the modulus of a degree is fixed by this rule.
+Nothing serialized carries a modulus: the degree alone fixes it.
 
 Two fast paths live next to the generic big-int arithmetic:
 
@@ -199,7 +198,6 @@ PINNED_MODULI: dict[int, int] = {
     128: (1 << 128) | 0b10000111,
     256: (1 << 256) | 0b10000100101,
     # protocol-scale extractor and seed fields (same smallest-tail rule)
-    2528: (1 << 2528) | 0b10011111,
     2560: (1 << 2560) | 0b1000001011,
     6656: (1 << 6656) | 0b1101001101101,
     9728: (1 << 9728) | 0b111110100011,
@@ -270,13 +268,11 @@ def generate_modulus(degree: int) -> int:
 class GF2Field:
     """The field GF(2^degree) with a fixed reduction polynomial."""
 
-    def __init__(self, degree: int, modulus: int | None = None):
+    def __init__(self, degree: int):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
-        self.modulus = modulus if modulus is not None else generate_modulus(degree)
-        if poly_degree(self.modulus) != degree:
-            raise ValueError("modulus degree does not match field degree")
+        self.modulus = generate_modulus(degree)
         self._mask = (1 << degree) - 1
 
     # int-level fast paths -------------------------------------------------
@@ -395,18 +391,6 @@ class FieldElement:
     @property
     def bits(self) -> Bits:
         return Bits(self.value, self.field.degree)
-
-    def to_bytes(self) -> bytes:
-        """Element bytes prefixed with the field's modulus identifier."""
-        mod_bits = Bits(self.field.modulus, self.field.degree + 1)
-        return mod_bits.to_bytes() + self.bits.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> tuple["FieldElement", bytes]:
-        mod_bits, rest = Bits.from_bytes(raw)
-        value_bits, rest = Bits.from_bytes(rest)
-        field = GF2Field(mod_bits.length - 1, mod_bits.value)
-        return field.element(value_bits.value), rest
 
     def __repr__(self):
         return f"FieldElement(GF(2^{self.field.degree}), {self.value:#x})"

@@ -16,6 +16,10 @@ The GF(2^8) symbol arithmetic is ``gf2.GFTable``.  The Reed-Solomon
 syndrome map, its preimage (a closed-form Vandermonde inverse built once
 per code), the Chien search and the Forney step each act on whole symbol
 arrays through its gathers; only Berlekamp-Massey runs symbol by symbol.
+The inner Reed-Muller code is used only through byte symbols (see
+``_InnerRM``), so no generic GF(2) matrix runs in ``syn`` or ``syn_dec``;
+``parity_check_matrix`` builds the explicit H from the generator as an
+independent reference.
 
 ``t_corr`` is a guarantee: every error pattern of weight <= t_corr is
 decoded exactly.  Heavier patterns may decode to a wrong pattern or
@@ -82,20 +86,6 @@ def gf2_nullspace(mat: np.ndarray) -> np.ndarray:
         for r, pc in enumerate(pivots):
             basis[i, pc] = reduced[r, fc]
     return basis
-
-
-def gf2_right_inverse(mat: np.ndarray) -> np.ndarray:
-    """B with mat @ B == I (mod 2); requires full row rank."""
-    rows, cols = mat.shape
-    aug = np.concatenate([mat % 2, np.eye(rows, dtype=np.uint8)], axis=1)
-    reduced, pivots = gf2_row_reduce(aug)
-    pivots = [p for p in pivots if p < cols]
-    if len(pivots) != rows:
-        raise ValueError("matrix does not have full row rank")
-    inv = np.zeros((cols, rows), dtype=np.uint8)
-    for r, pc in enumerate(pivots):
-        inv[pc] = reduced[r, cols:]
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -313,55 +303,65 @@ def golay_code() -> MatrixCode:
 # ---------------------------------------------------------------------------
 
 class _InnerRM:
-    """First-order Reed-Muller [2^m, m+1, 2^(m-1)] with exact ML decoding."""
+    """First-order Reed-Muller [2^m, m+1, 2^(m-1)], addressed by 8-bit symbols.
 
-    def __init__(self, m: int = _RM_M):
+    The symbol s = m0 | a << 1 names the codeword whose bit at position v
+    is m0 ^ parity(a & v).  Position 0 holds m0 and position 2^j holds
+    m0 ^ a_j, so these m+1 information positions fix the symbol; the other
+    n - m - 1 positions are the check positions.  Encoding is one gather
+    from a table of all codewords, ML decoding a fast Hadamard transform.
+    """
+
+    def __init__(self):
+        m = _RM_M
         self.m = m
         self.n = 1 << m
-        self.k = m + 1
+        self.k = m + 1  # 8: a symbol is one byte
         self.t_corr = (1 << (m - 1)) // 2 - 1
         v = np.arange(self.n)
-        rows = [np.ones(self.n, dtype=np.uint8)]
-        for j in range(m):
-            rows.append(((v >> j) & 1).astype(np.uint8))
-        self.gen = np.array(rows)  # k x n
-        self.extract = np.zeros((self.k, self.n), dtype=np.uint8)  # msg from codeword
-        self.extract[0, 0] = 1
-        for j in range(m):
-            self.extract[j + 1, 0] = 1
-            self.extract[j + 1, 1 << j] = 1
-        self.h = gf2_nullspace(self.gen)  # (n-k) x n
-        self.preimage = gf2_right_inverse(self.h)  # n x (n-k)
+        self.gen = np.array(
+            [np.ones(self.n, dtype=np.uint8)] + [(v >> j) & 1 for j in range(m)], dtype=np.uint8
+        )  # k x n
+        self.info = np.concatenate(([0], 1 << np.arange(m)))
+        self.check = np.delete(v, self.info)
+        msgs = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+        self.codewords = ((msgs @ self.gen) % 2).astype(np.uint8)  # 256 x n
 
-    def encode(self, msgs: np.ndarray) -> np.ndarray:
-        """(N, k) messages -> (N, n) codewords."""
-        return (msgs.astype(np.int16) @ self.gen.astype(np.int16)) % 2
+    def symbols(self, words: np.ndarray) -> np.ndarray:
+        """(N, n) words -> (N,) symbols read off the information positions."""
+        bits = words[:, self.info]
+        bits[:, 1:] ^= bits[:, :1]
+        return np.packbits(bits, axis=1, bitorder="little")[:, 0]
+
+    def encode(self, symbols: np.ndarray) -> np.ndarray:
+        """(N,) symbols -> (N, n) codewords."""
+        return self.codewords[symbols]
+
+    def syndrome(self, words: np.ndarray) -> np.ndarray:
+        """(N, n) words -> (N, n - k) check bits: each word minus the
+        codeword with its information bits, on the check positions."""
+        return (words ^ self.encode(self.symbols(words)))[:, self.check]
 
     def decode_ml(self, words: np.ndarray) -> np.ndarray:
-        """(N, n) words -> (N, k) nearest-codeword messages, by Hadamard transform."""
-        T = (1 - 2 * words.astype(np.int32)).copy()
-        N, n = T.shape
-        h = 1
-        while h < n:
-            T = T.reshape(N, n // (2 * h), 2, h)
-            a = T[:, :, 0, :].copy()
-            b = T[:, :, 1, :].copy()
-            T[:, :, 0, :] = a + b
-            T[:, :, 1, :] = a - b
-            T = T.reshape(N, n)
-            h *= 2
+        """(N, n) words -> (N,) symbols of the nearest codewords.
+
+        T[a] = sum_v (-1)^(y_v ^ parity(a & v)) by the fast Hadamard
+        transform (constant-geometry form: every stage pairs neighbours and
+        the result comes out in natural order); the nearest codeword has
+        the largest |T[a]|, and m0 = 1 where that T[a] is negative.
+        """
+        T = 1 - 2 * words.astype(np.int32)
+        for _ in range(self.m):
+            a, b = T[:, 0::2], T[:, 1::2]
+            T = np.concatenate((a + b, a - b), axis=1)
         best = np.argmax(np.abs(T), axis=1)
-        signs = T[np.arange(N), best] < 0
-        msgs = np.zeros((N, self.k), dtype=np.uint8)
-        msgs[:, 0] = signs
-        for j in range(self.m):
-            msgs[:, j + 1] = (best >> j) & 1
-        return msgs
+        negative = np.take_along_axis(T, best[:, None], axis=1)[:, 0] < 0
+        return negative | best << 1
 
 
 @lru_cache(maxsize=None)
-def _inner_rm(m: int = _RM_M) -> _InnerRM:
-    return _InnerRM(m)
+def _inner_rm() -> _InnerRM:
+    return _InnerRM()
 
 
 class RmRsCode(LinearCode):
@@ -393,7 +393,6 @@ class RmRsCode(LinearCode):
         # inverse of the syndrome map restricted to the first `redundancy`
         # symbol positions, for syndrome preimages
         self._v_inv = self._vandermonde_inverse(self._powers[0, :r])
-        self._sym_weights = 1 << np.arange(symbol_bits, dtype=np.int64)
 
     # -- symbol-matrix helpers ------------------------------------------------
 
@@ -464,66 +463,54 @@ class RmRsCode(LinearCode):
         return fixed
 
     # -- bit-level interface ----------------------------------------------------
+    #
+    # A syndrome is the inner check bits of every block, block by block,
+    # then the outer syndrome symbols, one byte each, low bit first.
 
-    def _blocks(self, x: Bits) -> np.ndarray:
-        return x.to_array().reshape(self.outer_n, self.inner.n)
+    def _pack_syndrome(self, inner_syn: np.ndarray, outer_syn: np.ndarray) -> Bits:
+        outer = int.from_bytes(outer_syn.astype(np.uint8).tobytes(), "little")
+        return Bits.from_array(inner_syn.reshape(-1)).concat(Bits(outer, 8 * self.redundancy))
 
-    def _symbols_of(self, msg_bits: np.ndarray) -> np.ndarray:
-        return (msg_bits.astype(np.int64) @ self._sym_weights).astype(np.int64)
+    def _unpack_syndrome(self, s: Bits) -> tuple[np.ndarray, np.ndarray]:
+        inner_len = self.outer_n * self.inner.check.size
+        inner_syn = s.first(inner_len).to_array().reshape(self.outer_n, -1)
+        outer = (s.value >> inner_len).to_bytes(self.redundancy, "little")
+        return inner_syn, np.frombuffer(outer, dtype=np.uint8)
 
     def syn(self, x: Bits) -> Bits:
         self._check_word(x)
-        blocks = self._blocks(x)
-        inner_syn = (blocks.astype(np.int16) @ self.inner.h.T.astype(np.int16)) % 2
-        msgs = (blocks.astype(np.int16) @ self.inner.extract.T.astype(np.int16)) % 2
-        outer_syn = self._rs_syndromes(self._symbols_of(msgs))
-        inner_bits = Bits.from_array(inner_syn.reshape(-1).astype(np.uint8))
-        outer_bits_arr = (
-            (outer_syn[:, None] >> np.arange(self.inner.k)[None, :]) & 1
-        ).astype(np.uint8)
-        return inner_bits.concat(Bits.from_array(outer_bits_arr.reshape(-1)))
+        blocks = x.to_array().reshape(self.outer_n, self.inner.n)
+        outer_syn = self._rs_syndromes(self.inner.symbols(blocks))
+        return self._pack_syndrome(self.inner.syndrome(blocks), outer_syn)
 
     def syn_dec(self, s: Bits) -> Bits | None:
         self._check_syndrome(s)
         if s.value == 0:
             return Bits.zeros(self.n)
-        inner_len = self.outer_n * (self.inner.n - self.inner.k)
-        arr = s.to_array()
-        inner_syn = arr[:inner_len].reshape(self.outer_n, self.inner.n - self.inner.k)
-        outer_syn = (
-            arr[inner_len:]
-            .reshape(self.redundancy, self.inner.k)
-            .astype(np.int64)
-            @ self._sym_weights
-        )
-        # candidate word with the requested syndrome
-        y0 = (inner_syn.astype(np.int16) @ self.inner.preimage.T.astype(np.int16)) % 2
-        msgs0 = (y0.astype(np.int16) @ self.inner.extract.T.astype(np.int16)) % 2
-        gap = self._rs_syndromes(self._symbols_of(msgs0))
-        gap ^= outer_syn
-        delta = self._rs_preimage(gap)
-        delta_bits = ((delta[:, None] >> np.arange(self.inner.k)[None, :]) & 1).astype(
-            np.uint8
-        )
-        y0 = (y0 + self.inner.encode(delta_bits)) % 2
+        inner_syn, outer_syn = self._unpack_syndrome(s)
+        # a word with syndrome s: the codewords of the outer preimage, plus
+        # the inner syndrome on the check positions (which adds no symbol)
+        y0 = self.inner.encode(self._rs_preimage(outer_syn))
+        y0[:, self.inner.check] ^= inner_syn
         # decode y0 toward the code
-        inner_msgs = self.inner.decode_ml(y0)
-        fixed = self._rs_decode(self._symbols_of(inner_msgs))
+        fixed = self._rs_decode(self.inner.decode_ml(y0))
         if fixed is None:
             return None
-        fixed_bits = ((fixed[:, None] >> np.arange(self.inner.k)[None, :]) & 1).astype(
-            np.uint8
-        )
-        codeword = self.inner.encode(fixed_bits)
-        return Bits.from_array(((y0 + codeword) % 2).reshape(-1).astype(np.uint8))
+        return Bits.from_array((y0 ^ self.inner.encode(fixed)).reshape(-1))
 
     def parity_check_matrix(self) -> np.ndarray:
+        """H built from the generator alone, as a reference for ``syn``."""
         t = self.table
-        k, n1 = self.inner.k, self.inner.n
+        inner = self.inner
+        k, n1 = inner.k, inner.n
+        h_inner = gf2_nullspace(inner.gen)  # (n1 - k) x n1
+        extract = np.zeros((k, n1), dtype=np.uint8)  # symbol bits of a codeword
+        extract[:, 0] = 1
+        extract[np.arange(1, k), 1 << np.arange(inner.m)] = 1
         rows = np.zeros((self.syndrome_len, self.n), dtype=np.uint8)
         r_in = n1 - k
         for i in range(self.outer_n):
-            rows[i * r_in : (i + 1) * r_in, i * n1 : (i + 1) * n1] = self.inner.h
+            rows[i * r_in : (i + 1) * r_in, i * n1 : (i + 1) * n1] = h_inner
         base = self.outer_n * r_in
         for j in range(1, self.redundancy + 1):
             for i in range(self.outer_n):
@@ -533,7 +520,7 @@ class RmRsCode(LinearCode):
                 for b in range(k):
                     prod = t.mul(coeff, 1 << b)
                     mult[:, b] = [(prod >> bb) & 1 for bb in range(k)]
-                block = (mult.astype(np.int16) @ self.inner.extract.astype(np.int16)) % 2
+                block = (mult.astype(np.int16) @ extract.astype(np.int16)) % 2
                 rows[base + (j - 1) * k : base + j * k, i * n1 : (i + 1) * n1] = block
         return rows
 

@@ -131,7 +131,13 @@ def mac_sizes(eps_mac: float, msg_space: int) -> MacSizes:
     den_key = 2 * math.log2(1 / eps_mac) + 2 * loglog
     den_tag = math.log2(1 / eps_mac) + loglog
     msg_bits = max(1, math.ceil(math.log2(msg_space)))
+    return MacSizes(den_key, den_tag, tag_length(eps_mac, msg_bits))
+
+
+def tag_length(eps_mac: float, msg_bits: int) -> int:
+    """Smallest lam >= log2(1/eps_mac) whose forgery bound on a message of
+    msg_bits bits is at most eps_mac."""
     lam = max(1, math.ceil(math.log2(1 / eps_mac)))
     while forgery_bound(lam, msg_bits) > eps_mac:
         lam += 1
-    return MacSizes(den_key, den_tag, lam)
+    return lam

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .entropy import binary_entropy
 from .linear_code import CodeRegistry, CodeSpec, default_registry
-from .mac import forgery_bound
+from .mac import tag_length
 
 
 class InfeasibleParamsError(ValueError):
@@ -61,7 +61,6 @@ class ProtocolParams:
     d: int
     lam: int
     code_name: str
-    alpha: float | None = None  # trap-scaling exponent, for asymptotic studies
 
     _KV_FIELDS = tuple(
         "epsilon eps0 eps_mac eps_qp beta0 beta nu r n kappa ell ell0 d lam code_name".split()
@@ -69,9 +68,8 @@ class ProtocolParams:
 
     @property
     def delta(self) -> float:
-        """Sampling-deviation bound exp(-2 nu^2 r * nr / ((n+r)(r+1)))."""
-        n, r = self.n, self.r
-        return math.exp(-2 * self.nu**2 * r * (n * r) / ((n + r) * (r + 1)))
+        """Sampling-deviation bound, see :func:`sampling_bad_event_bound`."""
+        return sampling_bad_event_bound(self.n, self.r, self.nu)
 
     @property
     def syndrome_len(self) -> int:
@@ -186,7 +184,7 @@ def derive_params(
         )
     eps_qp = 2.0 ** (-(spec.kappa - ell + 2) / 4)
     d = n
-    lam = _lambda_for(eps_mac, ell0 + d + ell)
+    lam = tag_length(eps_mac, ell0 + d + ell)
     params = ProtocolParams(
         epsilon=epsilon,
         eps0=eps0,
@@ -206,13 +204,6 @@ def derive_params(
     )
     params.validate()
     return params
-
-
-def _lambda_for(eps_mac: float, msg_bits: int) -> int:
-    lam = max(1, math.ceil(math.log2(1 / eps_mac)))
-    while forgery_bound(lam, msg_bits) > eps_mac:
-        lam += 1
-    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import kv
 from .bits import Bits
 from .entropy import binary_entropy
-from .gf2 import FieldElement, GF2Field
+from .gf2 import GF2Field
 from .linear_code import CodeRegistry, LinearCode, default_registry
 from .mac import MacKey, tag, verify
 from .params import InfeasibleParamsError, ProtocolParams, derive_params
@@ -44,7 +44,7 @@ class RecursionUnprofitableError(ValueError):
 class ServerBundle:
     """Everything stored remotely.  All of it may come back modified."""
 
-    w: FieldElement
+    w: Bits
     u: Bits
     c: Bits
     theta: Bits
@@ -52,11 +52,11 @@ class ServerBundle:
 
     def classical_bits(self) -> Bits:
         """The authenticated transcript w || u || c."""
-        return self.w.bits.concat(self.u).concat(self.c)
+        return self.w.concat(self.u).concat(self.c)
 
     def to_kv(self) -> dict:
         return {
-            "w": self.w.bits,
+            "w": self.w,
             "u": self.u,
             "c": self.c,
             "theta": self.theta,
@@ -71,12 +71,12 @@ class ServerBundle:
                 raise ValueError(f"bundle field {key} is not a bit string")
         if not isinstance(mapping["register"], bytes):
             raise ValueError("bundle field register is not bytes")
-        # The seed field is pinned by the length of w, never read from the
-        # file: the MAC does not cover a modulus, so a stored one could be
-        # swapped.  A "w_modulus" key left by older files is ignored.
-        w = mapping["w"]
+        # w stays a bit string: a field of a length the server chose would
+        # cost a modulus search and a write to the client's cache, so
+        # retrieval reads w in the field of params.ell0 after checking its
+        # length.  A "w_modulus" key left by older files is ignored.
         return cls(
-            w=GF2Field(w.length).element(w),
+            w=mapping["w"],
             u=mapping["u"],
             c=mapping["c"],
             theta=mapping["theta"],
@@ -212,7 +212,7 @@ def _store_padded(
 
     mac_key = MacKey.random(params.lam, rng)  # fresh key: used for this one tag
     bundle = ServerBundle(
-        w=w,
+        w=w.bits,
         u=u,
         c=c,
         theta=tag(mac_key, w.bits.concat(u).concat(c)),
@@ -251,7 +251,7 @@ def _lengths_match(bundle: ServerBundle, params: ProtocolParams) -> bool:
     first makes such a bundle an abort instead of a malformed computation.
     """
     return (
-        bundle.w.field.degree == params.ell0
+        bundle.w.length == params.ell0
         and bundle.u.length == params.d
         and bundle.c.length == params.ell
         and bundle.theta.length == params.lam
@@ -286,7 +286,7 @@ def _retrieve_padded(
     x_hat = x_prime ^ pattern
     z_hat = one_time_pad(bundle.u, x_hat, params.ell, GF2Field(params.n))
     m_hat = z_hat ^ bundle.c
-    m0_hat = derandomize(m_hat, secrets.m_nabla, bundle.w)
+    m0_hat = derandomize(m_hat, secrets.m_nabla, GF2Field(params.ell0).element(bundle.w))
     return "none", m0_hat
 
 

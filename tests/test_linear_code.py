@@ -13,7 +13,6 @@ from tamperstore.linear_code import (
     default_registry,
     gf2_nullspace,
     gf2_rank,
-    gf2_right_inverse,
     golay_code,
     hamming_code,
     repetition_code,
@@ -51,8 +50,6 @@ def test_nullspace_and_right_inverse():
     null = gf2_nullspace(mat)
     assert null.shape[0] == 9 - 4
     assert not np.any((mat @ null.T) % 2)
-    inv = gf2_right_inverse(mat)
-    assert np.array_equal((mat @ inv) % 2, np.eye(4, dtype=np.uint8))
 
 
 # -- Hamming(7,4) against the direct matrix product oracle ---------------------
@@ -146,21 +143,42 @@ def test_golay_parameters():
 
 # -- concatenated RS * RM ----------------------------------------------------------
 
+def test_inner_rm_codeword_table_is_generator_encoding():
+    from tamperstore.linear_code import _inner_rm
+
+    inner = _inner_rm()
+    for symbol in range(256):
+        msg = np.array([(symbol >> b) & 1 for b in range(inner.k)], dtype=np.int64)
+        expected = (msg @ inner.gen.astype(np.int64)) % 2
+        assert np.array_equal(inner.encode(np.array([symbol]))[0], expected)
+        assert inner.symbols(inner.encode(np.array([symbol])))[0] == symbol
+
+
+def test_inner_rm_syndrome_is_parity_check_product():
+    from tamperstore.linear_code import _inner_rm
+
+    inner = _inner_rm()
+    h = gf2_nullspace(inner.gen).astype(np.int64)
+    rng = np.random.default_rng(9)
+    words = (rng.random((200, inner.n)) < 0.5).astype(np.uint8)
+    assert np.array_equal(inner.syndrome(words), (words.astype(np.int64) @ h.T) % 2)
+
+
 def test_inner_rm_ml_decoding():
     from tamperstore.linear_code import _inner_rm
 
     inner = _inner_rm()
     rng = np.random.default_rng(10)
-    msgs = (rng.random((40, inner.k)) < 0.5).astype(np.uint8)
-    words = inner.encode(msgs)
-    # correlation definition check on a few rows
+    symbols = rng.integers(0, 256, size=40)
+    words = inner.encode(symbols)
+    # correlation definition check on a few rows: m0 = bit 0, a = the rest
     T = np.array([[(-1) ** int(w[v]) for v in range(inner.n)] for w in words[:3]])
-    for row, msg in zip(T, msgs[:3]):
-        a_lin = int(sum(int(b) << j for j, b in enumerate(msg[1:])))
+    for row, symbol in zip(T, symbols[:3].tolist()):
+        a_lin = symbol >> 1
         corr = sum(
             row[v] * (-1) ** (int(bin(a_lin & v).count("1")) & 1) for v in range(inner.n)
         )
-        assert corr == inner.n * (-1) ** int(msg[0])
+        assert corr == inner.n * (-1) ** (symbol & 1)
     # up to 31 flips per block are always corrected
     for trial in range(40):
         noisy = words.copy()
@@ -168,7 +186,7 @@ def test_inner_rm_ml_decoding():
             weight = int(rng.integers(0, inner.t_corr + 1))
             flips = rng.choice(inner.n, size=weight, replace=False)
             noisy[i, flips] ^= 1
-        assert np.array_equal(inner.decode_ml(noisy), msgs)
+        assert np.array_equal(inner.decode_ml(noisy), symbols)
 
 
 def make_rmrs():
@@ -245,58 +263,62 @@ def test_rmrs_preimage_hits_its_syndromes(n, k):
         assert np.array_equal(code._rs_syndromes(pre), s)
 
 
+def radius_codes():
+    return [make_rmrs(), RmRsCode(76, 5)]  # the small test code and the params-C code
+
+
 def test_rmrs_decodes_random_patterns_within_radius():
-    code = make_rmrs()
     rng = np.random.default_rng(13)
-    for _ in range(300):
-        weight = int(rng.integers(0, code.t_corr + 1))
-        e = random_error(code.n, weight, rng)
-        assert code.syn_dec(code.syn(e)) == e
+    for code in radius_codes():
+        for _ in range(300):
+            weight = int(rng.integers(0, code.t_corr + 1))
+            e = random_error(code.n, weight, rng)
+            assert code.syn_dec(code.syn(e)) == e
 
 
 def test_rmrs_decodes_adversarial_pattern_at_radius():
     # worst case: t_out blocks saturated past the inner radius, plus one
     # block carrying exactly the inner radius
-    code = make_rmrs()
     rng = np.random.default_rng(14)
-    inner_n = code.inner.n
-    for _ in range(20):
-        blocks = rng.choice(code.outer_n, size=code.t_out + 1, replace=False)
-        pattern = np.zeros(code.n, dtype=np.uint8)
-        for b in blocks[: code.t_out]:
-            flips = rng.choice(inner_n, size=code.inner.t_corr + 1, replace=False)
-            pattern[b * inner_n + flips] = 1
-        flips = rng.choice(inner_n, size=code.inner.t_corr, replace=False)
-        pattern[blocks[-1] * inner_n + flips] = 1
-        e = Bits.from_array(pattern)
-        assert e.weight() == code.t_corr
-        assert code.syn_dec(code.syn(e)) == e
+    for code in radius_codes():
+        inner_n = code.inner.n
+        for _ in range(20):
+            blocks = rng.choice(code.outer_n, size=code.t_out + 1, replace=False)
+            pattern = np.zeros(code.n, dtype=np.uint8)
+            for b in blocks[: code.t_out]:
+                flips = rng.choice(inner_n, size=code.inner.t_corr + 1, replace=False)
+                pattern[b * inner_n + flips] = 1
+            flips = rng.choice(inner_n, size=code.inner.t_corr, replace=False)
+            pattern[blocks[-1] * inner_n + flips] = 1
+            e = Bits.from_array(pattern)
+            assert e.weight() == code.t_corr
+            assert code.syn_dec(code.syn(e)) == e
 
 
 def test_rmrs_beyond_radius_fails_or_stays_sound():
     # flip whole blocks to other inner codewords: the symbol errors are then
     # certain, and t_out + 1 of them exceed what the outer code can absorb
-    code = make_rmrs()
     rng = np.random.default_rng(15)
-    inner = code.inner
-    failures = 0
-    for _ in range(20):
-        blocks = rng.choice(code.outer_n, size=code.t_out + 1, replace=False)
-        pattern = np.zeros(code.n, dtype=np.uint8)
-        for b in blocks:
-            msgs = (rng.random((2, inner.k)) < 0.5).astype(np.uint8)
-            while np.array_equal(msgs[0], msgs[1]):
-                msgs = (rng.random((2, inner.k)) < 0.5).astype(np.uint8)
-            diff = inner.encode(msgs)
-            pattern[b * inner.n : (b + 1) * inner.n] = (diff[0] + diff[1]) % 2
-        e = Bits.from_array(pattern)
-        assert e.weight() > code.t_corr
-        out = code.syn_dec(code.syn(e))
-        if out is None:
-            failures += 1
-        else:
-            assert code.syn(out) == code.syn(e)
-    assert failures > 0
+    for code in radius_codes():
+        inner = code.inner
+        failures = 0
+        for _ in range(20):
+            blocks = rng.choice(code.outer_n, size=code.t_out + 1, replace=False)
+            pattern = np.zeros(code.n, dtype=np.uint8)
+            for b in blocks:
+                symbols = rng.integers(0, 256, size=2)
+                while symbols[0] == symbols[1]:
+                    symbols = rng.integers(0, 256, size=2)
+                diff = inner.encode(symbols)
+                pattern[b * inner.n : (b + 1) * inner.n] = diff[0] ^ diff[1]
+            e = Bits.from_array(pattern)
+            assert e.weight() > code.t_corr
+            out = code.syn_dec(code.syn(e))
+            if out is None:
+                failures += 1
+            else:
+                assert code.syn(out) == code.syn(e)
+        assert failures > 0, code.name
 
 
 def test_rmrs_step8_identity():

@@ -12,6 +12,7 @@ from tamperstore.mac import (
     forgery_bound,
     mac_sizes,
     tag,
+    tag_length,
     verify,
 )
 
@@ -173,6 +174,16 @@ def test_lambda_formula_meets_exhaustive_bound(lam_target):
     sizes = mac_sizes(eps, 2**msg_len)
     assert sizes.lam <= lam_target
     assert forgery_bound(sizes.lam, msg_len) <= eps
+
+
+def test_tag_length_is_smallest_meeting_the_bound():
+    # the protocol's message sizes at A, B and C, and small ones
+    for eps in (0.5, 0.05 / 8, 0.01 / 8, 2.0**-20):
+        for msg_bits in (1, 7, 100, 5133, 13323, 19465):
+            lam = tag_length(eps, msg_bits)
+            assert forgery_bound(lam, msg_bits) <= eps
+            floor = max(1, math.ceil(math.log2(1 / eps)))
+            assert lam == floor or forgery_bound(lam - 1, msg_bits) > eps
 
 
 def test_key_bits_round_trip():

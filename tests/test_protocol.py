@@ -76,7 +76,7 @@ def test_bundle_and_secret_shapes():
     assert secrets.m_nabla.length == p.ell0 - p.ell
     assert bundle.u.length == p.d
     assert bundle.theta.length == p.lam
-    assert bundle.w.field.degree == p.ell0
+    assert bundle.w.length == p.ell0
     assert bundle.register.size == p.n + p.r
 
 
@@ -208,7 +208,7 @@ def test_bundle_modulus_is_not_read_from_the_file(tmp_path):
         mapping["w_modulus"] = Bits(0x2027, 14)  # another irreducible of degree 13
         kv.dump(tmp_path / "bundle.txt", "bundle", mapping)
         loaded = ServerBundle.load(tmp_path / "bundle.txt")
-        assert loaded.w.field.modulus == bundle.w.field.modulus
+        assert loaded.w == bundle.w
         out = inst.retrieve(loaded, secrets, rng)
         assert out.omega == 0 or out.message == 777
         assert (out.omega, out.message) == (1, 777)
@@ -260,8 +260,23 @@ def test_resized_register_aborts_on_format(delta):
 def test_wrong_length_w_aborts_on_format(delta):
     inst, bundle, secrets, rng = _params_a_session(2)
     degree = inst.params.ell0 + delta
-    w = GF2Field(degree).element(bundle.w.value & ((1 << degree) - 1))
+    w = Bits(bundle.w.value & ((1 << degree) - 1), degree)
     _assert_format_abort(inst, replace(bundle, w=w), secrets, rng)
+
+
+@pytest.mark.parametrize("length", [1536, 0])
+def test_bundle_w_length_builds_no_field(length, tmp_path, monkeypatch):
+    # loading must not search for a modulus of a degree the server picked
+    # (minutes at a few thousand bits) nor write it into the client's cache
+    monkeypatch.setenv("TAMPERSTORE_CACHE", str(tmp_path / "cache"))
+    inst, bundle, secrets, rng = _params_a_session(4)
+    mapping = bundle.to_kv()
+    mapping["w"] = Bits.random(length, rng)
+    kv.dump(tmp_path / "bundle.txt", "bundle", mapping)
+    loaded = ServerBundle.load(tmp_path / "bundle.txt")
+    assert loaded.w.length == length
+    _assert_format_abort(inst, loaded, secrets, rng)
+    assert not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
