@@ -252,23 +252,29 @@ def _apply_strategy(
     return tampered, transcript
 
 
-def binomial_cdf(k: int, n: int, p: float) -> float:
-    """Pr[Binomial(n, p) <= k] for 0 < p < 1.
+def log_binomial_cdf(k: int, n: int, p: float) -> float:
+    """Natural log of Pr[Binomial(n, p) <= k] for 0 < p < 1.
 
     Each term is formed in log space from lgamma, and the terms are summed
-    with fsum after dividing out the largest, so no single term underflows.
+    with fsum after dividing out the largest, so the result stays finite
+    where the probability itself underflows a float.
     """
     if k < 0:
-        return 0.0
+        return -math.inf
     if k >= n:
-        return 1.0
+        return 0.0
     log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
     logs = [
         log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q
         for i in range(k + 1)
     ]
     top = max(logs)
-    return math.exp(top + math.log(math.fsum(math.exp(x - top) for x in logs)))
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """Pr[Binomial(n, p) <= k] for 0 < p < 1; 0.0 below about 1e-308."""
+    return math.exp(log_binomial_cdf(k, n, p))
 
 
 def tamper_acceptance_bound(params: ProtocolParams, strategy: EveStrategy) -> tuple[str, float]:
@@ -280,9 +286,13 @@ def tamper_acceptance_bound(params: ProtocolParams, strategy: EveStrategy) -> tu
         # "all-standard" puts every trap in the other basis
         flip = 0.25 if strategy.policy == "random-basis" else 0.5
         threshold = math.floor(params.beta * params.r)
+        log_tail = log_binomial_cdf(threshold, params.r, flip)
+        # the name carries log10 of the tail, which stays finite where the
+        # float value underflows to 0.0
+        log10_tail = log_tail / math.log(10)
         return (
-            f"binom_cdf(r={params.r}, p={flip}, k<={threshold})",
-            binomial_cdf(threshold, params.r, flip),
+            f"binom_cdf(r={params.r}, p={flip}, k<={threshold}) = 10^{log10_tail:.4g}",
+            math.exp(log_tail),
         )
     if isinstance(strategy, ClassicalTamper):
         return "mac_forgery_bound", params.eps_mac

@@ -7,15 +7,21 @@ other degree gets the lexicographically smallest irreducible polynomial
 x^nu + tail (smallest tail value), generated deterministically and cached.
 Nothing serialized carries a modulus: the degree alone fixes it.
 
-Two fast paths live next to the generic big-int arithmetic:
+Three fast paths live next to the generic big-int arithmetic, whose
+``GF2Field.mul_int`` (full product, then reduction) stays the reference:
 
+* ``GF2Field.mul_low`` forms only the low l bits of a product: three
+  slices of the carry-less product (a middle product), folded through the
+  short modulus tail, so a few bits of a 9,728-bit product cost tens of
+  microseconds instead of milliseconds;
 * ``GF2Field.byte_tables`` precomputes, for one constant c, the product
   c*x as an XOR of one 256-entry table lookup per byte of x, which turns a
   Horner step in a small field into a few list lookups;
 * ``GFTable`` holds exp/log tables of a small field GF(2^m) and multiplies
   whole numpy arrays of symbols with one gather.
 
-The hash ``phi(w, x, l)`` is the first l bits of w*x.  Over the full seed
+The hash ``phi(w, x, l)`` is the first l bits of w*x, computed with
+``mul_low``; the protocol's one-time pad is this hash.  Over the full seed
 space it is two-universal; the protocol layer draws w nonzero so that the
 product can later be inverted, at the cost of a 2^-nu seed bias.
 """
@@ -50,23 +56,16 @@ def clmul(a: int, b: int) -> int:
         return 0
     if a.bit_count() > b.bit_count():
         a, b = b, a
-    # shift-and-add over the sparser operand; the 256-entry window table
-    # only pays for itself once there are hundreds of set bits
-    if a.bit_count() <= 512:
-        r = 0
-        while a:
-            low = a & -a
-            r ^= b << (low.bit_length() - 1)
-            a ^= low
-        return r
-    table = [0] * 256
-    for i in range(1, 256):
-        lsb = i & -i
-        table[i] = table[i ^ lsb] ^ (b << (lsb.bit_length() - 1))
+    # shift-and-add over the sparser operand, one big-int shift and XOR per
+    # set bit.  Session-path operands (small-field symbols, modulus tails,
+    # the short slices of GF2Field.mul_low) have at most a few hundred set
+    # bits; only the reference mul_int at protocol-scale degrees passes
+    # thousands, at about 8 ms a product for n = 9728.
     r = 0
-    for k, byte in enumerate(a.to_bytes((a.bit_length() + 7) // 8, "little")):
-        if byte:
-            r ^= table[byte] << (8 * k)
+    while a:
+        low = a & -a
+        r ^= b << (low.bit_length() - 1)
+        a ^= low
     return r
 
 
@@ -78,6 +77,10 @@ for _b in range(256):
             _s |= 1 << (2 * _i)
     _SPREAD[_b] = _s
 del _b, _s, _i
+
+
+# byte -> the same byte with its 8 bits in reverse order
+_REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def clsq(a: int) -> int:
@@ -274,11 +277,48 @@ class GF2Field:
         self.degree = degree
         self.modulus = generate_modulus(degree)
         self._mask = (1 << degree) - 1
+        self._tail = self.modulus ^ (1 << degree)
 
     # int-level fast paths -------------------------------------------------
 
     def mul_int(self, a: int, b: int) -> int:
         return poly_mod(clmul(a, b), self.modulus)
+
+    def mul_low(self, a: int, b: int, ell: int) -> int:
+        """The low ``ell`` bits of a * b mod P, without the full product.
+
+        With P = x^n + T, t = deg T and c = a * b, c mod P = c_lo + T * c_hi
+        plus further folds of what T * c_hi spills past x^n.  Only three
+        slices of c reach the low ell bits (the middle product of Hanrot,
+        Quercia & Zimmermann, AAECC 2004):
+
+        * c[0, ell), from the low ell bits of a and b;
+        * c[n, n + ell): c[n + s] is the parity of a & (rev_n(b) << (s + 1)),
+          where rev_n reverses the n bits of b;
+        * c[2n - t, 2n - 1), from the top t bits of a and b, which fixes the
+          spill (T * c_hi) >> n.
+
+        The spill loop runs once whenever 2t - 2 < n, which holds for every
+        modulus in use (tested).
+        """
+        n, tail = self.degree, self._tail
+        if not 0 <= ell <= n:
+            raise ValueError(f"output length {ell} outside [0, {n}]")
+        t = tail.bit_length() - 1
+        mask = (1 << ell) - 1
+        nbytes = (n + 7) // 8
+        rev = int.from_bytes(b.to_bytes(nbytes, "little").translate(_REV8), "big")
+        rev >>= 8 * nbytes - n
+        mid = 0
+        for s in range(ell):
+            mid |= ((a & (rev << (s + 1))).bit_count() & 1) << s
+        z = clmul(a & mask, b & mask) ^ clmul(tail, mid)
+        spill = clmul(tail, clmul(a >> (n - t), b >> (n - t)) >> t) >> t
+        while spill:
+            folded = clmul(tail, spill)
+            z ^= folded
+            spill = folded >> n
+        return z & mask
 
     def inv_int(self, a: int) -> int:
         return poly_invmod(a, self.modulus)
@@ -462,13 +502,15 @@ def gf_table(m: int) -> GFTable:
 # ---------------------------------------------------------------------------
 
 def phi(w: FieldElement, x: FieldElement, l: int) -> Bits:
-    """First l bits of w*x; two-universal over uniform w."""
+    """First l bits of w*x; two-universal over uniform w.
+
+    Computed by ``GF2Field.mul_low``, so the cost grows with l rather than
+    with the full product; l outside [0, degree] raises ``ValueError``.
+    """
     if not isinstance(w, FieldElement) or not isinstance(x, FieldElement):
         raise TypeError("phi expects field elements")
     w._check(x)
-    if l > w.field.degree:
-        raise ValueError(f"output length {l} exceeds field degree {w.field.degree}")
-    return (w * x).bits.first(l)
+    return Bits(w.field.mul_low(w.value, x.value, l), l)
 
 
 def phi_invert(w: FieldElement, p: FieldElement) -> FieldElement:

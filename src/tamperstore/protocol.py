@@ -25,7 +25,7 @@ import numpy as np
 from . import kv
 from .bits import Bits
 from .entropy import binary_entropy
-from .gf2 import GF2Field
+from .gf2 import GF2Field, phi
 from .linear_code import CodeRegistry, LinearCode, default_registry
 from .mac import MacKey, tag, verify
 from .params import InfeasibleParamsError, ProtocolParams, derive_params
@@ -169,10 +169,13 @@ class RetrievalOutcome:
 
 
 def one_time_pad(u: Bits, x: Bits, ell: int, field: GF2Field) -> Bits:
-    """z = first ell bits of u * x in GF(2^n); the seed may be zero."""
-    if u.length != field.degree or x.length != field.degree:
-        raise ValueError("seed and payload must both have the field degree")
-    return Bits(field.mul_int(u.value, x.value) & ((1 << ell) - 1), ell)
+    """z = phi(u, x, ell), the first ell bits of u * x in GF(2^n).
+
+    The two-universal hash of the payload under the seed u (which may be
+    zero); only those ell bits of the product are computed.  A seed or
+    payload whose length is not n raises ``ValueError``.
+    """
+    return phi(field.element(u), field.element(x), ell)
 
 
 def _check_shapes(params: ProtocolParams, code: LinearCode, prefix_code: PrefixCode | None):

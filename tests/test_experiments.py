@@ -7,6 +7,7 @@ from tamperstore.experiments import (
     ExperimentConfig,
     binomial_cdf,
     build_instance,
+    log_binomial_cdf,
     make_strategy,
     parse_dist,
     run_correctness_experiment,
@@ -182,8 +183,36 @@ def test_binomial_cdf_matches_scipy_oracle(epsilon, beta0, ell):
         assert math.isclose(binomial_cdf(k, params.r, p), oracle, rel_tol=1e-9, abs_tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "epsilon,beta0,ell", [(0.05, 0.0, 4), (0.05, 0.05, 4), (0.01, 0.05, 3)], ids="ABC"
+)
+def test_log_binomial_cdf_matches_scipy_oracle(epsilon, beta0, ell):
+    from scipy.special import logsumexp
+    from scipy.stats import binom
+
+    params = derive_params(epsilon, beta0, ell, ell0=example1_code(12).max_len)
+    k = math.floor(params.beta * params.r)
+    for p in (0.25, 0.5):
+        oracle = float(binom.logcdf(k, params.r, p))
+        if not math.isfinite(oracle):  # scipy's logcdf underflows to -inf at B and C
+            oracle = float(logsumexp(binom.logpmf(np.arange(k + 1), params.r, p)))
+        assert math.isclose(log_binomial_cdf(k, params.r, p), oracle, rel_tol=1e-9, abs_tol=0.0)
+
+
+def test_all_standard_bound_is_finite_in_log_space_at_C():
+    params = derive_params(0.01, 0.05, 3, ell0=example1_code(12).max_len)
+    k = math.floor(params.beta * params.r)
+    log10_tail = log_binomial_cdf(k, params.r, 0.5) / math.log(10)
+    assert math.isfinite(log10_tail) and log10_tail < -300
+    name, value = tamper_acceptance_bound(params, InterceptResend(policy="all-standard"))
+    assert value == 0.0  # the float underflows; the name keeps the exponent
+    assert name == f"binom_cdf(r={params.r}, p=0.5, k<={k}) = 10^{log10_tail:.4g}"
+
+
 def test_binomial_cdf_edges():
     assert binomial_cdf(-1, 10, 0.3) == 0.0
     assert binomial_cdf(10, 10, 0.3) == 1.0
+    assert log_binomial_cdf(-1, 10, 0.3) == -math.inf
+    assert log_binomial_cdf(10, 10, 0.3) == 0.0
     assert math.isclose(binomial_cdf(0, 10, 0.3), 0.7**10, rel_tol=1e-12)
     assert math.isclose(binomial_cdf(2, 4, 0.5), 11 / 16, rel_tol=1e-12)

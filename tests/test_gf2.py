@@ -228,3 +228,46 @@ def test_gftable_inverse_and_powers(m):
     powers = table.pow_alpha(np.arange(-table.order, 2 * table.order))
     assert sorted(set(powers.tolist())) == list(range(1, 1 << m))  # a generator
     assert table.pow_alpha(-1) == table.inv(table.generator)
+
+
+# the pad lengths of params C and A (3, 4), then longer outputs up to 128
+_MUL_LOW_ELLS = (1, 3, 4, 40, 128)
+
+
+@pytest.mark.parametrize("degree", sorted(set(PINNED_MODULI) | {1, 2, 13}))
+def test_mul_low_matches_full_product(degree):
+    field = GF2Field(degree)
+    rng = np.random.default_rng(degree)
+    mask = (1 << degree) - 1
+    ells = [0] + [l for l in _MUL_LOW_ELLS if l <= degree] + ([degree] if degree <= 256 else [])
+    # mul_int is the reference: ~8 ms a product at degree 9728
+    count = 40 if degree > 1000 else 200
+    pairs = [(0, mask), (mask, 0), (mask, mask), (1, mask)]
+    pairs += [(Bits.random(degree, rng).value, Bits.random(degree, rng).value) for _ in range(count)]
+    for a, b in pairs:
+        full = field.mul_int(a, b)
+        for ell in ells:
+            assert field.mul_low(a, b, ell) == full & ((1 << ell) - 1), (a, b, ell)
+    for ell in (-1, degree + 1):
+        with pytest.raises(ValueError):
+            field.mul_low(1, 1, ell)
+
+
+def test_modulus_tails_fold_once():
+    # the spill of T * c_hi past x^n needs one fold when 2 deg(T) - 2 < n
+    for degree in sorted(set(PINNED_MODULI) | set(range(1, 65))):
+        tail = generate_modulus(degree) ^ (1 << degree)
+        assert 2 * (tail.bit_length() - 1) - 2 < degree, degree
+
+
+def test_mul_low_folds_long_tails():
+    # no pinned modulus has a tail this long; the product mod a reducible
+    # x^8 + x^7 + x^6 + x + 1 spills past x^8 several times
+    field = GF2Field(8)
+    field.modulus = (1 << 8) | 0b11000011
+    field._tail = 0b11000011
+    rng = np.random.default_rng(8)
+    for a, b in rng.integers(0, 256, size=(300, 2)).tolist() + [[255, 255]]:
+        full = poly_mod(clmul(a, b), field.modulus)
+        for ell in (1, 4, 8):
+            assert field.mul_low(a, b, ell) == full & ((1 << ell) - 1), (a, b, ell)

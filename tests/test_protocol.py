@@ -287,6 +287,28 @@ def test_wrong_length_theta_aborts_on_format(delta):
     _assert_format_abort(inst, replace(bundle, theta=resized), secrets, rng)
 
 
+@pytest.mark.parametrize("n", [7, 2560])
+def test_one_time_pad_is_the_first_ell_bits_of_the_product(n):
+    field = GF2Field(n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        u, x = Bits.random(n, rng), Bits.random(n, rng)
+        product = field.mul_int(u.value, x.value)
+        for ell in (1, 3, 4):
+            assert one_time_pad(u, x, ell, field) == Bits(product & ((1 << ell) - 1), ell)
+    assert one_time_pad(Bits.zeros(n), x, 4, field) == Bits.zeros(4)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("operand", ["seed", "payload"])
+def test_one_time_pad_rejects_wrong_lengths(operand, delta):
+    field = GF2Field(7)
+    right, wrong = Bits(0b1011001, 7), Bits(1, 7 + delta)
+    u, x = (wrong, right) if operand == "seed" else (right, wrong)
+    with pytest.raises(ValueError):
+        one_time_pad(u, x, 3, field)
+
+
 def test_tiny_instance_ciphertext_near_uniform_exact():
     # exact enumeration over every (message, seed, pad seed, payload):
     # l0 = 4, n = 4, l = 1, identity code
