@@ -15,8 +15,10 @@ Three fast paths live next to the generic big-int arithmetic, whose
   short modulus tail, so a few bits of a 9,728-bit product cost tens of
   microseconds instead of milliseconds;
 * ``GF2Field.byte_tables`` precomputes, for one constant c, the product
-  c*x as an XOR of one 256-entry table lookup per byte of x, which turns a
-  Horner step in a small field into a few list lookups;
+  c*x as an XOR of one table lookup per byte of x (256 entries, the last
+  table 2^(degree - 8j) when the degree is not a multiple of 8, so the top
+  byte needs no mask); ``mac`` writes those ceil(degree/8) lookups out as
+  one expression per Horner step;
 * ``GFTable`` holds exp/log tables of a small field GF(2^m) and multiplies
   whole numpy arrays of symbols with one gather.
 
@@ -337,8 +339,9 @@ class GF2Field:
 
         ``tables[j][v]`` is c * (v << 8j) reduced, so c * x is the XOR of
         ``tables[j][(x >> 8j) & 0xFF]`` over the bytes of x.  Built from
-        the degree shift-and-reduce multiples c * x^k, then one 256-entry
-        table per byte by doubling (the GHASH per-key table technique).
+        the degree shift-and-reduce multiples c * x^k, then one table per
+        byte by doubling (the GHASH per-key table technique): 256 entries,
+        or 2^(degree - 8j) for a last, partial byte j.
         """
         cols = []
         for _ in range(self.degree):

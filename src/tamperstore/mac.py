@@ -13,12 +13,22 @@ An observed (message, tag) pair leaves 2^lam equally likely keys; a
 forgery for a different message succeeds only where a difference
 polynomial of degree at most B+1 vanishes, so the forgery probability is
 at most (B+1) / 2^lam with B the content block count.
+
+Blocks are cut in one numpy pass: the message bytes are unpacked to bits,
+reshaped to B rows of lam bits (the last row zero-padded) and each row is
+summed against the weights 2^k.  The sum is evaluated by Horner's rule,
+acc = (acc + m_i) * a from the last block down.  Multiplication by the
+key constant a is the XOR of one ``GF2Field.byte_tables`` lookup per byte
+of the lam-bit operand; ``_horner`` writes those ceil(lam/8) lookups out
+as one expression, compiled once per byte count, so the step is exact for
+every lam and runs no inner loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +47,8 @@ class MacKey:
     lam: int
 
     def __post_init__(self):
+        if self.lam < 1:
+            raise ValueError(f"lam = {self.lam}; a key needs lam >= 1")
         limit = 1 << self.lam
         if not (0 <= self.a < limit and 0 <= self.b < limit):
             raise ValueError("key components must be lam-bit values")
@@ -54,32 +66,65 @@ class MacKey:
 
     @classmethod
     def from_bits(cls, bits: Bits) -> "MacKey":
+        """Inverse of :meth:`to_bits`: a and b, lam bits each, lam >= 1."""
+        if bits.length % 2:
+            raise ValueError(f"a key of {bits.length} bits does not split into a and b")
         lam = bits.length // 2
         return cls(bits.first(lam).value, bits[lam:].value, lam)
+
+
+@lru_cache(maxsize=None)
+def _bit_weights(lam: int) -> np.ndarray:
+    """2^k for k < lam; Python ints once a row no longer fits 64 bits."""
+    weights = np.array([1 << k for k in range(lam)], dtype=np.uint64 if lam <= 64 else object)
+    weights.flags.writeable = False
+    return weights
 
 
 def _blocks(msg: Bits, lam: int) -> list[int]:
     limit = lam * (1 << lam)
     if msg.length > limit:
         raise OversizeMessageError(f"{msg.length} bits exceeds lam * 2^lam = {limit}")
-    mask = (1 << lam) - 1
-    value = msg.value
-    out = [(value >> start) & mask for start in range(0, msg.length, lam)]
-    # the last block is zero-padded implicitly; the length block follows
-    out.append(1 + msg.length % mask)
+    count = -(-msg.length // lam)
+    raw = msg.value.to_bytes((count * lam + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count * lam, bitorder="little")
+    # the last block is zero-padded by the byte rounding; the length block follows
+    out = (bits.reshape(count, lam) @ _bit_weights(lam)).tolist()
+    out.append(1 + msg.length % ((1 << lam) - 1))
     return out
+
+
+@lru_cache(maxsize=None)
+def _horner(nbytes: int):
+    """Compiled ``horner(blocks, t0, ..., t{nbytes-1})``, which folds
+    acc = (acc ^ block) * a over blocks and returns acc.
+
+    The product is the one expression ``t0[y & 0xFF] ^ t1[y >> 8 & 0xFF]
+    ^ ...`` over the byte tables of a; the last table is no larger than
+    the top byte of y can index, so that byte is not masked.
+    """
+    names = ", ".join(f"t{j}" for j in range(nbytes))
+    lookups = " ^ ".join(
+        f"t{j}[{f'y >> {8 * j}' if j else 'y'}{' & 0xFF' if j < nbytes - 1 else ''}]"
+        for j in range(nbytes)
+    )
+    source = (
+        f"def horner(blocks, {names}):\n"
+        "    acc = 0\n"
+        "    for block in blocks:\n"
+        "        y = acc ^ block\n"
+        f"        acc = {lookups}\n"
+        "    return acc\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["horner"]
 
 
 def tag(key: MacKey, msg: Bits) -> Bits:
     """Deterministic one-time tag of lam bits."""
     tables = GF2Field(key.lam).byte_tables(key.a)
-    acc = 0
-    for block in reversed(_blocks(msg, key.lam)):  # Horner: sum m_i a^i
-        y = acc ^ block
-        acc = 0
-        for table in tables:  # acc = y * a, one lookup per byte of y
-            acc ^= table[y & 0xFF]
-            y >>= 8
+    acc = _horner(len(tables))(reversed(_blocks(msg, key.lam)), *tables)  # sum m_i a^i
     return Bits(acc ^ key.b, key.lam)
 
 

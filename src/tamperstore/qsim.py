@@ -15,6 +15,7 @@ Attack strategies never see the hidden records; they act through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +46,19 @@ class TrapLayout:
         mask[rng.choice(total, size=r, replace=False)] = 1
         return cls(Bits.from_array(mask), r)
 
-    @property
+    @cached_property
     def trap_indices(self) -> np.ndarray:
-        return np.nonzero(self.t.to_array())[0]
+        """Trap positions, ascending; computed once per layout, read-only."""
+        indices = np.flatnonzero(self.t.to_array().view(bool))
+        indices.flags.writeable = False
+        return indices
 
-    @property
+    @cached_property
     def payload_indices(self) -> np.ndarray:
-        return np.nonzero(1 - self.t.to_array())[0]
+        """Payload positions, ascending; computed once per layout, read-only."""
+        indices = np.flatnonzero(~self.t.to_array().view(bool))
+        indices.flags.writeable = False
+        return indices
 
     def split(self, word: Bits) -> tuple[Bits, Bits]:
         """(trap part v, payload part x), each in ascending position order."""

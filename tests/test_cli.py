@@ -173,6 +173,26 @@ def test_retrieve_missing_bundle_key_is_an_error(capsys, tmp_path):
     assert "omega" not in out
 
 
+@pytest.mark.parametrize("mac_key", ["bits:7:15", "bits:0:"])
+def test_retrieve_malformed_mac_key_is_an_error(capsys, tmp_path, mac_key):
+    session = tmp_path / "session"
+    code, _, _ = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
+        "--message", "777", "--seed", "5", "--out", str(session),
+    )
+    assert code == 0
+    secrets = session / "secrets.txt"
+    lines = secrets.read_text().splitlines(keepends=True)
+    assert sum(line.startswith("mac_key = ") for line in lines) == 1
+    secrets.write_text(
+        "".join(f"mac_key = {mac_key}\n" if line.startswith("mac_key = ") else line for line in lines)
+    )
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "omega" not in out
+
+
 def test_store_message_outside_prefix_code_is_an_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -68,12 +69,18 @@ def explicit_tag(key: MacKey, msg: Bits) -> int:
     return expected
 
 
-@pytest.mark.parametrize("lam", [1, 7, 8, 9, 15, 16, 17, 19, 23])
+# the transcript w || u || c the protocol tags: 2,577 bits at params A, 9,744 at C
+SESSION_LENGTHS = {15: 2577, 19: 9744}
+
+
+@pytest.mark.parametrize("lam", [1, 7, 8, 9, 15, 16, 17, 19, 23, 24, 25, 32, 33, 64, 65])
 def test_tag_matches_explicit_sum_oracle(lam):
     rng = np.random.default_rng(lam)
     limit = lam * (1 << lam)  # the longest message, kept when the oracle is fast
     candidates = (0, 3 * lam, 3 * lam + 1 + lam // 2, 37 * lam - 1, limit)
     lengths = [n for n in candidates if n <= min(limit, 4000)]
+    if lam in SESSION_LENGTHS:
+        lengths.append(SESSION_LENGTHS[lam])
     top = (1 << lam) - 1
     keys = [MacKey(0, 1, lam), MacKey(1, 0, lam), MacKey(top, top, lam)]
     keys += [MacKey.random(lam, rng) for _ in range(4)]
@@ -81,6 +88,28 @@ def test_tag_matches_explicit_sum_oracle(lam):
         for key in keys:
             msg = Bits.random(length, rng)
             assert tag(key, msg).value == explicit_tag(key, msg), (lam, length, key)
+
+
+# Fixed tags: a tag is stored in every bundle, so a change to block cutting,
+# padding, the length block or the modulus must not move them.
+def fixed_message(length: int, label: str) -> Bits:
+    raw = hashlib.shake_128(label.encode()).digest((length + 7) // 8)
+    return Bits(int.from_bytes(raw, "little") & ((1 << length) - 1), length)
+
+
+@pytest.mark.parametrize(
+    "lam,length,a,b,label,expected",
+    [
+        (15, 2577, 0x1, 0x0, "tamperstore", 0x1D38),
+        (15, 2577, 0x7FFF, 0x7FFF, "mac", 0x35E8),
+        (15, 2577, 0x5A5A, 0x1234, "tamperstore", 0x4DD4),
+        (19, 9744, 0x1, 0x0, "tamperstore", 0x22AE7),
+        (19, 9744, 0x7FFFF, 0x7FFFF, "mac", 0x1AE),
+        (19, 9744, 0x5A5A, 0x1234, "tamperstore", 0x305A3),
+    ],
+)
+def test_tag_pinned_at_session_lengths(lam, length, a, b, label, expected):
+    assert tag(MacKey(a, b, lam), fixed_message(length, label)) == Bits(expected, lam)
 
 
 def test_exhaustive_forgery_bound_lambda4():
@@ -191,3 +220,18 @@ def test_key_bits_round_trip():
     key = MacKey.random(5, rng)
     assert MacKey.from_bits(key.to_bits()) == key
     assert key.bit_size == 10
+
+
+@pytest.mark.parametrize(
+    "bits", [Bits(0, 0), Bits(1, 1), Bits(0, 3), Bits(5 | 2 << 3, 7), Bits(511, 9)]
+)
+def test_key_from_bits_rejects_malformed_lengths(bits):
+    # Bits(5 | 2 << 3, 7) once parsed as MacKey(5, 2, 3), dropping its top bit
+    with pytest.raises(ValueError):
+        MacKey.from_bits(bits)
+
+
+def test_key_needs_lam_at_least_one():
+    with pytest.raises(ValueError):
+        MacKey(0, 0, 0)
+    assert MacKey.from_bits(Bits(0b10, 2)) == MacKey(0, 1, 1)

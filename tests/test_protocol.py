@@ -197,6 +197,16 @@ def test_serialization_round_trips(tmp_path):
     assert (out.omega, out.message) == (1, 3)
 
 
+@pytest.mark.parametrize("mac_key", [Bits(5 | 2 << 3, 7), Bits(1, 1), Bits(0, 0)])
+def test_secrets_with_malformed_mac_key_rejected(mac_key):
+    _, secrets = tiny_instance().store(3, np.random.default_rng(7))
+    mapping = secrets.to_kv()
+    assert ClientSecrets.from_kv(mapping) == secrets
+    mapping["mac_key"] = mac_key
+    with pytest.raises(ValueError):
+        ClientSecrets.from_kv(mapping)
+
+
 def test_bundle_modulus_is_not_read_from_the_file(tmp_path):
     # params A; the stored seed field is GF(2^13) with the pinned 0x201b
     inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))

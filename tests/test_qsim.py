@@ -177,6 +177,59 @@ def test_trap_layout_split_merge_round_trip():
     assert layout.merge(v, x) == word
 
 
+def layouts_both_ways(total, r, rng):
+    """A layout from ``random`` and the same trap string built directly,
+    as ``ClientSecrets.from_kv`` builds it."""
+    drawn = TrapLayout.random(total, r, rng)
+    return drawn, TrapLayout(Bits(drawn.t.value, total), r)
+
+
+@pytest.mark.parametrize("total,r", [(1, 0), (1, 1), (50, 13), (64, 64), (777, 0), (14436, 4708)])
+def test_trap_layout_indices_partition_positions(total, r):
+    rng = np.random.default_rng(total + r)
+    for layout in layouts_both_ways(total, r, rng):
+        traps, payload = layout.trap_indices, layout.payload_indices
+        assert traps.size == r and payload.size == total - r
+        assert np.all(np.diff(traps) > 0) and np.all(np.diff(payload) > 0)
+        assert sorted(traps.tolist() + payload.tolist()) == list(range(total))
+        assert all(layout.t[i] == 1 for i in traps.tolist())
+
+
+@pytest.mark.parametrize("total,r", [(50, 13), (333, 100), (14436, 4708)])
+def test_trap_layout_split_matches_position_loop(total, r):
+    rng = np.random.default_rng(total)
+    for layout in layouts_both_ways(total, r, rng):
+        for _ in range(3):
+            word = Bits.random(total, rng)
+            v, x = layout.split(word)
+            trap_bits = [word[i] for i in range(total) if layout.t[i]]
+            payload_bits = [word[i] for i in range(total) if not layout.t[i]]
+            assert v == Bits.from_array(trap_bits) and x == Bits.from_array(payload_bits)
+            assert layout.merge(v, x) == word
+            assert layout.split(layout.merge(v, x)) == (v, x)
+
+
+def test_trap_layout_cached_indices_are_read_only():
+    layout = TrapLayout.random(40, 9, np.random.default_rng(16))
+    layout.split(Bits.zeros(40))
+    for indices in (layout.trap_indices, layout.payload_indices):
+        with pytest.raises(ValueError):
+            indices[0] = 1
+    assert layout.trap_indices.size == 9 and layout.payload_indices.size == 31
+
+
+def test_trap_layouts_stay_equal_and_hash_equal_with_filled_caches():
+    drawn, built = layouts_both_ways(200, 60, np.random.default_rng(17))
+    assert drawn == built and hash(drawn) == hash(built)
+    drawn.split(Bits.zeros(200))
+    built.merge(Bits.zeros(60), Bits.zeros(140))
+    assert drawn == built and hash(drawn) == hash(built)
+    assert len({drawn, built}) == 1
+    moved = drawn.t.flip(int(drawn.trap_indices[0])).flip(int(drawn.payload_indices[0]))
+    other = TrapLayout(moved, 60)
+    assert other != drawn
+
+
 def test_trap_layout_uniformity_smoke():
     rng = np.random.default_rng(15)
     counts = np.zeros(6)
