@@ -34,7 +34,7 @@ from .randomizer import (
     example1_code,
     randomize,
 )
-from .linear_code import LinearCode, choose_code, default_registry
+from .linear_code import LinearCode, default_registry
 from .mac import MacKey, mac_sizes, tag, verify
 from .qsim import (
     EveView,

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kv
 from .attack_lab import bb84_toy, best_permutation, load_scheme, advantage_floor, run_support
+from .bits import Bits
 from .entropy import example1, load_distribution, uniform
 from .experiments import (
     ExperimentConfig,
@@ -92,8 +93,6 @@ def _cmd_store(args) -> int:
     spec = _dist_spec(args)
     prefix = prefix_code_for(spec)
     params = derive_params(args.epsilon, args.ber, args.ell, ell0=prefix.max_len)
-    registry = default_registry()
-    code = registry.by_name(params.code_name)
     message = _load_message(args)
     rng = np.random.default_rng(args.seed)
     out = _out_dir(args.out)
@@ -111,6 +110,7 @@ def _cmd_store(args) -> int:
         print(f"stored message at depth {chain.depth}; qubits: {chain.total_qubits()}, "
               f"local bits: {chain.local_bits()}")
         return 0
+    code = default_registry().by_name(params.code_name)
     bundle, secrets = protocol_store(message, params, code, prefix, rng)
     bundle.dump(out / "bundle.txt")
     secrets.dump(out / "secrets.txt")
@@ -216,8 +216,6 @@ def _selftest_checks():
     lam, msg_bits = 4, 8
     worst = 0
     keys = [MacKey(a, b, lam) for a in range(16) for b in range(16)]
-    from .bits import Bits
-
     msg = Bits.from_01("10110100")
     theta = {k: mac_tag(k, msg) for k in keys}
     for target in range(1 << msg_bits):
@@ -234,11 +232,9 @@ def _selftest_checks():
 
     # syndrome decoding within the guaranteed radius
     code = hamming_code(3)
-    from .bits import Bits as B
-
     ok = all(
-        code.syn_dec(code.syn(B(1 << i, 7))) == B(1 << i, 7) for i in range(7)
-    ) and code.syn_dec(B.zeros(3)) == B.zeros(7)
+        code.syn_dec(code.syn(Bits(1 << i, 7))) == Bits(1 << i, 7) for i in range(7)
+    ) and code.syn_dec(Bits.zeros(3)) == Bits.zeros(7)
     yield "hamming-exhaustive-decode", ok, "all single-bit patterns"
 
     # support attack on the toy scheme

@@ -54,6 +54,19 @@ def _decode(text: str):
     raise ValueError(f"unknown value type {kind!r}")
 
 
+def check_types(kind: str, mapping: dict, types: dict) -> None:
+    """Raise ValueError for a field whose value is not of its type in ``types``.
+
+    A missing field is not reported here; the caller's lookup raises
+    KeyError for it.
+    """
+    for key, expected in types.items():
+        if key in mapping and not isinstance(mapping[key], expected):
+            raise ValueError(
+                f"{kind} field {key} has the wrong type ({type(mapping[key]).__name__})"
+            )
+
+
 def dumps(kind: str, mapping: dict) -> str:
     lines = [f"# tamperstore {kind} v{_FORMAT_VERSION}"]
     for key in sorted(mapping):

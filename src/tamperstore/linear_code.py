@@ -1,16 +1,17 @@
 """Binary linear codes exposing syndrome computation and syndrome decoding.
 
-Two families are registered:
+One family is registered: concatenated codes, a shortened Reed-Solomon
+code over GF(2^8) outside and the first-order Reed-Muller [128, 8, 64]
+code inside.  They reach the large guaranteed correction radii the
+protocol recipe needs (a fraction of n close to 1/8 at small message
+lengths).  ``CodeRegistry`` holds exactly the menu of outer (N, K) pairs
+that ``params.derive_params`` searches; ``RmRsCode.spec_of`` is the one
+place a menu entry's name, n, kappa and t_corr are worked out.
 
-* table codes (n <= 24): exhaustive coset-leader decoding, exact;
-* concatenated codes, shortened Reed-Solomon over GF(2^8) outside and a
-  first-order Reed-Muller [128, 8, 64] inside, for the large guaranteed
-  correction radii the protocol recipe needs (a fraction of n close to
-  1/8 at small message lengths).
-
-The recipe in ``params`` can only pick a concatenated code: it needs
-n > 2r with r > 16 ln 16 > 44, beyond every table code.  The table codes
-back hand-built parameters, ``choose_code`` and the self-test.
+``MatrixCode`` (exhaustive coset-leader decoding, exact, n <= 24) and
+``hamming_code`` are direct constructors outside the registry.  They back
+hand-built parameter sets and the self-test; the recipe could never pick
+them, since it needs kappa >= l + 4 log2(8/eps) - 2 >= 16.
 
 The GF(2^8) symbol arithmetic is ``gf2.GFTable``.  The Reed-Solomon
 syndrome map, its preimage (a closed-form Vandermonde inverse built once
@@ -38,14 +39,6 @@ from .bits import Bits
 from .gf2 import GFTable, gf_table
 
 _RM_M = 7  # inner Reed-Muller order parameter: [2^m, m+1, 2^(m-1)]
-
-
-class NoCodeError(ValueError):
-    """No registered code reaches the requested parameters."""
-
-    def __init__(self, message: str, best: "CodeSpec | None" = None):
-        super().__init__(message)
-        self.best = best
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +118,12 @@ def _berlekamp_massey(table: GFTable, syndromes: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Registry entry: parameters plus a constructor key."""
+    """Registry entry: the parameters of a code, known before it is built."""
 
     name: str
     n: int
     kappa: int
     t_corr: int
-    family: str
 
     @property
     def ratio(self) -> float:
@@ -165,15 +157,9 @@ class LinearCode:
     def parity_check_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
-    def export_parity_check(self, path) -> None:
-        h = self.parity_check_matrix()
-        with open(path, "w") as fh:
-            for row in h:
-                fh.write("".join(str(int(v)) for v in row) + "\n")
-
     @property
     def spec(self) -> CodeSpec:
-        return CodeSpec(self.name, self.n, self.kappa, self.t_corr, type(self).__name__)
+        return CodeSpec(self.name, self.n, self.kappa, self.t_corr)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name}: n={self.n}, k={self.kappa}, t={self.t_corr})"
@@ -260,42 +246,12 @@ class MatrixCode(LinearCode):
     def parity_check_matrix(self) -> np.ndarray:
         return self._h.copy()
 
-    @classmethod
-    def from_parity_check_file(cls, path, name: str = "") -> "MatrixCode":
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([int(c) for c in line])
-        return cls(np.array(rows, dtype=np.uint8), name)
-
-
-def repetition_code(n: int) -> MatrixCode:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("repetition length must be odd and >= 3")
-    h = np.zeros((n - 1, n), dtype=np.uint8)
-    h[:, 0] = 1
-    h[np.arange(n - 1), np.arange(1, n)] = 1
-    return MatrixCode(h, f"repetition({n})")
-
 
 def hamming_code(r: int) -> MatrixCode:
     """Hamming code with parameters (2^r - 1, 2^r - 1 - r)."""
     n = (1 << r) - 1
     h = np.array([[(i >> b) & 1 for i in range(1, n + 1)] for b in range(r)], np.uint8)
     return MatrixCode(h, f"hamming({n},{n - r})")
-
-
-def golay_code() -> MatrixCode:
-    """The perfect binary (23, 12, 7) code, built from its cyclic generator."""
-    g = 0b101011100011  # x^11 + x^9 + x^7 + x^6 + x^5 + x + 1
-    rows = []
-    for i in range(12):
-        word = g << i
-        rows.append([(word >> b) & 1 for b in range(23)])
-    gen = np.array(rows, dtype=np.uint8)
-    return MatrixCode(gf2_nullspace(gen), "golay(23,12)")
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +268,13 @@ class _InnerRM:
     from a table of all codewords, ML decoding a fast Hadamard transform.
     """
 
+    m = _RM_M
+    n = 1 << m
+    k = m + 1  # 8: a symbol is one byte
+    t_corr = (1 << (m - 1)) // 2 - 1
+
     def __init__(self):
-        m = _RM_M
-        self.m = m
-        self.n = 1 << m
-        self.k = m + 1  # 8: a symbol is one byte
-        self.t_corr = (1 << (m - 1)) // 2 - 1
+        m = self.m
         v = np.arange(self.n)
         self.gen = np.array(
             [np.ones(self.n, dtype=np.uint8)] + [(v >> j) & 1 for j in range(m)], dtype=np.uint8
@@ -372,21 +329,28 @@ class RmRsCode(LinearCode):
     (t_out + 1) * (t_in + 1) - 1 is corrected.
     """
 
+    @staticmethod
+    def spec_of(outer_n: int, outer_k: int) -> CodeSpec:
+        """Name, n, kappa and t_corr of RmRsCode(outer_n, outer_k), unbuilt."""
+        t_out = (outer_n - outer_k) // 2
+        return CodeSpec(
+            f"rs({outer_n},{outer_k})*rm(1,{_InnerRM.m})",
+            outer_n * _InnerRM.n,
+            outer_k * _InnerRM.k,
+            (t_out + 1) * (_InnerRM.t_corr + 1) - 1,
+        )
+
     def __init__(self, outer_n: int, outer_k: int):
-        inner = _inner_rm()
-        self.inner = inner
-        symbol_bits = inner.k
-        self.table = gf_table(symbol_bits)
+        self.inner = _inner_rm()
+        self.table = gf_table(self.inner.k)
         if not 1 <= outer_k < outer_n <= self.table.order:
             raise ValueError("outer parameters out of range")
         self.outer_n = outer_n
         self.outer_k = outer_k
         self.redundancy = outer_n - outer_k
         self.t_out = self.redundancy // 2
-        self.n = outer_n * inner.n
-        self.kappa = outer_k * symbol_bits
-        self.t_corr = (self.t_out + 1) * (inner.t_corr + 1) - 1
-        self.name = f"rs({outer_n},{outer_k})*rm(1,{inner.m})"
+        spec = self.spec_of(outer_n, outer_k)
+        self.name, self.n, self.kappa, self.t_corr = spec.name, spec.n, spec.kappa, spec.t_corr
         # syndrome map: row j-1 holds x_i^j for the symbol locator x_i = alpha^i
         r = self.redundancy
         self._powers = self.table.pow_alpha(np.outer(np.arange(1, r + 1), np.arange(outer_n)))
@@ -538,67 +502,28 @@ _RMRS_MENU = [
 
 
 class CodeRegistry:
-    """Parameter search over the two families; construction is lazy."""
+    """The menu of RS(N, K) * RM(1, 7) codes, keyed by name; construction is lazy."""
 
     def __init__(self):
-        self._specs: list[tuple[CodeSpec, tuple]] = []
-        for n in (3, 5, 7, 9, 11):
-            self._specs.append(
-                (CodeSpec(f"repetition({n})", n, 1, (n - 1) // 2, "MatrixCode"), ("rep", n))
-            )
-        for r in (3, 4):
-            n = (1 << r) - 1
-            self._specs.append(
-                (CodeSpec(f"hamming({n},{n - r})", n, n - r, 1, "MatrixCode"), ("hamming", r))
-            )
-        self._specs.append((CodeSpec("golay(23,12)", 23, 12, 3, "MatrixCode"), ("golay",)))
-        inner = 1 << _RM_M
-        t_in = (1 << (_RM_M - 1)) // 2 - 1
+        self._menu: dict[str, tuple[CodeSpec, int, int]] = {}
         for n_out, k_out in _RMRS_MENU:
-            t_corr = ((n_out - k_out) // 2 + 1) * (t_in + 1) - 1
-            self._specs.append(
-                (
-                    CodeSpec(
-                        f"rs({n_out},{k_out})*rm(1,{_RM_M})",
-                        n_out * inner,
-                        k_out * (_RM_M + 1),
-                        t_corr,
-                        "RmRsCode",
-                    ),
-                    ("rmrs", n_out, k_out),
-                )
-            )
-        self._cache: dict[tuple, LinearCode] = {}
+            spec = RmRsCode.spec_of(n_out, k_out)
+            self._menu[spec.name] = (spec, n_out, k_out)
+        self._cache: dict[str, RmRsCode] = {}
 
     def specs(self) -> list[CodeSpec]:
-        return [spec for spec, _ in self._specs]
+        return [spec for spec, _, _ in self._menu.values()]
 
-    def build(self, spec: CodeSpec) -> LinearCode:
-        for candidate, key in self._specs:
-            if candidate == spec:
-                if key not in self._cache:
-                    self._cache[key] = self._construct(key)
-                return self._cache[key]
-        raise KeyError(spec)
+    def build(self, spec: CodeSpec) -> RmRsCode:
+        entry = self._menu.get(spec.name)
+        if entry is None or entry[0] != spec:
+            raise KeyError(spec)
+        if spec.name not in self._cache:
+            self._cache[spec.name] = RmRsCode(entry[1], entry[2])
+        return self._cache[spec.name]
 
-    def by_name(self, name: str) -> LinearCode:
-        for candidate, _ in self._specs:
-            if candidate.name == name:
-                return self.build(candidate)
-        raise KeyError(name)
-
-    @staticmethod
-    def _construct(key: tuple) -> LinearCode:
-        kind = key[0]
-        if kind == "rep":
-            return repetition_code(key[1])
-        if kind == "hamming":
-            return hamming_code(key[1])
-        if kind == "golay":
-            return golay_code()
-        if kind == "rmrs":
-            return RmRsCode(key[1], key[2])
-        raise KeyError(key)
+    def by_name(self, name: str) -> RmRsCode:
+        return self.build(self._menu[name][0])
 
 
 _DEFAULT_REGISTRY: CodeRegistry | None = None
@@ -609,30 +534,3 @@ def default_registry() -> CodeRegistry:
     if _DEFAULT_REGISTRY is None:
         _DEFAULT_REGISTRY = CodeRegistry()
     return _DEFAULT_REGISTRY
-
-
-def choose_code(
-    kappa_min: int, beta_corr: float, registry: CodeRegistry | None = None
-) -> LinearCode:
-    """Smallest registered code with message length >= kappa_min whose
-    guaranteed radius fraction t_corr / n is at least beta_corr."""
-    if beta_corr >= 0.5:
-        raise NoCodeError(f"no code can correct error rate {beta_corr} >= 1/2")
-    registry = registry or default_registry()
-    feasible = []
-    best = None
-    for spec in registry.specs():
-        if spec.kappa < kappa_min:
-            continue
-        if best is None or spec.ratio > best.ratio:
-            best = spec
-        if spec.ratio >= beta_corr:
-            feasible.append(spec)
-    if not feasible:
-        raise NoCodeError(
-            f"no registered code has kappa >= {kappa_min} and t/n >= {beta_corr}"
-            + (f"; best achievable ratio is {best.ratio:.4f} ({best.name})" if best else ""),
-            best,
-        )
-    winner = min(feasible, key=lambda s: (s.n, -s.t_corr, -s.kappa))
-    return registry.build(winner)

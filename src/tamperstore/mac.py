@@ -143,14 +143,6 @@ class MacSizes:
     den_boer_tag_bits: float
     lam: int
 
-    @property
-    def key_bits(self) -> int:
-        return 2 * self.lam
-
-    @property
-    def tag_bits(self) -> int:
-        return self.lam
-
 
 def forgery_bound(lam: int, msg_bits: int) -> float:
     """(B+1) / 2^lam for a message of msg_bits content bits."""

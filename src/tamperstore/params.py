@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import kv
 from .entropy import binary_entropy
 from .linear_code import CodeRegistry, CodeSpec, default_registry
 from .mac import tag_length
@@ -62,9 +63,12 @@ class ProtocolParams:
     lam: int
     code_name: str
 
-    _KV_FIELDS = tuple(
-        "epsilon eps0 eps_mac eps_qp beta0 beta nu r n kappa ell ell0 d lam code_name".split()
-    )
+    # stored field -> accepted value types (an integer is a valid real)
+    _KV_FIELDS = {
+        **dict.fromkeys("epsilon eps0 eps_mac eps_qp beta0 beta nu".split(), (int, float)),
+        **dict.fromkeys("r n kappa ell ell0 d lam".split(), int),
+        "code_name": str,
+    }
 
     @property
     def delta(self) -> float:
@@ -89,6 +93,7 @@ class ProtocolParams:
     @classmethod
     def from_kv(cls, mapping: dict) -> "ProtocolParams":
         """Inverse of :meth:`to_kv`; the derived bounds are recomputed, not read."""
+        kv.check_types("params", mapping, cls._KV_FIELDS)
         return cls(**{name: mapping[name] for name in cls._KV_FIELDS})
 
     def validate(self) -> None:

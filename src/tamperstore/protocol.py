@@ -66,11 +66,9 @@ class ServerBundle:
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ServerBundle":
-        for key in ("w", "u", "c", "theta"):
-            if not isinstance(mapping[key], Bits):
-                raise ValueError(f"bundle field {key} is not a bit string")
-        if not isinstance(mapping["register"], bytes):
-            raise ValueError("bundle field register is not bytes")
+        kv.check_types(
+            "bundle", mapping, {"w": Bits, "u": Bits, "c": Bits, "theta": Bits, "register": bytes}
+        )
         # w stays a bit string: a field of a length the server chose would
         # cost a modulus search and a write to the client's cache, so
         # retrieval reads w in the field of params.ell0 after checking its
@@ -136,6 +134,12 @@ class ClientSecrets:
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ClientSecrets":
+        kv.check_types("secrets", mapping, {
+            **dict.fromkeys(("mac_key", "t", "v", "s", "m_nabla"), Bits),
+            "r": int,
+            "code_name": str,
+            "prefix_code_name": str,
+        })
         return cls(
             mac_key=MacKey.from_bits(mapping["mac_key"]),
             layout=TrapLayout(mapping["t"], mapping["r"]),

@@ -193,6 +193,40 @@ def test_retrieve_malformed_mac_key_is_an_error(capsys, tmp_path, mac_key):
     assert "omega" not in out
 
 
+@pytest.mark.parametrize(
+    "name,line",
+    [
+        ("params.txt", "r = str:1276"),
+        ("params.txt", "epsilon = str:0.05"),
+        ("params.txt", "code_name = int:5"),
+        ("secrets.txt", "v = int:5"),
+        ("secrets.txt", "m_nabla = int:5"),
+        ("secrets.txt", "s = int:5"),
+        ("secrets.txt", "code_name = int:5"),
+        ("secrets.txt", "r = bits:3:5"),
+        ("secrets.txt", "t = int:5"),
+        ("secrets.txt", "mac_key = int:5"),
+        ("bundle.txt", "u = int:5"),
+    ],
+)
+def test_retrieve_mistyped_field_is_an_error(capsys, tmp_path, name, line):
+    session = tmp_path / "session"
+    code, _, _ = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
+        "--message", "777", "--seed", "5", "--out", str(session),
+    )
+    assert code == 0
+    path = session / name
+    key = line.split(" = ")[0] + " = "
+    lines = path.read_text().splitlines(keepends=True)
+    assert sum(old.startswith(key) for old in lines) == 1
+    path.write_text("".join(line + "\n" if old.startswith(key) else old for old in lines))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith("error:") and key.split()[0] in err
+    assert "Traceback" not in err and "omega" not in out
+
+
 def test_store_message_outside_prefix_code_is_an_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",

@@ -6,16 +6,13 @@ import pytest
 from tamperstore.bits import Bits
 from tamperstore.linear_code import (
     _RMRS_MENU,
+    CodeRegistry,
     MatrixCode,
-    NoCodeError,
     RmRsCode,
-    choose_code,
     default_registry,
     gf2_nullspace,
     gf2_rank,
-    golay_code,
     hamming_code,
-    repetition_code,
 )
 
 
@@ -33,6 +30,20 @@ def rank_via_ints(mat: np.ndarray) -> int:
                 count += 1
                 break
     return count
+
+
+def repetition_code(n: int) -> MatrixCode:
+    h = np.zeros((n - 1, n), dtype=np.uint8)
+    h[:, 0] = 1
+    h[np.arange(n - 1), np.arange(1, n)] = 1
+    return MatrixCode(h, f"repetition({n})")
+
+
+def golay_code() -> MatrixCode:
+    """The perfect binary (23, 12, 7) code, from its cyclic generator."""
+    g = 0b101011100011  # x^11 + x^9 + x^7 + x^6 + x^5 + x + 1
+    gen = np.array([[(g << i >> b) & 1 for b in range(23)] for i in range(12)], dtype=np.uint8)
+    return MatrixCode(gf2_nullspace(gen), "golay(23,12)")
 
 
 def random_error(n: int, weight: int, rng: np.random.Generator) -> Bits:
@@ -134,7 +145,7 @@ def test_step8_identity_hamming():
         assert pattern is not None and xp ^ pattern == x
 
 
-# -- golay ---------------------------------------------------------------------
+# -- golay: coset-table decoding beyond radius 1 --------------------------------
 
 def test_golay_parameters():
     code = golay_code()
@@ -333,42 +344,29 @@ def test_rmrs_step8_identity():
         assert pattern is not None and xp ^ pattern == x
 
 
-# -- registry / choose_code ---------------------------------------------------------
+# -- registry -------------------------------------------------------------------
 
-def test_choose_code_examples():
-    code = choose_code(4, 1 / 7)
-    assert (code.n, code.kappa) == (7, 4)
-    rep = choose_code(1, 0.2)
-    assert rep.t_corr / rep.n >= 0.2
-    five = repetition_code(5)
-    assert five.kappa >= 1 and five.t_corr / five.n >= 0.2  # repetition-5 qualifies
-
-
-def test_choose_code_impossible_target():
-    with pytest.raises(NoCodeError):
-        choose_code(1, 0.5)
-
-
-def test_choose_code_no_code_reports_best():
-    with pytest.raises(NoCodeError) as err:
-        choose_code(10_000, 0.4)
-    assert "best" in str(err.value) or err.value.best is None
+@pytest.mark.parametrize("n,k", [(12, 2), (76, 5), (255, 16)])
+def test_spec_of_matches_built_code(n, k):
+    assert RmRsCode.spec_of(n, k) == RmRsCode(n, k).spec
 
 
 def test_registry_build_by_name():
     reg = default_registry()
     code = reg.by_name("rs(12,4)*rm(1,7)")
     assert isinstance(code, RmRsCode)
-    specs = reg.specs()
-    assert any(s.family == "MatrixCode" for s in specs)
+    assert reg.by_name("rs(12,4)*rm(1,7)") is code
+    assert reg.build(code.spec) is code
 
 
-def test_parity_check_export_import_round_trip(tmp_path):
-    code = hamming_code(3)
-    path = tmp_path / "h.txt"
-    code.export_parity_check(path)
-    loaded = MatrixCode.from_parity_check_file(path, "h7")
-    assert np.array_equal(loaded.parity_check_matrix(), code.parity_check_matrix())
-    rng = np.random.default_rng(17)
-    x = Bits.random(7, rng)
-    assert loaded.syn(x) == code.syn(x)
+def test_registry_holds_only_the_menu():
+    reg = CodeRegistry()
+    names = [spec.name for spec in reg.specs()]
+    assert len(names) == len(set(names)) == len(_RMRS_MENU)
+    assert reg.specs() == [RmRsCode.spec_of(n, k) for n, k in _RMRS_MENU]
+    with pytest.raises(KeyError):
+        reg.by_name("hamming(7,4)")
+    with pytest.raises(KeyError):
+        reg.build(hamming_code(3).spec)
+    with pytest.raises(KeyError):
+        reg.build(RmRsCode.spec_of(13, 4))  # a valid code, but not on the menu

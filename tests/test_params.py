@@ -27,6 +27,21 @@ def test_r_floor_example():
     assert params.r >= 133
 
 
+@pytest.mark.parametrize(
+    "epsilon,beta0,ell,code_name,n,r,kappa,lam",
+    [
+        (0.05, 0.0, 4, "rs(20,4)*rm(1,7)", 2560, 1276, 32, 15),  # A
+        (0.05, 0.05, 4, "rs(52,4)*rm(1,7)", 6656, 3269, 32, 17),  # B
+        (0.01, 0.05, 3, "rs(76,5)*rm(1,7)", 9728, 4708, 40, 19),  # C
+    ],
+    ids=["A", "B", "C"],
+)
+def test_recipe_pinned_at_reference_sets(epsilon, beta0, ell, code_name, n, r, kappa, lam):
+    # a registry edit that moves the recipe's choice at A, B or C fails here
+    p = derive_params(epsilon, beta0, ell, ell0=13)
+    assert (p.code_name, p.n, p.r, p.kappa, p.lam) == (code_name, n, r, kappa, lam)
+
+
 def test_budget_split():
     p = derive_params(0.05, 0.05, 4, ell0=13)
     assert p.eps0 == 0.05 / 16

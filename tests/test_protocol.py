@@ -409,7 +409,7 @@ def test_sampling_bad_event_bound_monte_carlo():
 # -- recursion -------------------------------------------------------------------
 
 def test_recursion_depth_one_is_store():
-    inst = tiny_instance()
+    inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
     rng1, rng2 = np.random.default_rng(11), np.random.default_rng(11)
     chain = recursive_store(
         2, inst.params, 1, rng1, inst.prefix_code, check_profitable=False
@@ -422,7 +422,7 @@ def test_recursion_depth_one_is_store():
 
 
 def test_recursion_unprofitable_at_desk_scale():
-    inst = tiny_instance()
+    inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
     rng = np.random.default_rng(12)
     with pytest.raises(RecursionUnprofitableError):
         recursive_store(1, inst.params, 2, rng, inst.prefix_code)
