@@ -8,7 +8,13 @@ the message is guessed to be that one, otherwise not.  When the guess is
 right the state is untouched and the owner's check passes, which is what
 makes the attack undetectable exactly where it wins.
 
-Everything here is computed by exact linear algebra (no sampling).
+Everything here is computed by exact linear algebra (no sampling).  A
+scheme's per-message supports and their joint span are built once, after
+the orthogonality check, and the branch probabilities of the measurement
+at each m* once each.  Every figure (the attack under the scheme's own
+prior, the best placement of a prior, the average over placements, the
+fixed-advantage witness) is then a prior-weighted sum over those arrays,
+formed by ``_branch_sums``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +151,19 @@ class ToyScheme:
         """Pi_{m, K}: combined support of m's encryptions over all keys."""
         return support_projector([self.states[(m, k)] for k in self.keys])
 
+    @cached_property
+    def _supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Pi_{m,K} for every message, stacked; the projector onto their
+        joint span), built once per scheme after the orthogonality check."""
+        self.check_orthogonality()
+        per_message = np.stack([self.message_support(m).matrix for m in self.messages])
+        return per_message, support_projector(per_message).matrix
+
+    @cached_property
+    def _branches(self) -> dict:
+        """m* -> ``_branch_tensors(self, m*)``, filled by ``_tensors``."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # scheme builders
@@ -246,75 +266,92 @@ class AttackReport:
                 writer.writerow(row)
 
 
-def _branch_tensors(scheme: ToyScheme, m_star) -> dict:
-    """Exact per-(m, k) branch probabilities for the measurement at m_star."""
-    pi = scheme.message_support(m_star).matrix
-    identity = support_projector(
-        [scheme.message_support(m) for m in scheme.messages]
-    ).matrix
-    comp = identity - pi
-    out = {}
-    for m in scheme.messages:
-        for k in scheme.keys:
-            rho = scheme.states[(m, k)].matrix
-            test = scheme.verification[(m, k)]
-            branch1 = pi @ rho @ pi
-            branch0 = comp @ rho @ comp
-            p1 = float(np.real(np.trace(branch1)))
-            p0 = float(np.real(np.trace(branch0)))
-            acc1 = float(np.real(np.trace(test @ branch1)))
-            acc0 = float(np.real(np.trace(test @ branch0)))
-            out[(m, k)] = (p1, p0, acc1, acc0)
-    return out
+def _branch_tensors(scheme: ToyScheme, m_star) -> np.ndarray:
+    """Exact branch probabilities of the measurement at m_star, as an
+    (|M|, |K|, 4) array of (p1, p0, acc1, acc0) per (m, k).
+
+    p1 (p0) is the probability that the projector onto Pi_{m*,K} fires
+    (does not), acc1 (acc0) that it does (does not) and the owner then
+    accepts.  Callers go through ``_tensors``, which builds each m* once.
+    """
+    per_message, everything = scheme._supports
+    pi = per_message[scheme.messages.index(m_star)]
+    comp = everything - pi
+    pairs = [(m, k) for m in scheme.messages for k in scheme.keys]
+    shape = (len(scheme.messages), len(scheme.keys)) + pi.shape
+    rho = np.array([scheme.states[pair].matrix for pair in pairs]).reshape(shape)
+    test = np.array([scheme.verification[pair] for pair in pairs]).reshape(shape)
+    branch1 = pi @ rho @ pi
+    branch0 = comp @ rho @ comp
+    parts = (branch1, branch0, test @ branch1, test @ branch0)
+    return np.stack([np.real(np.trace(b, axis1=-2, axis2=-1)) for b in parts], axis=-1)
+
+
+def _tensors(scheme: ToyScheme, m_star) -> np.ndarray:
+    """``_branch_tensors(scheme, m_star)``, built at most once per scheme."""
+    if m_star not in scheme._branches:
+        scheme._branches[m_star] = _branch_tensors(scheme, m_star)
+    return scheme._branches[m_star]
+
+
+def _branch_sums(scheme: ToyScheme, priors: np.ndarray, stars: np.ndarray) -> np.ndarray:
+    """Prior-weighted (Pr[WIN], Pr[acc], Pr[WIN and acc]), keys uniform.
+
+    Row i weights the messages by ``priors[i]`` under the measurement at
+    message index ``stars[i]``; the result has one row of three per prior.
+    """
+    sums = np.empty((len(priors), 3))
+    for star in np.unique(stars):
+        p1, p0, acc1, acc0 = np.moveaxis(_tensors(scheme, scheme.messages[star]), -1, 0)
+        is_star = (np.arange(len(p1)) == star)[:, None]
+        per_message = np.stack(
+            [np.where(is_star, p1, p0), acc1 + acc0, np.where(is_star, acc1, acc0)]
+        ).mean(axis=-1)
+        rows = stars == star
+        sums[rows] = priors[rows] @ per_message.T
+    return sums
+
+
+def _win_given_acc(sums: np.ndarray) -> np.ndarray:
+    """Pr[WIN | acc] per row of ``_branch_sums``; 0 where Pr[acc] = 0."""
+    acc, win_acc = sums[:, 1], sums[:, 2]
+    return np.divide(win_acc, acc, out=np.zeros_like(acc), where=acc > 0)
 
 
 def run_support(scheme: ToyScheme, m_star=None) -> AttackReport:
     """Evaluate the attack exactly under the scheme's own prior."""
-    scheme.check_orthogonality()
-    probs = {m: float(p) for m, p in zip(scheme.messages, scheme.probs)}
-    if m_star is None:
-        m_star = max(scheme.messages, key=lambda m: probs[m])
-    p_star = probs[m_star]
-    tensors = _branch_tensors(scheme, m_star)
-    weight = 1.0 / len(scheme.keys)
-    pr_win = pr_acc = pr_win_acc = 0.0
-    star_win_acc = 0.0
-    povm_defect = 0.0
-    rows = []
-    for m in scheme.messages:
-        for k in scheme.keys:
-            p1, p0, acc1, acc0 = tensors[(m, k)]
-            povm_defect = max(povm_defect, abs(p1 + p0 - 1.0))
-            w = probs[m] * weight
-            win_prob = p1 if m == m_star else p0
-            win_acc = acc1 if m == m_star else acc0
-            pr_win += w * win_prob
-            pr_acc += w * (acc1 + acc0)
-            pr_win_acc += w * win_acc
-            if m == m_star:
-                star_win_acc += weight * acc1
-            rows.append(
-                {
-                    "message": m,
-                    "key": k,
-                    "prior": probs[m],
-                    "pr_project": p1,
-                    "pr_acc": acc1 + acc0,
-                    "pr_win_and_acc": win_acc,
-                }
-            )
-    pr_win_given_acc = pr_win_acc / pr_acc if pr_acc > 0 else 0.0
+    probs = scheme.probs
+    star = int(np.argmax(probs)) if m_star is None else scheme.messages.index(m_star)
+    m_star = scheme.messages[star]
+    p_star = float(probs[star])
+    # the scheme's prior, then the prior with all mass on m*
+    priors = np.stack([probs, np.eye(len(probs))[star]])
+    sums = _branch_sums(scheme, priors, np.array([star, star]))
+    pr_win_given_acc = float(_win_given_acc(sums)[0])
+    tensors = _tensors(scheme, m_star)
+    rows = [
+        {
+            "message": m,
+            "key": k,
+            "prior": float(probs[i]),
+            "pr_project": float(p1),
+            "pr_acc": float(acc1 + acc0),
+            "pr_win_and_acc": float(acc1 if i == star else acc0),
+        }
+        for i, m in enumerate(scheme.messages)
+        for k, (p1, _, acc1, acc0) in zip(scheme.keys, tensors[i])
+    ]
     return AttackReport(
         scheme=scheme.name,
         m_star=m_star,
         p_star=p_star,
-        pr_win=pr_win,
-        pr_acc=pr_acc,
-        pr_win_and_acc=pr_win_acc,
+        pr_win=float(sums[0, 0]),
+        pr_acc=float(sums[0, 1]),
+        pr_win_and_acc=float(sums[0, 2]),
         pr_win_given_acc=pr_win_given_acc,
         advantage=pr_win_given_acc - p_star,
-        win_and_acc_given_star=star_win_acc,
-        povm_defect=povm_defect,
+        win_and_acc_given_star=float(sums[1, 2]),
+        povm_defect=float(np.max(np.abs(tensors[..., 0] + tensors[..., 1] - 1.0))),
         rows=rows,
     )
 
@@ -322,21 +359,6 @@ def run_support(scheme: ToyScheme, m_star=None) -> AttackReport:
 def advantage_floor(p_star: float, keys: int, messages: int) -> float:
     """The guaranteed advantage p*(1-p*)(1 - |K|/|M|)."""
     return p_star * (1 - p_star) * (1 - keys / messages)
-
-
-def _evaluate_assignment(scheme: ToyScheme, tensors_by_star, assignment) -> tuple:
-    """(win|acc, p_star) for a prior assignment message -> probability."""
-    m_star = max(scheme.messages, key=lambda m: assignment[m])
-    tensors = tensors_by_star[m_star]
-    weight = 1.0 / len(scheme.keys)
-    pr_acc = pr_win_acc = 0.0
-    for m in scheme.messages:
-        for k in scheme.keys:
-            p1, p0, acc1, acc0 = tensors[(m, k)]
-            w = assignment[m] * weight
-            pr_acc += w * (acc1 + acc0)
-            pr_win_acc += w * (acc1 if m == m_star else acc0)
-    return (pr_win_acc / pr_acc if pr_acc > 0 else 0.0), assignment[m_star]
 
 
 def best_permutation(
@@ -351,54 +373,34 @@ def best_permutation(
     Exhaustive for |M| <= max_exhaustive; beyond that a random search runs
     and the returned info dict reports the sampled fraction.
     """
-    scheme.check_orthogonality()
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.size != len(scheme.messages):
-        raise ValueError("prior size mismatch")
-    tensors_by_star = {m: _branch_tensors(scheme, m) for m in scheme.messages}
     n = len(scheme.messages)
-    best_perm, best_adv = None, -math.inf
+    if np.size(probs) != n:
+        raise ValueError("prior size mismatch")
     if n <= max_exhaustive:
-        perms = itertools.permutations(range(n))
+        perms = np.array(list(itertools.permutations(range(n))))
         coverage = 1.0
     else:
         rng = rng or np.random.default_rng(0)
-        perms = (tuple(rng.permutation(n)) for _ in range(samples))
+        perms = np.array([rng.permutation(n) for _ in range(samples)])
         coverage = samples / math.factorial(n)
-    for perm in perms:
-        assignment = {
-            m: float(probs[perm[i]]) for i, m in enumerate(scheme.messages)
-        }
-        win_acc, p_star = _evaluate_assignment(scheme, tensors_by_star, assignment)
-        if win_acc - p_star > best_adv:
-            best_adv = win_acc - p_star
-            best_perm = perm
+    priors = np.asarray(probs, dtype=np.float64)[perms]  # one placement per row
+    stars = priors.argmax(axis=1)  # the first most likely message
+    advantage = (
+        _win_given_acc(_branch_sums(scheme, priors, stars)) - priors[np.arange(len(perms)), stars]
+    )
+    best = int(np.argmax(advantage))
     info = {"coverage": coverage, "messages": n}
-    return best_perm, best_adv, info
+    return tuple(int(i) for i in perms[best]), float(advantage[best]), info
 
 
 def permutation_average_win_given_not_star(scheme: ToyScheme, probs: np.ndarray) -> float:
     """Exact average over permutations of Pr[WIN | M != m*]."""
-    probs = np.asarray(probs, dtype=np.float64)
-    n = len(scheme.messages)
-    total = 0.0
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        assignment = {m: float(probs[perm[i]]) for i, m in enumerate(scheme.messages)}
-        m_star = max(scheme.messages, key=lambda m: assignment[m])
-        tensors = _branch_tensors(scheme, m_star)
-        weight = 1.0 / len(scheme.keys)
-        win = mass = 0.0
-        for m in scheme.messages:
-            if m == m_star:
-                continue
-            for k in scheme.keys:
-                p1, p0, _, _ = tensors[(m, k)]
-                win += assignment[m] * weight * p0
-                mass += assignment[m] * weight
-        total += win / mass
-        count += 1
-    return total / count
+    perms = np.array(list(itertools.permutations(range(len(scheme.messages)))))
+    priors = np.asarray(probs, dtype=np.float64)[perms]
+    stars = priors.argmax(axis=1)
+    priors[np.arange(len(perms)), stars] = 0.0  # each placement restricted to M != m*
+    win = _branch_sums(scheme, priors, stars)[:, 0]
+    return float(np.mean(win / priors.sum(axis=1)))
 
 
 def fixed_advantage_witness(
@@ -421,32 +423,17 @@ def fixed_advantage_witness(
             raise ValueError(f"key fraction {key_frac} not realisable at q = {q}")
         key_bits = int(round(key_bits))
         n_msgs = 2**q
-        probs = np.full(n_msgs, (1 - p_star) / (n_msgs - 1))
-        probs[0] = p_star
-        scheme = bb84_toy(q, key_bits)
-        best_adv = -math.inf
-        for target in scheme.messages:  # place the heavy mass on each message
-            assignment = np.full(n_msgs, (1 - p_star) / (n_msgs - 1))
-            assignment[target] = p_star
-            report = run_support(
-                ToyScheme(
-                    scheme.name,
-                    scheme.messages,
-                    assignment,
-                    scheme.keys,
-                    scheme.states,
-                    scheme.verification,
-                ),
-                m_star=target,
-            )
-            best_adv = max(best_adv, report.advantage)
+        # row t places the heavy mass on message t, which is then m*
+        priors = np.full((n_msgs, n_msgs), (1 - p_star) / (n_msgs - 1))
+        np.fill_diagonal(priors, p_star)
+        sums = _branch_sums(bb84_toy(q, key_bits), priors, np.arange(n_msgs))
         rows.append(
             {
                 "qubits": q,
                 "messages": n_msgs,
                 "keys": 2**key_bits,
                 "floor": floor,
-                "measured_advantage": best_adv,
+                "measured_advantage": float(np.max(_win_given_acc(sums) - p_star)),
             }
         )
     return {"usefulness": usefulness_y, "p_star": p_star, "floor": floor, "rows": rows}

@@ -69,23 +69,6 @@ class Bits:
         arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         return arr[: self.length].copy()
 
-    def to_bytes(self) -> bytes:
-        """Length-prefixed little-endian packing (4-byte length in bits)."""
-        nbytes = (self.length + 7) // 8
-        return self.length.to_bytes(4, "little") + self.value.to_bytes(nbytes, "little")
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> tuple["Bits", bytes]:
-        """Inverse of :meth:`to_bytes`; returns the value and leftover bytes."""
-        if len(raw) < 4:
-            raise ValueError(f"{len(raw)} bytes cannot hold a length prefix")
-        length = int.from_bytes(raw[:4], "little")
-        nbytes = (length + 7) // 8
-        if len(raw) < 4 + nbytes:
-            raise ValueError(f"{length} bits need {nbytes} bytes, got {len(raw) - 4}")
-        value = int.from_bytes(raw[4 : 4 + nbytes], "little")
-        return cls(value, length), raw[4 + nbytes :]
-
     def hex(self) -> str:
         nbytes = (self.length + 7) // 8
         return self.value.to_bytes(max(nbytes, 1), "little").hex() if self.length else ""

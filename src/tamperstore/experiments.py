@@ -5,6 +5,12 @@ index through a counter-based bit generator, so trial sets are
 order-independent and a report is reproducible bit for bit from its
 config.  Frequencies come with Wilson 95% intervals; a bound is declared
 violated only when it lies below the interval's lower edge.
+
+Both scenarios run one trial loop: sample a message, store it, apply the
+storage noise, let a strategy act on the bundle, retrieve.  The correctness
+scenario's strategy is the passive one, which draws no randomness; the
+scenarios differ only in the event they count and the bound they hold it
+to.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__, kv
-from .bits import Bits
 from .entropy import DiscreteDistribution, example1, load_distribution, uniform
 from .params import ProtocolParams, correctness_bound
 from .protocol import ProtocolInstance, ServerBundle
@@ -84,24 +89,32 @@ class ExperimentConfig:
     trials: int = 1000
     master_seed: int = 2024
 
+    # stored field -> accepted value types (an integer is a valid real)
+    _KV_FIELDS = {
+        **dict.fromkeys(("scenario", "dist", "strategy"), str),
+        **dict.fromkeys(("epsilon", "beta0"), (int, float)),
+        **dict.fromkeys(("ell", "trials", "master_seed"), int),
+    }
+
     def __post_init__(self):
+        if self.scenario not in ("correctness", "tamper"):
+            raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.scenario == "correctness" and self.strategy != "passive":
+            raise ValueError(
+                f"a correctness experiment runs the passive strategy, not {self.strategy!r}"
+            )
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
 
     def to_kv(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "epsilon": self.epsilon,
-            "beta0": self.beta0,
-            "ell": self.ell,
-            "dist": self.dist,
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-        }
+        return {name: getattr(self, name) for name in self._KV_FIELDS}
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ExperimentConfig":
+        unknown = sorted(set(mapping) - set(cls._KV_FIELDS))
+        if unknown:
+            raise ValueError(f"config has unknown fields {unknown}")
+        kv.check_types("config", mapping, cls._KV_FIELDS)
         return cls(**mapping)
 
     def dump(self, path) -> None:
@@ -188,68 +201,16 @@ def build_instance(config: ExperimentConfig) -> tuple[ProtocolInstance, Discrete
     return instance, dist
 
 
-def run_correctness_experiment(
-    config: ExperimentConfig, instance: ProtocolInstance | None = None
-) -> ExperimentReport:
-    """Honest channel: count retrieval failures against the theory bound."""
-    if config.scenario != "correctness":
-        raise ValueError("config.scenario must be 'correctness'")
-    if instance is None:
-        instance, dist = build_instance(config)
-    else:
-        dist = parse_dist(config.dist)
-    failures = 0
-    outcomes = []
-    for index in range(config.trials):
-        rng = trial_rng(config.master_seed, index)
-        message = int(dist.sample(rng))
-        bundle, secrets = instance.store(message, rng)
-        instance.apply_noise(bundle, rng)
-        out = instance.retrieve(bundle, secrets, rng)
-        ok = out.omega == 1 and out.message == message
-        failures += not ok
-        outcomes.append((out.omega, out.abort_reason))
-    low, high = wilson_interval(failures, config.trials)
-    bound = correctness_bound(instance.params)
-    return ExperimentReport(
-        scenario=config.scenario,
-        strategy="passive",
-        trials=config.trials,
-        master_seed=config.master_seed,
-        event_name="retrieval_failure",
-        event_count=failures,
-        frequency=failures / config.trials,
-        wilson_low=low,
-        wilson_high=high,
-        bound_name="correctness_failure_bound",
-        bound_value=bound,
-        verdict=_verdict(bound, low),
-        params_summary=_params_summary(instance.params),
-        outcomes=outcomes,
-    )
-
-
 def _apply_strategy(
     strategy: EveStrategy,
     bundle: ServerBundle,
     params: ProtocolParams,
     rng: np.random.Generator,
 ) -> tuple[ServerBundle, dict]:
-    transcript = {
-        "w": bundle.w,
-        "u": bundle.u,
-        "c": bundle.c,
-        "theta": bundle.theta,
-    }
+    fields = ("w", "u", "c", "theta")
+    transcript = {name: getattr(bundle, name) for name in fields}
     strategy.apply(EveView(bundle.register), transcript, rng)
-    tampered = replace(
-        bundle,
-        w=transcript["w"],
-        u=transcript["u"],
-        c=transcript["c"],
-        theta=transcript["theta"],
-    )
-    return tampered, transcript
+    return replace(bundle, **{name: transcript[name] for name in fields}), transcript
 
 
 def log_binomial_cdf(k: int, n: int, p: float) -> float:
@@ -313,18 +274,27 @@ def _eve_payload_proxy(transcript: dict, secrets) -> float | None:
     return float((bases[payload_idx] == 0).mean())
 
 
-def run_tamper_experiment(
-    config: ExperimentConfig, instance: ProtocolInstance | None = None
+def _run(
+    config: ExperimentConfig,
+    scenario: str,
+    instance: ProtocolInstance | None,
+    event_name: str,
+    counted,
+    bound,
 ) -> ExperimentReport:
-    """Active adversary: count acceptances against the detection bound."""
-    if config.scenario != "tamper":
-        raise ValueError("config.scenario must be 'tamper'")
+    """The trial loop and report shared by both scenarios.
+
+    ``counted(outcome, message)`` says whether a trial is an event;
+    ``bound(params, strategy)`` returns the (name, value) it is held to.
+    """
+    if config.scenario != scenario:
+        raise ValueError(f"config.scenario must be {scenario!r}")
     if instance is None:
         instance, dist = build_instance(config)
     else:
         dist = parse_dist(config.dist)
     strategy = make_strategy(config.strategy)
-    accepted = 0
+    events = 0
     proxies = []
     outcomes = []
     for index in range(config.trials):
@@ -332,16 +302,16 @@ def run_tamper_experiment(
         message = int(dist.sample(rng))
         bundle, secrets = instance.store(message, rng)
         instance.apply_noise(bundle, rng)
-        tampered, transcript = _apply_strategy(strategy, bundle, instance.params, rng)
-        out = instance.retrieve(tampered, secrets, rng)
+        bundle, transcript = _apply_strategy(strategy, bundle, instance.params, rng)
+        out = instance.retrieve(bundle, secrets, rng)
+        events += counted(out, message)
         if out.omega == 1:
-            accepted += 1
             proxy = _eve_payload_proxy(transcript, secrets)
             if proxy is not None:
                 proxies.append(proxy)
         outcomes.append((out.omega, out.abort_reason))
-    low, high = wilson_interval(accepted, config.trials)
-    bound_name, bound = tamper_acceptance_bound(instance.params, strategy)
+    low, high = wilson_interval(events, config.trials)
+    bound_name, bound_value = bound(instance.params, strategy)
     extras = {}
     if proxies:
         extras["payload_fraction_learned_given_acc"] = repr(float(np.mean(proxies)))
@@ -350,15 +320,37 @@ def run_tamper_experiment(
         strategy=config.strategy,
         trials=config.trials,
         master_seed=config.master_seed,
-        event_name="acceptance_under_attack",
-        event_count=accepted,
-        frequency=accepted / config.trials,
+        event_name=event_name,
+        event_count=events,
+        frequency=events / config.trials,
         wilson_low=low,
         wilson_high=high,
         bound_name=bound_name,
-        bound_value=bound,
-        verdict=_verdict(bound, low),
+        bound_value=bound_value,
+        verdict=_verdict(bound_value, low),
         params_summary=_params_summary(instance.params),
         extras=extras,
         outcomes=outcomes,
+    )
+
+
+def run_correctness_experiment(
+    config: ExperimentConfig, instance: ProtocolInstance | None = None
+) -> ExperimentReport:
+    """Honest channel: count retrieval failures against the theory bound."""
+    return _run(
+        config, "correctness", instance, "retrieval_failure",
+        lambda out, message: out.omega != 1 or out.message != message,
+        lambda params, _: ("correctness_failure_bound", correctness_bound(params)),
+    )
+
+
+def run_tamper_experiment(
+    config: ExperimentConfig, instance: ProtocolInstance | None = None
+) -> ExperimentReport:
+    """Active adversary: count acceptances against the detection bound."""
+    return _run(
+        config, "tamper", instance, "acceptance_under_attack",
+        lambda out, _: out.omega == 1,
+        tamper_acceptance_bound,
     )

@@ -45,6 +45,26 @@ class InfeasibleParamsError(ValueError):
         self.constraint = constraint
 
 
+def _r_floor(epsilon: float, beta0: float) -> float:
+    """The trap count r must exceed: (1/2 - beta0)^-2 * 4 ln(8/eps)."""
+    return (0.5 - beta0) ** -2 * 4 * math.log(8 / epsilon)
+
+
+def _kappa(ell: int, eps_qp: float) -> int:
+    """The ECC message length identity kappa = l + 4 log(1/eps_qp) - 2."""
+    return ell + math.ceil(4 * math.log2(1 / eps_qp)) - 2
+
+
+def _beta(epsilon: float, beta0: float, r: int, ratio: float) -> float:
+    """Accepted trap rate: (beta - beta0)^2 = ln(1/(eps - 2 eps^ratio)) / (2r), ratio = n/r."""
+    return beta0 + math.sqrt(math.log(1 / (epsilon - 2 * epsilon**ratio)) / (2 * r))
+
+
+def _nu(epsilon: float, n: float, r: int) -> float:
+    """Sampling slack: nu^2 = ln(8/eps)/(2r) * (1 + 1/r) * (1 + r/n)."""
+    return math.sqrt(math.log(8 / epsilon) / (2 * r) * (1 + 1 / r) * (1 + r / n))
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     epsilon: float
@@ -80,7 +100,7 @@ class ProtocolParams:
         return self.n - self.kappa
 
     def r_floor(self) -> float:
-        return (0.5 - self.beta0) ** -2 * 4 * math.log(8 / self.epsilon)
+        return _r_floor(self.epsilon, self.beta0)
 
     def to_kv(self) -> dict:
         """The stored fields plus the derived bounds, for reading by people."""
@@ -107,7 +127,7 @@ class ProtocolParams:
             raise InfeasibleParamsError(
                 f"r = {self.r} does not exceed the floor {self.r_floor():.1f}", "r-floor"
             )
-        expected_kappa = self.ell + math.ceil(4 * math.log2(1 / self.eps_qp)) - 2
+        expected_kappa = _kappa(self.ell, self.eps_qp)
         if self.kappa != expected_kappa:
             raise InfeasibleParamsError(
                 f"kappa = {self.kappa}, but l + 4 log(1/eps_qp) - 2 = {expected_kappa}",
@@ -142,10 +162,8 @@ def derive_params(
 
     eps0 = epsilon / 16
     eps_mac = epsilon / 8
-    eps_qp_budget = epsilon / 8
-    kappa_min = ell + math.ceil(4 * math.log2(1 / eps_qp_budget)) - 2
-    r_floor = (0.5 - beta0) ** -2 * 4 * math.log(8 / epsilon)
-    r_min = math.floor(r_floor) + 1
+    kappa_min = _kappa(ell, epsilon / 8)
+    r_min = math.floor(_r_floor(epsilon, beta0)) + 1
     c_code = math.sqrt(math.log(1 / (epsilon - 2 * epsilon**2))) + math.sqrt(
         3 * math.log(8 / epsilon)
     )
@@ -176,8 +194,8 @@ def derive_params(
         )
     _, spec, r = best
     n = spec.n
-    beta = beta0 + math.sqrt(math.log(1 / (epsilon - 2 * epsilon ** (n / r))) / (2 * r))
-    nu = math.sqrt(math.log(8 / epsilon) / (2 * r) * (1 + 1 / r) * (1 + r / n))
+    beta = _beta(epsilon, beta0, r, n / r)
+    nu = _nu(epsilon, n, r)
     if beta + nu >= 0.5:
         raise InfeasibleParamsError(
             f"beta + nu = {beta + nu:.3f} reaches 1/2", "beta-plus-nu"
@@ -299,19 +317,16 @@ def ideal_code_scaling(
     """
     if trap_coeff is None:
         trap_coeff = 0.05 if alpha >= 1 else 60.0
-    r_min = math.floor((0.5 - beta0) ** -2 * 4 * math.log(8 / epsilon)) + 1
-    kappa_extra = math.ceil(4 * math.log2(8 / epsilon)) - 2
+    r_min = math.floor(_r_floor(epsilon, beta0)) + 1
     rows = []
     for ell in lengths:
-        kappa = ell + kappa_extra
+        kappa = _kappa(ell, epsilon / 8)
         n = kappa / (1 - binary_entropy(beta0))
         r = r_min
         for _ in range(500):
             r = max(r_min, int(round(trap_coeff * n**alpha)))
-            beta = beta0 + math.sqrt(
-                math.log(1 / (epsilon - 2 * epsilon ** (max(n / r, 2.01)))) / (2 * r)
-            )
-            nu = math.sqrt(math.log(8 / epsilon) / (2 * r) * (1 + 1 / r) * (1 + r / n))
+            beta = _beta(epsilon, beta0, r, max(n / r, 2.01))
+            nu = _nu(epsilon, n, r)
             rate_arg = beta + nu
             if rate_arg >= 0.5:
                 n = math.inf

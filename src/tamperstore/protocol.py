@@ -40,6 +40,11 @@ class RecursionUnprofitableError(ValueError):
     """A delegation level whose syndrome is no smaller than its message."""
 
 
+def _transcript(w: Bits, u: Bits, c: Bits) -> Bits:
+    """The layout the MAC covers: w || u || c, unframed."""
+    return w.concat(u).concat(c)
+
+
 @dataclass(frozen=True)
 class ServerBundle:
     """Everything stored remotely.  All of it may come back modified."""
@@ -52,7 +57,7 @@ class ServerBundle:
 
     def classical_bits(self) -> Bits:
         """The authenticated transcript w || u || c."""
-        return self.w.concat(self.u).concat(self.c)
+        return _transcript(self.w, self.u, self.c)
 
     def to_kv(self) -> dict:
         return {
@@ -101,8 +106,6 @@ class ClientSecrets:
     v: Bits
     s: Bits | None
     m_nabla: Bits
-    code_name: str
-    prefix_code_name: str
 
     def storage_bits(self) -> int:
         """Local key material in bits, counting the trap set positionally."""
@@ -125,8 +128,6 @@ class ClientSecrets:
             "r": self.layout.r,
             "v": self.v,
             "m_nabla": self.m_nabla,
-            "code_name": self.code_name,
-            "prefix_code_name": self.prefix_code_name,
         }
         if self.s is not None:
             mapping["s"] = self.s
@@ -137,17 +138,14 @@ class ClientSecrets:
         kv.check_types("secrets", mapping, {
             **dict.fromkeys(("mac_key", "t", "v", "s", "m_nabla"), Bits),
             "r": int,
-            "code_name": str,
-            "prefix_code_name": str,
         })
+        # "code_name" and "prefix_code_name" keys left by older files are ignored
         return cls(
             mac_key=MacKey.from_bits(mapping["mac_key"]),
             layout=TrapLayout(mapping["t"], mapping["r"]),
             v=mapping["v"],
             s=mapping.get("s"),
             m_nabla=mapping["m_nabla"],
-            code_name=mapping["code_name"],
-            prefix_code_name=mapping["prefix_code_name"],
         )
 
     def dump(self, path) -> None:
@@ -200,7 +198,6 @@ def _store_padded(
     params: ProtocolParams,
     code: LinearCode,
     rng: np.random.Generator,
-    prefix_code_name: str,
 ) -> tuple[ServerBundle, ClientSecrets]:
     seed_field = GF2Field(params.ell0)
     w = seed_field.random_nonzero(rng)
@@ -222,18 +219,10 @@ def _store_padded(
         w=w.bits,
         u=u,
         c=c,
-        theta=tag(mac_key, w.bits.concat(u).concat(c)),
+        theta=tag(mac_key, _transcript(w.bits, u, c)),
         register=register,
     )
-    secrets = ClientSecrets(
-        mac_key=mac_key,
-        layout=layout,
-        v=v,
-        s=s,
-        m_nabla=rm.m_nabla,
-        code_name=code.name,
-        prefix_code_name=prefix_code_name,
-    )
+    secrets = ClientSecrets(mac_key=mac_key, layout=layout, v=v, s=s, m_nabla=rm.m_nabla)
     return bundle, secrets
 
 
@@ -247,7 +236,7 @@ def store(
     """Steps 1-5: compress, randomise, prepare qubits, pad, tag."""
     _check_shapes(params, code, prefix_code)
     m0 = compress(message, prefix_code, rng)
-    return _store_padded(m0, params, code, rng, prefix_code.name or "custom")
+    return _store_padded(m0, params, code, rng)
 
 
 def _lengths_match(bundle: ServerBundle, params: ProtocolParams) -> bool:
@@ -297,6 +286,18 @@ def _retrieve_padded(
     return "none", m0_hat
 
 
+def _outcome(reason: str, m0_hat: Bits | None, prefix_code: PrefixCode) -> RetrievalOutcome:
+    """The outcome of a retrieval that ended with (abort_reason, m0_hat)."""
+    if reason != "none":
+        return RetrievalOutcome(0, None, reason)
+    try:
+        message = decompress(m0_hat, prefix_code)
+    except ParseError:
+        # only reachable through tampering that survives every other test
+        return RetrievalOutcome(0, None, "decode")
+    return RetrievalOutcome(1, message, "none")
+
+
 def retrieve(
     bundle: ServerBundle,
     secrets: ClientSecrets,
@@ -307,15 +308,7 @@ def retrieve(
 ) -> RetrievalOutcome:
     """Steps 6-9 against a possibly tampered bundle; aborts are outcomes."""
     _check_shapes(params, code, prefix_code)
-    reason, m0_hat = _retrieve_padded(bundle, secrets, params, code, rng)
-    if reason != "none":
-        return RetrievalOutcome(0, None, reason)
-    try:
-        message = decompress(m0_hat, prefix_code)
-    except ParseError:
-        # only reachable through tampering that survives every other test
-        return RetrievalOutcome(0, None, "decode")
-    return RetrievalOutcome(1, message, "none")
+    return _outcome(*_retrieve_padded(bundle, secrets, params, code, rng), prefix_code)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +358,6 @@ class DelegationLevel:
 @dataclass(frozen=True)
 class DelegationChain:
     levels: list[DelegationLevel]
-    prefix_code_name: str
 
     @property
     def depth(self) -> int:
@@ -406,10 +398,7 @@ def recursive_store(
     level_params = params
     message_bits = params.ell0
     for level in range(depth):
-        bundle, secrets = _store_padded(
-            m0, level_params, code, rng,
-            prefix_code.name if level == 0 else "identity",
-        )
+        bundle, secrets = _store_padded(m0, level_params, code, rng)
         last = level == depth - 1
         syndrome = secrets.s
         if check_profitable and not last and syndrome.length >= message_bits:
@@ -438,7 +427,7 @@ def recursive_store(
         )
         code = registry.by_name(level_params.code_name)
         m0 = syndrome
-    return DelegationChain(levels, prefix_code.name)
+    return DelegationChain(levels)
 
 
 def recursive_retrieve(
@@ -449,7 +438,7 @@ def recursive_retrieve(
 ) -> RetrievalOutcome:
     """Unwind the chain from the deepest level back to the message."""
     registry = registry or default_registry()
-    recovered: Bits | None = None
+    reason, recovered = "none", None
     for index in range(chain.depth - 1, -1, -1):
         level = chain.levels[index]
         secrets = level.secrets
@@ -458,15 +447,10 @@ def recursive_retrieve(
                 raise ValueError("missing recovered syndrome for a delegated level")
             secrets = replace(secrets, s=recovered)
         code = registry.by_name(level.params.code_name)
-        reason, m0_hat = _retrieve_padded(level.bundle, secrets, level.params, code, rng)
+        reason, recovered = _retrieve_padded(level.bundle, secrets, level.params, code, rng)
         if reason != "none":
-            return RetrievalOutcome(0, None, reason)
-        recovered = m0_hat
-    try:
-        message = decompress(recovered, prefix_code)
-    except ParseError:
-        return RetrievalOutcome(0, None, "decode")
-    return RetrievalOutcome(1, message, "none")
+            break
+    return _outcome(reason, recovered, prefix_code)
 
 
 def ideal_recursion_accounting(

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from tamperstore.attack_lab import (
     support_projector,
     fixed_advantage_witness,
 )
+from tamperstore import attack_lab
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -146,16 +149,12 @@ def test_advantage_floor_met_on_registered_schemes():
 def test_uniform_prior_is_permutation_invariant():
     scheme = toy()
     probs = np.full(4, 0.25)
-    import itertools
-
-    from tamperstore.attack_lab import _branch_tensors, _evaluate_assignment
-
-    tensors = {m: _branch_tensors(scheme, m) for m in scheme.messages}
     values = set()
     for perm in itertools.permutations(range(4)):
-        assignment = {m: probs[perm[i]] for i, m in enumerate(scheme.messages)}
-        win_acc, p_star = _evaluate_assignment(scheme, tensors, assignment)
-        values.add(round(win_acc - p_star, 12))
+        prior = probs[list(perm)]
+        star = int(np.argmax(prior))
+        _, acc, win_acc = attack_lab._branch_sums(scheme, prior[None, :], np.array([star]))[0]
+        values.add(round(win_acc / acc - prior[star], 12))
     assert len(values) == 1
 
 
@@ -214,3 +213,96 @@ def test_report_csv(tmp_path):
     body = path.read_text().splitlines()
     assert body[0].startswith("message,key,prior")
     assert len(body) == 1 + 4 * 2
+
+
+# -- pinned exact values ---------------------------------------------------------
+
+SKEW = np.array([0.5, 0.25, 0.125, 0.125])
+EIGHTH_HEAVY = np.array([0.5] + [0.5 / 7] * 7)
+# (pr_project, pr_acc, pr_win_and_acc), the same for every key of a message
+HIT, MISS, MIXED = ("1", "1", "1"), ("1", "1", "0"), ("1/3", "5/9", "4/9")
+REPORT_FIELDS = (
+    "p_star", "pr_win", "pr_acc", "pr_win_and_acc", "pr_win_given_acc", "advantage",
+    "win_and_acc_given_star", "povm_defect",
+)
+
+
+def _exact(text: str) -> float:
+    return float(Fraction(text))
+
+
+@pytest.mark.parametrize(
+    "build,fields,per_message",
+    [
+        (lambda: bb84_toy(2, 1), "1/4 3/4 2/3 7/12 7/8 5/8", [HIT] + [MIXED] * 3),
+        (lambda: bb84_toy(2, 1, probs=SKEW), "1/2 5/6 7/9 13/18 13/14 3/7", [HIT] + [MIXED] * 3),
+        (lambda: bb84_toy(3, 2), "1/8 5/8 2/3 11/24 11/16 9/16",
+         [HIT, MIXED, MISS] + [MIXED] * 5),
+        (lambda: classical_otp_toy(2), "1/4 1/4 1 1/4 1/4 0", [HIT] + [MISS] * 3),
+    ],
+    ids=["bb84-2-1", "bb84-2-1-skewed", "bb84-3-2", "otp-2"],
+)
+def test_attack_report_pinned_values(build, fields, per_message):
+    scheme = build()
+    report = run_support(scheme)
+    assert report.m_star == 0
+    for name, value in zip(REPORT_FIELDS, fields.split() + ["1", "0"], strict=True):
+        assert getattr(report, name) == pytest.approx(_exact(value), abs=1e-12), name
+    pairs = list(itertools.product(scheme.messages, scheme.keys))
+    assert len(report.rows) == len(pairs)
+    for row, (m, k) in zip(report.rows, pairs):
+        assert (row["message"], row["key"], row["prior"]) == (m, k, scheme.probs[m])
+        got = (row["pr_project"], row["pr_acc"], row["pr_win_and_acc"])
+        assert got == pytest.approx([_exact(v) for v in per_message[m]], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build,probs,advantage",
+    [
+        (lambda: bb84_toy(2, 1), SKEW, "3/7"),
+        (lambda: bb84_toy(2, 1), np.full(4, 0.25), "5/8"),
+        (lambda: bb84_toy(3, 2), EIGHTH_HEAVY, "6/17"),
+        (lambda: classical_otp_toy(2), np.full(4, 0.25), "0"),
+    ],
+    ids=["bb84-2-1-skewed", "bb84-2-1-uniform", "bb84-3-2", "otp-2"],
+)
+def test_best_permutation_pinned_advantage(build, probs, advantage):
+    scheme = build()
+    perm, best, _ = best_permutation(scheme, probs)
+    assert best == pytest.approx(_exact(advantage), abs=1e-12)
+    # the returned placement attains the advantage it reports
+    placed = ToyScheme(
+        scheme.name, scheme.messages, probs[list(perm)], scheme.keys, scheme.states,
+        scheme.verification,
+    )
+    assert run_support(placed).advantage == pytest.approx(best, abs=1e-12)
+
+
+def test_permutation_average_pinned():
+    for probs in (np.array([0.4, 0.3, 0.2, 0.1]), SKEW):
+        avg = permutation_average_win_given_not_star(toy(), probs)
+        assert avg == pytest.approx(2 / 3, abs=1e-12)
+
+
+def test_fixed_advantage_witness_pinned():
+    for y, sizes, expected in [(0.5, (2, 3, 4), ["3/7", "6/17", "12/37"]), (0.75, (3,), ["21/43"])]:
+        rows = fixed_advantage_witness(y, qubit_sizes=sizes)["rows"]
+        measured = [row["measured_advantage"] for row in rows]
+        assert measured == pytest.approx([_exact(v) for v in expected], abs=1e-12)
+
+
+def test_supports_and_branches_built_once(monkeypatch):
+    checks, builds = [], []
+    check = ToyScheme.check_orthogonality
+    build = attack_lab._branch_tensors
+    monkeypatch.setattr(ToyScheme, "check_orthogonality", lambda s: checks.append(1) or check(s))
+    monkeypatch.setattr(
+        attack_lab, "_branch_tensors", lambda s, m: builds.append(m) or build(s, m)
+    )
+    scheme = toy()
+    run_support(scheme)
+    best_permutation(scheme, SKEW)
+    permutation_average_win_given_not_star(scheme, SKEW)
+    run_support(scheme, m_star=2)
+    assert len(checks) == 1
+    assert sorted(builds) == list(scheme.messages)  # once per m*

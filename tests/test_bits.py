@@ -28,13 +28,6 @@ def test_array_round_trip():
         assert list(b.to_array()) == [b[i] for i in range(length)]
 
 
-def test_bytes_round_trip():
-    rng = np.random.default_rng(8)
-    b = Bits.random(77, rng)
-    out, rest = Bits.from_bytes(b.to_bytes() + b"tail")
-    assert out == b and rest == b"tail"
-
-
 def test_hex_round_trip():
     rng = np.random.default_rng(9)
     b = Bits.random(13, rng)
@@ -67,10 +60,3 @@ def test_from_hex_rejects_wrong_size_and_excess_bits():
         Bits.from_hex("ff3f", 13)  # bit 13 set: wider than the length
     with pytest.raises(ValueError):
         Bits.from_hex("00", 0)
-
-
-def test_from_bytes_rejects_truncation():
-    raw = Bits(0x1FFF, 13).to_bytes()
-    for cut in range(len(raw)):
-        with pytest.raises(ValueError):
-            Bits.from_bytes(raw[:cut])

@@ -202,7 +202,6 @@ def test_retrieve_malformed_mac_key_is_an_error(capsys, tmp_path, mac_key):
         ("secrets.txt", "v = int:5"),
         ("secrets.txt", "m_nabla = int:5"),
         ("secrets.txt", "s = int:5"),
-        ("secrets.txt", "code_name = int:5"),
         ("secrets.txt", "r = bits:3:5"),
         ("secrets.txt", "t = int:5"),
         ("secrets.txt", "mac_key = int:5"),

@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from tamperstore import cli
 from tamperstore.experiments import (
     ExperimentConfig,
     binomial_cdf,
@@ -216,3 +220,86 @@ def test_binomial_cdf_edges():
     assert log_binomial_cdf(10, 10, 0.3) == 0.0
     assert math.isclose(binomial_cdf(0, 10, 0.3), 0.7**10, rel_tol=1e-12)
     assert math.isclose(binomial_cdf(2, 4, 0.5), 11 / 16, rel_tol=1e-12)
+
+
+# SHA-256 of every ExperimentReport field, outcomes included, as sorted JSON:
+# any change to a trial's draws, its outcome or the report moves these
+REPORT_DIGESTS = [
+    (("correctness", 0.05, 0.0, 4, "passive"),
+     "6dd923bfd74197f4fef731d2a74c6b2f8cfd8834fb75ac5c39398b0490cdcf9c"),
+    (("tamper", 0.01, 0.05, 3, "intercept-resend/random-basis"),
+     "206a27e44768d7aa536a2adf16b5349c71f77c83f2f7c787ca189c2f78240cdb"),
+    (("tamper", 0.01, 0.05, 3, "intercept-resend/all-standard"),
+     "14ad7ac34c8935eff38273ccc3c11f8588fc4b58e9d958fff906ec567b998cac"),
+    (("tamper", 0.01, 0.05, 3, "flip-c/0"),
+     "5afa1911df109685f0ea300565974bd35f97a23d2240ae2ac5ff21780dd4a3f9"),
+]
+
+
+@pytest.mark.parametrize(
+    "setting,digest", REPORT_DIGESTS,
+    ids=["correctness-A", "random-basis-C", "all-standard-C", "flip-c-C"],
+)
+def test_report_digest_pinned(setting, digest):
+    scenario, epsilon, beta0, ell, strategy = setting
+    config = ExperimentConfig(
+        scenario, epsilon, beta0, ell, strategy=strategy, trials=50, master_seed=3
+    )
+    run = run_correctness_experiment if scenario == "correctness" else run_tamper_experiment
+    report = dataclasses.asdict(run(config))
+    assert len(report["outcomes"]) == 50
+    blob = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def _edited_config(tmp_path, key, line):
+    """A valid config file with the line for ``key`` replaced (or added)."""
+    path = tmp_path / "config.txt"
+    ExperimentConfig("tamper", 0.05, 0.0, 4, strategy="flip-c/0", trials=3).dump(path)
+    lines = [old for old in path.read_text().splitlines() if not old.startswith(key + " = ")]
+    path.write_text("\n".join(lines + [line]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "key,line",
+    [
+        ("trials", "trials = str:3"),
+        ("epsilon", "epsilon = str:x"),
+        ("epsilon", "epsilon = float:x"),
+        ("master_seed", "master_seed = float:1.5"),
+        ("extra", "extra = int:1"),
+        ("scenario", "scenario = str:sideways"),
+        ("strategy", "strategy = int:0"),
+    ],
+)
+def test_config_load_rejects_malformed_fields(tmp_path, key, line):
+    path = _edited_config(tmp_path, key, line)
+    with pytest.raises(ValueError):
+        ExperimentConfig.load(path)
+
+
+def test_config_load_accepts_an_integer_real(tmp_path):
+    path = _edited_config(tmp_path, "beta0", "beta0 = int:0")
+    assert ExperimentConfig.load(path).beta0 == 0
+
+
+def test_correctness_config_must_be_passive(tmp_path):
+    with pytest.raises(ValueError):
+        ExperimentConfig("correctness", 0.05, 0.0, 4, strategy="flip-c/0")
+    path = tmp_path / "config.txt"
+    ExperimentConfig("tamper", 0.05, 0.0, 4, strategy="flip-c/0").dump(path)
+    path.write_text(path.read_text().replace("str:tamper", "str:correctness"))
+    with pytest.raises(ValueError):
+        ExperimentConfig.load(path)
+
+
+def test_simulate_correctness_with_attack_is_an_error(capsys):
+    code = cli.main([
+        "simulate", "--scenario", "correctness", "--strategy", "flip-c/0",
+        "--epsilon", "0.05", "--ber", "0.0", "--trials", "2",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "passive" in err
+    assert "Traceback" not in err and "retrieval_failure" not in out

@@ -179,8 +179,7 @@ def test_variable_partition_audit():
     assert set(BUNDLE_VARS) & set(SECRET_VARS) == set()
     assert set(ServerBundle.__dataclass_fields__) == set(BUNDLE_VARS)
     fields = set(ClientSecrets.__dataclass_fields__)
-    assert set(SECRET_VARS) <= fields
-    assert fields - set(SECRET_VARS) == {"code_name", "prefix_code_name"}
+    assert fields == set(SECRET_VARS)
 
 
 def test_serialization_round_trips(tmp_path):
@@ -194,6 +193,19 @@ def test_serialization_round_trips(tmp_path):
     assert bundle2.to_kv() == bundle.to_kv()
     assert secrets2 == secrets
     out = inst.retrieve(bundle2, secrets2, rng)
+    assert (out.omega, out.message) == (1, 3)
+
+
+def test_secrets_file_with_code_names_still_loads(tmp_path):
+    # files written before the unused code-name fields were dropped carry them
+    inst = tiny_instance()
+    rng = np.random.default_rng(7)
+    bundle, secrets = inst.store(3, rng)
+    mapping = {**secrets.to_kv(), "code_name": "hamming(7,4)", "prefix_code_name": "custom"}
+    kv.dump(tmp_path / "secrets.txt", "secrets", mapping)
+    loaded = ClientSecrets.load(tmp_path / "secrets.txt")
+    assert loaded == secrets
+    out = inst.retrieve(bundle, loaded, rng)
     assert (out.omega, out.message) == (1, 3)
 
 
