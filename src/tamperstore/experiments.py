@@ -16,7 +16,7 @@ to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -115,6 +115,9 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"config has unknown fields {unknown}")
         kv.check_types("config", mapping, cls._KV_FIELDS)
+        for spec in fields(cls):
+            if spec.default is MISSING and spec.name not in mapping:
+                raise KeyError(spec.name)
         return cls(**mapping)
 
     def dump(self, path) -> None:

@@ -265,7 +265,7 @@ class _InnerRM:
     is m0 ^ parity(a & v).  Position 0 holds m0 and position 2^j holds
     m0 ^ a_j, so these m+1 information positions fix the symbol; the other
     n - m - 1 positions are the check positions.  Encoding is one gather
-    from a table of all codewords, ML decoding a fast Hadamard transform.
+    from a table of all codewords, ML decoding a Hadamard transform.
     """
 
     m = _RM_M
@@ -283,6 +283,12 @@ class _InnerRM:
         self.check = np.delete(v, self.info)
         msgs = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
         self.codewords = ((msgs @ self.gen) % 2).astype(np.uint8)  # 256 x n
+        # Hadamard matrix H[a, v] = (-1)^parity(a & v): the codewords with m0 = 0.
+        # With a = a_hi 2^lo + a_lo and v likewise it is H_hi (x) H_lo.
+        signs = 1 - 2 * self.codewords[0::2].astype(np.float32)
+        lo = m // 2
+        self._h_lo = signs[: 1 << lo, : 1 << lo]
+        self._h_hi = signs[:: 1 << lo, :: 1 << lo]
 
     def symbols(self, words: np.ndarray) -> np.ndarray:
         """(N, n) words -> (N,) symbols read off the information positions."""
@@ -302,15 +308,18 @@ class _InnerRM:
     def decode_ml(self, words: np.ndarray) -> np.ndarray:
         """(N, n) words -> (N,) symbols of the nearest codewords.
 
-        T[a] = sum_v (-1)^(y_v ^ parity(a & v)) by the fast Hadamard
-        transform (constant-geometry form: every stage pairs neighbours and
-        the result comes out in natural order); the nearest codeword has
-        the largest |T[a]|, and m0 = 1 where that T[a] is negative.
+        T[a] = sum_v (-1)^(y_v ^ parity(a & v)), the Hadamard transform of
+        the signs, as two float32 products: each word as a 2^hi x 2^lo
+        matrix Y[v_hi, v_lo] becomes H_hi Y H_lo, which read row by row is
+        T in natural order.  Every entry is an integer of magnitude at most
+        n, so float32 holds it exactly.  The nearest codeword has the
+        largest |T[a]| (the first such a on a tie), and m0 = 1 where that
+        T[a] is negative.
         """
-        T = 1 - 2 * words.astype(np.int32)
-        for _ in range(self.m):
-            a, b = T[:, 0::2], T[:, 1::2]
-            T = np.concatenate((a + b, a - b), axis=1)
+        signs = 1 - 2 * words.astype(np.float32)
+        lo = self._h_lo.shape[0]
+        T = np.matmul(self._h_hi, signs.reshape(len(words), -1, lo) @ self._h_lo)
+        T = T.reshape(len(words), self.n)
         best = np.argmax(np.abs(T), axis=1)
         negative = np.take_along_axis(T, best[:, None], axis=1)[:, 0] < 0
         return negative | best << 1

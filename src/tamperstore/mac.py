@@ -21,14 +21,16 @@ acc = (acc + m_i) * a from the last block down.  Multiplication by the
 key constant a is the XOR of one ``GF2Field.byte_tables`` lookup per byte
 of the lam-bit operand; ``_horner`` writes those ceil(lam/8) lookups out
 as one expression, compiled once per byte count, so the step is exact for
-every lam and runs no inner loop.
+every lam and runs no inner loop.  The byte tables of a are built once per
+key (``MacKey.byte_tables``), so the ``verify`` that checks a tag reuses
+the tables its ``tag`` built when both see the same key object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +58,12 @@ class MacKey:
     @classmethod
     def random(cls, lam: int, rng: np.random.Generator) -> "MacKey":
         return cls(Bits.random(lam, rng).value, Bits.random(lam, rng).value, lam)
+
+    @cached_property
+    def byte_tables(self) -> tuple[tuple[int, ...], ...]:
+        """``GF2Field(lam).byte_tables(a)``, built on first use and kept,
+        immutable, for the life of the key; equality and hash ignore it."""
+        return tuple(map(tuple, GF2Field(self.lam).byte_tables(self.a)))
 
     @property
     def bit_size(self) -> int:
@@ -123,7 +131,7 @@ def _horner(nbytes: int):
 
 def tag(key: MacKey, msg: Bits) -> Bits:
     """Deterministic one-time tag of lam bits."""
-    tables = GF2Field(key.lam).byte_tables(key.a)
+    tables = key.byte_tables
     acc = _horner(len(tables))(reversed(_blocks(msg, key.lam)), *tables)  # sum m_i a^i
     return Bits(acc ^ key.b, key.lam)
 

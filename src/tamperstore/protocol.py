@@ -204,10 +204,10 @@ def _store_padded(
     rm = randomize(m0, w, params.ell)
 
     total = params.n + params.r
-    xi = Bits.random(total, rng)
+    xi = Bits.random(total, rng).to_array()
     layout = TrapLayout.random(total, params.r, rng)
     v, x = layout.split(xi)
-    register = prepare(xi, layout.t, params.r)
+    register = prepare(xi, layout.mask, params.r)
 
     u = Bits.random(params.d, rng)
     s = code.syn(x)
@@ -271,11 +271,12 @@ def _retrieve_padded(
     if not verify(secrets.mac_key, transcript, bundle.theta):
         return "mac", None
 
-    word = measure(bundle.register, secrets.layout.t, rng)
-    v_prime, x_prime = secrets.layout.split(word)
-    if (v_prime ^ secrets.v).weight() > params.beta * params.r:
-        return "trap", None
+    layout = secrets.layout
+    word = measure(bundle.register, layout.mask, rng)
+    if (layout.traps(word) ^ secrets.v).weight() > params.beta * params.r:
+        return "trap", None  # a trap abort never needs the payload
 
+    x_prime = layout.payload(word)
     pattern = code.syn_dec(secrets.s ^ code.syn(x_prime))
     if pattern is None:
         return "decode", None

@@ -10,6 +10,19 @@ basis/value so earlier information is unrecoverable.
 
 Attack strategies never see the hidden records; they act through
 :class:`EveView`, whose only read operation is a collapsing measurement.
+
+The simulator speaks 0/1 uint8 arrays, one cell per qubit: ``prepare``
+takes the cell values and bases, ``measure`` returns the outcome array,
+and a register, ``measure_indices`` and ``replace_cells`` reject any basis
+or value outside {0, 1}.  On such cells the collapse is branch-free: the
+outcome is value ^ ((value ^ fresh) & (requested ^ basis)), the stored
+value where the bases agree and the fresh uniform bit where they differ,
+which costs the same whatever share of bases disagree.  ``TrapLayout``
+keeps its trap string as a read-only 0/1 ``mask`` (``random`` seeds it
+from the draw, so the string is never unpacked again) and derives its
+index arrays from it once; ``traps`` and ``payload`` gather and pack each
+part of a measured word separately, so a caller can test the traps
+before it touches the payload.
 """
 
 from __future__ import annotations
@@ -44,29 +57,43 @@ class TrapLayout:
             raise ValueError("r out of range")
         mask = np.zeros(total, dtype=np.uint8)
         mask[rng.choice(total, size=r, replace=False)] = 1
-        return cls(Bits.from_array(mask), r)
+        layout = cls(Bits.from_array(mask), r)
+        mask.flags.writeable = False
+        layout.__dict__["mask"] = mask  # seeds the cached property from the draw
+        return layout
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """t as a 0/1 uint8 array (the cells' bases); computed once, read-only."""
+        mask = self.t.to_array()
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def trap_indices(self) -> np.ndarray:
         """Trap positions, ascending; computed once per layout, read-only."""
-        indices = np.flatnonzero(self.t.to_array().view(bool))
+        indices = np.flatnonzero(self.mask.view(bool))
         indices.flags.writeable = False
         return indices
 
     @cached_property
     def payload_indices(self) -> np.ndarray:
         """Payload positions, ascending; computed once per layout, read-only."""
-        indices = np.flatnonzero(~self.t.to_array().view(bool))
+        indices = np.flatnonzero(~self.mask.view(bool))
         indices.flags.writeable = False
         return indices
 
-    def split(self, word: Bits) -> tuple[Bits, Bits]:
-        """(trap part v, payload part x), each in ascending position order."""
-        arr = word.to_array()
-        return (
-            Bits.from_array(arr[self.trap_indices]),
-            Bits.from_array(arr[self.payload_indices]),
-        )
+    def traps(self, word: np.ndarray) -> Bits:
+        """The trap part v of a 0/1 word, in ascending position order."""
+        return Bits.from_array(word[self.trap_indices])
+
+    def payload(self, word: np.ndarray) -> Bits:
+        """The payload part x of a 0/1 word, in ascending position order."""
+        return Bits.from_array(word[self.payload_indices])
+
+    def split(self, word: np.ndarray) -> tuple[Bits, Bits]:
+        """(trap part v, payload part x) of a 0/1 word."""
+        return self.traps(word), self.payload(word)
 
     def merge(self, traps: Bits, payload: Bits) -> Bits:
         arr = np.empty(self.t.length, dtype=np.uint8)
@@ -75,13 +102,26 @@ class TrapLayout:
         return Bits.from_array(arr)
 
 
+def _cells(values, what: str) -> np.ndarray:
+    """values as a new 1-d uint8 array; ValueError unless every entry is 0 or 1.
+
+    The branch-free collapse is exact only on such cells.
+    """
+    cells = np.asarray(values)
+    if cells.ndim != 1:
+        raise ValueError(f"{what} must be a 1-d array")
+    if cells.size and not (cells.dtype.kind in "biu" and cells.min() >= 0 and cells.max() <= 1):
+        raise ValueError(f"{what} must be 0/1 cells")
+    return cells.astype(np.uint8)
+
+
 class QubitRegister:
     """A register of prepared qubits; records are private to the simulator."""
 
     def __init__(self, basis: np.ndarray, value: np.ndarray):
-        self.__basis = np.asarray(basis, dtype=np.uint8).copy()
-        self.__value = np.asarray(value, dtype=np.uint8).copy()
-        if self.__basis.shape != self.__value.shape or self.__basis.ndim != 1:
+        self.__basis = _cells(basis, "basis")
+        self.__value = _cells(value, "value")
+        if self.__basis.shape != self.__value.shape:
             raise ValueError("basis/value arrays must be aligned 1-d")
 
     @property
@@ -129,13 +169,14 @@ class QubitRegister:
         return cls(basis, value)
 
 
-def prepare(xi: Bits, t: Bits, r: int) -> QubitRegister:
-    """Encode bit j of xi in the Hadamard basis where t_j = 1, else standard."""
-    if xi.length != t.length:
+def prepare(xi: np.ndarray, t: np.ndarray, r: int) -> QubitRegister:
+    """Encode cell j of xi in the Hadamard basis where t_j = 1, else standard."""
+    if np.shape(xi) != np.shape(t):
         raise ValueError("xi and t must have equal length")
-    if t.weight() != r:
-        raise ValueError(f"trap string weight {t.weight()} != r = {r}")
-    return QubitRegister(t.to_array(), xi.to_array())
+    weight = int(np.count_nonzero(t))
+    if weight != r:
+        raise ValueError(f"trap string weight {weight} != r = {r}")
+    return QubitRegister(t, xi)
 
 
 def apply_storage_noise(
@@ -150,17 +191,26 @@ def apply_storage_noise(
     return reg
 
 
-def measure(reg: QubitRegister, bases: Bits, rng: np.random.Generator) -> Bits:
-    """Measure every cell; collapses the register onto the outcome."""
-    if bases.length != reg.size:
+def _collapse(basis: np.ndarray, value: np.ndarray, requested: np.ndarray, rng) -> np.ndarray:
+    """Outcomes of measuring 0/1 cells (basis, value) in the requested bases.
+
+    Equal bases return the value, unequal ones a fresh uniform bit; one
+    fresh bit is drawn per cell either way.
+    """
+    fresh = rng.integers(0, 2, value.size, dtype=np.uint8)
+    return value ^ ((value ^ fresh) & (requested ^ basis))
+
+
+def measure(reg: QubitRegister, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Measure every cell; collapses the register onto the outcome array."""
+    requested = _cells(bases, "bases")
+    if requested.size != reg.size:
         raise ValueError("need one basis choice per cell")
     basis, value = reg._records()
-    requested = bases.to_array()
-    fresh = rng.integers(0, 2, reg.size, dtype=np.uint8)
-    outcome = np.where(requested == basis, value, fresh).astype(np.uint8)
+    outcome = _collapse(basis, value, requested, rng)
     basis[:] = requested
     value[:] = outcome
-    return Bits.from_array(outcome)
+    return outcome
 
 
 def measure_indices(
@@ -169,9 +219,10 @@ def measure_indices(
     """Measure a subset of cells (same collapse semantics)."""
     basis, value = reg._records()
     indices = np.asarray(indices, dtype=np.int64)
-    requested = np.asarray(bases, dtype=np.uint8)
-    fresh = rng.integers(0, 2, indices.size, dtype=np.uint8)
-    outcome = np.where(requested == basis[indices], value[indices], fresh).astype(np.uint8)
+    requested = _cells(bases, "bases")
+    if requested.shape != indices.shape:
+        raise ValueError("need one basis choice per listed cell")
+    outcome = _collapse(basis[indices], value[indices], requested, rng)
     basis[indices] = requested
     value[indices] = outcome
     return outcome
@@ -183,8 +234,9 @@ def replace_cells(
     """Discard the listed cells and install freshly prepared ones."""
     basis, value = reg._records()
     indices = np.asarray(indices, dtype=np.int64)
-    basis[indices] = np.asarray(bases, dtype=np.uint8)
-    value[indices] = np.asarray(values, dtype=np.uint8)
+    new_basis, new_value = _cells(bases, "bases"), _cells(values, "values")
+    basis[indices] = new_basis
+    value[indices] = new_value
 
 
 class EveView:

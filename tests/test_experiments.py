@@ -303,3 +303,14 @@ def test_simulate_correctness_with_attack_is_an_error(capsys):
     assert code == 1
     assert err.startswith("error:") and "passive" in err
     assert "Traceback" not in err and "retrieval_failure" not in out
+
+
+@pytest.mark.parametrize("key", ["scenario", "epsilon", "beta0", "ell"])
+def test_config_missing_field_is_a_key_error(tmp_path, key):
+    mapping = ExperimentConfig("tamper", 0.05, 0.0, 4, strategy="flip-c/0").to_kv()
+    del mapping[key]
+    with pytest.raises(KeyError, match=key):
+        ExperimentConfig.from_kv(mapping)
+    path = _edited_config(tmp_path, key, "")
+    with pytest.raises(KeyError, match=key):
+        ExperimentConfig.load(path)

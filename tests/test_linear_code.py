@@ -200,6 +200,43 @@ def test_inner_rm_ml_decoding():
         assert np.array_equal(inner.decode_ml(noisy), symbols)
 
 
+def butterfly_decode(words: np.ndarray, m: int) -> np.ndarray:
+    """The constant-geometry fast Hadamard transform, kept as the ML oracle."""
+    T = 1 - 2 * words.astype(np.int32)
+    for _ in range(m):
+        a, b = T[:, 0::2], T[:, 1::2]
+        T = np.concatenate((a + b, a - b), axis=1)
+    best = np.argmax(np.abs(T), axis=1)
+    return (T[np.arange(len(T)), best] < 0) | best << 1
+
+
+@pytest.mark.parametrize("blocks", [12, 76])  # the rs(12,4) and rs(76,5) shapes
+def test_inner_rm_decode_matches_butterfly(blocks):
+    from tamperstore.linear_code import _inner_rm
+
+    inner = _inner_rm()
+    rng = np.random.default_rng(blocks)
+    batches = [
+        (rng.random((blocks, inner.n)) < density).astype(np.uint8)
+        for density in np.linspace(0, 1, 17)
+    ]
+    # ties: halfway between two codewords, so two |T[a]| share the maximum
+    first, second = rng.integers(0, 256, (2, blocks))
+    second[first >> 1 == second >> 1] ^= 2  # distinct a: the codewords differ in n/2 places
+    tied = inner.encode(first)
+    for row, diff in enumerate(inner.encode(first) ^ inner.encode(second)):
+        flips = rng.permutation(np.flatnonzero(diff))[: inner.n // 4]
+        tied[row, flips] ^= 1
+    batches.append(tied)
+    batches.append(inner.encode(rng.integers(0, 256, blocks)))
+    ties = 0
+    for words in batches:
+        assert np.array_equal(inner.decode_ml(words), butterfly_decode(words, inner.m))
+        T = 1 - 2 * words.astype(np.int64) @ (1 - 2 * inner.codewords[0::2].astype(np.int64))
+        ties += int(np.sum((np.abs(T) == np.abs(T).max(axis=1, keepdims=True)).sum(axis=1) > 1))
+    assert ties >= blocks  # every row of the tied batch, at least
+
+
 def make_rmrs():
     return RmRsCode(12, 4)  # n=1536, kappa=32, t_out=4, t_corr=159
 

@@ -235,3 +235,20 @@ def test_key_needs_lam_at_least_one():
     with pytest.raises(ValueError):
         MacKey(0, 0, 0)
     assert MacKey.from_bits(Bits(0b10, 2)) == MacKey(0, 1, 1)
+
+
+@pytest.mark.parametrize("lam,length,a,b,label,expected", [
+    (15, 2577, 0x5A5A, 0x1234, "tamperstore", 0x4DD4),
+    (19, 9744, 0x7FFFF, 0x7FFFF, "mac", 0x1AE),
+])
+def test_cached_key_tables_give_pinned_tags(lam, length, a, b, label, expected):
+    key, fresh = MacKey(a, b, lam), MacKey(a, b, lam)
+    before = hash(key)
+    msg = fixed_message(length, label)
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        assert tag(key, msg) == Bits(expected, lam)
+        assert verify(key, msg, Bits(expected, lam))
+    assert "byte_tables" in vars(key) and "byte_tables" not in vars(fresh)
+    assert key.byte_tables == tuple(map(tuple, GF2Field(lam).byte_tables(a)))
+    assert key == fresh and hash(key) == hash(fresh) == before
+    assert len({key, fresh}) == 1

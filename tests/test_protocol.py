@@ -168,6 +168,22 @@ def test_trap_abort_on_heavy_disturbance():
     assert aborts == 60
 
 
+def test_trap_abort_bundle_never_gathers_the_payload(monkeypatch):
+    from tamperstore.qsim import TrapLayout
+
+    inst = tiny_instance()
+    rng = np.random.default_rng(16)
+    bundle, secrets = inst.store(1, rng)
+    basis, value = bundle.register._records()
+    value[secrets.layout.trap_indices] ^= 1  # every trap wrong: r > beta r errors
+
+    def no_payload(layout, word):
+        raise AssertionError("payload gathered on a trap abort")
+
+    monkeypatch.setattr(TrapLayout, "payload", no_payload)
+    assert inst.retrieve(bundle, secrets, rng) == RetrievalOutcome(0, None, "trap")
+
+
 def test_outcome_invariant():
     with pytest.raises(ValueError):
         RetrievalOutcome(1, None, "none")

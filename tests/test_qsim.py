@@ -11,34 +11,44 @@ from tamperstore.qsim import (
     TrapLayout,
     apply_storage_noise,
     measure,
+    measure_indices,
     prepare,
+    replace_cells,
 )
+
+
+def prepare_bits(xi: Bits, t: Bits, r: int) -> QubitRegister:
+    return prepare(xi.to_array(), t.to_array(), r)
+
+
+def measure_bits(reg: QubitRegister, bases: Bits, rng) -> Bits:
+    return Bits.from_array(measure(reg, bases.to_array(), rng))
 
 
 def random_setup(total, r, rng):
     xi = Bits.random(total, rng)
     layout = TrapLayout.random(total, r, rng)
-    reg = prepare(xi, layout.t, r)
+    reg = prepare_bits(xi, layout.t, r)
     return xi, layout, reg
 
 
 def test_same_basis_measurement_is_faithful():
     rng = np.random.default_rng(0)
     xi, layout, reg = random_setup(200, 50, rng)
-    assert measure(reg, layout.t, rng) == xi
+    assert measure_bits(reg, layout.t, rng) == xi
 
 
 def test_all_standard_degenerate_layout():
     rng = np.random.default_rng(1)
     xi = Bits.random(64, rng)
-    reg = prepare(xi, Bits.zeros(64), 0)
-    assert measure(reg, Bits.zeros(64), rng) == xi
+    reg = prepare_bits(xi, Bits.zeros(64), 0)
+    assert measure_bits(reg, Bits.zeros(64), rng) == xi
 
 
 def test_weight_mismatch_rejected():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
-        prepare(Bits.random(8, rng), Bits.from_01("11000000"), 3)
+        prepare_bits(Bits.random(8, rng), Bits.from_01("11000000"), 3)
     with pytest.raises(ValueError):
         TrapLayout(Bits.from_01("110"), 3)
 
@@ -50,7 +60,7 @@ def test_checkpoint_round_trip_preserves_hidden_state():
     clone = QubitRegister.from_bytes(blob)
     assert clone.to_bytes() == blob  # byte-compare oracle
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-    assert measure(reg, layout.t, rng_a) == measure(clone, layout.t, rng_b)
+    assert measure_bits(reg, layout.t, rng_a) == measure_bits(clone, layout.t, rng_b)
 
 
 def test_noise_identity_at_zero():
@@ -65,9 +75,9 @@ def test_noise_flip_rate_confidence_interval():
     rng = np.random.default_rng(5)
     n, beta0 = 100_000, 0.05
     xi = Bits.random(n, rng)
-    reg = prepare(xi, Bits.zeros(n), 0)
+    reg = prepare_bits(xi, Bits.zeros(n), 0)
     apply_storage_noise(reg, beta0, rng)
-    out = measure(reg, Bits.zeros(n), rng)
+    out = measure_bits(reg, Bits.zeros(n), rng)
     rate = (out ^ xi).weight() / n
     sigma = (beta0 * (1 - beta0) / n) ** 0.5
     assert abs(rate - beta0) <= 3 * sigma
@@ -77,10 +87,10 @@ def test_noise_composition_convolution():
     rng = np.random.default_rng(6)
     n, b0, b1 = 100_000, 0.05, 0.1
     xi = Bits.random(n, rng)
-    reg = prepare(xi, Bits.zeros(n), 0)
+    reg = prepare_bits(xi, Bits.zeros(n), 0)
     apply_storage_noise(reg, b0, rng)
     apply_storage_noise(reg, b1, rng)
-    out = measure(reg, Bits.zeros(n), rng)
+    out = measure_bits(reg, Bits.zeros(n), rng)
     expected = b0 * (1 - b1) + b1 * (1 - b0)
     rate = (out ^ xi).weight() / n
     sigma = (expected * (1 - expected) / n) ** 0.5
@@ -91,9 +101,9 @@ def test_cross_basis_outcomes_uniform():
     rng = np.random.default_rng(7)
     n = 100_000
     xi = Bits.random(n, rng)
-    reg = prepare(xi, Bits.zeros(n), 0)  # all standard
+    reg = prepare_bits(xi, Bits.zeros(n), 0)  # all standard
     ones = Bits((1 << n) - 1, n)
-    out = measure(reg, ones, rng)  # all Hadamard
+    out = measure_bits(reg, ones, rng)  # all Hadamard
     freq = out.weight() / n
     assert abs(freq - 0.5) <= 0.005
 
@@ -102,10 +112,10 @@ def test_measurement_collapses():
     rng = np.random.default_rng(8)
     n = 1000
     xi = Bits.random(n, rng)
-    reg = prepare(xi, Bits.zeros(n), 0)
+    reg = prepare_bits(xi, Bits.zeros(n), 0)
     bases = Bits.random(n, rng)
-    first = measure(reg, bases, rng)
-    again = measure(reg, bases, rng)
+    first = measure_bits(reg, bases, rng)
+    again = measure_bits(reg, bases, rng)
     assert first == again
 
 
@@ -114,9 +124,9 @@ def test_intercept_resend_random_basis_error_rate():
     n = 100_000
     xi = Bits.random(n, rng)
     t = Bits.zeros(n)
-    reg = prepare(xi, t, 0)
+    reg = prepare_bits(xi, t, 0)
     InterceptResend(policy="random-basis").apply(EveView(reg), {}, rng)
-    out = measure(reg, t, rng)
+    out = measure_bits(reg, t, rng)
     rate = (out ^ xi).weight() / n
     sigma = (0.25 * 0.75 / n) ** 0.5
     assert abs(rate - 0.25) <= 3 * sigma
@@ -127,9 +137,9 @@ def test_intercept_resend_all_standard_split_rates():
     n = 100_000
     xi = Bits.random(n, rng)
     layout = TrapLayout.random(n, n // 2, rng)
-    reg = prepare(xi, layout.t, n // 2)
+    reg = prepare_bits(xi, layout.t, n // 2)
     InterceptResend(policy="all-standard").apply(EveView(reg), {}, rng)
-    out = measure(reg, layout.t, rng)
+    out = measure_bits(reg, layout.t, rng)
     errors = (out ^ xi).to_array()
     standard_rate = errors[layout.payload_indices].mean()
     trap_rate = errors[layout.trap_indices].mean()
@@ -162,7 +172,7 @@ def test_eve_cannot_read_preparation_without_disturbance():
     rng = np.random.default_rng(13)
     n = 40_000
     xi = Bits.zeros(n)  # deterministic preparation values
-    reg = prepare(xi, Bits.zeros(n), 0)
+    reg = prepare_bits(xi, Bits.zeros(n), 0)
     view = EveView(reg)
     out = view.measure(np.arange(n), np.ones(n, dtype=np.uint8), rng)
     assert abs(out.mean() - 0.5) <= 3 * (0.25 / n) ** 0.5
@@ -172,7 +182,7 @@ def test_trap_layout_split_merge_round_trip():
     rng = np.random.default_rng(14)
     word = Bits.random(50, rng)
     layout = TrapLayout.random(50, 13, rng)
-    v, x = layout.split(word)
+    v, x = layout.split(word.to_array())
     assert v.length == 13 and x.length == 37
     assert layout.merge(v, x) == word
 
@@ -201,17 +211,17 @@ def test_trap_layout_split_matches_position_loop(total, r):
     for layout in layouts_both_ways(total, r, rng):
         for _ in range(3):
             word = Bits.random(total, rng)
-            v, x = layout.split(word)
+            v, x = layout.split(word.to_array())
             trap_bits = [word[i] for i in range(total) if layout.t[i]]
             payload_bits = [word[i] for i in range(total) if not layout.t[i]]
             assert v == Bits.from_array(trap_bits) and x == Bits.from_array(payload_bits)
             assert layout.merge(v, x) == word
-            assert layout.split(layout.merge(v, x)) == (v, x)
+            assert layout.split(layout.merge(v, x).to_array()) == (v, x)
 
 
 def test_trap_layout_cached_indices_are_read_only():
     layout = TrapLayout.random(40, 9, np.random.default_rng(16))
-    layout.split(Bits.zeros(40))
+    layout.split(np.zeros(40, dtype=np.uint8))
     for indices in (layout.trap_indices, layout.payload_indices):
         with pytest.raises(ValueError):
             indices[0] = 1
@@ -221,7 +231,7 @@ def test_trap_layout_cached_indices_are_read_only():
 def test_trap_layouts_stay_equal_and_hash_equal_with_filled_caches():
     drawn, built = layouts_both_ways(200, 60, np.random.default_rng(17))
     assert drawn == built and hash(drawn) == hash(built)
-    drawn.split(Bits.zeros(200))
+    drawn.split(np.zeros(200, dtype=np.uint8))
     built.merge(Bits.zeros(60), Bits.zeros(140))
     assert drawn == built and hash(drawn) == hash(built)
     assert len({drawn, built}) == 1
@@ -247,3 +257,86 @@ def test_checkpoint_rejects_truncated_or_padded_bytes():
     for raw in (b"", blob[:1], blob[:5], blob[:-1], blob + b"\0"):
         with pytest.raises(ValueError):
             QubitRegister.from_bytes(raw)
+
+
+def where_collapse(basis, value, requested, rng):
+    """The select form of the collapse, kept as the oracle of the branch-free one."""
+    fresh = rng.integers(0, 2, requested.size, dtype=np.uint8)
+    return np.where(requested == basis, value, fresh).astype(np.uint8)
+
+
+def half_mismatched_register(n, seed):
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, 2, n, dtype=np.uint8)
+    value = rng.integers(0, 2, n, dtype=np.uint8)
+    requested = rng.integers(0, 2, n, dtype=np.uint8)  # about half disagree with basis
+    return QubitRegister(basis, value), requested
+
+
+@pytest.mark.parametrize("n", [1, 37, 14436])
+def test_measure_equals_select_oracle(n):
+    reg, requested = half_mismatched_register(n, n)
+    basis, value = (a.copy() for a in reg._records())
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    outcome = measure(reg, requested, rng)
+    expected = where_collapse(basis, value, requested, oracle_rng)
+    assert outcome.dtype == np.uint8 and np.array_equal(outcome, expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert all(np.array_equal(a, b) for a, b in zip(reg._records(), (requested, expected)))
+
+
+@pytest.mark.parametrize("n", [2, 50, 14436])
+def test_measure_indices_equals_select_oracle(n):
+    reg, requested = half_mismatched_register(n, n + 1)
+    basis, value = (a.copy() for a in reg._records())
+    indices = np.random.default_rng(n).permutation(n)[: n // 2]
+    rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+    outcome = measure_indices(reg, indices, requested[indices], rng)
+    expected = where_collapse(basis[indices], value[indices], requested[indices], oracle_rng)
+    assert np.array_equal(outcome, expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    basis[indices], value[indices] = requested[indices], expected
+    assert all(np.array_equal(a, b) for a, b in zip(reg._records(), (basis, value)))
+
+
+@pytest.mark.parametrize("total,r", [(1, 0), (1, 1), (50, 13), (14436, 4708)])
+def test_trap_layout_seeded_mask_equals_built_mask(total, r):
+    drawn, built = layouts_both_ways(total, r, np.random.default_rng(total))
+    assert "mask" in vars(drawn) and "mask" not in vars(built)
+    assert drawn.mask.dtype == built.mask.dtype == np.uint8
+    assert np.array_equal(drawn.mask, built.mask)
+    assert np.array_equal(drawn.mask, drawn.t.to_array())
+    for layout in (drawn, built):
+        with pytest.raises(ValueError):
+            layout.mask[0] = 1 - layout.mask[0]
+    assert drawn == built and hash(drawn) == hash(built)
+
+
+@pytest.mark.parametrize("basis,value", [([2], [0]), ([0], [2]), ([0, 1], [1, -1]),
+                                         ([0.5], [0]), ([[0]], [[1]])])
+def test_register_rejects_cells_outside_01(basis, value):
+    with pytest.raises(ValueError):
+        QubitRegister(np.array(basis), np.array(value))
+
+
+def test_replace_and_measure_reject_bases_outside_01():
+    reg, _ = half_mismatched_register(8, 19)
+    before = reg.to_bytes()
+    view = EveView(reg)
+    for bad in ([2], [-1], [0.5]):
+        with pytest.raises(ValueError):
+            replace_cells(reg, [0], bad, [1])
+        with pytest.raises(ValueError):
+            replace_cells(reg, [0], [1], bad)
+        with pytest.raises(ValueError):
+            view.replace([0], bad, [0])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            measure_indices(reg, [0], bad, rng)
+        with pytest.raises(ValueError):
+            view.measure([0], bad, rng)
+        with pytest.raises(ValueError):
+            measure(reg, np.array(bad * 8), rng)
+        assert rng.bit_generator.state == state  # nothing drawn
+    assert reg.to_bytes() == before
