@@ -35,7 +35,7 @@ from .randomizer import (
     randomize,
 )
 from .linear_code import LinearCode, default_registry
-from .mac import MacKey, mac_sizes, tag, verify
+from .mac import MacKey, tag, verify
 from .qsim import (
     EveView,
     InterceptResend,
@@ -51,7 +51,6 @@ from .params import (
     asymptotic_rates,
     correctness_bound,
     derive_params,
-    hoeffding_tail,
     qkd_threshold,
     security_bound,
 )
@@ -60,8 +59,6 @@ from .protocol import (
     ProtocolInstance,
     RetrievalOutcome,
     ServerBundle,
-    recursive_retrieve,
-    recursive_store,
     retrieve,
     store,
     usefulness,

@@ -460,35 +460,53 @@ def dump_scheme(scheme: ToyScheme, path) -> None:
             fh.write(f"state {m} {k} {pairs}\n")
 
 
+# fields after each directive; "state" takes m, k and one or more re,im pairs
+_SCHEME_FIELDS = {"dim": 1, "message": 2, "key": 1}
+
+
+def _complex_pair(text: str) -> complex:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"state entry {text!r} is not re,im")
+    return complex(float(parts[0]), float(parts[1]))
+
+
 def load_scheme(path) -> ToyScheme:
+    """Read a file written by ``dump_scheme``; a malformed line raises
+    ValueError naming it."""
     name, dim = "scheme", None
     messages, probs, keys = [], [], []
     states, verification = {}, {}
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             head, *rest = line.split()
-            if head == "name":
-                name = " ".join(rest)
-            elif head == "dim":
-                dim = int(rest[0])
-            elif head == "message":
-                messages.append(int(rest[0]))
-                probs.append(float(rest[1]))
-            elif head == "key":
-                keys.append(int(rest[0]))
-            elif head == "state":
-                m, k = int(rest[0]), int(rest[1])
-                vec = np.array(
-                    [complex(*map(float, pair.split(","))) for pair in rest[2:]]
-                )
-                if dim is not None and vec.size != dim:
-                    raise ValueError("state vector does not match dim")
-                rho = DensityOperator.pure(vec)
-                states[(m, k)] = rho
-                verification[(m, k)] = rho.matrix
-            else:
-                raise ValueError(f"unknown directive {head!r}")
+            try:
+                fields = _SCHEME_FIELDS.get(head)
+                short_state = head == "state" and len(rest) < 3
+                if short_state or (fields is not None and len(rest) != fields):
+                    raise ValueError(f"wrong number of fields for {head!r}")
+                if head == "name":
+                    name = " ".join(rest)
+                elif head == "dim":
+                    dim = int(rest[0])
+                elif head == "message":
+                    messages.append(int(rest[0]))
+                    probs.append(float(rest[1]))
+                elif head == "key":
+                    keys.append(int(rest[0]))
+                elif head == "state":
+                    m, k = int(rest[0]), int(rest[1])
+                    vec = np.array([_complex_pair(pair) for pair in rest[2:]])
+                    if dim is not None and vec.size != dim:
+                        raise ValueError("state vector does not match dim")
+                    rho = DensityOperator.pure(vec)
+                    states[(m, k)] = rho
+                    verification[(m, k)] = rho.matrix
+                else:
+                    raise ValueError(f"unknown directive {head!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number} ({line!r}): {exc}") from None
     return ToyScheme(name, tuple(messages), np.array(probs), tuple(keys), states, verification)

@@ -16,13 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import kv
-from .attack_lab import bb84_toy, best_permutation, load_scheme, advantage_floor, run_support
+from .attack_lab import bb84_toy, load_scheme, advantage_floor, run_support
 from .bits import Bits
-from .entropy import example1, load_distribution, uniform
 from .experiments import (
     ExperimentConfig,
-    build_instance,
-    parse_dist,
     prefix_code_for,
     run_correctness_experiment,
     run_tamper_experiment,
@@ -39,14 +36,12 @@ from .params import (
     security_bound,
 )
 from .protocol import (
-    ProtocolInstance,
     ServerBundle,
     ClientSecrets,
-    recursive_store,
     retrieve as protocol_retrieve,
     store as protocol_store,
 )
-from .randomizer import PrefixCode, build_prefix_code
+from .randomizer import PrefixCode
 
 USAGE_EXIT = 1
 VIOLATION_EXIT = 2
@@ -79,7 +74,10 @@ def _load_message(args) -> int:
     if args.message is not None:
         return args.message
     if args.message_file:
-        return int(Path(args.message_file).read_text().split()[0], 0)
+        words = Path(args.message_file).read_text().split()
+        if not words:
+            raise ValueError(f"message file {args.message_file} holds no message")
+        return int(words[0], 0)
     raise InfeasibleParamsError("no message given (use --message or --message-file)", "cli")
 
 
@@ -98,18 +96,6 @@ def _cmd_store(args) -> int:
     out = _out_dir(args.out)
     prefix.dump(out / "prefix_code.txt")
     kv.dump(out / "params.txt", "params", params.to_kv())
-    if args.depth > 1:
-        chain = recursive_store(
-            message, params, args.depth, rng, prefix,
-            check_profitable=not args.force_unprofitable,
-        )
-        for i, level in enumerate(chain.levels, start=1):
-            level.bundle.dump(out / f"bundle_level{i}.txt")
-            level.secrets.dump(out / f"secrets_level{i}.txt")
-            kv.dump(out / f"params_level{i}.txt", "params", level.params.to_kv())
-        print(f"stored message at depth {chain.depth}; qubits: {chain.total_qubits()}, "
-              f"local bits: {chain.local_bits()}")
-        return 0
     code = default_registry().by_name(params.code_name)
     bundle, secrets = protocol_store(message, params, code, prefix, rng)
     bundle.dump(out / "bundle.txt")
@@ -302,8 +288,6 @@ def build_parser() -> _Parser:
     p.add_argument("--message", type=int, default=None)
     p.add_argument("--message-file", default=None)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--depth", type=int, default=1, help="recursive delegation levels")
-    p.add_argument("--force-unprofitable", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_store)
 

@@ -143,40 +143,10 @@ def verify(key: MacKey, msg: Bits, theta: Bits) -> bool:
     return tag(key, msg) == theta
 
 
-@dataclass(frozen=True)
-class MacSizes:
-    """Reference sizes from den Boer's classic construction plus the implemented lam."""
-
-    den_boer_key_bits: float
-    den_boer_tag_bits: float
-    lam: int
-
-
 def forgery_bound(lam: int, msg_bits: int) -> float:
     """(B+1) / 2^lam for a message of msg_bits content bits."""
     blocks = -(-msg_bits // lam) if msg_bits else 0
     return min(1.0, (blocks + 1) / 2.0**lam)
-
-
-def mac_sizes(eps_mac: float, msg_space: int) -> MacSizes:
-    """Key/tag sizing for one-time authentication at security eps_mac.
-
-    ``msg_space`` is the number of possible messages (for a w-bit message
-    space pass 2**w).  The reference figures follow den Boer's one-time
-    construction, key size 2 log(1/eps) + 2 log log |M| and tag size
-    log(1/eps) + log log |M|; the implemented construction needs
-    lam = ceil(log2((B+1)/eps_mac)), which is reported so storage
-    accounting can use the real figure.
-    """
-    if not 0 < eps_mac <= 1:
-        raise ValueError("eps_mac outside (0, 1]")
-    if msg_space < 2:
-        raise ValueError("message space needs at least two messages")
-    loglog = math.log2(math.log2(msg_space))
-    den_key = 2 * math.log2(1 / eps_mac) + 2 * loglog
-    den_tag = math.log2(1 / eps_mac) + loglog
-    msg_bits = max(1, math.ceil(math.log2(msg_space)))
-    return MacSizes(den_key, den_tag, tag_length(eps_mac, msg_bits))
 
 
 def tag_length(eps_mac: float, msg_bits: int) -> int:

@@ -245,13 +245,6 @@ def security_bound(params: ProtocolParams) -> float:
     return 2 * params.eps_mac + 2 * params.delta + 4 * params.eps0 + 2 * params.eps_qp
 
 
-def hoeffding_tail(n: int, p: float, eps: float) -> float:
-    """Bound on Pr[sum of n Bernoulli(p) >= n (p + eps)]: exp(-2 eps^2 n)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return math.exp(-2 * eps**2 * n)
-
-
 def sampling_bad_event_bound(n: int, r: int, nu: float) -> float:
     """Bound on Pr[trap errors <= r beta and payload errors >= n (beta + nu)]
     over a uniform choice of r trap positions out of n + r."""

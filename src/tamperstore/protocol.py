@@ -1,5 +1,5 @@
-"""The delegated-storage state machines: store, retrieve, usefulness
-accounting, and recursive delegation.
+"""The delegated-storage state machines (store, retrieve), usefulness
+accounting, and the ideal ledger of recursive delegation.
 
 ``store`` runs the five preparation steps (compress, randomise, encode
 into qubits with hidden traps, extract a one-time pad and syndrome, tag)
@@ -13,12 +13,19 @@ Variable homes (the classical state of one session):
   server bundle   w, u, c, theta, qubit register
   client secrets  mac key, trap layout, trap values v, syndrome s, m_nabla
   discarded       xi, x, z, p, m, m0 and every other intermediate
+
+Recursion, which would store the syndrome s in a further session, exists
+here only as ``ideal_recursion_accounting`` with capacity-rate codes.  A
+concrete chain cannot shorten the key: every code of the registry's menu
+has a syndrome of at least 1,456 bits and kappa <= 128, so ell < 128, and
+each extra level keeps its own syndrome plus all but ell bits of the one
+it stores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +35,12 @@ from .entropy import binary_entropy
 from .gf2 import GF2Field, phi
 from .linear_code import CodeRegistry, LinearCode, default_registry
 from .mac import MacKey, tag, verify
-from .params import InfeasibleParamsError, ProtocolParams, derive_params
+from .params import ProtocolParams, derive_params
 from .qsim import QubitRegister, TrapLayout, apply_storage_noise, measure, prepare
 from .randomizer import ParseError, PrefixCode, compress, decompress, derandomize, randomize
 
 BUNDLE_VARS = ("w", "u", "c", "theta", "register")
 SECRET_VARS = ("mac_key", "layout", "v", "s", "m_nabla")
-
-
-class RecursionUnprofitableError(ValueError):
-    """A delegation level whose syndrome is no smaller than its message."""
 
 
 def _transcript(w: Bits, u: Bits, c: Bits) -> Bits:
@@ -104,7 +107,7 @@ class ClientSecrets:
     mac_key: MacKey
     layout: TrapLayout
     v: Bits
-    s: Bits | None
+    s: Bits
     m_nabla: Bits
 
     def storage_bits(self) -> int:
@@ -112,26 +115,23 @@ class ClientSecrets:
         total = self.layout.t.length
         r = self.layout.r
         trap_bits = math.ceil(math.log2(math.comb(total, r))) if 0 < r < total else 0
-        syndrome_bits = self.s.length if self.s is not None else 0
         return (
             trap_bits
             + self.v.length
-            + syndrome_bits
+            + self.s.length
             + self.mac_key.bit_size
             + self.m_nabla.length
         )
 
     def to_kv(self) -> dict:
-        mapping = {
+        return {
             "mac_key": self.mac_key.to_bits(),
             "t": self.layout.t,
             "r": self.layout.r,
             "v": self.v,
+            "s": self.s,
             "m_nabla": self.m_nabla,
         }
-        if self.s is not None:
-            mapping["s"] = self.s
-        return mapping
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ClientSecrets":
@@ -144,7 +144,7 @@ class ClientSecrets:
             mac_key=MacKey.from_bits(mapping["mac_key"]),
             layout=TrapLayout(mapping["t"], mapping["r"]),
             v=mapping["v"],
-            s=mapping.get("s"),
+            s=mapping["s"],
             m_nabla=mapping["m_nabla"],
         )
 
@@ -180,25 +180,29 @@ def one_time_pad(u: Bits, x: Bits, ell: int, field: GF2Field) -> Bits:
     return phi(field.element(u), field.element(x), ell)
 
 
-def _check_shapes(params: ProtocolParams, code: LinearCode, prefix_code: PrefixCode | None):
+def _check_shapes(params: ProtocolParams, code: LinearCode, prefix_code: PrefixCode):
     params.validate()
     if code.n != params.n or code.kappa != params.kappa:
         raise ValueError(
             f"code {code.name} is ({code.n},{code.kappa}); params want "
             f"({params.n},{params.kappa})"
         )
-    if prefix_code is not None and prefix_code.max_len != params.ell0:
+    if prefix_code.max_len != params.ell0:
         raise ValueError(
             f"prefix code pads to {prefix_code.max_len}, params.ell0 = {params.ell0}"
         )
 
 
-def _store_padded(
-    m0: Bits,
+def store(
+    message: int,
     params: ProtocolParams,
     code: LinearCode,
+    prefix_code: PrefixCode,
     rng: np.random.Generator,
 ) -> tuple[ServerBundle, ClientSecrets]:
+    """Steps 1-5: compress, randomise, prepare qubits, pad, tag."""
+    _check_shapes(params, code, prefix_code)
+    m0 = compress(message, prefix_code, rng)
     seed_field = GF2Field(params.ell0)
     w = seed_field.random_nonzero(rng)
     rm = randomize(m0, w, params.ell)
@@ -226,19 +230,6 @@ def _store_padded(
     return bundle, secrets
 
 
-def store(
-    message: int,
-    params: ProtocolParams,
-    code: LinearCode,
-    prefix_code: PrefixCode,
-    rng: np.random.Generator,
-) -> tuple[ServerBundle, ClientSecrets]:
-    """Steps 1-5: compress, randomise, prepare qubits, pad, tag."""
-    _check_shapes(params, code, prefix_code)
-    m0 = compress(message, prefix_code, rng)
-    return _store_padded(m0, params, code, rng)
-
-
 def _lengths_match(bundle: ServerBundle, params: ProtocolParams) -> bool:
     """Every bundle length is the one params fix.
 
@@ -255,50 +246,6 @@ def _lengths_match(bundle: ServerBundle, params: ProtocolParams) -> bool:
     )
 
 
-def _retrieve_padded(
-    bundle: ServerBundle,
-    secrets: ClientSecrets,
-    params: ProtocolParams,
-    code: LinearCode,
-    rng: np.random.Generator,
-) -> tuple[str, Bits | None]:
-    """Steps 6-9 up to derandomisation; returns (abort_reason, m0_hat)."""
-    if secrets.s is None:
-        raise ValueError("syndrome unavailable (delegated and not yet recovered)")
-    if not _lengths_match(bundle, params):
-        return "format", None
-    transcript = bundle.classical_bits()
-    if not verify(secrets.mac_key, transcript, bundle.theta):
-        return "mac", None
-
-    layout = secrets.layout
-    word = measure(bundle.register, layout.mask, rng)
-    if (layout.traps(word) ^ secrets.v).weight() > params.beta * params.r:
-        return "trap", None  # a trap abort never needs the payload
-
-    x_prime = layout.payload(word)
-    pattern = code.syn_dec(secrets.s ^ code.syn(x_prime))
-    if pattern is None:
-        return "decode", None
-    x_hat = x_prime ^ pattern
-    z_hat = one_time_pad(bundle.u, x_hat, params.ell, GF2Field(params.n))
-    m_hat = z_hat ^ bundle.c
-    m0_hat = derandomize(m_hat, secrets.m_nabla, GF2Field(params.ell0).element(bundle.w))
-    return "none", m0_hat
-
-
-def _outcome(reason: str, m0_hat: Bits | None, prefix_code: PrefixCode) -> RetrievalOutcome:
-    """The outcome of a retrieval that ended with (abort_reason, m0_hat)."""
-    if reason != "none":
-        return RetrievalOutcome(0, None, reason)
-    try:
-        message = decompress(m0_hat, prefix_code)
-    except ParseError:
-        # only reachable through tampering that survives every other test
-        return RetrievalOutcome(0, None, "decode")
-    return RetrievalOutcome(1, message, "none")
-
-
 def retrieve(
     bundle: ServerBundle,
     secrets: ClientSecrets,
@@ -309,7 +256,30 @@ def retrieve(
 ) -> RetrievalOutcome:
     """Steps 6-9 against a possibly tampered bundle; aborts are outcomes."""
     _check_shapes(params, code, prefix_code)
-    return _outcome(*_retrieve_padded(bundle, secrets, params, code, rng), prefix_code)
+    if not _lengths_match(bundle, params):
+        return RetrievalOutcome(0, None, "format")
+    if not verify(secrets.mac_key, bundle.classical_bits(), bundle.theta):
+        return RetrievalOutcome(0, None, "mac")
+
+    layout = secrets.layout
+    word = measure(bundle.register, layout.mask, rng)
+    if (layout.traps(word) ^ secrets.v).weight() > params.beta * params.r:
+        return RetrievalOutcome(0, None, "trap")  # a trap abort never needs the payload
+
+    x_prime = layout.payload(word)
+    pattern = code.syn_dec(secrets.s ^ code.syn(x_prime))
+    if pattern is None:
+        return RetrievalOutcome(0, None, "decode")
+    x_hat = x_prime ^ pattern
+    z_hat = one_time_pad(bundle.u, x_hat, params.ell, GF2Field(params.n))
+    m_hat = z_hat ^ bundle.c
+    m0_hat = derandomize(m_hat, secrets.m_nabla, GF2Field(params.ell0).element(bundle.w))
+    try:
+        message = decompress(m0_hat, prefix_code)
+    except ParseError:
+        # only reachable through tampering that survives every other test
+        return RetrievalOutcome(0, None, "decode")
+    return RetrievalOutcome(1, message, "none")
 
 
 # ---------------------------------------------------------------------------
@@ -327,132 +297,9 @@ def usefulness(secrets: ClientSecrets, message_bits: float) -> float:
     return (message_bits - secrets.storage_bits()) / message_bits
 
 
-def usefulness_cardinality(secrets: ClientSecrets, message_space: int) -> float:
-    """The set-size reading (|M| - |K|) / |M|, exposed for completeness.
-
-    With |K| = 2^(stored bits) this is essentially 1 whenever the key is
-    even a single bit shorter than the message, which is why the bit-length
-    reading above is the operative one.
-    """
-    keys = 2 ** secrets.storage_bits()
-    return (message_space - keys) / message_space
-
-
-def ideal_usefulness(beta0: float) -> float:
-    """Asymptotic Y when only the syndrome counts: 1 - h/(1-h)."""
-    h = binary_entropy(beta0)
-    return 1 - h / (1 - h)
-
-
 # ---------------------------------------------------------------------------
-# recursive delegation
+# recursion, in the capacity-rate limit only
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DelegationLevel:
-    bundle: ServerBundle
-    secrets: ClientSecrets  # syndrome stripped on every level but the deepest
-    params: ProtocolParams
-    delegated_syndrome: bool
-
-
-@dataclass(frozen=True)
-class DelegationChain:
-    levels: list[DelegationLevel]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def total_qubits(self) -> int:
-        return sum(lv.params.n + lv.params.r for lv in self.levels)
-
-    def local_bits(self) -> int:
-        return sum(lv.secrets.storage_bits() for lv in self.levels)
-
-
-def recursive_store(
-    message: int,
-    params: ProtocolParams,
-    depth: int,
-    rng: np.random.Generator,
-    prefix_code: PrefixCode,
-    registry: CodeRegistry | None = None,
-    check_profitable: bool = True,
-) -> DelegationChain:
-    """Store the message, then delegate each level's syndrome to the next.
-
-    Level i >= 2 treats the previous syndrome (a uniform bit string, since
-    the parity map has full rank) as its message, with identity
-    compression.  With ``check_profitable`` a level whose syndrome is not
-    smaller than its own message raises: at desk scale real codes have
-    rate far below 1/2, so recursion only pays off asymptotically - see
-    ``ideal_recursion_accounting`` for that regime.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    registry = registry or default_registry()
-    code = registry.by_name(params.code_name)
-    _check_shapes(params, code, prefix_code)
-    m0 = compress(message, prefix_code, rng)
-    levels: list[DelegationLevel] = []
-    level_params = params
-    message_bits = params.ell0
-    for level in range(depth):
-        bundle, secrets = _store_padded(m0, level_params, code, rng)
-        last = level == depth - 1
-        syndrome = secrets.s
-        if check_profitable and not last and syndrome.length >= message_bits:
-            raise RecursionUnprofitableError(
-                f"level {level + 1} syndrome has {syndrome.length} bits, its "
-                f"message only {message_bits}; delegation would grow storage"
-            )
-        levels.append(
-            DelegationLevel(
-                bundle=bundle,
-                secrets=secrets if last else replace(secrets, s=None),
-                params=level_params,
-                delegated_syndrome=not last,
-            )
-        )
-        if last:
-            break
-        message_bits = syndrome.length
-        ell_next = min(level_params.ell, syndrome.length)
-        level_params = derive_params(
-            level_params.epsilon,
-            level_params.beta0,
-            ell_next,
-            ell0=syndrome.length,
-            registry=registry,
-        )
-        code = registry.by_name(level_params.code_name)
-        m0 = syndrome
-    return DelegationChain(levels)
-
-
-def recursive_retrieve(
-    chain: DelegationChain,
-    prefix_code: PrefixCode,
-    rng: np.random.Generator,
-    registry: CodeRegistry | None = None,
-) -> RetrievalOutcome:
-    """Unwind the chain from the deepest level back to the message."""
-    registry = registry or default_registry()
-    reason, recovered = "none", None
-    for index in range(chain.depth - 1, -1, -1):
-        level = chain.levels[index]
-        secrets = level.secrets
-        if level.delegated_syndrome:
-            if recovered is None:
-                raise ValueError("missing recovered syndrome for a delegated level")
-            secrets = replace(secrets, s=recovered)
-        code = registry.by_name(level.params.code_name)
-        reason, recovered = _retrieve_padded(level.bundle, secrets, level.params, code, rng)
-        if reason != "none":
-            break
-    return _outcome(reason, recovered, prefix_code)
-
 
 def ideal_recursion_accounting(
     beta0: float,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bits import Bits
 from .entropy import DiscreteDistribution
-from .gf2 import FieldElement, GF2Field, NonInvertibleError
+from .gf2 import FieldElement, NonInvertibleError
 
 
 class ParseError(ValueError):

@@ -93,21 +93,24 @@ def test_store_message_file_and_env_default(capsys, tmp_path, monkeypatch):
     assert code == 0 and "message = 42" in out
 
 
-def test_store_depth_unprofitable_then_forced(capsys, tmp_path):
-    session = tmp_path / "chain"
+def test_store_depth_is_unrecognised(capsys, tmp_path):
     code, _, err = run(
         capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
-        "--message", "5", "--depth", "2", "--out", str(session),
+        "--message", "5", "--depth", "2", "--out", str(tmp_path / "session"),
     )
-    assert code == 1 and "delegation would grow storage" in err
-    code, out, _ = run(
+    assert code == 1 and "unrecognized arguments: --depth 2" in err
+
+
+def test_store_empty_message_file_is_an_error(capsys, tmp_path):
+    msg = tmp_path / "empty.txt"
+    msg.write_text(" \n")
+    code, _, err = run(
         capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
-        "--message", "5", "--depth", "2", "--out", str(session),
-        "--force-unprofitable",
+        "--message-file", str(msg), "--out", str(tmp_path / "session"),
     )
-    assert code == 0
-    assert (session / "bundle_level2.txt").exists()
-    assert "depth 2" in out
+    assert code == 1
+    assert err.startswith("error:") and "holds no message" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_writes_report(capsys, tmp_path):
@@ -155,6 +158,25 @@ def test_attack_support_from_file(capsys, tmp_path):
 def test_attack_support_unknown_scheme(capsys):
     code, _, err = run(capsys, "attack-support", "--scheme", "missing")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "line, why",
+    [
+        ("dim", "wrong number of fields for 'dim'"),
+        ("message 0", "wrong number of fields for 'message'"),
+        ("state 0 0 1,0 0", "state entry '0' is not re,im"),
+        ("state 0 0 1,0,0 0,1", "state entry '1,0,0' is not re,im"),
+    ],
+    ids=["dim", "message", "state-short", "state-long"],
+)
+def test_attack_support_malformed_scheme_line(capsys, tmp_path, line, why):
+    path = tmp_path / "scheme.txt"
+    path.write_text(f"name bad\nkey 0\n{line}\n")
+    code, _, err = run(capsys, "attack-support", "--scheme", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "line 3" in err and why in err
+    assert "Traceback" not in err
 
 
 def test_retrieve_missing_bundle_key_is_an_error(capsys, tmp_path):

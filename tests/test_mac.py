@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from tamperstore.mac import (
     MacKey,
     OversizeMessageError,
     forgery_bound,
-    mac_sizes,
     tag,
     tag_length,
     verify,
@@ -182,15 +180,8 @@ def test_oversize_rejected():
         tag(key, Bits.zeros(lam * 2**lam + 1))
 
 
-def test_mac_sizes_reference_values():
-    sizes = mac_sizes(2.0**-32, 2**20)
-    assert sizes.den_boer_key_bits == pytest.approx(64 + 2 * math.log2(20), abs=1e-9)
-    assert sizes.den_boer_key_bits == pytest.approx(72.6, abs=0.1)
-    assert sizes.den_boer_tag_bits == pytest.approx(32 + math.log2(20), abs=1e-9)
-
-
-def test_mac_sizes_vacuous_security():
-    assert mac_sizes(1.0, 2**10).lam == 1
+def test_tag_length_vacuous_security():
+    assert tag_length(1.0, 10) == 1
 
 
 @pytest.mark.parametrize("lam_target", [4, 5, 6])
@@ -200,9 +191,9 @@ def test_lambda_formula_meets_exhaustive_bound(lam_target):
     msg_len = 2 * lam_target
     blocks = -(-msg_len // lam_target)
     eps = (blocks + 1) / 2.0**lam_target
-    sizes = mac_sizes(eps, 2**msg_len)
-    assert sizes.lam <= lam_target
-    assert forgery_bound(sizes.lam, msg_len) <= eps
+    lam = tag_length(eps, msg_len)
+    assert lam <= lam_target
+    assert forgery_bound(lam, msg_len) <= eps
 
 
 def test_tag_length_is_smallest_meeting_the_bound():

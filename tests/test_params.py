@@ -1,17 +1,14 @@
 import math
 
-import numpy as np
 import pytest
 
 from tamperstore.entropy import binary_entropy
 from tamperstore.params import (
-    AsymptoticRates,
     InfeasibleParamsError,
     ProtocolParams,
     asymptotic_rates,
     correctness_bound,
     derive_params,
-    hoeffding_tail,
     ideal_code_scaling,
     qkd_threshold,
     sampling_bad_event_bound,
@@ -139,20 +136,6 @@ def test_kappa_identity_enforced_by_validate():
 
 
 # -- bound calculators ---------------------------------------------------------
-
-def test_hoeffding_tail_values():
-    assert hoeffding_tail(100, 0.3, 0.0) == 1.0
-    assert hoeffding_tail(10_000, 0.05, 0.02) == pytest.approx(math.exp(-8))
-    assert hoeffding_tail(200, 0.5, 0.1) < hoeffding_tail(100, 0.5, 0.1)
-
-
-def test_hoeffding_tail_monte_carlo():
-    rng = np.random.default_rng(0)
-    n, p, eps = 10_000, 0.05, 0.02
-    draws = rng.binomial(n, p, size=10_000)
-    freq = float((draws >= n * (p + eps)).mean())
-    assert freq <= hoeffding_tail(n, p, eps)
-
 
 def test_sampling_bound_value():
     # n=100, r=50, nu=0.1: exponent 2*0.01*50*(5000/(150*51))

@@ -8,25 +8,18 @@ from tamperstore import kv
 from tamperstore.bits import Bits
 from tamperstore.entropy import DiscreteDistribution, uniform
 from tamperstore.gf2 import GF2Field
-from tamperstore.linear_code import MatrixCode, hamming_code
-from tamperstore.params import ProtocolParams
+from tamperstore.linear_code import MatrixCode, default_registry, hamming_code
+from tamperstore.params import InfeasibleParamsError, ProtocolParams, derive_params
 from tamperstore.protocol import (
     BUNDLE_VARS,
     SECRET_VARS,
     ClientSecrets,
     ProtocolInstance,
-    RecursionUnprofitableError,
     RetrievalOutcome,
     ServerBundle,
     ideal_recursion_accounting,
-    ideal_usefulness,
     one_time_pad,
-    recursive_retrieve,
-    recursive_store,
-    retrieve,
-    store,
     usefulness,
-    usefulness_cardinality,
 )
 from tamperstore.qsim import QubitRegister, apply_storage_noise
 from tamperstore.randomizer import build_prefix_code, example1_code
@@ -225,6 +218,17 @@ def test_secrets_file_with_code_names_still_loads(tmp_path):
     assert (out.omega, out.message) == (1, 3)
 
 
+def test_secrets_without_syndrome_rejected(tmp_path):
+    _, secrets = tiny_instance().store(3, np.random.default_rng(7))
+    mapping = secrets.to_kv()
+    del mapping["s"]
+    with pytest.raises(KeyError):
+        ClientSecrets.from_kv(mapping)
+    kv.dump(tmp_path / "secrets.txt", "secrets", mapping)
+    with pytest.raises(KeyError):
+        ClientSecrets.load(tmp_path / "secrets.txt")
+
+
 @pytest.mark.parametrize("mac_key", [Bits(5 | 2 << 3, 7), Bits(1, 1), Bits(0, 0)])
 def test_secrets_with_malformed_mac_key_rejected(mac_key):
     _, secrets = tiny_instance().store(3, np.random.default_rng(7))
@@ -372,8 +376,9 @@ def test_tiny_instance_ciphertext_near_uniform_exact():
     assert sd <= 1 / 128  # the enumeration is in fact much tighter
 
 
-def test_identity_code_tiny_instance_runs():
-    # n = kappa: empty syndrome, decoder is the zero map
+def test_identity_code_tiny_instance_runs(tmp_path):
+    # n = kappa: empty syndrome, decoder is the zero map; the zero-length
+    # syndrome survives a secrets file
     code = MatrixCode(np.zeros((0, 4), dtype=np.uint8), "identity(4)")
     prefix = build_prefix_code(uniform(16))
     params = tiny_params(
@@ -383,7 +388,10 @@ def test_identity_code_tiny_instance_runs():
     rng = np.random.default_rng(8)
     bundle, secrets = inst.store(11, rng)
     assert secrets.s.length == 0
-    out = inst.retrieve(bundle, secrets, rng)
+    secrets.dump(tmp_path / "secrets.txt")
+    loaded = ClientSecrets.load(tmp_path / "secrets.txt")
+    assert loaded == secrets
+    out = inst.retrieve(bundle, loaded, rng)
     assert (out.omega, out.message) == (1, 11)
 
 
@@ -404,14 +412,17 @@ def test_usefulness_accounting():
     assert secrets.storage_bits() == expected
     y = usefulness(secrets, message_bits=2.0)
     assert y < 0  # tiny instance stores far more than it delegates
-    assert usefulness_cardinality(secrets, 2**200) == pytest.approx(
-        (2**200 - 2**expected) / 2**200
-    )
 
 
-def test_ideal_usefulness_value():
-    assert ideal_usefulness(0.05) == pytest.approx(0.599, abs=1e-3)
-    assert ideal_usefulness(0.0) == 1.0
+@pytest.mark.parametrize(
+    "epsilon, beta0, ell, bits",
+    [(0.05, 0.0, 4, 7357), (0.05, 0.05, 4, 19004), (0.01, 0.05, 3, 27587)],
+    ids=["A", "B", "C"],
+)
+def test_storage_bits_at_reference_params(epsilon, beta0, ell, bits):
+    inst = ProtocolInstance.derive(epsilon, beta0, ell, example1_code(12))
+    _, secrets = inst.store(5, np.random.default_rng(14))
+    assert secrets.storage_bits() == bits
 
 
 # -- sampling-bound property ----------------------------------------------------
@@ -436,45 +447,15 @@ def test_sampling_bad_event_bound_monte_carlo():
 
 # -- recursion -------------------------------------------------------------------
 
-def test_recursion_depth_one_is_store():
-    inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
-    rng1, rng2 = np.random.default_rng(11), np.random.default_rng(11)
-    chain = recursive_store(
-        2, inst.params, 1, rng1, inst.prefix_code, check_profitable=False
-    )
-    bundle, secrets = store(2, inst.params, inst.code, inst.prefix_code, rng2)
-    assert chain.depth == 1
-    assert chain.levels[0].bundle.to_kv() == bundle.to_kv()
-    assert chain.levels[0].secrets == secrets
-    assert not chain.levels[0].delegated_syndrome
-
-
-def test_recursion_unprofitable_at_desk_scale():
-    inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
-    rng = np.random.default_rng(12)
-    with pytest.raises(RecursionUnprofitableError):
-        recursive_store(1, inst.params, 2, rng, inst.prefix_code)
-
-
-def test_recursion_unwind_recovers_message():
-    # honest two-level chain: level 2 stores level 1's syndrome, retrieval
-    # unwinds from the deepest level back to the original message
-    prefix = example1_code(12)
-    inst = ProtocolInstance.derive(0.05, 0.0, 4, prefix)
-    rng = np.random.default_rng(13)
-    chain = recursive_store(
-        1234, inst.params, 2, rng, prefix, check_profitable=False
-    )
-    assert chain.depth == 2
-    assert chain.levels[0].delegated_syndrome
-    assert chain.levels[0].secrets.s is None  # level-1 syndrome lives remotely
-    assert chain.levels[1].secrets.s is not None
-    assert chain.levels[1].params.ell0 == inst.params.n - inst.params.kappa
-    assert chain.total_qubits() == sum(
-        lv.params.n + lv.params.r for lv in chain.levels
-    )
-    out = recursive_retrieve(chain, prefix, rng)
-    assert (out.omega, out.message) == (1, 1234)
+def test_concrete_recursion_cannot_pay():
+    # a second level would take the first level's syndrome s1 as its message
+    # and extract l < kappa <= 128 bits of it, so it would keep s1 - l bits
+    # plus its own syndrome s2 >= 1,456 locally: more than the s1 it stores
+    specs = default_registry().specs()
+    assert min(spec.n - spec.kappa for spec in specs) == 1456
+    assert max(spec.kappa for spec in specs) == 128
+    with pytest.raises(InfeasibleParamsError):
+        derive_params(0.5, 0.0, 128)
 
 
 def test_ideal_recursion_accounting_matches_series():
