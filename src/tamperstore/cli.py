@@ -25,7 +25,7 @@ from .experiments import (
     run_tamper_experiment,
 )
 from .gf2 import GF2Field, phi
-from .linear_code import default_registry, hamming_code
+from .linear_code import default_registry
 from .mac import MacKey, forgery_bound, tag as mac_tag
 from .params import (
     InfeasibleParamsError,
@@ -95,7 +95,7 @@ def _cmd_store(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = _out_dir(args.out)
     prefix.dump(out / "prefix_code.txt")
-    kv.dump(out / "params.txt", "params", params.to_kv())
+    params.dump(out / "params.txt")
     code = default_registry().by_name(params.code_name)
     bundle, secrets = protocol_store(message, params, code, prefix, rng)
     bundle.dump(out / "bundle.txt")
@@ -108,8 +108,7 @@ def _cmd_store(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     out = _out_dir(args.out)
-    _, mapping = kv.load(out / "params.txt")
-    params = ProtocolParams.from_kv(mapping)
+    params = ProtocolParams.load(out / "params.txt")
     code = default_registry().by_name(params.code_name)
     prefix = PrefixCode.load(out / "prefix_code.txt")
     bundle = ServerBundle.load(out / "bundle.txt")
@@ -216,12 +215,23 @@ def _selftest_checks():
     ok = worst / 16 <= forgery_bound(lam, msg_bits)
     yield "mac-forgery-exhaustive", ok, f"worst class {worst}/16 vs bound {forgery_bound(lam, msg_bits)}"
 
-    # syndrome decoding within the guaranteed radius
-    code = hamming_code(3)
+    # syndrome decoding on the smallest menu code: the zero pattern, eight
+    # random patterns of weight t_corr, and one of t_out blocks one error
+    # past the inner radius plus a block at it (weight t_corr again)
+    code = default_registry().by_name("rs(12,2)*rm(1,7)")
+    inner, rng = code.inner, np.random.default_rng(2024)
+    patterns = np.zeros((10, code.n), dtype=np.uint8)
+    for row in patterns[1:9]:
+        row[rng.choice(code.n, size=code.t_corr, replace=False)] = 1
+    blocks = rng.choice(code.outer_n, size=code.t_out + 1, replace=False)
+    for i, block in enumerate(blocks):
+        flips = rng.choice(inner.n, size=inner.t_corr + (i < code.t_out), replace=False)
+        patterns[9, block * inner.n + flips] = 1
     ok = all(
-        code.syn_dec(code.syn(Bits(1 << i, 7))) == Bits(1 << i, 7) for i in range(7)
-    ) and code.syn_dec(Bits.zeros(3)) == Bits.zeros(7)
-    yield "hamming-exhaustive-decode", ok, "all single-bit patterns"
+        e.weight() == (i > 0) * code.t_corr and code.syn_dec(code.syn(e)) == e
+        for i, e in enumerate(map(Bits.from_array, patterns))
+    )
+    yield "menu-code-decode", ok, f"{code.name}: zero, weight-{code.t_corr} and block patterns"
 
     # support attack on the toy scheme
     report = run_support(bb84_toy(2, 1))

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kv
+
 _SUM_TOL = 1e-12
 
 
@@ -135,17 +137,9 @@ def iid_bernoulli(p: float, n: int) -> DiscreteDistribution:
 
 
 def load_distribution(path) -> DiscreteDistribution:
-    """Text table, one "outcome-id probability" pair per line; # comments."""
-    outcomes, probs = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            ident, prob = line.split()
-            outcomes.append(int(ident))
-            probs.append(float(prob))
-    return DiscreteDistribution(np.array(outcomes), np.array(probs))
+    """Text table, one "outcome-id probability" pair per line (``kv.load_table``)."""
+    table = kv.load_table(path, float)
+    return DiscreteDistribution(np.array(list(table)), np.array(list(table.values())))
 
 
 def save_distribution(dist: DiscreteDistribution, path) -> None:

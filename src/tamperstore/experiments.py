@@ -3,7 +3,10 @@
 Each trial gets its own generator, keyed by the master seed and the trial
 index through a counter-based bit generator, so trial sets are
 order-independent and a report is reproducible bit for bit from its
-config.  Frequencies come with Wilson 95% intervals; a bound is declared
+config.  An ``ExperimentConfig`` is built in code or from the ``simulate``
+flags; it has no file form, and its constructor rejects an unknown
+scenario, a correctness run with an active strategy and a trial count
+below one.  Frequencies come with Wilson 95% intervals; a bound is declared
 violated only when it lies below the interval's lower edge.
 
 Both scenarios run one trial loop: sample a message, store it, apply the
@@ -16,11 +19,11 @@ to.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, kv
+from . import __version__
 from .entropy import DiscreteDistribution, example1, load_distribution, uniform
 from .params import ProtocolParams, correctness_bound
 from .protocol import ProtocolInstance, ServerBundle
@@ -89,13 +92,6 @@ class ExperimentConfig:
     trials: int = 1000
     master_seed: int = 2024
 
-    # stored field -> accepted value types (an integer is a valid real)
-    _KV_FIELDS = {
-        **dict.fromkeys(("scenario", "dist", "strategy"), str),
-        **dict.fromkeys(("epsilon", "beta0"), (int, float)),
-        **dict.fromkeys(("ell", "trials", "master_seed"), int),
-    }
-
     def __post_init__(self):
         if self.scenario not in ("correctness", "tamper"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
@@ -105,30 +101,6 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
-
-    def to_kv(self) -> dict:
-        return {name: getattr(self, name) for name in self._KV_FIELDS}
-
-    @classmethod
-    def from_kv(cls, mapping: dict) -> "ExperimentConfig":
-        unknown = sorted(set(mapping) - set(cls._KV_FIELDS))
-        if unknown:
-            raise ValueError(f"config has unknown fields {unknown}")
-        kv.check_types("config", mapping, cls._KV_FIELDS)
-        for spec in fields(cls):
-            if spec.default is MISSING and spec.name not in mapping:
-                raise KeyError(spec.name)
-        return cls(**mapping)
-
-    def dump(self, path) -> None:
-        kv.dump(path, "config", self.to_kv())
-
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        kind, mapping = kv.load(path)
-        if kind != "config":
-            raise ValueError(f"expected a config file, got {kind!r}")
-        return cls.from_kv(mapping)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Canonical key-value text format for bundles, secrets, and configs.
+"""Canonical key-value text format for params, bundles and secrets.
 
 One "key = value" pair per line, keys sorted, with a typed prefix on every
 value so parsing never guesses:
@@ -8,6 +8,9 @@ value so parsing never guesses:
     bytes:<base64>
 
 The first line names the record kind and format version.
+
+``load_table`` reads the other text form, the "id value" tables of prefix
+codes and message distributions.
 """
 
 from __future__ import annotations
@@ -104,6 +107,31 @@ def dump(path, kind: str, mapping: dict) -> None:
         fh.write(dumps(kind, mapping))
 
 
-def load(path) -> tuple[str, dict]:
+def load(path, kind: str) -> dict:
+    """The mapping stored in ``path``; ValueError if the file holds another kind."""
     with open(path) as fh:
-        return loads(fh.read())
+        found, mapping = loads(fh.read())
+    if found != kind:
+        raise ValueError(f"{path}: expected a {kind} file, got {found!r}")
+    return mapping
+
+
+def load_table(path, convert) -> dict:
+    """{id: convert(value)} from "id value" lines (# comments); a line without
+    two fields, a bad id or value, or a repeated id raises ValueError naming it."""
+    table = {}
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            try:
+                if len(fields) != 2:
+                    raise ValueError(f"expected 'id value', got {len(fields)} fields")
+                ident, value = int(fields[0]), convert(fields[1])
+                if ident in table:
+                    raise ValueError(f"id {ident} appears twice")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
+            table[ident] = value
+    return table

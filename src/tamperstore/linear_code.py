@@ -1,17 +1,12 @@
 """Binary linear codes exposing syndrome computation and syndrome decoding.
 
-One family is registered: concatenated codes, a shortened Reed-Solomon
-code over GF(2^8) outside and the first-order Reed-Muller [128, 8, 64]
-code inside.  They reach the large guaranteed correction radii the
-protocol recipe needs (a fraction of n close to 1/8 at small message
-lengths).  ``CodeRegistry`` holds exactly the menu of outer (N, K) pairs
+There is one code family, the one the parameter recipe picks from:
+concatenated codes, a shortened Reed-Solomon code over GF(2^8) outside and
+the first-order Reed-Muller [128, 8, 64] code inside.  They reach the
+large guaranteed correction radii the protocol recipe needs (a fraction
+of n close to 1/8 at small message lengths).  ``CodeRegistry`` holds exactly the menu of outer (N, K) pairs
 that ``params.derive_params`` searches; ``RmRsCode.spec_of`` is the one
 place a menu entry's name, n, kappa and t_corr are worked out.
-
-``MatrixCode`` (exhaustive coset-leader decoding, exact, n <= 24) and
-``hamming_code`` are direct constructors outside the registry.  They back
-hand-built parameter sets and the self-test; the recipe could never pick
-them, since it needs kappa >= l + 4 log2(8/eps) - 2 >= 16.
 
 The GF(2^8) symbol arithmetic is ``gf2.GFTable``.  The Reed-Solomon
 syndrome map, its preimage (a closed-form Vandermonde inverse built once
@@ -29,7 +24,6 @@ return failure (None); failure is a value, not an exception.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,10 +56,6 @@ def gf2_row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         row += 1
     return m, pivots
-
-
-def gf2_rank(mat: np.ndarray) -> int:
-    return len(gf2_row_reduce(mat)[1])
 
 
 def gf2_nullspace(mat: np.ndarray) -> np.ndarray:
@@ -163,95 +153,6 @@ class LinearCode:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name}: n={self.n}, k={self.kappa}, t={self.t_corr})"
-
-
-class MatrixCode(LinearCode):
-    """Code defined by an explicit parity-check matrix; exhaustive coset table.
-
-    Only for n <= 24.  The decoder is exact: it returns the minimum-weight
-    pattern in the syndrome's coset, or failure when that pattern is
-    heavier than the guaranteed radius.
-    """
-
-    MAX_N = 24
-
-    def __init__(self, h: np.ndarray, name: str = ""):
-        h = np.asarray(h, dtype=np.uint8) % 2
-        if h.shape[1] > self.MAX_N:
-            raise ValueError(f"table decoding capped at n = {self.MAX_N}")
-        if gf2_rank(h) != h.shape[0]:
-            raise ValueError("parity-check matrix must have full row rank")
-        self._h = h
-        self.n = int(h.shape[1])
-        self.kappa = self.n - int(h.shape[0])
-        self.name = name or f"matrix({self.n},{self.kappa})"
-        self._columns = np.array(
-            [sum(int(b) << i for i, b in enumerate(col)) for col in h.T], dtype=np.int64
-        )
-        self._leaders = self._build_coset_table()
-        d = self._min_distance()
-        self.t_corr = (d - 1) // 2
-
-    def _syndrome_int(self, pattern: int) -> int:
-        s = 0
-        p = pattern
-        while p:
-            low = p & -p
-            s ^= int(self._columns[low.bit_length() - 1])
-            p ^= low
-        return s
-
-    def _build_coset_table(self) -> np.ndarray:
-        size = 1 << (self.n - self.kappa)
-        leaders = np.full(size, -1, dtype=np.int64)
-        leaders[0] = 0
-        found = 1
-        for weight in range(1, self.n + 1):
-            if found == size:
-                break
-            for positions in itertools.combinations(range(self.n), weight):
-                pattern = sum(1 << p for p in positions)
-                s = self._syndrome_int(pattern)
-                if leaders[s] < 0:
-                    leaders[s] = pattern
-                    found += 1
-                    if found == size:
-                        break
-        return leaders
-
-    def _min_distance(self) -> int:
-        gen = gf2_nullspace(self._h)
-        best = self.n
-        for msg in range(1, 1 << gen.shape[0]):
-            cw = np.zeros(self.n, dtype=np.uint8)
-            m = msg
-            while m:
-                low = m & -m
-                cw ^= gen[low.bit_length() - 1]
-                m ^= low
-            best = min(best, int(cw.sum()))
-        return best
-
-    def syn(self, x: Bits) -> Bits:
-        self._check_word(x)
-        return Bits(self._syndrome_int(x.value), self.syndrome_len)
-
-    def syn_dec(self, s: Bits) -> Bits | None:
-        self._check_syndrome(s)
-        leader = int(self._leaders[s.value])
-        if leader.bit_count() > self.t_corr:
-            return None
-        return Bits(leader, self.n)
-
-    def parity_check_matrix(self) -> np.ndarray:
-        return self._h.copy()
-
-
-def hamming_code(r: int) -> MatrixCode:
-    """Hamming code with parameters (2^r - 1, 2^r - 1 - r)."""
-    n = (1 << r) - 1
-    h = np.array([[(i >> b) & 1 for i in range(1, n + 1)] for b in range(r)], np.uint8)
-    return MatrixCode(h, f"hamming({n},{n - r})")
 
 
 # ---------------------------------------------------------------------------

@@ -79,14 +79,13 @@ class ProtocolParams:
     kappa: int
     ell: int
     ell0: int
-    d: int
     lam: int
     code_name: str
 
     # stored field -> accepted value types (an integer is a valid real)
     _KV_FIELDS = {
         **dict.fromkeys("epsilon eps0 eps_mac eps_qp beta0 beta nu".split(), (int, float)),
-        **dict.fromkeys("r n kappa ell ell0 d lam".split(), int),
+        **dict.fromkeys("r n kappa ell ell0 lam".split(), int),
         "code_name": str,
     }
 
@@ -96,8 +95,9 @@ class ProtocolParams:
         return sampling_bad_event_bound(self.n, self.r, self.nu)
 
     @property
-    def syndrome_len(self) -> int:
-        return self.n - self.kappa
+    def d(self) -> int:
+        """Length of the pad seed u: the pad multiplies u by x in GF(2^n)."""
+        return self.n
 
     def r_floor(self) -> float:
         return _r_floor(self.epsilon, self.beta0)
@@ -112,9 +112,19 @@ class ProtocolParams:
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ProtocolParams":
-        """Inverse of :meth:`to_kv`; the derived bounds are recomputed, not read."""
+        """Inverse of :meth:`to_kv`; the derived bounds are recomputed, not read.
+
+        A "d" key left by older files is ignored: it always equalled n.
+        """
         kv.check_types("params", mapping, cls._KV_FIELDS)
         return cls(**{name: mapping[name] for name in cls._KV_FIELDS})
+
+    def dump(self, path) -> None:
+        kv.dump(path, "params", self.to_kv())
+
+    @classmethod
+    def load(cls, path) -> "ProtocolParams":
+        return cls.from_kv(kv.load(path, "params"))
 
     def validate(self) -> None:
         if not 0 < self.epsilon < 0.5:
@@ -135,7 +145,7 @@ class ProtocolParams:
             )
         if not 1 <= self.ell <= self.ell0:
             raise InfeasibleParamsError("need 1 <= l <= l0", "ell-range")
-        if self.n < self.kappa or self.d < 1 or self.lam < 1:
+        if self.n < self.kappa or self.lam < 1:
             raise InfeasibleParamsError("degenerate lengths", "lengths")
 
 
@@ -206,8 +216,7 @@ def derive_params(
             "code-radius",
         )
     eps_qp = 2.0 ** (-(spec.kappa - ell + 2) / 4)
-    d = n
-    lam = tag_length(eps_mac, ell0 + d + ell)
+    lam = tag_length(eps_mac, ell0 + n + ell)  # the MAC covers w || u || c
     params = ProtocolParams(
         epsilon=epsilon,
         eps0=eps0,
@@ -221,7 +230,6 @@ def derive_params(
         kappa=spec.kappa,
         ell=ell,
         ell0=ell0,
-        d=d,
         lam=lam,
         code_name=spec.name,
     )

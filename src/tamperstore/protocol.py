@@ -94,10 +94,7 @@ class ServerBundle:
 
     @classmethod
     def load(cls, path) -> "ServerBundle":
-        kind, mapping = kv.load(path)
-        if kind != "bundle":
-            raise ValueError(f"expected a bundle file, got {kind!r}")
-        return cls.from_kv(mapping)
+        return cls.from_kv(kv.load(path, "bundle"))
 
 
 @dataclass(frozen=True)
@@ -153,10 +150,7 @@ class ClientSecrets:
 
     @classmethod
     def load(cls, path) -> "ClientSecrets":
-        kind, mapping = kv.load(path)
-        if kind != "secrets":
-            raise ValueError(f"expected a secrets file, got {kind!r}")
-        return cls.from_kv(mapping)
+        return cls.from_kv(kv.load(path, "secrets"))
 
 
 @dataclass(frozen=True)

@@ -133,9 +133,6 @@ class QubitRegister:
     def _records(self) -> tuple[np.ndarray, np.ndarray]:
         return self.__basis, self.__value
 
-    def copy(self) -> "QubitRegister":
-        return QubitRegister(self.__basis, self.__value)
-
     # -- checkpointing ---------------------------------------------------------
 
     def to_bytes(self) -> bytes:

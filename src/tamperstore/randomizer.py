@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kv
 from .bits import Bits
 from .entropy import DiscreteDistribution
 from .gf2 import FieldElement, NonInvertibleError
@@ -83,15 +84,7 @@ class PrefixCode:
 
     @classmethod
     def load(cls, path) -> "PrefixCode":
-        table = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                ident, word = line.split()
-                table[int(ident)] = Bits.from_01(word)
-        return cls(table)
+        return cls(kv.load_table(path, Bits.from_01))
 
 
 def build_prefix_code(dist: DiscreteDistribution) -> PrefixCode:

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.stats import binom
 
 from tamperstore.attack_lab import bb84_toy, best_permutation, advantage_floor, run_support
 from tamperstore.bits import Bits
@@ -27,15 +26,10 @@ from tamperstore.experiments import (
     ExperimentConfig,
     run_correctness_experiment,
     run_tamper_experiment,
-    wilson_interval,
 )
 from tamperstore.gf2 import GF2Field, phi
 from tamperstore.mac import MacKey, forgery_bound, tag, verify
-from tamperstore.params import (
-    asymptotic_rates,
-    correctness_bound,
-    sampling_bad_event_bound,
-)
+from tamperstore.params import asymptotic_rates, sampling_bad_event_bound
 from tamperstore.protocol import ProtocolInstance, ideal_recursion_accounting
 from tamperstore.randomizer import example1_code
 

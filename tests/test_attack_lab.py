@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tamperstore.attack_lab import (
-    AttackReport,
     DensityOperator,
     Projector,
     SchemeError,

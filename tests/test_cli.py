@@ -257,6 +257,63 @@ def test_store_message_outside_prefix_code_is_an_error(capsys, tmp_path):
     assert err.startswith("error:") and "5000" in err
 
 
+def _stored_session(capsys, tmp_path):
+    session = tmp_path / "session"
+    code, _, _ = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
+        "--message", "777", "--seed", "5", "--out", str(session),
+    )
+    assert code == 0
+    return session
+
+
+def test_retrieve_swapped_params_file_is_an_error(capsys, tmp_path):
+    session = _stored_session(capsys, tmp_path)
+    (session / "params.txt").write_text((session / "secrets.txt").read_text())
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith("error:") and "expected a params file, got 'secrets'" in err
+    assert "Traceback" not in err and "omega" not in out
+
+
+def test_retrieve_duplicate_prefix_code_id_is_an_error(capsys, tmp_path):
+    # even a repeated line is refused: a reader that keeps one of two
+    # entries for an id guesses which one was meant
+    session = _stored_session(capsys, tmp_path)
+    path = session / "prefix_code.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[-1:]))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith("error:") and f"line {len(lines) + 1}: id" in err
+    assert "appears twice" in err
+    assert "Traceback" not in err and "omega" not in out
+
+
+def test_store_dist_file_with_three_fields_is_an_error(capsys, tmp_path):
+    dist = tmp_path / "dist.txt"
+    dist.write_text("0 0.5\n1 0.25 0.25\n2 0.25\n")
+    code, _, err = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "1",
+        "--dist-file", str(dist), "--message", "0", "--out", str(tmp_path / "session"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and f"{dist}, line 2: expected 'id value'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "session").exists()
+
+
+def test_selftest_fails_when_the_decoder_does_not_correct(capsys, monkeypatch):
+    from tamperstore.bits import Bits
+    from tamperstore.linear_code import RmRsCode
+
+    monkeypatch.setattr(RmRsCode, "syn_dec", lambda self, s: Bits.zeros(self.n))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 2
+    assert "FAIL menu-code-decode" in out
+    assert out.count("PASS") == 5
+
+
 def test_runtime_imports_leave_out_scipy():
     import subprocess
     import sys

@@ -1,7 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module, test or demo imports is used in that file.
 
 No linter is installed, so this parse is the guard against dead imports.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
+``bench/`` is left out: its probes import modules in order to time them.
 """
 
 import ast
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tamperstore"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tamperstore"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -32,9 +35,18 @@ def _referenced(tree: ast.Module) -> set[str]:
 
 def test_modules_found():
     assert len(MODULES) >= 10
+    assert {p.parent.name for p in SCRIPTS} == {"tests", "demos"}
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.stem)
+def _script_id(path: Path) -> str:
+    return f"{path.parent.name}/{path.stem}"
+
+
+@pytest.mark.parametrize(
+    "module",
+    MODULES + SCRIPTS,
+    ids=[p.stem for p in MODULES] + [_script_id(p) for p in SCRIPTS],
+)
 def test_no_unused_imports(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     used = _referenced(tree)

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,12 +5,10 @@ from tamperstore.bits import Bits
 from tamperstore.linear_code import (
     _RMRS_MENU,
     CodeRegistry,
-    MatrixCode,
+    CodeSpec,
     RmRsCode,
     default_registry,
     gf2_nullspace,
-    gf2_rank,
-    hamming_code,
 )
 
 
@@ -32,20 +28,6 @@ def rank_via_ints(mat: np.ndarray) -> int:
     return count
 
 
-def repetition_code(n: int) -> MatrixCode:
-    h = np.zeros((n - 1, n), dtype=np.uint8)
-    h[:, 0] = 1
-    h[np.arange(n - 1), np.arange(1, n)] = 1
-    return MatrixCode(h, f"repetition({n})")
-
-
-def golay_code() -> MatrixCode:
-    """The perfect binary (23, 12, 7) code, from its cyclic generator."""
-    g = 0b101011100011  # x^11 + x^9 + x^7 + x^6 + x^5 + x + 1
-    gen = np.array([[(g << i >> b) & 1 for b in range(23)] for i in range(12)], dtype=np.uint8)
-    return MatrixCode(gf2_nullspace(gen), "golay(23,12)")
-
-
 def random_error(n: int, weight: int, rng: np.random.Generator) -> Bits:
     positions = rng.choice(n, size=weight, replace=False)
     return Bits(int(sum(1 << int(p) for p in positions)), n)
@@ -56,100 +38,11 @@ def random_error(n: int, weight: int, rng: np.random.Generator) -> Bits:
 def test_nullspace_and_right_inverse():
     rng = np.random.default_rng(0)
     mat = (rng.random((4, 9)) < 0.5).astype(np.uint8)
-    while gf2_rank(mat) < 4:
+    while rank_via_ints(mat) < 4:
         mat = (rng.random((4, 9)) < 0.5).astype(np.uint8)
     null = gf2_nullspace(mat)
     assert null.shape[0] == 9 - 4
     assert not np.any((mat @ null.T) % 2)
-
-
-# -- Hamming(7,4) against the direct matrix product oracle ---------------------
-
-def test_hamming_syndrome_is_matrix_product():
-    code = hamming_code(3)
-    h = code.parity_check_matrix()
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        x = Bits.random(7, rng)
-        expected = (h @ x.to_array()) % 2
-        assert np.array_equal(code.syn(x).to_array(), expected)
-
-
-def test_hamming_unit_errors_map_to_columns():
-    code = hamming_code(3)
-    h = code.parity_check_matrix()
-    for i in range(7):
-        e = Bits(1 << i, 7)
-        assert np.array_equal(code.syn(e).to_array(), h[:, i])
-        assert code.syn_dec(code.syn(e)) == e
-
-
-def test_codewords_have_zero_syndrome():
-    code = hamming_code(3)
-    gen = gf2_nullspace(code.parity_check_matrix())
-    for msg in range(16):
-        cw = np.zeros(7, dtype=np.uint8)
-        for b in range(4):
-            if (msg >> b) & 1:
-                cw ^= gen[b]
-        assert code.syn(Bits.from_array(cw)).value == 0
-
-
-def test_syndrome_linearity():
-    code = hamming_code(3)
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        x, y = Bits.random(7, rng), Bits.random(7, rng)
-        assert code.syn(x ^ y) == code.syn(x) ^ code.syn(y)
-
-
-def test_hamming_weight2_miscorrects():
-    # beyond the radius the decoder lands on a wrong weight-1 pattern
-    code = hamming_code(3)
-    for i, j in itertools.combinations(range(7), 2):
-        e = Bits((1 << i) | (1 << j), 7)
-        decoded = code.syn_dec(code.syn(e))
-        assert decoded is not None
-        assert decoded != e and decoded.weight() == 1
-
-
-def test_zero_syndrome_decodes_to_zero():
-    for code in (hamming_code(3), repetition_code(5), golay_code()):
-        assert code.syn_dec(Bits.zeros(code.syndrome_len)) == Bits.zeros(code.n)
-
-
-# -- step-8 reconstruction identity ---------------------------------------------
-
-@pytest.mark.parametrize(
-    "code",
-    [hamming_code(3), hamming_code(4), repetition_code(5), golay_code()],
-    ids=["hamming7", "hamming15", "rep5", "golay23"],
-)
-def test_syn_dec_exhaustive_within_radius(code):
-    for weight in range(code.t_corr + 1):
-        for positions in itertools.combinations(range(code.n), weight):
-            e = Bits(int(sum(1 << p for p in positions)), code.n)
-            assert code.syn_dec(code.syn(e)) == e
-
-
-def test_step8_identity_hamming():
-    # x need not be a codeword: x' with few flips still reconstructs x
-    code = hamming_code(3)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        x = Bits.random(7, rng)
-        e = random_error(7, 1, rng)
-        xp = x ^ e
-        s = code.syn(x)
-        pattern = code.syn_dec(s ^ code.syn(xp))
-        assert pattern is not None and xp ^ pattern == x
-
-
-# -- golay: coset-table decoding beyond radius 1 --------------------------------
-
-def test_golay_parameters():
-    code = golay_code()
-    assert (code.n, code.kappa, code.t_corr) == (23, 12, 3)
 
 
 # -- concatenated RS * RM ----------------------------------------------------------
@@ -381,6 +274,38 @@ def test_rmrs_step8_identity():
         assert pattern is not None and xp ^ pattern == x
 
 
+def random_codeword(code: RmRsCode, rng: np.random.Generator) -> np.ndarray:
+    """Free symbols past the redundancy, the preimage of their RS syndromes
+    on the first positions, each symbol inner-encoded."""
+    symbols = rng.integers(0, 256, size=code.outer_n)
+    symbols[: code.redundancy] = 0
+    symbols ^= code._rs_preimage(code._rs_syndromes(symbols))
+    return code.inner.encode(symbols).reshape(-1)
+
+
+def test_codewords_have_zero_syndrome():
+    rng = np.random.default_rng(17)
+    for code in radius_codes():
+        for _ in range(3):
+            assert code.syn(Bits.from_array(random_codeword(code, rng))).value == 0
+    code = make_rmrs()  # and against the reference H
+    h = code.parity_check_matrix().astype(np.int64)
+    assert not ((h @ random_codeword(code, rng)) % 2).any()
+
+
+def test_syndrome_linearity():
+    code = RmRsCode(76, 5)  # the params-C code; make_rmrs has its own test
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        x, y = Bits.random(code.n, rng), Bits.random(code.n, rng)
+        assert code.syn(x ^ y) == code.syn(x) ^ code.syn(y)
+
+
+def test_zero_syndrome_decodes_to_zero():
+    for code in radius_codes():
+        assert code.syn_dec(Bits.zeros(code.syndrome_len)) == Bits.zeros(code.n)
+
+
 # -- registry -------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,k", [(12, 2), (76, 5), (255, 16)])
@@ -404,6 +329,6 @@ def test_registry_holds_only_the_menu():
     with pytest.raises(KeyError):
         reg.by_name("hamming(7,4)")
     with pytest.raises(KeyError):
-        reg.build(hamming_code(3).spec)
+        reg.build(CodeSpec("hamming(7,4)", 7, 4, 1))
     with pytest.raises(KeyError):
         reg.build(RmRsCode.spec_of(13, 4))  # a valid code, but not on the menu

@@ -135,6 +135,27 @@ def test_kappa_identity_enforced_by_validate():
     assert err.value.constraint == "kappa-identity"
 
 
+def test_pad_seed_length_is_n():
+    # the pad multiplies u by x in GF(2^n), so d is n and is not stored
+    p = derive_params(0.05, 0.05, 4)
+    assert p.d == p.n
+    mapping = p.to_kv()
+    assert "d" not in mapping
+    assert ProtocolParams.from_kv({**mapping, "d": p.n}) == p  # older files carry d
+
+
+def test_params_file_round_trip(tmp_path):
+    from tamperstore import kv
+
+    p = derive_params(0.01, 0.05, 3, ell0=13)
+    p.dump(tmp_path / "params.txt")
+    assert ProtocolParams.load(tmp_path / "params.txt") == p
+    # a file of another kind fails on its header, naming the kind expected
+    kv.dump(tmp_path / "secrets.txt", "secrets", p.to_kv())
+    with pytest.raises(ValueError, match="expected a params file, got 'secrets'"):
+        ProtocolParams.load(tmp_path / "secrets.txt")
+
+
 # -- bound calculators ---------------------------------------------------------
 
 def test_sampling_bound_value():

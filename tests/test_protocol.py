@@ -1,14 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from tamperstore import kv
 from tamperstore.bits import Bits
-from tamperstore.entropy import DiscreteDistribution, uniform
 from tamperstore.gf2 import GF2Field
-from tamperstore.linear_code import MatrixCode, default_registry, hamming_code
+from tamperstore.linear_code import default_registry
 from tamperstore.params import InfeasibleParamsError, ProtocolParams, derive_params
 from tamperstore.protocol import (
     BUNDLE_VARS,
@@ -22,44 +22,31 @@ from tamperstore.protocol import (
     usefulness,
 )
 from tamperstore.qsim import QubitRegister, apply_storage_noise
-from tamperstore.randomizer import build_prefix_code, example1_code
+from tamperstore.randomizer import example1_code
 
 
-def tiny_params(**overrides) -> ProtocolParams:
-    """Hand-built valid params around hamming(7,4); noiseless channel."""
-    base = dict(
-        epsilon=0.45,
-        eps0=0.45 / 16,
-        eps_mac=0.45 / 8,
-        eps_qp=2.0**-1.25,
-        beta0=0.0,
-        beta=0.2,
-        nu=0.1,
-        r=47,
-        n=7,
-        kappa=4,
-        ell=1,
-        ell0=2,
-        d=7,
-        lam=6,
-        code_name="hamming(7,4)",
-    )
-    base.update(overrides)
-    return ProtocolParams(**base)
+@lru_cache(maxsize=None)
+def params_a() -> ProtocolInstance:
+    """Params A, (eps, beta0, l) = (0.05, 0, 4) with example1:12.
 
-
-def tiny_instance() -> ProtocolInstance:
-    code = hamming_code(3)
-    prefix = build_prefix_code(uniform(4))
-    return ProtocolInstance(tiny_params(), code, prefix)
+    n = 2,560 and l0 = 13 are pinned degrees, so no modulus is searched.
+    """
+    return ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
 
 
 def test_params_hand_built_validate():
-    tiny_params().validate()
+    p = params_a().params
+    hand_built = ProtocolParams(**{f.name: getattr(p, f.name) for f in fields(ProtocolParams)})
+    hand_built.validate()
+    assert hand_built == p
+    for broken in (replace(p, lam=0), replace(p, n=p.kappa - 1)):
+        with pytest.raises(InfeasibleParamsError) as err:
+            broken.validate()
+        assert err.value.constraint == "lengths"
 
 
 def test_bundle_and_secret_shapes():
-    inst = tiny_instance()
+    inst = params_a()
     rng = np.random.default_rng(0)
     bundle, secrets = inst.store(2, rng)
     p = inst.params
@@ -67,14 +54,14 @@ def test_bundle_and_secret_shapes():
     assert secrets.s.length == p.n - p.kappa
     assert secrets.v.length == p.r
     assert secrets.m_nabla.length == p.ell0 - p.ell
-    assert bundle.u.length == p.d
+    assert bundle.u.length == p.d == p.n
     assert bundle.theta.length == p.lam
     assert bundle.w.length == p.ell0
     assert bundle.register.size == p.n + p.r
 
 
 def test_store_is_reproducible_bit_for_bit():
-    inst = tiny_instance()
+    inst = params_a()
     b1, s1 = inst.store(3, np.random.default_rng(42))
     b2, s2 = inst.store(3, np.random.default_rng(42))
     assert b1.to_kv() == b2.to_kv()
@@ -82,7 +69,8 @@ def test_store_is_reproducible_bit_for_bit():
 
 
 def test_noiseless_completeness_small():
-    inst = tiny_instance()
+    inst = params_a()
+    assert {inst.prefix_code.codewords[m].length for m in range(4)} == {13}  # no padding
     rng = np.random.default_rng(1)
     for message in range(4):
         for _ in range(25):
@@ -93,14 +81,13 @@ def test_noiseless_completeness_small():
 
 
 def test_noiseless_completeness_with_compression():
-    # real prefix code with unequal codeword lengths (padding in play)
-    dist = DiscreteDistribution(np.arange(4), np.array([0.7, 0.15, 0.1, 0.05]))
-    prefix = build_prefix_code(dist)
-    code = hamming_code(3)
-    params = tiny_params(ell0=prefix.max_len, lam=6)
-    inst = ProtocolInstance(params, code, prefix)
+    # unequal codeword lengths: message 4095 compresses to one bit and
+    # carries 12 bits of random padding
+    inst = params_a()
+    lengths = {m: inst.prefix_code.codewords[m].length for m in (0, 4095)}
+    assert lengths == {0: 13, 4095: 1}
     rng = np.random.default_rng(2)
-    for message in range(4):
+    for message in lengths:
         for _ in range(25):
             bundle, secrets = inst.store(message, rng)
             out = inst.retrieve(bundle, secrets, rng)
@@ -108,8 +95,10 @@ def test_noiseless_completeness_with_compression():
 
 
 def test_noise_within_radius_still_completes():
-    # error-free traps are not required: beta r > 0 tolerates a few flips
-    inst = tiny_instance()
+    # error-free traps are not required: noise at 0.02 stays under the
+    # accepted trap rate beta = 0.035 and far inside t_corr = 287
+    inst = params_a()
+    assert inst.params.beta > 0.02 and inst.code.t_corr == 287
     rng = np.random.default_rng(3)
     ok = 0
     for _ in range(50):
@@ -117,11 +106,11 @@ def test_noise_within_radius_still_completes():
         apply_storage_noise(bundle.register, 0.02, rng)
         out = inst.retrieve(bundle, secrets, rng)
         ok += out.omega
-    assert ok >= 30  # decode failures happen (t_corr = 1), aborts dominate otherwise
+    assert ok == 50
 
 
 def test_classical_tamper_hits_mac():
-    inst = tiny_instance()
+    inst = params_a()
     rng = np.random.default_rng(4)
     rejected = 0
     trials = 200
@@ -137,7 +126,7 @@ def test_classical_tamper_hits_mac():
 
 
 def test_tampered_tag_rejected():
-    inst = tiny_instance()
+    inst = params_a()
     rng = np.random.default_rng(5)
     bundle, secrets = inst.store(0, rng)
     out = inst.retrieve(replace(bundle, theta=bundle.theta.flip(2)), secrets, rng)
@@ -147,7 +136,7 @@ def test_tampered_tag_rejected():
 def test_trap_abort_on_heavy_disturbance():
     from tamperstore.qsim import EveView, InterceptResend
 
-    inst = tiny_instance()
+    inst = params_a()
     rng = np.random.default_rng(6)
     aborts = 0
     for _ in range(60):
@@ -157,14 +146,14 @@ def test_trap_abort_on_heavy_disturbance():
         if out.omega == 0:
             aborts += 1
             assert out.abort_reason in ("trap", "decode")
-    # traps flip at rate 1/2 under the wrong basis; beta r = 9.4 out of r = 47
+    # traps flip at rate 1/2 under the wrong basis; beta r = 44.5 out of r = 1,276
     assert aborts == 60
 
 
 def test_trap_abort_bundle_never_gathers_the_payload(monkeypatch):
     from tamperstore.qsim import TrapLayout
 
-    inst = tiny_instance()
+    inst = params_a()
     rng = np.random.default_rng(16)
     bundle, secrets = inst.store(1, rng)
     basis, value = bundle.register._records()
@@ -192,7 +181,7 @@ def test_variable_partition_audit():
 
 
 def test_serialization_round_trips(tmp_path):
-    inst = tiny_instance()
+    inst = params_a()
     rng = np.random.default_rng(7)
     bundle, secrets = inst.store(3, rng)
     bundle.dump(tmp_path / "bundle.txt")
@@ -207,10 +196,10 @@ def test_serialization_round_trips(tmp_path):
 
 def test_secrets_file_with_code_names_still_loads(tmp_path):
     # files written before the unused code-name fields were dropped carry them
-    inst = tiny_instance()
+    inst = params_a()
     rng = np.random.default_rng(7)
     bundle, secrets = inst.store(3, rng)
-    mapping = {**secrets.to_kv(), "code_name": "hamming(7,4)", "prefix_code_name": "custom"}
+    mapping = {**secrets.to_kv(), "code_name": inst.params.code_name, "prefix_code_name": "custom"}
     kv.dump(tmp_path / "secrets.txt", "secrets", mapping)
     loaded = ClientSecrets.load(tmp_path / "secrets.txt")
     assert loaded == secrets
@@ -219,7 +208,7 @@ def test_secrets_file_with_code_names_still_loads(tmp_path):
 
 
 def test_secrets_without_syndrome_rejected(tmp_path):
-    _, secrets = tiny_instance().store(3, np.random.default_rng(7))
+    _, secrets = params_a().store(3, np.random.default_rng(7))
     mapping = secrets.to_kv()
     del mapping["s"]
     with pytest.raises(KeyError):
@@ -231,7 +220,7 @@ def test_secrets_without_syndrome_rejected(tmp_path):
 
 @pytest.mark.parametrize("mac_key", [Bits(5 | 2 << 3, 7), Bits(1, 1), Bits(0, 0)])
 def test_secrets_with_malformed_mac_key_rejected(mac_key):
-    _, secrets = tiny_instance().store(3, np.random.default_rng(7))
+    _, secrets = params_a().store(3, np.random.default_rng(7))
     mapping = secrets.to_kv()
     assert ClientSecrets.from_kv(mapping) == secrets
     mapping["mac_key"] = mac_key
@@ -240,8 +229,8 @@ def test_secrets_with_malformed_mac_key_rejected(mac_key):
 
 
 def test_bundle_modulus_is_not_read_from_the_file(tmp_path):
-    # params A; the stored seed field is GF(2^13) with the pinned 0x201b
-    inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
+    # the stored seed field is GF(2^13) with the pinned 0x201b
+    inst = params_a()
     for seed in range(5):
         rng = np.random.default_rng(seed)
         bundle, secrets = inst.store(777, rng)
@@ -258,7 +247,7 @@ def test_bundle_modulus_is_not_read_from_the_file(tmp_path):
 
 @pytest.mark.parametrize("key", ["w", "u", "c", "theta", "register"])
 def test_bundle_field_of_wrong_type_rejected(tmp_path, key):
-    bundle, _ = tiny_instance().store(3, np.random.default_rng(7))
+    bundle, _ = params_a().store(3, np.random.default_rng(7))
     mapping = bundle.to_kv()
     mapping[key] = 5
     kv.dump(tmp_path / "bundle.txt", "bundle", mapping)
@@ -267,7 +256,7 @@ def test_bundle_field_of_wrong_type_rejected(tmp_path, key):
 
 
 def _params_a_session(seed: int):
-    inst = ProtocolInstance.derive(0.05, 0.0, 4, example1_code(12))
+    inst = params_a()
     rng = np.random.default_rng(seed)
     bundle, secrets = inst.store(777, rng)
     return inst, bundle, secrets, rng
@@ -376,29 +365,10 @@ def test_tiny_instance_ciphertext_near_uniform_exact():
     assert sd <= 1 / 128  # the enumeration is in fact much tighter
 
 
-def test_identity_code_tiny_instance_runs(tmp_path):
-    # n = kappa: empty syndrome, decoder is the zero map; the zero-length
-    # syndrome survives a secrets file
-    code = MatrixCode(np.zeros((0, 4), dtype=np.uint8), "identity(4)")
-    prefix = build_prefix_code(uniform(16))
-    params = tiny_params(
-        n=4, kappa=4, d=4, ell0=4, eps_qp=2.0**-1.25, code_name="identity(4)", lam=6
-    )
-    inst = ProtocolInstance(params, code, prefix)
-    rng = np.random.default_rng(8)
-    bundle, secrets = inst.store(11, rng)
-    assert secrets.s.length == 0
-    secrets.dump(tmp_path / "secrets.txt")
-    loaded = ClientSecrets.load(tmp_path / "secrets.txt")
-    assert loaded == secrets
-    out = inst.retrieve(bundle, loaded, rng)
-    assert (out.omega, out.message) == (1, 11)
-
-
 # -- usefulness ---------------------------------------------------------------
 
 def test_usefulness_accounting():
-    inst = tiny_instance()
+    inst = params_a()
     rng = np.random.default_rng(9)
     _, secrets = inst.store(0, rng)
     p = inst.params
@@ -410,8 +380,8 @@ def test_usefulness_accounting():
         + (p.ell0 - p.ell)
     )
     assert secrets.storage_bits() == expected
-    y = usefulness(secrets, message_bits=2.0)
-    assert y < 0  # tiny instance stores far more than it delegates
+    y = usefulness(secrets, message_bits=p.ell)
+    assert y < 0  # params A keep far more bits than they delegate
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from tamperstore.entropy import (
     example1,
     example1_padded,
     shannon_entropy,
-    uniform,
 )
 from tamperstore.gf2 import GF2Field, NonInvertibleError
 from tamperstore.randomizer import (
