@@ -81,10 +81,6 @@ class Projector:
         if np.max(np.abs(m @ m - m)) > PROJECTOR_TOL:
             raise ValueError("not idempotent")
 
-    @property
-    def rank(self) -> int:
-        return int(round(float(np.real(np.trace(self.matrix)))))
-
 
 def support_projector(operators) -> Projector:
     """Projector onto the span of the supports of the given operators."""

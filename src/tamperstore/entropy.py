@@ -49,10 +49,6 @@ class DiscreteDistribution:
     def support_size(self) -> int:
         return int(self.probs.size)
 
-    def prob_of(self, outcome: int) -> float:
-        idx = np.nonzero(self.outcomes == outcome)[0]
-        return float(self.probs[idx[0]]) if idx.size else 0.0
-
     def sample(self, rng: np.random.Generator, size=None):
         return rng.choice(self.outcomes, size=size, p=self.probs)
 

@@ -208,11 +208,6 @@ def log_binomial_cdf(k: int, n: int, p: float) -> float:
     return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
-def binomial_cdf(k: int, n: int, p: float) -> float:
-    """Pr[Binomial(n, p) <= k] for 0 < p < 1; 0.0 below about 1e-308."""
-    return math.exp(log_binomial_cdf(k, n, p))
-
-
 def tamper_acceptance_bound(params: ProtocolParams, strategy: EveStrategy) -> tuple[str, float]:
     if isinstance(strategy, InterceptResend):
         if strategy.policy == "all-hadamard":

@@ -7,18 +7,13 @@ other degree gets the lexicographically smallest irreducible polynomial
 x^nu + tail (smallest tail value), generated deterministically and cached.
 Nothing serialized carries a modulus: the degree alone fixes it.
 
-Three fast paths live next to the generic big-int arithmetic, whose
+Two fast paths live next to the generic big-int arithmetic, whose
 ``GF2Field.mul_int`` (full product, then reduction) stays the reference:
 
 * ``GF2Field.mul_low`` forms only the low l bits of a product: three
   slices of the carry-less product (a middle product), folded through the
   short modulus tail, so a few bits of a 9,728-bit product cost tens of
   microseconds instead of milliseconds;
-* ``GF2Field.byte_tables`` precomputes, for one constant c, the product
-  c*x as an XOR of one table lookup per byte of x (256 entries, the last
-  table 2^(degree - 8j) when the degree is not a multiple of 8, so the top
-  byte needs no mask); ``mac`` writes those ceil(degree/8) lookups out as
-  one expression per Horner step;
 * ``GFTable`` holds exp/log tables of a small field GF(2^m) and multiplies
   whole numpy arrays of symbols with one gather.
 
@@ -333,29 +328,6 @@ class GF2Field:
             base = _sqmod(base, self.modulus)
             e >>= 1
         return r
-
-    def byte_tables(self, c: int) -> list[list[int]]:
-        """Per-byte product tables of the constant c.
-
-        ``tables[j][v]`` is c * (v << 8j) reduced, so c * x is the XOR of
-        ``tables[j][(x >> 8j) & 0xFF]`` over the bytes of x.  Built from
-        the degree shift-and-reduce multiples c * x^k, then one table per
-        byte by doubling (the GHASH per-key table technique): 256 entries,
-        or 2^(degree - 8j) for a last, partial byte j.
-        """
-        cols = []
-        for _ in range(self.degree):
-            cols.append(c)
-            c <<= 1
-            if c >> self.degree:
-                c ^= self.modulus
-        tables = []
-        for start in range(0, self.degree, 8):
-            table = [0]
-            for col in cols[start : start + 8]:
-                table += [t ^ col for t in table]
-            tables.append(table)
-        return tables
 
     # element interface ------------------------------------------------------
 

@@ -95,12 +95,6 @@ class TrapLayout:
         """(trap part v, payload part x) of a 0/1 word."""
         return self.traps(word), self.payload(word)
 
-    def merge(self, traps: Bits, payload: Bits) -> Bits:
-        arr = np.empty(self.t.length, dtype=np.uint8)
-        arr[self.trap_indices] = traps.to_array()
-        arr[self.payload_indices] = payload.to_array()
-        return Bits.from_array(arr)
-
 
 def _cells(values, what: str) -> np.ndarray:
     """values as a new 1-d uint8 array; ValueError unless every entry is 0 or 1.

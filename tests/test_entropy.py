@@ -237,8 +237,9 @@ def test_distribution_invariants():
 
 def test_iid_bernoulli():
     d = iid_bernoulli(0.25, 3)
-    assert d.prob_of(0) == pytest.approx(0.75**3)
-    assert d.prob_of(0b111) == pytest.approx(0.25**3)
+    probs = dict(zip(d.outcomes.tolist(), d.probs.tolist()))
+    assert probs[0] == pytest.approx(0.75**3)
+    assert probs[0b111] == pytest.approx(0.25**3)
     assert shannon_entropy(d) == pytest.approx(3 * binary_entropy(0.25), abs=1e-12)
 
 

@@ -190,22 +190,6 @@ def test_bits_element_bridge():
         f.element(Bits.from_01("101"))
 
 
-@pytest.mark.parametrize("degree", [1, 3, 8, 9, 15, 19, 23, 64, 65, 128])
-def test_byte_tables_multiply_by_the_constant(degree):
-    field = GF2Field(degree)
-    rng = np.random.default_rng(degree)
-    mask = (1 << degree) - 1
-    constants = [0, 1, mask] + [Bits.random(degree, rng).value for _ in range(5)]
-    for c in constants:
-        tables = field.byte_tables(c)
-        assert len(tables) == -(-degree // 8)
-        for x in [0, 1, mask] + [Bits.random(degree, rng).value for _ in range(20)]:
-            got = 0
-            for j, table in enumerate(tables):
-                got ^= table[(x >> (8 * j)) & 0xFF]
-            assert got == schoolbook_mul(c, x, field.modulus)
-
-
 def test_gftable_array_mul_matches_field_on_every_pair():
     table = gf_table(8)
     field = GF2Field(8)

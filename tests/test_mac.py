@@ -56,36 +56,64 @@ def test_tag_is_polynomial_evaluation():
 
 
 def explicit_tag(key: MacKey, msg: Bits) -> int:
-    """b + sum m_i a^i with blocks cut by Bits slicing and generic field ops."""
+    """b + sum m_i a^i by textbook Horner over ``GF2Field.mul_int``, with
+    blocks cut by Bits slicing."""
     lam = key.lam
     field = GF2Field(lam)
     blocks = [msg[start : start + lam].value for start in range(0, msg.length, lam)]
     blocks.append(1 + msg.length % ((1 << lam) - 1))
-    expected = key.b
-    for i, block in enumerate(blocks, start=1):
-        expected ^= field.mul_int(block, field.pow_int(key.a, i))
-    return expected
+    acc = 0
+    for block in reversed(blocks):
+        acc = field.mul_int(acc ^ block, key.a)
+    return acc ^ key.b
 
 
-# the transcript w || u || c the protocol tags: 2,577 bits at params A, 9,744 at C
-SESSION_LENGTHS = {15: 2577, 19: 9744}
+def oracle_lengths(lam: int) -> list[int]:
+    """0, 1 and the lengths around one block; the block counts E = 4^k where
+    Q = 2^k fills all K = Q rows, E = 4^k + 1 where Q doubles, and
+    E = 2^k + 1 where the length block opens a new row; the longest
+    message; and the session transcripts w || u || c, 2,577 bits at
+    params A and 9,744 at C.  All at most lam * 2^lam."""
+    grid = [0, 1, lam - 1, lam, lam + 1, 2577, 9744, lam << lam]
+    for k in range(1, 7):
+        grid += [(4**k - 1) * lam, (4**k - 1) * lam + 1, (1 << k) * lam]
+    return sorted({n for n in grid if 0 <= n <= min(lam << lam, 9744)})
 
 
-@pytest.mark.parametrize("lam", [1, 7, 8, 9, 15, 16, 17, 19, 23, 24, 25, 32, 33, 64, 65])
+@pytest.mark.parametrize("lam", range(1, 71))
 def test_tag_matches_explicit_sum_oracle(lam):
     rng = np.random.default_rng(lam)
-    limit = lam * (1 << lam)  # the longest message, kept when the oracle is fast
-    candidates = (0, 3 * lam, 3 * lam + 1 + lam // 2, 37 * lam - 1, limit)
-    lengths = [n for n in candidates if n <= min(limit, 4000)]
-    if lam in SESSION_LENGTHS:
-        lengths.append(SESSION_LENGTHS[lam])
     top = (1 << lam) - 1
     keys = [MacKey(0, 1, lam), MacKey(1, 0, lam), MacKey(top, top, lam)]
-    keys += [MacKey.random(lam, rng) for _ in range(4)]
-    for length in lengths:
-        for key in keys:
-            msg = Bits.random(length, rng)
-            assert tag(key, msg).value == explicit_tag(key, msg), (lam, length, key)
+    for i, length in enumerate(oracle_lengths(lam)):  # edge keys and random ones in turn
+        key = MacKey.random(lam, rng) if i % 2 else keys[i // 2 % 3]
+        msg = Bits.random(length, rng)
+        assert tag(key, msg).value == explicit_tag(key, msg), (lam, length, key)
+
+
+@pytest.mark.parametrize("lam", [1, 3, 8, 9, 15, 19, 23, 64, 65, 128])
+def test_key_tables_multiply_by_powers_of_a(lam):
+    # block q of Z is M_(a^(q+1)), whose row k is x^k a^(q+1), and row g of
+    # G is a^g: checked against the reference product, at up to 64 blocks
+    field = GF2Field(lam)
+    rng = np.random.default_rng(lam)
+    blocks = min(64, (1 << lam) + 1)
+
+    def value(row):
+        return sum(int(bit) << k for k, bit in enumerate(row))
+
+    for a in (0, 1, (1 << lam) - 1, Bits.random(lam, rng).value):
+        key = MacKey(a, 0, lam)
+        tag(key, Bits.zeros((blocks - 1) * lam))
+        zs, gs, _ = key.tables[blocks]
+        rows = [value(row) for row in zs]
+        assert len(rows) % lam == 0 and len(rows) // lam >= len(gs)
+        power = 1
+        for q in range(len(rows) // lam):
+            if q < len(gs):
+                assert value(gs[q]) == power
+            power = field.mul_int(power, a)
+            assert rows[q * lam : (q + 1) * lam] == [field.mul_int(1 << k, power) for k in range(lam)]
 
 
 # Fixed tags: a tag is stored in every bundle, so a change to block cutting,
@@ -180,6 +208,26 @@ def test_oversize_rejected():
         tag(key, Bits.zeros(lam * 2**lam + 1))
 
 
+def test_float32_exactness_bound_rejected():
+    # lam = 2048, two blocks: Q lam^2 = 2 * 2^22 reaches 2^23
+    key = MacKey(1, 1, 2048)
+    with pytest.raises(OversizeMessageError):
+        tag(key, Bits.zeros(1))
+    assert key.tables == {}
+
+
+def test_b_is_added_onto_the_tag():
+    # the MAC's definition, tag(a, b) = tag(a, 0) + b, over every lam = 4
+    # key and every 8-bit message
+    messages = [Bits(m, 8) for m in range(256)]
+    for a in range(16):
+        base = MacKey(a, 0, 4)
+        zero_b = [tag(base, m).value for m in messages]
+        for b in range(16):
+            key = MacKey(a, b, 4)
+            assert [tag(key, m).value for m in messages] == [t ^ b for t in zero_b]
+
+
 def test_tag_length_vacuous_security():
     assert tag_length(1.0, 10) == 1
 
@@ -236,10 +284,15 @@ def test_cached_key_tables_give_pinned_tags(lam, length, a, b, label, expected):
     key, fresh = MacKey(a, b, lam), MacKey(a, b, lam)
     before = hash(key)
     msg = fixed_message(length, label)
-    for _ in range(2):  # the first call fills the cache, the second reads it
-        assert tag(key, msg) == Bits(expected, lam)
+    blocks = -(-length // lam) + 1
+    assert tag(key, msg) == Bits(expected, lam)  # fills the cache
+    cached = key.tables[blocks]
+    for _ in range(2):  # reads it
         assert verify(key, msg, Bits(expected, lam))
-    assert "byte_tables" in vars(key) and "byte_tables" not in vars(fresh)
-    assert key.byte_tables == tuple(map(tuple, GF2Field(lam).byte_tables(a)))
+        assert tag(key, msg) == Bits(expected, lam)
+    assert list(key.tables) == [blocks] and key.tables[blocks] is cached
+    assert not any(table.flags.writeable for table in cached)
+    assert fresh.tables == {}
     assert key == fresh and hash(key) == hash(fresh) == before
+    assert repr(key) == repr(fresh) == f"MacKey(a={a}, b={b}, lam={lam})"
     assert len({key, fresh}) == 1
