@@ -163,14 +163,28 @@ def test_scenario_mismatch_rejected():
 @pytest.mark.parametrize(
     "epsilon,beta0,ell", [(0.05, 0.0, 4), (0.05, 0.05, 4), (0.01, 0.05, 3)], ids="ABC"
 )
-def test_log_binomial_cdf_matches_scipy_oracle(epsilon, beta0, ell):
-    from scipy.special import logsumexp
+def test_binomial_cdf_matches_scipy_oracle(epsilon, beta0, ell):
     from scipy.stats import binom
 
     params = derive_params(epsilon, beta0, ell, ell0=example1_code(12).max_len)
     k = math.floor(params.beta * params.r)
     # random-basis, all-standard, and a payload-basis flip n / (2(n + r))
     for p in (0.25, 0.5, 0.5 * params.n / (params.n + params.r)):
+        oracle = float(binom.cdf(k, params.r, p))
+        cdf = math.exp(log_binomial_cdf(k, params.r, p))
+        assert math.isclose(cdf, oracle, rel_tol=1e-9, abs_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "epsilon,beta0,ell", [(0.05, 0.0, 4), (0.05, 0.05, 4), (0.01, 0.05, 3)], ids="ABC"
+)
+def test_log_binomial_cdf_matches_scipy_oracle(epsilon, beta0, ell):
+    from scipy.special import logsumexp
+    from scipy.stats import binom
+
+    params = derive_params(epsilon, beta0, ell, ell0=example1_code(12).max_len)
+    k = math.floor(params.beta * params.r)
+    for p in (0.25, 0.5):
         oracle = float(binom.logcdf(k, params.r, p))
         if not math.isfinite(oracle):  # scipy's logcdf underflows to -inf at B and C
             oracle = float(logsumexp(binom.logpmf(np.arange(k + 1), params.r, p)))
