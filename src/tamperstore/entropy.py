@@ -9,7 +9,7 @@ tests validate that optimum against an independent convex solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,28 +51,6 @@ class DiscreteDistribution:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.choice(self.outcomes, size=size, p=self.probs)
-
-
-@dataclass(frozen=True)
-class SubnormalizedDistribution:
-    """A vicinity member: element-wise below its parent, mass at least 1-eta."""
-
-    outcomes: np.ndarray
-    probs: np.ndarray
-    parent: DiscreteDistribution = field(repr=False)
-    eta: float = 0.0
-
-    @property
-    def mass(self) -> float:
-        return float(self.probs.sum())
-
-    def validate(self, tol: float = _SUM_TOL) -> None:
-        if np.any(self.probs < -tol):
-            raise ValueError("negative entry")
-        if np.any(self.probs - self.parent.probs > tol):
-            raise ValueError("exceeds parent distribution")
-        if self.mass < 1.0 - self.eta - tol:
-            raise ValueError(f"mass {self.mass} below 1 - eta")
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +167,11 @@ def _cap_level(sorted_desc: np.ndarray, prefix: np.ndarray, target_mass: float) 
     return float(cs[k]), k + 1
 
 
-def capped_vicinity(dist: DiscreteDistribution, eta: float) -> SubnormalizedDistribution:
-    """The vicinity member that maximises collision entropy: largest masses capped."""
-    if not 0 <= eta < 1:
-        raise ValueError("eta outside [0, 1)")
-    order = np.argsort(dist.probs)[::-1]
-    sorted_desc = dist.probs[order]
-    if eta == 0:
-        q = dist.probs.copy()
-    else:
-        prefix = np.cumsum(sorted_desc)
-        c, _ = _cap_level(sorted_desc, prefix, 1.0 - eta)
-        q = np.minimum(dist.probs, c)
-    return SubnormalizedDistribution(dist.outcomes.copy(), q, dist, eta)
-
-
 def smooth_renyi2(dist: DiscreteDistribution, eta: float) -> float:
     """eta-smooth collision entropy: max H2 over the sub-normalised vicinity."""
-    q = capped_vicinity(dist, eta).probs
-    return float(-np.log2(np.sum(q * q)))
+    if not 0 <= eta < 1:
+        raise ValueError("eta outside [0, 1)")
+    return float(_smooth_renyi2_grid(dist, np.array([eta]))[0])
 
 
 def _smooth_renyi2_grid(dist: DiscreteDistribution, etas: np.ndarray) -> np.ndarray:

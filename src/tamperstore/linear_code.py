@@ -424,6 +424,10 @@ class CodeRegistry:
     def specs(self) -> list[CodeSpec]:
         return [spec for spec, _, _ in self._menu.values()]
 
+    def spec(self, name: str) -> CodeSpec:
+        """The menu entry called ``name``, without building the code; KeyError if absent."""
+        return self._menu[name][0]
+
     def build(self, spec: CodeSpec) -> RmRsCode:
         entry = self._menu.get(spec.name)
         if entry is None or entry[0] != spec:
@@ -433,7 +437,7 @@ class CodeRegistry:
         return self._cache[spec.name]
 
     def by_name(self, name: str) -> RmRsCode:
-        return self.build(self._menu[name][0])
+        return self.build(self.spec(name))
 
 
 _DEFAULT_REGISTRY: CodeRegistry | None = None

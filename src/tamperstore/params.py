@@ -24,12 +24,22 @@ correctness failure bound below eps.  The extractor budget is then
 tightened to eps_qp = 2^-((kappa - l + 2)/4) so that the ECC message
 length identity kappa = l + 4 log(1/eps_qp) - 2 holds exactly for the
 chosen code.
+
+``ProtocolParams`` holds only the recipe's six choices (epsilon, beta0, l,
+l0, r and the code's name).  n and kappa are the menu code's, and eps0,
+eps_mac, eps_qp, beta, nu and lam follow from the choices by the
+expressions above, so no derived value can be set on its own.  Every
+constraint of the recipe is checked in ``ProtocolParams.validate``, once,
+when the params are made.  A params file lists the choices, the derived
+values and the bounds; reading it recomputes the derived values and bounds
+and refuses a file whose written ones differ.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kv
 from .entropy import binary_entropy
@@ -65,29 +75,63 @@ def _nu(epsilon: float, n: float, r: int) -> float:
     return math.sqrt(math.log(8 / epsilon) / (2 * r) * (1 + 1 / r) * (1 + r / n))
 
 
+def _check_inputs(epsilon: float, beta0: float, ell: int, ell0: int) -> None:
+    """The ranges every formula of the recipe needs."""
+    if not 0 < epsilon < 0.5:
+        raise InfeasibleParamsError(
+            f"epsilon = {epsilon} outside (0, 1/2)", "epsilon-range"
+        )
+    if not 0 <= beta0 < 0.5:
+        raise InfeasibleParamsError(f"beta0 = {beta0} outside [0, 1/2)", "beta0-range")
+    if ell < 1:
+        raise InfeasibleParamsError("extracted length must be positive", "ell-range")
+    if ell0 < ell:
+        raise InfeasibleParamsError("l0 must be at least l", "ell-range")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
+    """The recipe's six choices; every other number is worked out from them.
+
+    The choices are the security budget epsilon, the storage noise beta0,
+    the extracted length l, the padded message length l0, the trap count r
+    and the menu code.  n and kappa are the code's; eps0, eps_mac, eps_qp,
+    beta, nu and lam follow from the recipe (module docstring), each
+    computed once, on first read.  ``validate`` runs when the params are
+    made, so every instance satisfies the recipe's constraints.
+    """
+
     epsilon: float
-    eps0: float
-    eps_mac: float
-    eps_qp: float
     beta0: float
-    beta: float
-    nu: float
-    r: int
-    n: int
-    kappa: int
     ell: int
     ell0: int
-    lam: int
+    r: int
     code_name: str
 
-    # stored field -> accepted value types (an integer is a valid real)
-    _KV_FIELDS = {
-        **dict.fromkeys("epsilon eps0 eps_mac eps_qp beta0 beta nu".split(), (int, float)),
-        **dict.fromkeys("r n kappa ell ell0 lam".split(), int),
+    # the choices a params file holds -> accepted value types (an integer
+    # is a valid real); every other value it holds is recomputed
+    _KV_CHOICES = {
+        **dict.fromkeys(("epsilon", "beta0"), (int, float)),
+        **dict.fromkeys(("ell", "ell0", "r"), int),
         "code_name": str,
     }
+    _KV_DERIVED = ("n", "kappa", "eps0", "eps_mac", "eps_qp", "beta", "nu", "lam")
+
+    def __post_init__(self):
+        self.validate()
+
+    # worked out from the choices, each once, on first read (validate reads
+    # beta and nu only after the checks that keep their formulas defined)
+    _spec = cached_property(lambda self: default_registry().spec(self.code_name))
+    n = cached_property(lambda self: self._spec.n)
+    kappa = cached_property(lambda self: self._spec.kappa)
+    eps0 = cached_property(lambda self: self.epsilon / 16)
+    eps_mac = cached_property(lambda self: self.epsilon / 8)
+    eps_qp = cached_property(lambda self: 2.0 ** (-(self.kappa - self.ell + 2) / 4))
+    beta = cached_property(lambda self: _beta(self.epsilon, self.beta0, self.r, self.n / self.r))
+    nu = cached_property(lambda self: _nu(self.epsilon, self.n, self.r))
+    # the MAC covers w || u || c
+    lam = cached_property(lambda self: tag_length(self.eps_mac, self.ell0 + self.n + self.ell))
 
     @property
     def delta(self) -> float:
@@ -99,12 +143,9 @@ class ProtocolParams:
         """Length of the pad seed u: the pad multiplies u by x in GF(2^n)."""
         return self.n
 
-    def r_floor(self) -> float:
-        return _r_floor(self.epsilon, self.beta0)
-
     def to_kv(self) -> dict:
-        """The stored fields plus the derived bounds, for reading by people."""
-        mapping = {name: getattr(self, name) for name in self._KV_FIELDS}
+        """The choices, the derived values and the bounds, for reading by people."""
+        mapping = {name: getattr(self, name) for name in (*self._KV_CHOICES, *self._KV_DERIVED)}
         mapping["delta"] = self.delta
         mapping["correctness_bound"] = correctness_bound(self)
         mapping["security_bound"] = security_bound(self)
@@ -112,12 +153,20 @@ class ProtocolParams:
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ProtocolParams":
-        """Inverse of :meth:`to_kv`; the derived bounds are recomputed, not read.
+        """Inverse of :meth:`to_kv`: reads the six choices and recomputes the rest.
 
+        A derived value or bound the file holds must equal the recomputed
+        one, so an edited beta, nu or bound is refused rather than trusted.
         A "d" key left by older files is ignored: it always equalled n.
         """
-        kv.check_types("params", mapping, cls._KV_FIELDS)
-        return cls(**{name: mapping[name] for name in cls._KV_FIELDS})
+        kv.check_types("params", mapping, cls._KV_CHOICES)
+        params = cls(**{name: mapping[name] for name in cls._KV_CHOICES})
+        for name, value in params.to_kv().items():
+            if name in mapping and mapping[name] != value:
+                raise ValueError(
+                    f"params field {name} = {mapping[name]!r}, but the recipe gives {value!r}"
+                )
+        return params
 
     def dump(self, path) -> None:
         kv.dump(path, "params", self.to_kv())
@@ -127,26 +176,41 @@ class ProtocolParams:
         return cls.from_kv(kv.load(path, "params"))
 
     def validate(self) -> None:
-        if not 0 < self.epsilon < 0.5:
-            raise InfeasibleParamsError("epsilon outside (0, 1/2)", "epsilon-range")
-        if not self.beta0 < self.beta:
-            raise InfeasibleParamsError("beta must exceed beta0", "beta-order")
-        if not self.beta + self.nu < 0.5:
-            raise InfeasibleParamsError("beta + nu reaches 1/2", "beta-plus-nu")
-        if self.r <= self.r_floor():
+        """Raise InfeasibleParamsError unless every constraint of the recipe holds.
+
+        The order keeps each formula defined: the ranges, the trap floor
+        (so r > 0), n > 2r and kappa >= kappa_min come before beta, nu and
+        eps_qp are first read.
+        """
+        _check_inputs(self.epsilon, self.beta0, self.ell, self.ell0)
+        floor = _r_floor(self.epsilon, self.beta0)
+        if self.r <= floor:
             raise InfeasibleParamsError(
-                f"r = {self.r} does not exceed the floor {self.r_floor():.1f}", "r-floor"
+                f"r = {self.r} does not exceed the floor {floor:.1f}", "r-floor"
             )
-        expected_kappa = _kappa(self.ell, self.eps_qp)
-        if self.kappa != expected_kappa:
+        if self.n <= 2 * self.r:
             raise InfeasibleParamsError(
-                f"kappa = {self.kappa}, but l + 4 log(1/eps_qp) - 2 = {expected_kappa}",
+                f"n = {self.n} does not exceed 2r = {2 * self.r}", "n-over-2r"
+            )
+        kappa_min = _kappa(self.ell, self.epsilon / 8)
+        if self.kappa < kappa_min:
+            raise InfeasibleParamsError(
+                f"kappa = {self.kappa} is below l + 4 log(8/eps) - 2 = {kappa_min}", "kappa-min"
+            )
+        if self.kappa != _kappa(self.ell, self.eps_qp):
+            raise InfeasibleParamsError(
+                f"kappa = {self.kappa}, but l + 4 log(1/eps_qp) - 2 = "
+                f"{_kappa(self.ell, self.eps_qp)}",
                 "kappa-identity",
             )
-        if not 1 <= self.ell <= self.ell0:
-            raise InfeasibleParamsError("need 1 <= l <= l0", "ell-range")
-        if self.n < self.kappa or self.lam < 1:
-            raise InfeasibleParamsError("degenerate lengths", "lengths")
+        rate = self.beta + self.nu
+        if rate >= 0.5:
+            raise InfeasibleParamsError(f"beta + nu = {rate:.3f} reaches 1/2", "beta-plus-nu")
+        if self._spec.t_corr < math.ceil(self.n * rate):
+            raise InfeasibleParamsError(
+                f"{self.code_name} corrects {self._spec.t_corr} < n(beta+nu) = {self.n * rate:.1f}",
+                "code-radius",
+            )
 
 
 def derive_params(
@@ -157,21 +221,10 @@ def derive_params(
     registry: CodeRegistry | None = None,
 ) -> ProtocolParams:
     """Run the finite-size recipe; see the module docstring."""
-    if not 0 < epsilon < 0.5:
-        raise InfeasibleParamsError(
-            f"epsilon = {epsilon} outside (0, 1/2)", "epsilon-range"
-        )
-    if not 0 <= beta0 < 0.5:
-        raise InfeasibleParamsError(f"beta0 = {beta0} outside [0, 1/2)", "beta0-range")
-    if ell < 1:
-        raise InfeasibleParamsError("extracted length must be positive", "ell-range")
     ell0 = ell if ell0 is None else ell0
-    if ell0 < ell:
-        raise InfeasibleParamsError("l0 must be at least l", "ell-range")
+    _check_inputs(epsilon, beta0, ell, ell0)
     registry = registry or default_registry()
 
-    eps0 = epsilon / 16
-    eps_mac = epsilon / 8
     kappa_min = _kappa(ell, epsilon / 8)
     r_min = math.floor(_r_floor(epsilon, beta0)) + 1
     c_code = math.sqrt(math.log(1 / (epsilon - 2 * epsilon**2))) + math.sqrt(
@@ -203,38 +256,7 @@ def derive_params(
             "no-code",
         )
     _, spec, r = best
-    n = spec.n
-    beta = _beta(epsilon, beta0, r, n / r)
-    nu = _nu(epsilon, n, r)
-    if beta + nu >= 0.5:
-        raise InfeasibleParamsError(
-            f"beta + nu = {beta + nu:.3f} reaches 1/2", "beta-plus-nu"
-        )
-    if spec.t_corr < math.ceil(n * (beta + nu)):
-        raise InfeasibleParamsError(
-            f"{spec.name} corrects {spec.t_corr} < n(beta+nu) = {n * (beta + nu):.1f}",
-            "code-radius",
-        )
-    eps_qp = 2.0 ** (-(spec.kappa - ell + 2) / 4)
-    lam = tag_length(eps_mac, ell0 + n + ell)  # the MAC covers w || u || c
-    params = ProtocolParams(
-        epsilon=epsilon,
-        eps0=eps0,
-        eps_mac=eps_mac,
-        eps_qp=eps_qp,
-        beta0=beta0,
-        beta=beta,
-        nu=nu,
-        r=r,
-        n=n,
-        kappa=spec.kappa,
-        ell=ell,
-        ell0=ell0,
-        lam=lam,
-        code_name=spec.name,
-    )
-    params.validate()
-    return params
+    return ProtocolParams(epsilon, beta0, ell, ell0, r, spec.name)
 
 
 # ---------------------------------------------------------------------------

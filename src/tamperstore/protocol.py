@@ -7,7 +7,9 @@ and returns the server bundle next to the client secrets; everything else
 is discarded.  ``retrieve`` runs the four testing/decryption steps against
 a possibly tampered bundle and returns an outcome flag instead of raising:
 aborts are regular results, and a bundle whose field lengths differ from
-the parameters' aborts with reason "format" before the MAC is checked.
+the parameters', or whose seed w is zero, aborts with reason "format"
+before the MAC is checked.  Both take a ``ProtocolParams``, which checks
+the recipe's constraints once, when it is made, and the menu code it names.
 
 Variable homes (the classical state of one session):
   server bundle   w, u, c, theta, qubit register
@@ -124,7 +126,6 @@ class ClientSecrets:
         return {
             "mac_key": self.mac_key.to_bits(),
             "t": self.layout.t,
-            "r": self.layout.r,
             "v": self.v,
             "s": self.s,
             "m_nabla": self.m_nabla,
@@ -136,10 +137,14 @@ class ClientSecrets:
             **dict.fromkeys(("mac_key", "t", "v", "s", "m_nabla"), Bits),
             "r": int,
         })
-        # "code_name" and "prefix_code_name" keys left by older files are ignored
+        # "code_name" and "prefix_code_name" keys left by older files are
+        # ignored; an "r" key they left must be the weight of t
+        layout = TrapLayout(mapping["t"])
+        if mapping.get("r", layout.r) != layout.r:
+            raise ValueError(f"secrets field r = {mapping['r']}, but t holds {layout.r} traps")
         return cls(
             mac_key=MacKey.from_bits(mapping["mac_key"]),
-            layout=TrapLayout(mapping["t"], mapping["r"]),
+            layout=layout,
             v=mapping["v"],
             s=mapping["s"],
             m_nabla=mapping["m_nabla"],
@@ -175,12 +180,8 @@ def one_time_pad(u: Bits, x: Bits, ell: int, field: GF2Field) -> Bits:
 
 
 def _check_shapes(params: ProtocolParams, code: LinearCode, prefix_code: PrefixCode):
-    params.validate()
-    if code.n != params.n or code.kappa != params.kappa:
-        raise ValueError(
-            f"code {code.name} is ({code.n},{code.kappa}); params want "
-            f"({params.n},{params.kappa})"
-        )
+    if code.name != params.code_name:
+        raise ValueError(f"code {code.name}; params want {params.code_name}")
     if prefix_code.max_len != params.ell0:
         raise ValueError(
             f"prefix code pads to {prefix_code.max_len}, params.ell0 = {params.ell0}"
@@ -225,14 +226,16 @@ def store(
 
 
 def _lengths_match(bundle: ServerBundle, params: ProtocolParams) -> bool:
-    """Every bundle length is the one params fix.
+    """Every bundle length is the one params fix, and the seed w is nonzero.
 
     The MAC covers the unframed concatenation w || u || c, so a bundle that
     moves bits across a field boundary keeps its tag; checking each length
     first makes such a bundle an abort instead of a malformed computation.
+    ``store`` never draws w = 0, which ``derandomize`` cannot invert.
     """
     return (
         bundle.w.length == params.ell0
+        and bundle.w.value != 0
         and bundle.u.length == params.d
         and bundle.c.length == params.ell
         and bundle.theta.length == params.lam

@@ -42,14 +42,13 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class TrapLayout:
-    """Trap positions t (weight exactly r) and the induced index split."""
+    """Trap positions t (its weight is the trap count r) and the induced index split."""
 
     t: Bits
-    r: int
 
-    def __post_init__(self):
-        if self.t.weight() != self.r:
-            raise ValueError(f"trap string weight {self.t.weight()} != r = {self.r}")
+    @property
+    def r(self) -> int:
+        return self.t.weight()
 
     @classmethod
     def random(cls, total: int, r: int, rng: np.random.Generator) -> "TrapLayout":
@@ -57,7 +56,7 @@ class TrapLayout:
             raise ValueError("r out of range")
         mask = np.zeros(total, dtype=np.uint8)
         mask[rng.choice(total, size=r, replace=False)] = 1
-        layout = cls(Bits.from_array(mask), r)
+        layout = cls(Bits.from_array(mask))
         mask.flags.writeable = False
         layout.__dict__["mask"] = mask  # seeds the cached property from the draw
         return layout

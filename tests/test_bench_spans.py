@@ -16,6 +16,7 @@ import pytest
 
 from tamperstore import mac, protocol, qsim
 from tamperstore.experiments import parse_dist
+from tamperstore.params import derive_params
 from tamperstore.protocol import ProtocolInstance
 from tamperstore.randomizer import example1_code
 
@@ -26,7 +27,7 @@ SESSION_SPANS = {
     "randomizer.compress", "randomizer.randomize", "randomizer.derandomize",
     "randomizer.decompress", "qsim.trap_layout", "qsim.prepare", "qsim.measure",
     "mac.tag", "mac.verify", "protocol.one_time_pad", "linear_code.syn",
-    "linear_code.syn_dec", "bits.convert", "params.validate",
+    "linear_code.syn_dec", "bits.convert",
 }
 
 
@@ -49,6 +50,8 @@ def test_tracer_wraps_and_restores_every_layer(spans_module):
         tracer.session = 0
         bundle, secrets = instance.store(message, rng)
         out = instance.retrieve(bundle, secrets, rng)
+        tracer.session = 1
+        derive_params(0.05, 0.0, 4, ell0=13)  # params are validated when made, not per session
     finally:
         left = tracer.uninstall()
     assert left == []
@@ -61,4 +64,5 @@ def test_tracer_wraps_and_restores_every_layer(spans_module):
     assert protocol.measure is qsim.measure and protocol.prepare is qsim.prepare
     assert protocol.tag is mac.tag and protocol.verify is mac.verify
     assert (qsim.TrapLayout, "random") in {(owner, attr) for owner, attr, _ in patched}
-    assert SESSION_SPANS <= {name for name, *_ in tracer.spans}
+    assert SESSION_SPANS <= {name for name, *_, session in tracer.spans if session == 0}
+    assert {name for name, *_, session in tracer.spans if session == 1} == {"params.validate"}

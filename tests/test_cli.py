@@ -1,8 +1,11 @@
 import os
+from pathlib import Path
 
 import pytest
 
 from tamperstore.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -42,6 +45,39 @@ def test_params_command(capsys, tmp_path):
     assert "code_name = str:rs(52,4)*rm(1,7)" in out
     assert "r = int:3269" in out
     assert out_file.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "name,epsilon,ber,ell",
+    [("A", "0.05", "0", "4"), ("B", "0.05", "0.05", "4"), ("C", "0.01", "0.05", "3")],
+)
+def test_params_output_is_pinned(capsys, name, epsilon, ber, ell):
+    golden = (DATA / f"params_{name}.txt").read_text()
+    code, out, _ = run(
+        capsys, "params", "--epsilon", epsilon, "--ber", ber, "--ell", ell, "--ell0", "13"
+    )
+    assert code == 0
+    assert out == golden
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["beta = float:0.3", "nu = float:0.001", "eps_qp = float:0.00625", "lam = int:16",
+     "r = int:1277", "r = int:0", "ell = int:3"],
+)
+def test_retrieve_edited_params_field_is_an_error(capsys, tmp_path, line):
+    # params.txt holds the recipe's choices and what follows from them; an
+    # edit that disagrees with the recomputed values is refused, not trusted
+    session = _stored_session(capsys, tmp_path)
+    path = session / "params.txt"
+    key = line.split(" = ")[0] + " = "
+    lines = path.read_text().splitlines(keepends=True)
+    assert sum(old.startswith(key) for old in lines) == 1
+    path.write_text("".join(line + "\n" if old.startswith(key) else old for old in lines))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err and "omega" not in out
 
 
 def test_usage_error_exit_code(capsys):
@@ -240,6 +276,8 @@ def test_retrieve_mistyped_field_is_an_error(capsys, tmp_path, name, line):
     path = session / name
     key = line.split(" = ")[0] + " = "
     lines = path.read_text().splitlines(keepends=True)
+    if (name, key) == ("secrets.txt", "r = "):
+        lines.append("r = int:1276\n")  # only secrets files written before r was derived hold it
     assert sum(old.startswith(key) for old in lines) == 1
     path.write_text("".join(line + "\n" if old.startswith(key) else old for old in lines))
     code, out, err = run(capsys, "retrieve", "--out", str(session))

@@ -8,7 +8,6 @@ from tamperstore.entropy import (
     DiscreteDistribution,
     UnsupportedOrderError,
     binary_entropy,
-    capped_vicinity,
     example1,
     example1_padded,
     extractable_length,
@@ -155,17 +154,6 @@ def test_smooth_renyi2_monotone_in_eta():
     p = dist(0.4, 0.3, 0.2, 0.1)
     values = [smooth_renyi2(p, eta) for eta in np.linspace(0, 0.5, 40)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_capped_vicinity_is_feasible():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        raw = rng.random(7) + 1e-4
-        p = dist(*(raw / raw.sum()))
-        for eta in (0.0, 0.15, 0.6):
-            q = capped_vicinity(p, eta)
-            q.validate(tol=1e-12)
-            assert q.mass == pytest.approx(1 - eta, abs=1e-12)
 
 
 def test_smooth_renyi2_domain():

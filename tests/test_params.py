@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from tamperstore import kv
 from tamperstore.entropy import binary_entropy
+from tamperstore.linear_code import default_registry
 from tamperstore.params import (
     InfeasibleParamsError,
     ProtocolParams,
+    _kappa,
     asymptotic_rates,
     correctness_bound,
     derive_params,
@@ -91,8 +97,6 @@ def test_security_bound_never_exceeds_epsilon():
 
 
 def test_code_radius_covers_accepted_rate():
-    from tamperstore.linear_code import default_registry
-
     for eps, beta0 in [(0.05, 0.05), (0.01, 0.05)]:
         p = derive_params(eps, beta0, 4)
         code = default_registry().by_name(p.code_name)
@@ -100,20 +104,21 @@ def test_code_radius_covers_accepted_rate():
 
 
 def test_vacuous_bound_at_beta_equal_beta0():
+    # params always have beta > beta0, so the bound gets the values directly:
+    # at beta = beta0 its first term exp(-2 (beta - beta0)^2 r) is 1
     p = derive_params(0.05, 0.05, 4)
-    vacuous = ProtocolParams(
-        **{**p.__dict__, "beta": p.beta0 + 1e-15}
-    )
-    assert correctness_bound(vacuous) >= 1.0
+    at_beta0 = SimpleNamespace(beta=p.beta0 + 1e-15, beta0=p.beta0, nu=p.nu, r=p.r, n=p.n)
+    assert correctness_bound(at_beta0) >= 1.0
 
 
 def test_bounds_monotone():
     p = derive_params(0.05, 0.05, 4)
-    bigger_r = ProtocolParams(**{**p.__dict__, "r": p.r * 2})
+    bigger_r = replace(p, r=p.r + 29)  # re-derives beta and nu; n > 2r still holds
+    assert (bigger_r.beta, bigger_r.nu) < (p.beta, p.nu)
     assert correctness_bound(bigger_r) < correctness_bound(p)
-    double_nu = ProtocolParams(**{**p.__dict__, "nu": 2 * p.nu})
     # doubling nu quadruples the sampling exponent
-    assert math.log(double_nu.delta) == pytest.approx(4 * math.log(p.delta), rel=1e-9)
+    double_nu = sampling_bad_event_bound(p.n, p.r, 2 * p.nu)
+    assert math.log(double_nu) == pytest.approx(4 * math.log(p.delta), rel=1e-9)
 
 
 def test_infeasible_reports_constraint():
@@ -127,12 +132,38 @@ def test_infeasible_reports_constraint():
         derive_params(0.05, 0.05, 0)
 
 
-def test_kappa_identity_enforced_by_validate():
+def test_kappa_identity_holds_on_the_whole_menu():
+    # eps_qp = 2^-((kappa - l + 2)/4) satisfies kappa = l + 4 log(1/eps_qp) - 2
+    # in floating point for every menu code and every l that kappa >= kappa_min
+    # admits (kappa - l >= 15 for any eps < 1/2), so validate's kappa-identity
+    # check holds for every params the menu can give
+    for spec in default_registry().specs():
+        for ell in range(1, spec.kappa - 14):
+            eps_qp = 2.0 ** (-(spec.kappa - ell + 2) / 4)
+            assert _kappa(ell, eps_qp) == spec.kappa, (spec.name, ell)
     p = derive_params(0.05, 0.05, 4)
-    broken = ProtocolParams(**{**p.__dict__, "kappa": p.kappa + 1})
+    assert p.kappa == _kappa(p.ell, p.eps_qp)
+
+
+@pytest.mark.parametrize(
+    "choice,constraint",
+    [
+        ({"epsilon": 0.5}, "epsilon-range"),
+        ({"beta0": 0.5}, "beta0-range"),
+        ({"ell0": 3}, "ell-range"),
+        ({"r": 81}, "r-floor"),
+        ({"r": 1280}, "n-over-2r"),
+        ({"ell": 5}, "kappa-min"),
+        ({"r": 600}, "code-radius"),
+    ],
+)
+def test_validate_refuses_each_broken_choice(choice, constraint):
+    # params A with one choice changed; the params are refused when made
+    p = derive_params(0.05, 0.0, 4, ell0=13)
+    assert replace(p, r=p.r + 3).r == 1279  # n = 2560 > 2r holds up to r = 1279
     with pytest.raises(InfeasibleParamsError) as err:
-        broken.validate()
-    assert err.value.constraint == "kappa-identity"
+        replace(p, **choice)
+    assert err.value.constraint == constraint
 
 
 def test_pad_seed_length_is_n():
@@ -144,9 +175,32 @@ def test_pad_seed_length_is_n():
     assert ProtocolParams.from_kv({**mapping, "d": p.n}) == p  # older files carry d
 
 
-def test_params_file_round_trip(tmp_path):
-    from tamperstore import kv
+def test_params_file_of_the_six_choices_loads(tmp_path):
+    p = derive_params(0.01, 0.05, 3, ell0=13)
+    choices = {name: p.to_kv()[name] for name in ("epsilon", "beta0", "ell", "ell0", "r", "code_name")}
+    kv.dump(tmp_path / "params.txt", "params", choices)
+    assert ProtocolParams.load(tmp_path / "params.txt") == p
 
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("beta", 0.3), ("nu", 0.001), ("eps_qp", 0.00625), ("lam", 16), ("n", 2561),
+     ("kappa", 33), ("delta", 0.0), ("security_bound", 0.05), ("eps0", "0.003125")],
+)
+def test_params_file_with_an_edited_derived_value_is_refused(name, value):
+    mapping = derive_params(0.05, 0.0, 4, ell0=13).to_kv()
+    mapping[name] = value
+    with pytest.raises(ValueError, match=f"params field {name} = "):
+        ProtocolParams.from_kv(mapping)
+
+
+def test_params_file_written_before_the_six_choices_loads():
+    # the file `tamperstore params` wrote at A when every value was a field
+    golden = Path(__file__).parent / "data" / "params_A.txt"
+    assert ProtocolParams.load(golden) == derive_params(0.05, 0.0, 4, ell0=13)
+
+
+def test_params_file_round_trip(tmp_path):
     p = derive_params(0.01, 0.05, 3, ell0=13)
     p.dump(tmp_path / "params.txt")
     assert ProtocolParams.load(tmp_path / "params.txt") == p

@@ -9,6 +9,7 @@ from tamperstore import kv
 from tamperstore.bits import Bits
 from tamperstore.gf2 import GF2Field
 from tamperstore.linear_code import default_registry
+from tamperstore.mac import MacKey, verify
 from tamperstore.params import InfeasibleParamsError, ProtocolParams, derive_params
 from tamperstore.protocol import (
     BUNDLE_VARS,
@@ -35,14 +36,19 @@ def params_a() -> ProtocolInstance:
 
 
 def test_params_hand_built_validate():
+    # the six choices rebuild params A; a choice that breaks the recipe is
+    # refused when the params are made, so a session never sees it
     p = params_a().params
-    hand_built = ProtocolParams(**{f.name: getattr(p, f.name) for f in fields(ProtocolParams)})
-    hand_built.validate()
-    assert hand_built == p
-    for broken in (replace(p, lam=0), replace(p, n=p.kappa - 1)):
-        with pytest.raises(InfeasibleParamsError) as err:
-            broken.validate()
-        assert err.value.constraint == "lengths"
+    assert [f.name for f in fields(ProtocolParams)] == [
+        "epsilon", "beta0", "ell", "ell0", "r", "code_name"
+    ]
+    hand_built = ProtocolParams(0.05, 0.0, 4, 13, 1276, "rs(20,4)*rm(1,7)")
+    assert hand_built == p and hand_built.to_kv() == p.to_kv()
+    for broken in ({"r": p.n // 2}, {"ell": p.kappa}):
+        with pytest.raises(InfeasibleParamsError):
+            replace(p, **broken)
+    with pytest.raises(KeyError):
+        replace(p, code_name="rs(20,7)*rm(1,7)")  # not on the menu
 
 
 def test_bundle_and_secret_shapes():
@@ -207,6 +213,16 @@ def test_secrets_file_with_code_names_still_loads(tmp_path):
     assert (out.omega, out.message) == (1, 3)
 
 
+def test_secrets_file_r_must_be_the_trap_weight():
+    # r is the weight of t; files written before it stopped being stored carry it
+    _, secrets = params_a().store(3, np.random.default_rng(7))
+    mapping = secrets.to_kv()
+    assert "r" not in mapping
+    assert ClientSecrets.from_kv({**mapping, "r": 1276}) == secrets
+    with pytest.raises(ValueError, match="r = 1277, but t holds 1276 traps"):
+        ClientSecrets.from_kv({**mapping, "r": 1277})
+
+
 def test_secrets_without_syndrome_rejected(tmp_path):
     _, secrets = params_a().store(3, np.random.default_rng(7))
     mapping = secrets.to_kv()
@@ -293,6 +309,17 @@ def test_wrong_length_w_aborts_on_format(delta):
     degree = inst.params.ell0 + delta
     w = Bits(bundle.w.value & ((1 << degree) - 1), degree)
     _assert_format_abort(inst, replace(bundle, w=w), secrets, rng)
+
+
+def test_zero_seed_aborts_on_format():
+    # under the MAC key a = 0 every transcript's tag is b, so a bundle whose
+    # seed w is zero passes the MAC; derandomize cannot invert w = 0
+    inst, bundle, secrets, rng = _params_a_session(5)
+    lam, b = inst.params.lam, 0x1234
+    secrets = replace(secrets, mac_key=MacKey(0, b, lam))
+    zero_w = replace(bundle, w=Bits.zeros(inst.params.ell0), theta=Bits(b, lam))
+    assert verify(secrets.mac_key, zero_w.classical_bits(), zero_w.theta)
+    _assert_format_abort(inst, zero_w, secrets, rng)
 
 
 @pytest.mark.parametrize("length", [1536, 0])

@@ -49,8 +49,7 @@ def test_weight_mismatch_rejected():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         prepare_bits(Bits.random(8, rng), Bits.from_01("11000000"), 3)
-    with pytest.raises(ValueError):
-        TrapLayout(Bits.from_01("110"), 3)
+    assert TrapLayout(Bits.from_01("110")).r == 2  # r is the weight of t, never stored apart
 
 
 def test_checkpoint_round_trip_preserves_hidden_state():
@@ -199,7 +198,7 @@ def layouts_both_ways(total, r, rng):
     """A layout from ``random`` and the same trap string built directly,
     as ``ClientSecrets.from_kv`` builds it."""
     drawn = TrapLayout.random(total, r, rng)
-    return drawn, TrapLayout(Bits(drawn.t.value, total), r)
+    return drawn, TrapLayout(Bits(drawn.t.value, total))
 
 
 @pytest.mark.parametrize("total,r", [(1, 0), (1, 1), (50, 13), (64, 64), (777, 0), (14436, 4708)])
@@ -244,7 +243,7 @@ def test_trap_layouts_stay_equal_and_hash_equal_with_filled_caches():
     assert drawn == built and hash(drawn) == hash(built)
     assert len({drawn, built}) == 1
     moved = drawn.t.flip(int(drawn.trap_indices[0])).flip(int(drawn.payload_indices[0]))
-    other = TrapLayout(moved, 60)
+    other = TrapLayout(moved)
     assert other != drawn
 
 
