@@ -5,8 +5,9 @@ entropy accounting (entropy), reversible message randomisation
 (randomizer), syndrome codes (linear_code), one-time authentication
 (mac), the stochastic qubit store (qsim), the store/retrieve state
 machines (protocol), the finite-size parameter recipe (params), the
-exact support-measurement attack lab (attack_lab), and a reproducible
-Monte-Carlo harness (experiments) with a CLI (cli).
+exact support-measurement attack lab on pure-state toy schemes
+(attack_lab), and a reproducible Monte-Carlo harness (experiments) with
+a CLI (cli).
 """
 
 __version__ = "0.1.0"
@@ -64,13 +65,10 @@ from .protocol import (
     usefulness,
 )
 from .attack_lab import (
-    DensityOperator,
-    Projector,
     ToyScheme,
     bb84_toy,
     best_permutation,
     run_support,
-    support_projector,
     fixed_advantage_witness,
 )
 

@@ -1,19 +1,18 @@
 """Exact small-dimension analysis of the support-measurement attack.
 
-A toy scheme assigns each (message, key) pair a density operator on a
-Hilbert space of dimension at most 64 together with an acceptance test.
-The attack projects the stored state onto the combined support of the
-most likely message's encryptions over all keys: if the projector fires,
-the message is guessed to be that one, otherwise not.  When the guess is
-right the state is untouched and the owner's check passes, which is what
-makes the attack undetectable exactly where it wins.
+A toy scheme assigns each (message, key) pair a pure state of dimension
+at most 64, which the owner verifies by its own projector.  The attack
+projects the stored state onto the combined support of the most likely
+message's encryptions over all keys and guesses that message if the
+projector fires.  A right guess leaves the state untouched, so the
+owner's check passes exactly where the attack wins.
 
-Everything here is computed by exact linear algebra (no sampling).  A
-scheme's per-message supports and their joint span are built once, after
-the orthogonality check, and the branch probabilities of the measurement
-at each m* once each.  Every figure (the attack under the scheme's own
-prior, the best placement of a prior, the average over placements, the
-fixed-advantage witness) is then a prior-weighted sum over those arrays,
+Everything is exact linear algebra on state vectors (no sampling, no
+density matrices).  A scheme's joint span is built once, after the
+orthogonality check, and the branch probabilities of the measurement at
+each m* once each.  Every figure (the attack under the scheme's prior,
+the best placement of a prior, the average over placements, the
+fixed-advantage witness) is a prior-weighted sum over those arrays,
 formed by ``_branch_sums``.
 """
 
@@ -27,10 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
-PSD_TOL = 1e-10
-PROJECTOR_TOL = 1e-9
 RANK_TOL = 1e-9
+OVERLAP_TOL = 1e-9
 MAX_DIM = 64
 
 
@@ -38,135 +35,154 @@ class SchemeError(ValueError):
     """Scheme violates a structural requirement; message says which."""
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density operator must be square")
-        if m.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {m.shape[0]} exceeds the exact-computation cap")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("not Hermitian")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -PSD_TOL:
-            raise ValueError(f"negative eigenvalue {eigs.min():.2e}")
-        tr = float(np.real(np.trace(m)))
-        if not 0 < tr <= 1 + PSD_TOL:
-            raise ValueError(f"trace {tr} outside (0, 1]")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def pure(cls, vector: np.ndarray) -> "DensityOperator":
-        v = np.asarray(vector, dtype=np.complex128)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
+def _span_basis(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the given rows: the eigenvectors of the
+    sum of their projectors above ``RANK_TOL`` times its top eigenvalue."""
+    _, sing, rows = np.linalg.svd(vectors, full_matrices=False)
+    return rows[sing**2 > RANK_TOL * sing[0] ** 2]
 
 
-@dataclass(frozen=True)
-class Projector:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("not Hermitian")
-        if np.max(np.abs(m @ m - m)) > PROJECTOR_TOL:
-            raise ValueError("not idempotent")
-
-
-def support_projector(operators) -> Projector:
-    """Projector onto the span of the supports of the given operators."""
-    mats = [
-        op.matrix if isinstance(op, (DensityOperator, Projector)) else np.asarray(op)
-        for op in operators
-    ]
-    if not mats:
-        raise ValueError("no operators")
-    dim = mats[0].shape[0]
-    if any(m.shape != (dim, dim) for m in mats):
-        raise ValueError("dimension mismatch among operators")
-    total = sum(mats)
-    eigvals, eigvecs = np.linalg.eigh(total)
-    cutoff = RANK_TOL * max(float(eigvals.max()), 1e-300)
-    keep = eigvecs[:, eigvals > cutoff]
-    return Projector(keep @ keep.conj().T)
+def _weight(states: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """||P psi||^2 for every state psi, P the projector onto the basis' span."""
+    return np.sum(np.abs(states @ basis.conj().T) ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
 class ToyScheme:
-    """Messages with a prior, keys, encryptions, and an acceptance test.
+    """Messages with a prior, keys, and one pure encryption per (message, key).
 
-    ``verification`` maps (m, k) to an operator A with 0 <= A <= 1; the
-    owner accepts a (possibly disturbed) state sigma with probability
-    tr(A sigma).  The default, installed by the builders, is the projector
-    onto the encryption's own support: re-measure and compare.
+    ``states[i, j]`` is the unit vector psi of ``messages[i]`` under
+    ``keys[j]`` (normalised here).  The owner accepts a possibly disturbed
+    state sigma with probability <psi|sigma|psi>.
     """
 
     name: str
     messages: tuple
     probs: np.ndarray
     keys: tuple
-    states: dict
-    verification: dict = field(repr=False)
+    states: np.ndarray = field(repr=False)
+    # m* -> ``_branch_tensors(self, m*)``, filled by ``_tensors``
+    _branches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "probs", probs)
-        if probs.size != len(self.messages) or abs(probs.sum() - 1) > 1e-12:
-            raise SchemeError("message prior must sum to 1")
-        dims = {self.states[(m, k)].dim for m in self.messages for k in self.keys}
-        if len(dims) != 1:
-            raise SchemeError("all encryptions must share one dimension")
+        prior_ok = probs.shape == (len(self.messages),) and np.all(probs >= 0)
+        if not (prior_ok and abs(probs.sum() - 1) <= 1e-12):
+            raise SchemeError("message prior must be nonnegative and sum to 1")
+        states = np.asarray(self.states, dtype=np.complex128)
+        if not self.keys or states.shape[:-1] != (len(self.messages), len(self.keys)):
+            raise SchemeError("need a key, and one state vector per (message, key)")
+        if states.shape[-1] > MAX_DIM:
+            raise SchemeError(f"dimension {states.shape[-1]} exceeds the exact-computation cap")
+        norms = np.linalg.norm(states, axis=-1, keepdims=True)
+        if not np.all(np.isfinite(norms) & (norms > 0)):
+            raise SchemeError("every state vector must be finite and nonzero")
+        object.__setattr__(self, "states", states / norms)
 
     @property
     def dim(self) -> int:
-        return next(iter(self.states.values())).dim
+        return self.states.shape[-1]
 
     def check_orthogonality(self) -> None:
-        """Correctness requires sum_m Pi_{m,k} to be a projector for every key."""
-        for k in self.keys:
-            total = sum(
-                support_projector([self.states[(m, k)]]).matrix for m in self.messages
-            )
-            defect = float(np.max(np.abs(total @ total - total)))
-            if defect > PROJECTOR_TOL:
+        """Correctness requires each key's encryptions of distinct messages
+        to be orthogonal: the Gram matrix per key is the identity."""
+        gram = np.einsum("mkd,nkd->kmn", self.states.conj(), self.states)
+        defects = np.abs(gram - np.eye(len(self.messages))).max(axis=(1, 2))
+        for k, defect in zip(self.keys, defects):
+            if defect > OVERLAP_TOL:
                 raise SchemeError(
-                    f"supports overlap for key {k!r}: ||S^2 - S|| = {defect:.2e}; "
-                    "decryption cannot distinguish the messages"
-                )
-
-    def message_support(self, m) -> Projector:
-        """Pi_{m, K}: combined support of m's encryptions over all keys."""
-        return support_projector([self.states[(m, k)] for k in self.keys])
+                    f"supports overlap for key {k!r}: Gram matrix off the identity by "
+                    f"{defect:.2e}; decryption cannot distinguish the messages")
 
     @cached_property
-    def _supports(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Pi_{m,K} for every message, stacked; the projector onto their
-        joint span), built once per scheme after the orthogonality check."""
+    def _joint_basis(self) -> np.ndarray:
+        """Orthonormal rows spanning every encryption, built once per scheme
+        after the orthogonality check."""
         self.check_orthogonality()
-        per_message = np.stack([self.message_support(m).matrix for m in self.messages])
-        return per_message, support_projector(per_message).matrix
+        return _span_basis(self.states.reshape(-1, self.dim))
 
-    @cached_property
-    def _branches(self) -> dict:
-        """m* -> ``_branch_tensors(self, m*)``, filled by ``_tensors``."""
-        return {}
+    def dump(self, path) -> None:
+        """Write the text form: state vectors as re,im pairs."""
+        with open(path, "w") as fh:
+            fh.write(f"# tamperstore scheme v1\nname {self.name}\ndim {self.dim}\n")
+            fh.writelines(f"message {m} {float(p)!r}\n" for m, p in zip(self.messages, self.probs))
+            fh.writelines(f"key {k}\n" for k in self.keys)
+            for m, row in zip(self.messages, self.states):
+                for k, vec in zip(self.keys, row):
+                    pairs = " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in vec)
+                    fh.write(f"state {m} {k} {pairs}\n")
+
+    @classmethod
+    def load(cls, path) -> "ToyScheme":
+        """Read a file written by ``dump``; messages and keys come before their
+        states.  A malformed line, a repeat, or a state of an undeclared
+        message or key raises ValueError naming the line; a missing state,
+        one naming its message and key."""
+        name, dim = "scheme", None
+        priors, keys, vectors = {}, {}, {}
+        with open(path) as fh:
+            for number, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                head, *rest = line.split()
+                try:
+                    fields = _SCHEME_FIELDS.get(head)
+                    short_state = head == "state" and len(rest) < 3
+                    if short_state or (fields is not None and len(rest) != fields):
+                        raise ValueError(f"wrong number of fields for {head!r}")
+                    if head == "name":
+                        name = " ".join(rest)
+                    elif head == "dim":
+                        if dim is not None:
+                            raise ValueError("dim is already fixed")
+                        dim = int(rest[0])
+                    elif head == "message":
+                        _declare(priors, int(rest[0]), float(rest[1]))
+                    elif head == "key":
+                        _declare(keys, int(rest[0]), None)
+                    elif head == "state":
+                        m, k = int(rest[0]), int(rest[1])
+                        vec = np.array([_complex_pair(pair) for pair in rest[2:]])
+                        if m not in priors or k not in keys:
+                            raise ValueError(f"message {m} or key {k} is not declared")
+                        dim = vec.size if dim is None else dim  # no dim line: the first state's
+                        if vec.size != dim:
+                            raise ValueError("state vector does not match dim")
+                        _declare(vectors, (m, k), vec)
+                    else:
+                        raise ValueError(f"unknown directive {head!r}")
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {number} ({line!r}): {exc}") from None
+        for m, k in itertools.product(priors, keys):
+            if (m, k) not in vectors:
+                raise ValueError(f"{path}: no state for message {m}, key {k}")
+        states = np.array([[vectors[(m, k)] for k in keys] for m in priors])
+        return cls(name, tuple(priors), np.array(list(priors.values())), tuple(keys), states)
+
+
+# fields after each directive; "state" takes m, k and one or more re,im pairs
+_SCHEME_FIELDS = {"dim": 1, "message": 2, "key": 1}
+
+
+def _declare(table: dict, name, value) -> None:
+    if name in table:
+        raise ValueError("repeats an earlier declaration")
+    table[name] = value
+
+
+def _complex_pair(text: str) -> complex:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"state entry {text!r} is not re,im")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 # ---------------------------------------------------------------------------
 # scheme builders
 # ---------------------------------------------------------------------------
 
-_KET0 = np.array([1.0, 0.0])
-_KET1 = np.array([0.0, 1.0])
 _HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
@@ -190,44 +206,26 @@ def bb84_toy(
     keys = tuple(range(2**key_bits))
     if probs is None:
         probs = np.full(len(messages), 1.0 / len(messages))
-    states, verification = {}, {}
+    states = np.empty((len(messages), len(keys), 2**num_qubits))
     for m in messages:
         for k in keys:
             vec = np.array([1.0])
             for j in range(num_qubits):
-                ket = _KET1 if (m >> j) & 1 else _KET0
-                if (k >> (j % key_bits)) & 1:
-                    ket = _HAD @ ket
-                vec = np.kron(vec, ket)
-            rho = DensityOperator.pure(vec)
-            states[(m, k)] = rho
-            verification[(m, k)] = rho.matrix  # re-measure in key basis, compare
+                basis = _HAD if (k >> (j % key_bits)) & 1 else np.eye(2)
+                vec = np.kron(vec, basis[(m >> j) & 1])  # H is symmetric: row = column
+            states[m, k] = vec
     return ToyScheme(
-        name or f"toy-bb84(q={num_qubits},kb={key_bits})",
-        messages,
-        probs,
-        keys,
-        states,
-        verification,
+        name or f"toy-bb84(q={num_qubits},kb={key_bits})", messages, probs, keys, states
     )
 
 
 def classical_otp_toy(num_bits: int, probs: np.ndarray | None = None) -> ToyScheme:
     """One-time-pad in the standard basis: |K| = |M|, no support advantage."""
-    messages = tuple(range(2**num_bits))
-    keys = tuple(range(2**num_bits))
+    values = tuple(range(2**num_bits))
     if probs is None:
-        probs = np.full(len(messages), 1.0 / len(messages))
-    dim = 2**num_bits
-    states, verification = {}, {}
-    for m in messages:
-        for k in keys:
-            vec = np.zeros(dim)
-            vec[m ^ k] = 1.0
-            rho = DensityOperator.pure(vec)
-            states[(m, k)] = rho
-            verification[(m, k)] = rho.matrix
-    return ToyScheme(f"classical-otp({num_bits})", messages, probs, keys, states, verification)
+        probs = np.full(len(values), 1.0 / len(values))
+    states = np.eye(len(values))[np.bitwise_xor.outer(values, values)]  # |m xor k>
+    return ToyScheme(f"classical-otp({num_bits})", values, probs, values, states)
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +264,17 @@ def _branch_tensors(scheme: ToyScheme, m_star) -> np.ndarray:
     """Exact branch probabilities of the measurement at m_star, as an
     (|M|, |K|, 4) array of (p1, p0, acc1, acc0) per (m, k).
 
-    p1 (p0) is the probability that the projector onto Pi_{m*,K} fires
-    (does not), acc1 (acc0) that it does (does not) and the owner then
-    accepts.  Callers go through ``_tensors``, which builds each m* once.
+    p1 (p0) is the probability that the projector Pi onto Pi_{m*,K} fires
+    (that E - Pi does, E the projector onto the joint span), acc1 (acc0)
+    that it does and the owner then accepts.  For a unit psi the owner's
+    test |psi><psi| gives p1 = ||Pi psi||^2, p0 = ||E psi||^2 - p1,
+    acc1 = p1^2 and acc0 = p0^2; p1 + p0 < 1 only by rank truncation.
+    Callers go through ``_tensors``, which builds each m* once.
     """
-    per_message, everything = scheme._supports
-    pi = per_message[scheme.messages.index(m_star)]
-    comp = everything - pi
-    pairs = [(m, k) for m in scheme.messages for k in scheme.keys]
-    shape = (len(scheme.messages), len(scheme.keys)) + pi.shape
-    rho = np.array([scheme.states[pair].matrix for pair in pairs]).reshape(shape)
-    test = np.array([scheme.verification[pair] for pair in pairs]).reshape(shape)
-    branch1 = pi @ rho @ pi
-    branch0 = comp @ rho @ comp
-    parts = (branch1, branch0, test @ branch1, test @ branch0)
-    return np.stack([np.real(np.trace(b, axis1=-2, axis2=-1)) for b in parts], axis=-1)
+    star = _span_basis(scheme.states[scheme.messages.index(m_star)])
+    p1 = _weight(scheme.states, star)
+    p0 = _weight(scheme.states, scheme._joint_basis) - p1
+    return np.stack([p1, p0, p1**2, p0**2], axis=-1)
 
 
 def _tensors(scheme: ToyScheme, m_star) -> np.ndarray:
@@ -433,76 +427,3 @@ def fixed_advantage_witness(
             }
         )
     return {"usefulness": usefulness_y, "p_star": p_star, "floor": floor, "rows": rows}
-
-
-# ---------------------------------------------------------------------------
-# declarative scheme files
-# ---------------------------------------------------------------------------
-
-def dump_scheme(scheme: ToyScheme, path) -> None:
-    """Pure-state schemes only: writes state vectors as re,im pairs."""
-    with open(path, "w") as fh:
-        fh.write(f"# tamperstore scheme v1\nname {scheme.name}\ndim {scheme.dim}\n")
-        for m, p in zip(scheme.messages, scheme.probs):
-            fh.write(f"message {m} {float(p)!r}\n")
-        for k in scheme.keys:
-            fh.write(f"key {k}\n")
-        for (m, k), rho in scheme.states.items():
-            eigvals, eigvecs = np.linalg.eigh(rho.matrix)
-            if np.sum(eigvals > 1e-9) != 1:
-                raise ValueError("only pure-state schemes have a text form")
-            vec = eigvecs[:, -1]
-            pairs = " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in vec)
-            fh.write(f"state {m} {k} {pairs}\n")
-
-
-# fields after each directive; "state" takes m, k and one or more re,im pairs
-_SCHEME_FIELDS = {"dim": 1, "message": 2, "key": 1}
-
-
-def _complex_pair(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"state entry {text!r} is not re,im")
-    return complex(float(parts[0]), float(parts[1]))
-
-
-def load_scheme(path) -> ToyScheme:
-    """Read a file written by ``dump_scheme``; a malformed line raises
-    ValueError naming it."""
-    name, dim = "scheme", None
-    messages, probs, keys = [], [], []
-    states, verification = {}, {}
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            head, *rest = line.split()
-            try:
-                fields = _SCHEME_FIELDS.get(head)
-                short_state = head == "state" and len(rest) < 3
-                if short_state or (fields is not None and len(rest) != fields):
-                    raise ValueError(f"wrong number of fields for {head!r}")
-                if head == "name":
-                    name = " ".join(rest)
-                elif head == "dim":
-                    dim = int(rest[0])
-                elif head == "message":
-                    messages.append(int(rest[0]))
-                    probs.append(float(rest[1]))
-                elif head == "key":
-                    keys.append(int(rest[0]))
-                elif head == "state":
-                    m, k = int(rest[0]), int(rest[1])
-                    vec = np.array([_complex_pair(pair) for pair in rest[2:]])
-                    if dim is not None and vec.size != dim:
-                        raise ValueError("state vector does not match dim")
-                    rho = DensityOperator.pure(vec)
-                    states[(m, k)] = rho
-                    verification[(m, k)] = rho.matrix
-                else:
-                    raise ValueError(f"unknown directive {head!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {number} ({line!r}): {exc}") from None
-    return ToyScheme(name, tuple(messages), np.array(probs), tuple(keys), states, verification)

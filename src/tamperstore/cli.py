@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kv
-from .attack_lab import bb84_toy, load_scheme, advantage_floor, run_support
+from .attack_lab import ToyScheme, bb84_toy, advantage_floor, run_support
 from .bits import Bits
 from .experiments import (
     ExperimentConfig,
@@ -148,7 +148,7 @@ def _cmd_attack_support(args) -> int:
     if args.scheme == "toy-bb84":
         scheme = bb84_toy(2, 1)
     elif os.path.exists(args.scheme):
-        scheme = load_scheme(args.scheme)
+        scheme = ToyScheme.load(args.scheme)
     else:
         raise InfeasibleParamsError(f"unknown scheme {args.scheme!r}", "cli")
     report = run_support(scheme)

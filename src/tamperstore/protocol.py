@@ -188,6 +188,22 @@ def _check_shapes(params: ProtocolParams, code: LinearCode, prefix_code: PrefixC
         )
 
 
+def _check_secrets(secrets: ClientSecrets, params: ProtocolParams) -> None:
+    """The client's own secrets fit params.  A mismatch is a local fault,
+    not the server's, so it raises ValueError naming the field."""
+    layout = secrets.layout
+    for name, got, want in (
+        ("t length", layout.t.length, params.n + params.r),
+        ("t weight", layout.r, params.r),
+        ("v length", secrets.v.length, params.r),
+        ("s length", secrets.s.length, params.n - params.kappa),
+        ("m_nabla length", secrets.m_nabla.length, params.ell0 - params.ell),
+        ("mac_key lam", secrets.mac_key.lam, params.lam),
+    ):
+        if got != want:
+            raise ValueError(f"secrets field {name} is {got}; params want {want}")
+
+
 def store(
     message: int,
     params: ProtocolParams,
@@ -251,8 +267,12 @@ def retrieve(
     prefix_code: PrefixCode,
     rng: np.random.Generator,
 ) -> RetrievalOutcome:
-    """Steps 6-9 against a possibly tampered bundle; aborts are outcomes."""
+    """Steps 6-9 against a possibly tampered bundle; aborts are outcomes.
+
+    Secrets that do not fit params raise ValueError: the fault is local.
+    """
     _check_shapes(params, code, prefix_code)
+    _check_secrets(secrets, params)
     if not _lengths_match(bundle, params):
         return RetrievalOutcome(0, None, "format")
     if not verify(secrets.mac_key, bundle.classical_bits(), bundle.theta):

@@ -1,24 +1,20 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tamperstore.attack_lab import (
-    DensityOperator,
-    Projector,
     SchemeError,
     ToyScheme,
     bb84_toy,
     best_permutation,
     classical_otp_toy,
-    dump_scheme,
-    load_scheme,
     permutation_average_win_given_not_star,
     advantage_floor,
     run_support,
-    support_projector,
     fixed_advantage_witness,
 )
 from tamperstore import attack_lab
@@ -28,49 +24,34 @@ KET1 = np.array([0.0, 1.0])
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 
 
-# -- operator types -------------------------------------------------------------
-
-def test_density_operator_validation():
-    with pytest.raises(ValueError):
-        DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        DensityOperator(np.array([[1.0, 0.0], [0.0, 1.0]]))  # trace 2
-    DensityOperator(np.array([[0.5, 0.0], [0.0, 0.25]]))  # subnormalised is fine
-
+# -- scheme validation ---------------------------------------------------------
 
 def test_dimension_cap():
-    with pytest.raises(ValueError):
-        DensityOperator(np.eye(128) / 128)
+    with pytest.raises(SchemeError, match="cap"):
+        ToyScheme("big", (0,), np.array([1.0]), (0,), np.ones((1, 1, 128)))
 
 
-def test_projector_validation():
-    Projector(np.outer(PLUS, PLUS))
-    with pytest.raises(ValueError):
-        Projector(np.array([[0.5, 0.0], [0.0, 0.5]]))
+@pytest.mark.parametrize(
+    "probs,states,why",
+    [
+        ([1.5, -0.5], np.array([[KET0], [KET1]]), "nonnegative"),
+        ([0.5, 0.4], np.array([[KET0], [KET1]]), "sum to 1"),
+        ([0.5, 0.5], np.array([[KET0], [0 * KET1]]), "nonzero"),
+        ([0.5, 0.5], np.array([[KET0], [np.nan * KET1]]), "finite"),
+        ([0.5, 0.5], np.array([KET0, KET1]), "one state vector per"),
+    ],
+    ids=["negative-prior", "prior-sum", "zero-vector", "nan-vector", "no-key-axis"],
+)
+def test_scheme_refuses_bad_priors_and_states(probs, states, why):
+    with pytest.raises(SchemeError, match=why):
+        ToyScheme("bad", (0, 1), np.array(probs), (0,), states)
 
 
-def test_support_projector_single_pure():
-    rho = DensityOperator.pure(KET0)
-    pi = support_projector([rho])
-    assert float(np.real(np.trace(pi.matrix))) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(pi.matrix, np.outer(KET0, KET0), atol=1e-12)
-
-
-def test_support_projector_orthogonal_pair():
-    pi = support_projector([DensityOperator.pure(KET0), DensityOperator.pure(KET1)])
-    assert float(np.real(np.trace(pi.matrix))) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_support_projector_bb84_pair_spans_qubit():
-    pi = support_projector([DensityOperator.pure(KET0), DensityOperator.pure(PLUS)])
-    assert np.allclose(pi.matrix, np.eye(2), atol=1e-9)
-
-
-def test_support_projector_dimension_mismatch():
-    with pytest.raises(ValueError):
-        support_projector([DensityOperator.pure(KET0), DensityOperator.pure(np.ones(4))])
+def test_states_are_normalised():
+    states = np.array([[3 * KET0], [2j * KET1]])
+    scheme = ToyScheme("scaled", (0, 1), np.array([0.5, 0.5]), (0,), states)
+    assert np.allclose(np.linalg.norm(scheme.states, axis=-1), 1.0, atol=1e-15)
+    assert scheme.states[1, 0, 1] == pytest.approx(1j)
 
 
 # -- the toy scheme of record ------------------------------------------------------
@@ -84,17 +65,55 @@ def test_scheme_orthogonality_holds():
 
 
 def test_non_orthogonal_scheme_rejected():
-    states = {
-        (0, 0): DensityOperator.pure(KET0),
-        (1, 0): DensityOperator.pure(PLUS),  # overlaps with |0>
-    }
-    verification = {key: rho.matrix for key, rho in states.items()}
-    scheme = ToyScheme(
-        "broken", (0, 1), np.array([0.5, 0.5]), (0,), states, verification
-    )
+    states = np.array([[KET0], [PLUS]])  # |+> overlaps with |0>
+    scheme = ToyScheme("broken", (0, 1), np.array([0.5, 0.5]), (0,), states)
     with pytest.raises(SchemeError) as err:
         scheme.check_orthogonality()
     assert "overlap" in str(err.value)
+
+
+def _density_reference(scheme, m_star):
+    """(p1, p0, acc1, acc0) per (m, k) from density matrices and projectors."""
+
+    def support(vectors):
+        eigvals, eigvecs = np.linalg.eigh(sum(np.outer(v, v.conj()) for v in vectors))
+        keep = eigvecs[:, eigvals > 1e-9 * eigvals.max()]
+        return keep @ keep.conj().T
+
+    pi = support(scheme.states[scheme.messages.index(m_star)])
+    comp = support(scheme.states.reshape(-1, scheme.dim)) - pi
+    out = np.empty(scheme.states.shape[:2] + (4,))
+    for i, j in np.ndindex(scheme.states.shape[:2]):
+        psi = scheme.states[i, j]
+        rho = np.outer(psi, psi.conj())
+        branches = (pi @ rho @ pi, comp @ rho @ comp)
+        out[i, j] = [np.trace(b).real for b in branches] + [
+            np.trace(rho @ b).real for b in branches
+        ]
+    return out
+
+
+def _random_scheme(rng, messages=3, keys=2, dim=5):
+    """Complex states; each key's encryptions are orthonormal columns."""
+    states = np.empty((messages, keys, dim), dtype=complex)
+    for k in range(keys):
+        raw = rng.normal(size=(dim, messages)) + 1j * rng.normal(size=(dim, messages))
+        states[:, k] = np.linalg.qr(raw)[0].T
+    probs = rng.dirichlet(np.ones(messages))
+    return ToyScheme("random", tuple(range(messages)), probs, tuple(range(keys)), states)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: bb84_toy(3, 1), lambda: bb84_toy(3, 2), lambda: classical_otp_toy(2),
+     lambda: _random_scheme(np.random.default_rng(3))],
+    ids=["bb84-3-1", "bb84-3-2", "otp-2", "random-complex"],
+)
+def test_branch_tensors_match_density_matrix_reference(build):
+    scheme = build()
+    for m_star in scheme.messages:
+        got = attack_lab._branch_tensors(scheme, m_star)
+        assert np.allclose(got, _density_reference(scheme, m_star), rtol=0, atol=1e-12)
 
 
 def test_run_support_exact_values_uniform_prior():
@@ -190,14 +209,12 @@ def test_witness_floor_scales_with_usefulness():
 def test_scheme_file_round_trip(tmp_path):
     scheme = toy()
     path = tmp_path / "scheme.txt"
-    dump_scheme(scheme, path)
-    loaded = load_scheme(path)
+    scheme.dump(path)
+    loaded = ToyScheme.load(path)
     assert loaded.messages == scheme.messages
     assert loaded.keys == scheme.keys
-    for key in scheme.states:
-        assert np.allclose(
-            loaded.states[key].matrix, scheme.states[key].matrix, atol=1e-12
-        )
+    assert np.array_equal(loaded.probs, scheme.probs)
+    assert np.array_equal(loaded.states, scheme.states)
     report_a, report_b = run_support(scheme), run_support(loaded)
     assert report_a.pr_win_given_acc == pytest.approx(
         report_b.pr_win_given_acc, abs=1e-12
@@ -269,10 +286,19 @@ def test_best_permutation_pinned_advantage(build, probs, advantage):
     perm, best, _ = best_permutation(scheme, probs)
     assert best == pytest.approx(_exact(advantage), abs=1e-12)
     # the returned placement attains the advantage it reports
-    placed = ToyScheme(
-        scheme.name, scheme.messages, probs[list(perm)], scheme.keys, scheme.states,
-        scheme.verification,
-    )
+    placed = replace(scheme, probs=probs[list(perm)])
+    assert run_support(placed).advantage == pytest.approx(best, abs=1e-12)
+
+
+def test_best_permutation_sampled_search():
+    # |M| = 16 > 8: a random search over 2,000 of the 16! placements
+    scheme, probs = bb84_toy(4, 2), np.array([0.5] + [0.5 / 15] * 15)
+    perm, best, info = best_permutation(scheme, probs)
+    assert 0 < info["coverage"] < 1
+    assert best == pytest.approx(54 / 115, abs=1e-12)
+    floor = advantage_floor(0.5, len(scheme.keys), len(scheme.messages))
+    assert floor == 0.1875 and best >= floor
+    placed = replace(scheme, probs=probs[list(perm)])
     assert run_support(placed).advantage == pytest.approx(best, abs=1e-12)
 
 

@@ -183,10 +183,10 @@ def test_attack_support_report(capsys, tmp_path):
 
 
 def test_attack_support_from_file(capsys, tmp_path):
-    from tamperstore.attack_lab import bb84_toy, dump_scheme
+    from tamperstore.attack_lab import bb84_toy
 
     path = tmp_path / "scheme.txt"
-    dump_scheme(bb84_toy(2, 1), path)
+    bb84_toy(2, 1).dump(path)
     code, out, _ = run(capsys, "attack-support", "--scheme", str(path))
     assert code == 0 and "advantage" in out
 
@@ -197,22 +197,42 @@ def test_attack_support_unknown_scheme(capsys):
 
 
 @pytest.mark.parametrize(
-    "line, why",
+    "lines, why",
     [
-        ("dim", "wrong number of fields for 'dim'"),
-        ("message 0", "wrong number of fields for 'message'"),
-        ("state 0 0 1,0 0", "state entry '0' is not re,im"),
-        ("state 0 0 1,0,0 0,1", "state entry '1,0,0' is not re,im"),
+        ("dim", "line 3 ('dim'): wrong number of fields for 'dim'"),
+        ("message 0", "line 3 ('message 0'): wrong number of fields for 'message'"),
+        ("state 0 0 1,0 0", "line 3 ('state 0 0 1,0 0'): state entry '0' is not re,im"),
+        ("state 0 0 1,0,0 0,1",
+         "line 3 ('state 0 0 1,0,0 0,1'): state entry '1,0,0' is not re,im"),
+        ("key 0", "line 3 ('key 0'): repeats an earlier declaration"),
+        ("message 0 1\nmessage 0 1", "line 4 ('message 0 1'): repeats an earlier declaration"),
+        ("message 0 1\nstate 0 0 1,0\nstate 0 0 0,1",
+         "line 5 ('state 0 0 0,1'): repeats an earlier declaration"),
+        ("message 0 1\nstate 5 0 1,0",
+         "line 4 ('state 5 0 1,0'): message 5 or key 0 is not declared"),
+        ("message 0 1\nstate 0 3 1,0",
+         "line 4 ('state 0 3 1,0'): message 0 or key 3 is not declared"),
+        ("dim 2\ndim 2", "line 4 ('dim 2'): dim is already fixed"),
+        ("message 0 1\nstate 0 0 1,0 0,0\nmessage 1 0\nstate 1 0 1,0",
+         "line 6 ('state 1 0 1,0'): state vector does not match dim"),
+        ("message 0 0.5\nmessage 1 0.5\nstate 0 0 1,0 0,0", "no state for message 1, key 0"),
+        ("message 0 1.5\nmessage 1 -0.5\nstate 0 0 1,0 0,0\nstate 1 0 0,0 1,0",
+         "message prior must be nonnegative and sum to 1"),
+        ("message 0 1\nstate 0 0 0,0 0,0", "every state vector must be finite and nonzero"),
     ],
-    ids=["dim", "message", "state-short", "state-long"],
+    ids=[
+        "dim", "message", "state-short", "state-long", "key-twice", "message-twice",
+        "state-twice", "state-undeclared-message", "state-undeclared-key", "dim-twice",
+        "state-ragged", "state-missing", "prior-negative", "state-zero",
+    ],
 )
-def test_attack_support_malformed_scheme_line(capsys, tmp_path, line, why):
+def test_attack_support_malformed_scheme_line(capsys, tmp_path, lines, why):
     path = tmp_path / "scheme.txt"
-    path.write_text(f"name bad\nkey 0\n{line}\n")
-    code, _, err = run(capsys, "attack-support", "--scheme", str(path))
+    path.write_text(f"name bad\nkey 0\n{lines}\n")
+    code, out, err = run(capsys, "attack-support", "--scheme", str(path))
     assert code == 1
-    assert err.startswith("error:") and "line 3" in err and why in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and why in err
+    assert "Traceback" not in err and "advantage" not in out
 
 
 def test_retrieve_missing_bundle_key_is_an_error(capsys, tmp_path):

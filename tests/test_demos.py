@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion in a fresh interpreter."""
+"""Every script under demos/ runs to completion in a fresh interpreter, with
+warnings as errors as in the test suite."""
 
 import os
 import subprocess
@@ -21,7 +22,7 @@ def test_demo_exits_zero(demo, tmp_path):
         os.environ, PYTHONPATH=str(ROOT / "src"), TAMPERSTORE_CACHE=str(tmp_path / "cache")
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, cwd=tmp_path,
+        [sys.executable, "-W", "error", str(demo)], env=env, cwd=tmp_path,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -22,7 +22,7 @@ from tamperstore.protocol import (
     one_time_pad,
     usefulness,
 )
-from tamperstore.qsim import QubitRegister, apply_storage_noise
+from tamperstore.qsim import QubitRegister, TrapLayout, apply_storage_noise
 from tamperstore.randomizer import example1_code
 
 
@@ -320,6 +320,28 @@ def test_zero_seed_aborts_on_format():
     zero_w = replace(bundle, w=Bits.zeros(inst.params.ell0), theta=Bits(b, lam))
     assert verify(secrets.mac_key, zero_w.classical_bits(), zero_w.theta)
     _assert_format_abort(inst, zero_w, secrets, rng)
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        ("t weight", lambda s: replace(s, layout=TrapLayout(s.layout.t.flip(
+            int(s.layout.payload_indices[0]))))),  # one extra trap
+        ("t length", lambda s: replace(s, layout=TrapLayout(s.layout.t.concat(Bits(0, 1))))),
+        ("v length", lambda s: replace(s, v=s.v.concat(Bits(0, 1)))),
+        ("s length", lambda s: replace(s, s=s.s.first(s.s.length - 1))),
+        ("m_nabla length", lambda s: replace(s, m_nabla=s.m_nabla.first(s.m_nabla.length - 1))),
+        ("mac_key lam", lambda s: replace(
+            s, mac_key=MacKey(s.mac_key.a, s.mac_key.b, s.mac_key.lam + 1))),
+    ],
+    ids=["t-weight", "t-length", "v", "s", "m_nabla", "mac_key"],
+)
+def test_secrets_that_do_not_fit_params_raise(name, broken):
+    # a mismatch is the client's own fault: it must not pass for a server abort
+    inst, bundle, secrets, rng = _params_a_session(6)
+    with pytest.raises(ValueError, match=f"secrets field {name} is"):
+        inst.retrieve(bundle, broken(secrets), rng)
+    assert inst.retrieve(bundle, secrets, rng).omega == 1
 
 
 @pytest.mark.parametrize("length", [1536, 0])
