@@ -9,34 +9,33 @@ import itertools
 
 import numpy as np
 
-from tamperstore import GF2Field, phi, phi_invert
+from tamperstore import Bits, GF2Field, phi
 
 ###############################################################################
-# A field instance fixes one reduction polynomial per degree, so elements
-# serialized anywhere always say which polynomial they meant.
+# An element of GF(2^8) is an 8-bit string.  Each degree has one reduction
+# polynomial, so a string's length alone says which field it lives in;
+# GF2Field(8) holds that polynomial and multiplies the strings' ints.
 
 field = GF2Field(8)
 print(f"GF(2^8) reduction polynomial: {field.modulus:#x}")
 
 rng = np.random.default_rng(1)
-a, b = field.random_element(rng), field.random_element(rng)
+a, b = Bits.random(8, rng), Bits.random(8, rng)
 print(f"a = {a.value:#04x}, b = {b.value:#04x}")
-print(f"a * b = {(a * b).value:#04x}")
+print(f"a * b = {field.mul_int(a.value, b.value):#04x}")
 print(f"a + b = a XOR b = {(a ^ b).value:#04x}")
-print(f"a * a^-1 = {(a * a.inverse()).value:#x}")
+print(f"a * a^-1 = {field.mul_int(a.value, field.inv_int(a.value)):#x}")
 
 ###############################################################################
 # The hash phi(w, x, l) keeps the first l bits of w * x.  Over a uniform
 # seed w (zero included) every distinct pair collides on exactly a 2^-l
 # fraction of seeds: count them, no sampling needed.
 
-small = GF2Field(3)
 for l in (1, 2):
     counts = []
     for x, xp in itertools.combinations(range(8), 2):
         hits = sum(
-            phi(small.element(w), small.element(x), l)
-            == phi(small.element(w), small.element(xp), l)
+            phi(Bits(w, 3), Bits(x, 3), l) == phi(Bits(w, 3), Bits(xp, 3), l)
             for w in range(8)
         )
         counts.append(hits)
@@ -48,6 +47,6 @@ for l in (1, 2):
 # the message owner undo the randomisation later.
 
 w = field.random_nonzero(rng)
-x = field.random_element(rng)
-product = w * x
-print(f"recovered x == x: {phi_invert(w, product) == x}")
+x = Bits.random(8, rng)
+product = field.mul_int(w.value, x.value)
+print(f"recovered x == x: {field.mul_int(field.inv_int(w.value), product) == x.value}")

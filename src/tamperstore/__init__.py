@@ -13,7 +13,7 @@ a CLI (cli).
 __version__ = "0.1.0"
 
 from .bits import Bits
-from .gf2 import FieldElement, GF2Field, phi, phi_invert
+from .gf2 import GF2Field, phi
 from .entropy import (
     DiscreteDistribution,
     binary_entropy,

@@ -351,26 +351,21 @@ def advantage_floor(p_star: float, keys: int, messages: int) -> float:
     return p_star * (1 - p_star) * (1 - keys / messages)
 
 
-def best_permutation(
-    scheme: ToyScheme,
-    probs: np.ndarray,
-    max_exhaustive: int = 8,
-    samples: int = 2000,
-    rng: np.random.Generator | None = None,
-) -> tuple[tuple, float, dict]:
+def best_permutation(scheme: ToyScheme, probs: np.ndarray) -> tuple[tuple, float, dict]:
     """Permutation of the prior maximising the undetected-guessing advantage.
 
-    Exhaustive for |M| <= max_exhaustive; beyond that a random search runs
-    and the returned info dict reports the sampled fraction.
+    Exhaustive for |M| <= 8; beyond that 2,000 permutations drawn from
+    ``default_rng(0)`` are searched, and the returned info dict reports the
+    sampled fraction.
     """
-    n = len(scheme.messages)
+    n, samples = len(scheme.messages), 2000
     if np.size(probs) != n:
         raise ValueError("prior size mismatch")
-    if n <= max_exhaustive:
+    if n <= 8:
         perms = np.array(list(itertools.permutations(range(n))))
         coverage = 1.0
     else:
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         perms = np.array([rng.permutation(n) for _ in range(samples)])
         coverage = samples / math.factorial(n)
     priors = np.asarray(probs, dtype=np.float64)[perms]  # one placement per row

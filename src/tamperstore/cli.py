@@ -25,7 +25,7 @@ from .experiments import (
     run_correctness_experiment,
     run_tamper_experiment,
 )
-from .gf2 import GF2Field, phi
+from .gf2 import phi
 from .linear_code import default_registry
 from .mac import MacKey, forgery_bound, tag as mac_tag
 from .params import (
@@ -82,15 +82,8 @@ def _load_message(args) -> int:
     raise InfeasibleParamsError("no message given (use --message or --message-file)", "cli")
 
 
-def _dist_spec(args) -> str:
-    if args.dist_file:
-        return f"file:{args.dist_file}"
-    return args.dist
-
-
 def _cmd_store(args) -> int:
-    spec = _dist_spec(args)
-    prefix = prefix_code_for(spec)
+    prefix = prefix_code_for(args.dist)
     params = derive_params(args.epsilon, args.ber, args.ell, ell0=prefix.max_len)
     message = _load_message(args)
     rng = np.random.default_rng(args.seed)
@@ -127,7 +120,7 @@ def _cmd_simulate(args) -> int:
         epsilon=args.epsilon,
         beta0=args.ber,
         ell=args.ell,
-        dist=_dist_spec(args),
+        dist=args.dist,
         strategy=args.strategy,
         trials=args.trials,
         master_seed=args.seed,
@@ -185,14 +178,12 @@ def _cmd_rates(args) -> int:
 
 def _selftest_checks():
     # universal hash exactness, exhaustively over GF(2^3)
-    field = GF2Field(3)
     ok = True
     for l in (1, 2, 3):
         expected = 8 >> l
         for x, xp in itertools.combinations(range(8), 2):
             hits = sum(
-                phi(field.element(w), field.element(x), l)
-                == phi(field.element(w), field.element(xp), l)
+                phi(Bits(w, 3), Bits(x, 3), l) == phi(Bits(w, 3), Bits(xp, 3), l)
                 for w in range(8)
             )
             ok &= hits == expected
@@ -294,8 +285,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--ber", type=float, required=True)
     p.add_argument("--ell", type=int, default=4)
-    p.add_argument("--dist", default="example1:12")
-    p.add_argument("--dist-file", default=None)
+    p.add_argument("--dist", default="example1:12",
+                   help="example1:<L>, uniform:<n> or file:<path>")
     p.add_argument("--message", type=int, default=None)
     p.add_argument("--message-file", default=None)
     p.add_argument("--seed", type=int, default=2024)
@@ -314,8 +305,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--ber", type=float, required=True)
     p.add_argument("--ell", type=int, default=4)
-    p.add_argument("--dist", default="example1:12")
-    p.add_argument("--dist-file", default=None)
+    p.add_argument("--dist", default="example1:12",
+                   help="example1:<L>, uniform:<n> or file:<path>")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--out", default=None)

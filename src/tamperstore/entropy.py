@@ -49,44 +49,42 @@ class DiscreteDistribution:
     def support_size(self) -> int:
         return int(self.probs.size)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.choice(self.outcomes, size=size, p=self.probs)
+    def sample(self, rng: np.random.Generator):
+        return rng.choice(self.outcomes, p=self.probs)
 
 
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
-def uniform(n: int, name: str = "") -> DiscreteDistribution:
+def uniform(n: int) -> DiscreteDistribution:
     if n < 1:
         raise ValueError("empty support")
-    return DiscreteDistribution(np.arange(n), np.full(n, 1.0 / n), name or f"uniform({n})")
+    return DiscreteDistribution(np.arange(n), np.full(n, 1.0 / n), f"uniform({n})")
 
 
-def example1(L: int, mu0: int | None = None) -> DiscreteDistribution:
+def example1(L: int) -> DiscreteDistribution:
     """One message of probability 1/2, the other 2^L - 1 sharing the rest.
 
-    ``mu0`` is the heavy message id; it defaults to the all-ones string so
-    that the all-zero string keeps an ordinary codeword in the matching
-    prefix code.
+    The heavy message mu0 is the all-ones string, so that the all-zero
+    string keeps an ordinary codeword in the matching prefix code.
     """
-    if mu0 is None:
-        mu0 = (1 << L) - 1
     n = 1 << L
+    mu0 = n - 1
     probs = np.full(n, 0.5 / (n - 1))
     probs[mu0] = 0.5
     return DiscreteDistribution(np.arange(n), probs, f"example1(L={L})")
 
 
-def example1_padded(L: int, mu0: int | None = None) -> DiscreteDistribution:
+def example1_padded(L: int) -> DiscreteDistribution:
     """Distribution of the padded compression of :func:`example1`.
 
     Outcome ids are the (L+1)-bit strings with bit 0 first: ``0 || x`` has
-    probability (1/2)/(2^L - 1) for x != mu0, and ``1 || x`` has 2^-(L+1).
+    probability (1/2)/(2^L - 1) for x != mu0 (all ones), and ``1 || x`` has
+    2^-(L+1).
     """
-    if mu0 is None:
-        mu0 = (1 << L) - 1
     n = 1 << L
+    mu0 = n - 1
     ids_zero = (np.arange(n) << 1)  # '0' || x
     ids_one = (np.arange(n) << 1) | 1  # '1' || x
     probs_zero = np.full(n, 0.5 / (n - 1))

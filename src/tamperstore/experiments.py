@@ -5,9 +5,10 @@ index through a counter-based bit generator, so trial sets are
 order-independent and a report is reproducible bit for bit from its
 config.  An ``ExperimentConfig`` is built in code or from the ``simulate``
 flags; it has no file form, and its constructor rejects an unknown
-scenario, a correctness run with an active strategy and a trial count
-below one.  Frequencies come with Wilson 95% intervals; a bound is declared
-violated only when it lies below the interval's lower edge.
+scenario or strategy name, a correctness run with an active strategy and
+a trial count below one.  Frequencies come with Wilson 95% intervals; a
+bound is declared violated only when it lies below the interval's lower
+edge.
 
 Both scenarios run one trial loop: sample a message, store it, apply the
 storage noise, let a strategy act on the bundle, retrieve.  The correctness
@@ -33,10 +34,10 @@ from .randomizer import build_prefix_code, example1_code
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials <= 0:
         raise ValueError("need at least one trial")
-    phat = successes / trials
+    phat, z = successes / trials, WILSON_Z
     denom = 1 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials**2))
@@ -70,14 +71,15 @@ def prefix_code_for(spec: str):
 
 
 def make_strategy(name: str) -> EveStrategy:
+    """Exactly "passive", "intercept-resend[/<policy>]" or "flip-c[/<bit>]",
+    the bit a non-negative decimal; anything else raises ``ValueError``."""
+    kind, slash, arg = name.partition("/")
     if name == "passive":
         return PassiveEve()
-    if name.startswith("intercept-resend"):
-        _, _, policy = name.partition("/")
-        return InterceptResend(policy=policy or "random-basis")
-    if name.startswith("flip-c"):
-        _, _, bit = name.partition("/")
-        return ClassicalTamper(field="c", bit=int(bit) if bit else 0)
+    if kind == "intercept-resend" and (arg or not slash):
+        return InterceptResend(policy=arg or "random-basis")  # checks the policy
+    if kind == "flip-c" and ((arg.isascii() and arg.isdecimal()) or not slash):
+        return ClassicalTamper(field="c", bit=int(arg or 0))
     raise ValueError(f"unknown strategy {name!r}")
 
 
@@ -95,6 +97,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in ("correctness", "tamper"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        make_strategy(self.strategy)
         if self.scenario == "correctness" and self.strategy != "passive":
             raise ValueError(
                 f"a correctness experiment runs the passive strategy, not {self.strategy!r}"

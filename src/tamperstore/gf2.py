@@ -1,9 +1,11 @@
 """Binary field arithmetic GF(2^nu) and the truncated multiplicative hash.
 
-Field elements are nu-bit strings read as polynomials over GF(2) with bit 0
-as the constant coefficient.  Every supported degree has exactly one
-reduction polynomial: the table below pins the published choices, and any
-other degree gets the lexicographically smallest irreducible polynomial
+A field element is a ``Bits`` of length nu, read as a polynomial over GF(2)
+with bit 0 as the constant coefficient.  ``GF2Field(nu)`` is the modulus of
+that degree with arithmetic on the ints that hold such bits (``mul_int``,
+``mul_low``, ``inv_int``, ``pow_int``).  Every supported degree has exactly
+one reduction polynomial: the table below pins the published choices, and
+any other degree gets the lexicographically smallest irreducible polynomial
 x^nu + tail (smallest tail value), generated deterministically and cached.
 Nothing serialized carries a modulus: the degree alone fixes it.
 
@@ -17,26 +19,22 @@ Two fast paths live next to the generic big-int arithmetic, whose
 * ``GFTable`` holds exp/log tables of a small field GF(2^m) and multiplies
   whole numpy arrays of symbols with one gather.
 
-The hash ``phi(w, x, l)`` is the first l bits of w*x, computed with
-``mul_low``; the protocol's one-time pad is this hash.  Over the full seed
-space it is two-universal; the protocol layer draws w nonzero so that the
-product can later be inverted, at the cost of a 2^-nu seed bias.
+The hash ``phi(w, x, l)`` of two equal-length ``Bits`` is the first l bits
+of w*x, computed with ``mul_low``; the protocol's one-time pad is this
+hash.  Over the full seed space it is two-universal.  The randomiser's
+seed is drawn by ``GF2Field.random_nonzero`` instead, so that w*x can be
+inverted, at the cost of a 2^-nu seed bias.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bits import Bits
-
-
-class DegreeMismatchError(ValueError):
-    """Operands belong to fields of different degree."""
 
 
 class NonInvertibleError(ZeroDivisionError):
@@ -262,21 +260,19 @@ def generate_modulus(degree: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# field and element types
+# the field of one degree
 # ---------------------------------------------------------------------------
 
 class GF2Field:
-    """The field GF(2^degree) with a fixed reduction polynomial."""
+    """The reduction polynomial of GF(2^degree) and arithmetic on the ints
+    that hold its elements' bits."""
 
     def __init__(self, degree: int):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
         self.modulus = generate_modulus(degree)
-        self._mask = (1 << degree) - 1
         self._tail = self.modulus ^ (1 << degree)
-
-    # int-level fast paths -------------------------------------------------
 
     def mul_int(self, a: int, b: int) -> int:
         return poly_mod(clmul(a, b), self.modulus)
@@ -329,86 +325,15 @@ class GF2Field:
             e >>= 1
         return r
 
-    # element interface ------------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, Bits):
-            if value.length != self.degree:
-                raise DegreeMismatchError(
-                    f"bit string of length {value.length} in GF(2^{self.degree})"
-                )
-            value = value.value
-        value = int(value)
-        if not 0 <= value <= self._mask:
-            raise ValueError(f"value out of range for GF(2^{self.degree})")
-        return FieldElement(self, value)
-
-    def random_element(self, rng: np.random.Generator) -> "FieldElement":
-        return self.element(Bits.random(self.degree, rng).value)
-
-    def random_nonzero(self, rng: np.random.Generator) -> "FieldElement":
+    def random_nonzero(self, rng: np.random.Generator) -> Bits:
         """Uniform over the 2^degree - 1 invertible elements."""
         while True:
-            e = self.random_element(rng)
-            if e.value != 0:
-                return e
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GF2Field)
-            and other.degree == self.degree
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.modulus))
+            w = Bits.random(self.degree, rng)
+            if w.value != 0:
+                return w
 
     def __repr__(self):
         return f"GF2Field(degree={self.degree}, modulus={self.modulus:#x})"
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    field: GF2Field
-    value: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise DegreeMismatchError(
-                f"GF(2^{self.field.degree}) vs GF(2^{other.field.degree})"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.value ^ other.value)
-
-    __xor__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul_int(self.value, other.value))
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise NonInvertibleError("zero is not invertible")
-        return FieldElement(self.field, self.field.inv_int(self.value))
-
-    @property
-    def bits(self) -> Bits:
-        return Bits(self.value, self.field.degree)
-
-    def __repr__(self):
-        return f"FieldElement(GF(2^{self.field.degree}), {self.value:#x})"
 
 
 # ---------------------------------------------------------------------------
@@ -476,21 +401,14 @@ def gf_table(m: int) -> GFTable:
 # truncated multiplicative hash
 # ---------------------------------------------------------------------------
 
-def phi(w: FieldElement, x: FieldElement, l: int) -> Bits:
-    """First l bits of w*x; two-universal over uniform w.
+def phi(w: Bits, x: Bits, l: int) -> Bits:
+    """First l bits of w*x in GF(2^n), n the common length; two-universal
+    over uniform w.
 
     Computed by ``GF2Field.mul_low``, so the cost grows with l rather than
-    with the full product; l outside [0, degree] raises ``ValueError``.
+    with the full product.  Operands of unequal length, or l outside
+    [0, n], raise ``ValueError``.
     """
-    if not isinstance(w, FieldElement) or not isinstance(x, FieldElement):
-        raise TypeError("phi expects field elements")
-    w._check(x)
-    return Bits(w.field.mul_low(w.value, x.value, l), l)
-
-
-def phi_invert(w: FieldElement, p: FieldElement) -> FieldElement:
-    """Recover x from the full product p = w*x; requires w != 0."""
-    w._check(p)
-    if w.value == 0:
-        raise NonInvertibleError("seed w = 0 cannot be inverted")
-    return w.inverse() * p
+    if w.length != x.length:
+        raise ValueError(f"operands of {w.length} and {x.length} bits")
+    return Bits(GF2Field(w.length).mul_low(w.value, x.value, l), l)

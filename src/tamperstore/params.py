@@ -311,10 +311,14 @@ def qkd_threshold() -> float:
 
 
 def asymptotic_rates(beta0: float) -> AsymptoticRates:
-    """Asymptotic qubit and syndrome ratios, plus the recursive total."""
+    """Asymptotic qubit and syndrome ratios, plus the recursive total.
+
+    beta0 must lie in [0, 1/2): h is symmetric about 1/2, so a larger
+    error rate would silently return the rates of 1 - beta0.
+    """
+    if not 0 <= beta0 < 0.5:
+        raise ValueError(f"beta0 = {beta0} outside [0, 1/2)")
     h = binary_entropy(beta0)
-    if h >= 1:
-        raise ValueError("beta0 has full entropy, nothing is extractable")
     recursive = math.inf if 1 - 2 * h <= 0 else 1 / (1 - 2 * h)
     return AsymptoticRates(
         n_per_ell=1 / (1 - h),
@@ -329,17 +333,15 @@ def ideal_code_scaling(
     epsilon: float,
     alpha: float,
     lengths: list[int],
-    trap_coeff: float | None = None,
 ) -> list[dict]:
     """n/l under ideal capacity-rate codes with trap scaling r ~ n^alpha.
 
     For each message length the fixpoint n = kappa / (1 - h(beta + nu)) is
-    solved with r = max(r_floor, trap_coeff * n^alpha); beta and nu follow
-    the finite-size recipe.  Demonstrates the approach of n/l to
-    1/(1 - h(beta0)) as the length grows.
+    solved with r = max(r_floor, c * n^alpha), c = 0.05 for alpha >= 1 and
+    60 below; beta and nu follow the finite-size recipe.  Demonstrates the
+    approach of n/l to 1/(1 - h(beta0)) as the length grows.
     """
-    if trap_coeff is None:
-        trap_coeff = 0.05 if alpha >= 1 else 60.0
+    trap_coeff = 0.05 if alpha >= 1 else 60.0
     r_min = math.floor(_r_floor(epsilon, beta0)) + 1
     rows = []
     for ell in lengths:

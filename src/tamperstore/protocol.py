@@ -4,12 +4,15 @@ accounting, and the ideal ledger of recursive delegation.
 ``store`` runs the five preparation steps (compress, randomise, encode
 into qubits with hidden traps, extract a one-time pad and syndrome, tag)
 and returns the server bundle next to the client secrets; everything else
-is discarded.  ``retrieve`` runs the four testing/decryption steps against
-a possibly tampered bundle and returns an outcome flag instead of raising:
-aborts are regular results, and a bundle whose field lengths differ from
-the parameters', or whose seed w is zero, aborts with reason "format"
-before the MAC is checked.  Both take a ``ProtocolParams``, which checks
-the recipe's constraints once, when it is made, and the menu code it names.
+is discarded.  Field elements are ``Bits``: the randomiser's seed w of
+GF(2^ell0) goes into the bundle as drawn, and the pad is the hash of the
+n-bit payload x under the n-bit seed u.  ``retrieve`` runs the four
+testing/decryption steps against a possibly tampered bundle and returns an
+outcome flag instead of raising: aborts are regular results, and a bundle
+whose field lengths differ from the parameters', or whose seed w is zero,
+aborts with reason "format" before the MAC is checked.  Both take a
+``ProtocolParams``, which checks the recipe's constraints once, when it is
+made, and the menu code it names.
 
 Variable homes (the classical state of one session):
   server bundle   w, u, c, theta, qubit register
@@ -169,14 +172,14 @@ class RetrievalOutcome:
             raise ValueError("message must be present exactly when omega = 1")
 
 
-def one_time_pad(u: Bits, x: Bits, ell: int, field: GF2Field) -> Bits:
+def one_time_pad(u: Bits, x: Bits, ell: int) -> Bits:
     """z = phi(u, x, ell), the first ell bits of u * x in GF(2^n).
 
     The two-universal hash of the payload under the seed u (which may be
-    zero); only those ell bits of the product are computed.  A seed or
-    payload whose length is not n raises ``ValueError``.
+    zero); only those ell bits of the product are computed.  A seed and
+    payload of unequal lengths raise ``ValueError``.
     """
-    return phi(field.element(u), field.element(x), ell)
+    return phi(u, x, ell)
 
 
 def _check_shapes(params: ProtocolParams, code: LinearCode, prefix_code: PrefixCode):
@@ -214,8 +217,7 @@ def store(
     """Steps 1-5: compress, randomise, prepare qubits, pad, tag."""
     _check_shapes(params, code, prefix_code)
     m0 = compress(message, prefix_code, rng)
-    seed_field = GF2Field(params.ell0)
-    w = seed_field.random_nonzero(rng)
+    w = GF2Field(params.ell0).random_nonzero(rng)
     rm = randomize(m0, w, params.ell)
 
     total = params.n + params.r
@@ -226,15 +228,15 @@ def store(
 
     u = Bits.random(params.d, rng)
     s = code.syn(x)
-    z = one_time_pad(u, x, params.ell, GF2Field(params.n))
+    z = one_time_pad(u, x, params.ell)
     c = rm.m ^ z
 
     mac_key = MacKey.random(params.lam, rng)  # fresh key: used for this one tag
     bundle = ServerBundle(
-        w=w.bits,
+        w=w,
         u=u,
         c=c,
-        theta=tag(mac_key, _transcript(w.bits, u, c)),
+        theta=tag(mac_key, _transcript(w, u, c)),
         register=register,
     )
     secrets = ClientSecrets(mac_key=mac_key, layout=layout, v=v, s=s, m_nabla=rm.m_nabla)
@@ -288,9 +290,11 @@ def retrieve(
     if pattern is None:
         return RetrievalOutcome(0, None, "decode")
     x_hat = x_prime ^ pattern
-    z_hat = one_time_pad(bundle.u, x_hat, params.ell, GF2Field(params.n))
+    z_hat = one_time_pad(bundle.u, x_hat, params.ell)
     m_hat = z_hat ^ bundle.c
-    m0_hat = derandomize(m_hat, secrets.m_nabla, GF2Field(params.ell0).element(bundle.w))
+    # _lengths_match fixed len(w) = ell0 and w != 0: no field of a length
+    # the server chose is ever built
+    m0_hat = derandomize(m_hat, secrets.m_nabla, bundle.w)
     try:
         message = decompress(m0_hat, prefix_code)
     except ParseError:
@@ -318,20 +322,15 @@ def usefulness(secrets: ClientSecrets, message_bits: float) -> float:
 # recursion, in the capacity-rate limit only
 # ---------------------------------------------------------------------------
 
-def ideal_recursion_accounting(
-    beta0: float,
-    ell: float,
-    residual_threshold: float | None = None,
-    depth: int | None = None,
-) -> dict:
+def ideal_recursion_accounting(beta0: float, ell: float, residual_threshold: float) -> dict:
     """Geometric bookkeeping of the recursion with capacity-rate codes.
 
     Each level stores a message of m_i bits with m_i/(1 - h) qubits and
     leaves a syndrome of m_i * h/(1 - h) bits for the next level.  Stops
-    after ``depth`` levels or when the residual drops under the threshold.
+    when the residual drops under the threshold, which must be positive.
     """
-    if depth is None and residual_threshold is None:
-        raise ValueError("need a stopping rule")
+    if not residual_threshold > 0:
+        raise ValueError("need a positive residual threshold to stop at")
     h = binary_entropy(beta0)
     if 1 - 2 * h <= 0:
         raise ValueError("beta0 at or above the usefulness threshold")
@@ -354,9 +353,7 @@ def ideal_recursion_accounting(
             }
         )
         message_bits = syndrome
-        if depth is not None and level >= depth:
-            break
-        if residual_threshold is not None and message_bits < residual_threshold:
+        if message_bits < residual_threshold:
             break
     return {
         "levels": rows,

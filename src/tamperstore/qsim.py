@@ -253,11 +253,8 @@ class EveView:
 PUBLIC_EVE_API = ("measure", "replace", "size")
 
 
-@dataclass(frozen=True)
 class EveStrategy:
-    """Named intervention acting through the legal interface only."""
-
-    name: str
+    """An intervention acting through the legal interface only."""
 
     def apply(self, view: EveView, transcript: dict, rng: np.random.Generator) -> None:
         raise NotImplementedError
@@ -265,8 +262,6 @@ class EveStrategy:
 
 @dataclass(frozen=True)
 class PassiveEve(EveStrategy):
-    name: str = "passive"
-
     def apply(self, view, transcript, rng):
         return None
 
@@ -279,7 +274,6 @@ class InterceptResend(EveStrategy):
     "all-hadamard".
     """
 
-    name: str = "intercept-resend"
     policy: str = "random-basis"
 
     def __post_init__(self):
@@ -300,12 +294,16 @@ class InterceptResend(EveStrategy):
 
 @dataclass(frozen=True)
 class ClassicalTamper(EveStrategy):
-    """Flip one bit of a classical transcript field, leave the qubits alone."""
+    """Flip one bit of a classical transcript field, leave the qubits alone.
 
-    name: str = "classical-tamper"
+    A bit outside the field raises ``ValueError``; it is not wrapped.
+    """
+
     field: str = "c"
     bit: int = 0
 
     def apply(self, view, transcript, rng):
         word = transcript[self.field]
-        transcript[self.field] = word.flip(self.bit % max(word.length, 1))
+        if not 0 <= self.bit < word.length:
+            raise ValueError(f"bit {self.bit} outside the {word.length}-bit field {self.field}")
+        transcript[self.field] = word.flip(self.bit)

@@ -4,8 +4,10 @@ invertible extraction through the truncated multiplicative hash.
 ``compress`` maps every message to a fixed-length string whose tail is
 uniform padding; because the code is prefix-free the padding needs no
 delimiter and costs nothing to remember.  ``randomize`` multiplies that
-string by a nonzero seed in GF(2^l0) and splits the product into the
-near-uniform part ``m`` and the locally stored remainder ``m_nabla``.
+string, as an element of GF(2^l0), by a nonzero seed w of the same length
+and splits the product into the near-uniform part ``m`` and the locally
+stored remainder ``m_nabla``; ``derandomize`` multiplies ``m || m_nabla``
+by w^-1.  Seed and strings are all ``Bits``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import kv
 from .bits import Bits
 from .entropy import DiscreteDistribution
-from .gf2 import FieldElement, NonInvertibleError
+from .gf2 import GF2Field, NonInvertibleError
 
 
 class ParseError(ValueError):
@@ -118,14 +120,13 @@ def build_prefix_code(dist: DiscreteDistribution) -> PrefixCode:
     return PrefixCode(table, dist.name)
 
 
-def example1_code(L: int, mu0: int | None = None) -> PrefixCode:
+def example1_code(L: int) -> PrefixCode:
     """The explicit code behind :func:`tamperstore.entropy.example1`.
 
-    The heavy message gets the single bit '1'; every other message mu is
-    sent as '0' followed by the L bits of mu.
+    The heavy message, all ones, gets the single bit '1'; every other
+    message mu is sent as '0' followed by the L bits of mu.
     """
-    if mu0 is None:
-        mu0 = (1 << L) - 1
+    mu0 = (1 << L) - 1
     table = {mu0: Bits.from_01("1")}
     for mu in range(1 << L):
         if mu != mu0:
@@ -152,31 +153,27 @@ def decompress(padded: Bits, code: PrefixCode) -> int:
 class RandomizedMessage:
     m: Bits
     m_nabla: Bits
-    w: FieldElement
-
-    @property
-    def product(self) -> Bits:
-        return self.m.concat(self.m_nabla)
 
 
-def randomize(padded: Bits, w: FieldElement, l: int) -> RandomizedMessage:
-    """Split w * padded into the first l bits and the remainder."""
+def randomize(padded: Bits, w: Bits, l: int) -> RandomizedMessage:
+    """Split w * padded in GF(2^l0), l0 = len(padded), into the first l bits
+    and the remainder.  The seed w must be a nonzero string of length l0."""
     if w.value == 0:
         raise NonInvertibleError("seed w must be nonzero")
-    field = w.field
-    if field.degree != padded.length:
-        raise ValueError(f"padded length {padded.length} != field degree {field.degree}")
-    if l > field.degree:
+    if w.length != padded.length:
+        raise ValueError(f"padded length {padded.length} != seed length {w.length}")
+    if l > w.length:
         raise ValueError("l exceeds the padded length")
-    product = (w * field.element(padded)).bits
-    return RandomizedMessage(product.first(l), product[l:], w)
+    product = Bits(GF2Field(w.length).mul_int(w.value, padded.value), w.length)
+    return RandomizedMessage(product.first(l), product[l:])
 
 
-def derandomize(m: Bits, m_nabla: Bits, w: FieldElement) -> Bits:
+def derandomize(m: Bits, m_nabla: Bits, w: Bits) -> Bits:
     """Invert :func:`randomize`: multiply the reassembled product by w^-1."""
     if w.value == 0:
         raise NonInvertibleError("seed w must be nonzero")
     product = m.concat(m_nabla)
-    if product.length != w.field.degree:
-        raise ValueError("m || m_nabla length does not match the field degree")
-    return (w.inverse() * w.field.element(product)).bits
+    if product.length != w.length:
+        raise ValueError("m || m_nabla length does not match the seed length")
+    field = GF2Field(w.length)
+    return Bits(field.mul_int(field.inv_int(w.value), product.value), w.length)

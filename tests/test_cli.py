@@ -35,6 +35,26 @@ def test_rates_sweep_and_out(capsys, tmp_path):
     assert len(out_file.read_text().splitlines()) == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ber", "0.7"],
+        ["--ber", "0.5"],
+        ["--ber", "-0.1"],
+        ["--ber", "0.3", "--ber-max", "0.6", "--steps", "4"],
+        ["--ber", "-0.1", "--ber-max", "0.1", "--steps", "3"],
+    ],
+    ids=["0.7", "0.5", "negative", "sweep-past-half", "sweep-from-negative"],
+)
+def test_rates_refuses_ber_outside_half_interval(capsys, tmp_path, argv):
+    out_file = tmp_path / "rates.csv"
+    code, out, err = run(capsys, "rates", *argv, "--out", str(out_file))
+    assert code == 1
+    assert err.startswith("error:") and "outside [0, 1/2)" in err
+    assert "Traceback" not in err
+    assert out == "" and not out_file.exists()
+
+
 def test_params_command(capsys, tmp_path):
     out_file = tmp_path / "params.txt"
     code, out, _ = run(
@@ -353,7 +373,7 @@ def test_store_dist_file_with_three_fields_is_an_error(capsys, tmp_path):
     dist.write_text("0 0.5\n1 0.25 0.25\n2 0.25\n")
     code, _, err = run(
         capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "1",
-        "--dist-file", str(dist), "--message", "0", "--out", str(tmp_path / "session"),
+        "--dist", f"file:{dist}", "--message", "0", "--out", str(tmp_path / "session"),
     )
     assert code == 1
     assert err.startswith("error:") and f"{dist}, line 2: expected 'id value'" in err

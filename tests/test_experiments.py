@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tamperstore import cli
+from tamperstore.bits import Bits
 from tamperstore.experiments import (
     ExperimentConfig,
     log_binomial_cdf,
@@ -64,6 +65,48 @@ def test_make_strategy():
     assert isinstance(t, ClassicalTamper) and t.bit == 3
     with pytest.raises(ValueError):
         make_strategy("unknown")
+    s = make_strategy("intercept-resend")
+    assert isinstance(s, InterceptResend) and s.policy == "random-basis"
+    t = make_strategy("flip-c")
+    assert isinstance(t, ClassicalTamper) and (t.field, t.bit) == ("c", 0)
+
+
+GUESSED_NAMES = [
+    "intercept-resendfoo", "intercept-resend/", "intercept-resend/sideways",
+    "flip-cX", "flip-cc", "flip-c/", "flip-c/-1", "flip-c/+1", "flip-c/ 1", "flip-c/1/2",
+    "passive/", "Passive",
+]
+
+
+@pytest.mark.parametrize("name", GUESSED_NAMES)
+def test_make_strategy_refuses_guessed_names(name):
+    with pytest.raises(ValueError, match="unknown"):
+        make_strategy(name)
+    with pytest.raises(ValueError, match="unknown"):
+        ExperimentConfig("tamper", 0.05, 0.0, 4, strategy=name)
+
+
+@pytest.mark.parametrize("bit", [-1, 4, 99])
+def test_classical_tamper_refuses_a_bit_outside_its_field(bit):
+    transcript = {"c": Bits(0b0110, 4)}
+    with pytest.raises(ValueError, match=f"bit {bit} outside the 4-bit field c"):
+        ClassicalTamper(bit=bit).apply(None, transcript, np.random.default_rng(0))
+    assert transcript["c"] == Bits(0b0110, 4)
+    ClassicalTamper(bit=3).apply(None, transcript, np.random.default_rng(0))
+    assert transcript["c"] == Bits(0b1110, 4)
+
+
+@pytest.mark.parametrize("name", GUESSED_NAMES + ["flip-c/99"])
+def test_simulate_refuses_guessed_strategy_names(capsys, name):
+    # params A: c has ell = 4 bits, so flip-c/99 names no bit of it
+    code = cli.main([
+        "simulate", "--scenario", "tamper", "--strategy", name,
+        "--epsilon", "0.05", "--ber", "0.0", "--ell", "4", "--trials", "2",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
 
 
 def test_correctness_noiseless_zero_failures(noiseless_instance):

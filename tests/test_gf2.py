@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tamperstore.bits import Bits
 from tamperstore.gf2 import (
-    DegreeMismatchError,
     GF2Field,
     GFTable,
     NonInvertibleError,
@@ -17,7 +16,6 @@ from tamperstore.gf2 import (
     gf_table,
     is_irreducible,
     phi,
-    phi_invert,
     poly_divmod,
     poly_mod,
 )
@@ -50,16 +48,16 @@ def test_pinned_moduli_are_irreducible_and_smallest():
 def test_gf8_spec_example():
     f = GF2Field(3)
     assert f.modulus == 0b1011  # x^3 + x + 1
-    assert (f.element(0b010) * f.element(0b011)).value == 0b110
+    assert f.mul_int(0b010, 0b011) == 0b110
 
 
 def test_mul_identities():
     f = GF2Field(8)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        a = f.random_element(rng)
-        assert (f.one * a) == a
-        assert (f.zero * a) == f.zero
+        a = Bits.random(8, rng).value
+        assert f.mul_int(1, a) == a
+        assert f.mul_int(0, a) == 0
 
 
 def test_mul_against_schoolbook_oracle():
@@ -67,97 +65,71 @@ def test_mul_against_schoolbook_oracle():
         f = GF2Field(degree)
         rng = np.random.default_rng(degree)
         for _ in range(200):
-            a, b = f.random_element(rng), f.random_element(rng)
-            assert (a * b).value == schoolbook_mul(a.value, b.value, f.modulus)
+            a, b = Bits.random(degree, rng).value, Bits.random(degree, rng).value
+            assert f.mul_int(a, b) == schoolbook_mul(a, b, f.modulus)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
 def test_distributes_over_xor(a, b, c):
     f = GF2Field(16)
-    ea, eb, ec = f.element(a), f.element(b), f.element(c)
-    assert (ea ^ eb) * ec == (ea * ec) ^ (eb * ec)
+    assert f.mul_int(a ^ b, c) == f.mul_int(a, c) ^ f.mul_int(b, c)
 
 
 def test_mul_commutative_associative():
     f = GF2Field(16)
     rng = np.random.default_rng(1)
     for _ in range(30):
-        a, b, c = (f.random_element(rng) for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+        a, b, c = (Bits.random(16, rng).value for _ in range(3))
+        assert f.mul_int(a, b) == f.mul_int(b, a)
+        assert f.mul_int(f.mul_int(a, b), c) == f.mul_int(a, f.mul_int(b, c))
 
 
 def test_inverse_exhaustive_gf256():
     f = GF2Field(8)
     for v in range(1, 256):
-        e = f.element(v)
-        assert (e * e.inverse()) == f.one
+        assert f.mul_int(v, f.inv_int(v)) == 1
 
 
 def test_inverse_of_one_and_zero():
     f = GF2Field(8)
-    assert f.one.inverse() == f.one
+    assert f.inv_int(1) == 1
     with pytest.raises(NonInvertibleError):
-        f.zero.inverse()
-
-
-def test_degree_mismatch_rejected():
-    a = GF2Field(3).element(1)
-    b = GF2Field(4).element(1)
-    with pytest.raises(DegreeMismatchError):
-        a * b
+        f.inv_int(0)
 
 
 def test_phi_identity_seed():
-    f = GF2Field(8)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        x = f.random_element(rng)
-        assert phi(f.one, x, 5) == x.bits.first(5)
+        x = Bits.random(8, rng)
+        assert phi(Bits(1, 8), x, 5) == x.first(5)
 
 
 def test_phi_length_checked():
-    f = GF2Field(4)
+    one = Bits(1, 4)
     with pytest.raises(ValueError):
-        phi(f.one, f.one, 5)
+        phi(one, one, 5)
+
+
+@pytest.mark.parametrize("w_len, x_len", [(3, 4), (4, 3), (0, 4)])
+def test_phi_rejects_unequal_lengths(w_len, x_len):
+    with pytest.raises(ValueError, match="operands of"):
+        phi(Bits.zeros(w_len), Bits.zeros(x_len), 1)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_phi_universal_exhaustive(degree):
     # collision fraction over ALL seeds (zero included) is exactly 2^-l
-    f = GF2Field(degree)
     size = 1 << degree
     for l in range(1, degree + 1):
         expected = size >> l
         for x, xp in itertools.combinations(range(size), 2):
-            ex, exp_ = f.element(x), f.element(xp)
+            bx, bxp = Bits(x, degree), Bits(xp, degree)
             hits = sum(
-                phi(f.element(w), ex, l) == phi(f.element(w), exp_, l)
+                phi(Bits(w, degree), bx, l) == phi(Bits(w, degree), bxp, l)
                 for w in range(size)
             )
             assert hits == expected
-
-
-def test_phi_invert_exhaustive_gf16():
-    f = GF2Field(4)
-    for w in range(1, 16):
-        for x in range(16):
-            ew, ex = f.element(w), f.element(x)
-            assert phi_invert(ew, ew * ex) == ex
-
-
-def test_phi_invert_random_gf2_16():
-    f = GF2Field(16)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        w = f.random_nonzero(rng)
-        x = f.random_element(rng)
-        assert phi_invert(w, w * x) == x
-    p = f.random_element(rng)
-    assert phi_invert(f.one, p) == p
-    with pytest.raises(NonInvertibleError):
-        phi_invert(f.zero, p)
 
 
 def test_generate_modulus_deterministic_and_verified():
@@ -182,12 +154,15 @@ def test_random_nonzero_never_zero():
     assert all(f.random_nonzero(rng).value != 0 for _ in range(200))
 
 
-def test_bits_element_bridge():
-    f = GF2Field(5)
-    b = Bits.from_01("10110")
-    assert f.element(b).bits == b
-    with pytest.raises(DegreeMismatchError):
-        f.element(Bits.from_01("101"))
+def test_random_nonzero_is_the_first_nonzero_bits_draw():
+    # the seed w of every stored session comes from these draws
+    f = GF2Field(2)
+    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(50):
+        expected = Bits.random(2, theirs)
+        while expected.value == 0:
+            expected = Bits.random(2, theirs)
+        assert f.random_nonzero(ours) == expected
 
 
 def test_gftable_array_mul_matches_field_on_every_pair():

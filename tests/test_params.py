@@ -244,6 +244,13 @@ def test_recursive_rate_infinite_above_threshold():
     assert math.isinf(asymptotic_rates(0.12).recursive_per_ell)
 
 
+@pytest.mark.parametrize("beta0", [0.5, 0.7, 0.95, 1.0, -0.01, math.nan])
+def test_asymptotic_rates_refuses_beta0_outside_half_interval(beta0):
+    # h(0.95) = h(0.05): without the check the rates of 0.05 come back
+    with pytest.raises(ValueError, match=r"outside \[0, 1/2\)"):
+        asymptotic_rates(beta0)
+
+
 def test_ideal_code_scaling_converges():
     target = 1 / (1 - binary_entropy(0.05))
     for alpha in (0.5, 1.0):

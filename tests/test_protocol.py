@@ -375,18 +375,17 @@ def test_one_time_pad_is_the_first_ell_bits_of_the_product(n):
         u, x = Bits.random(n, rng), Bits.random(n, rng)
         product = field.mul_int(u.value, x.value)
         for ell in (1, 3, 4):
-            assert one_time_pad(u, x, ell, field) == Bits(product & ((1 << ell) - 1), ell)
-    assert one_time_pad(Bits.zeros(n), x, 4, field) == Bits.zeros(4)
+            assert one_time_pad(u, x, ell) == Bits(product & ((1 << ell) - 1), ell)
+    assert one_time_pad(Bits.zeros(n), x, 4) == Bits.zeros(4)
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
 @pytest.mark.parametrize("operand", ["seed", "payload"])
 def test_one_time_pad_rejects_wrong_lengths(operand, delta):
-    field = GF2Field(7)
     right, wrong = Bits(0b1011001, 7), Bits(1, 7 + delta)
     u, x = (wrong, right) if operand == "seed" else (right, wrong)
     with pytest.raises(ValueError):
-        one_time_pad(u, x, 3, field)
+        one_time_pad(u, x, 3)
 
 
 def test_tiny_instance_ciphertext_near_uniform_exact():
@@ -488,6 +487,6 @@ def test_ideal_recursion_accounting_matches_series():
 
 def test_ideal_recursion_needs_stopping_rule():
     with pytest.raises(ValueError):
-        ideal_recursion_accounting(0.05, 1e6)
+        ideal_recursion_accounting(0.05, 1e6, residual_threshold=0)
     with pytest.raises(ValueError):
-        ideal_recursion_accounting(0.12, 1e6, depth=3)  # above threshold
+        ideal_recursion_accounting(0.12, 1e6, residual_threshold=1e3)  # above threshold

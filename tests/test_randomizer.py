@@ -166,10 +166,9 @@ def test_unknown_message_rejected():
 # -- randomize / derandomize ----------------------------------------------------
 
 def test_identity_seed_splits_in_place():
-    field = GF2Field(8)
     rng = np.random.default_rng(6)
     padded = Bits.random(8, rng)
-    out = randomize(padded, field.one, 5)
+    out = randomize(padded, Bits(1, 8), 5)
     assert out.m == padded.first(5)
     assert out.m_nabla == padded[5:]
 
@@ -181,20 +180,19 @@ def test_round_trip_random_instances():
         padded = Bits.random(16, rng)
         w = field.random_nonzero(rng)
         out = randomize(padded, w, 9)
-        assert derandomize(out.m, out.m_nabla, out.w) == padded
+        assert derandomize(out.m, out.m_nabla, w) == padded
         assert out.m_nabla.length == 16 - 9  # local storage accounting
 
 
 def test_exhaustive_bijection_gf16():
-    field = GF2Field(4)
     for w in range(1, 16):
-        ew = field.element(w)
+        seed = Bits(w, 4)
         images = set()
         for value in range(16):
             padded = Bits(value, 4)
-            out = randomize(padded, ew, 2)
-            assert derandomize(out.m, out.m_nabla, ew) == padded
-            images.add(out.product.value)
+            out = randomize(padded, seed, 2)
+            assert derandomize(out.m, out.m_nabla, seed) == padded
+            images.add(out.m.concat(out.m_nabla).value)
         assert len(images) == 16  # bijection for every fixed seed
 
 
@@ -209,11 +207,20 @@ def test_single_bit_corruption_changes_message():
 
 
 def test_zero_seed_rejected():
-    field = GF2Field(8)
     with pytest.raises(NonInvertibleError):
-        randomize(Bits.zeros(8), field.zero, 4)
+        randomize(Bits.zeros(8), Bits.zeros(8), 4)
     with pytest.raises(NonInvertibleError):
-        derandomize(Bits.zeros(4), Bits.zeros(4), field.zero)
+        derandomize(Bits.zeros(4), Bits.zeros(4), Bits.zeros(8))
+
+
+@pytest.mark.parametrize("seed_len", [7, 9])
+def test_seed_of_another_length_rejected(seed_len):
+    # the seed's length names its field: it must be the padded length
+    seed = Bits(1, seed_len)
+    with pytest.raises(ValueError, match="seed length"):
+        randomize(Bits.zeros(8), seed, 4)
+    with pytest.raises(ValueError, match="seed length"):
+        derandomize(Bits.zeros(4), Bits.zeros(4), seed)
 
 
 def test_statistical_distance_exact_convolution():
