@@ -7,7 +7,10 @@ value so parsing never guesses:
     bits:13:0d1f            (length in bits, then little-endian hex)
     bytes:<base64>
 
-The first line names the record kind and format version.
+A value is accepted only in the one spelling written here (no plus sign, digit
+separator, space, upper-case hex or stray base64 character), and a file
+that breaks any rule raises ValueError naming the file, the line and the
+key.  The first line names the record kind and format version.
 
 ``load_table`` reads the other text form, the "id value" tables of prefix
 codes and message distributions.
@@ -42,19 +45,25 @@ def _encode(value) -> str:
 
 
 def _decode(text: str):
+    """The value ``text`` names; ValueError unless ``_encode`` of that value
+    gives ``text`` back, so no second spelling of a value is accepted."""
     kind, _, body = text.partition(":")
     if kind == "int":
-        return int(body)
-    if kind == "float":
-        return float(body)
-    if kind == "str":
-        return body
-    if kind == "bits":
+        value = int(body)
+    elif kind == "float":
+        value = float(body)
+    elif kind == "str":
+        value = body
+    elif kind == "bits":
         length, _, hexpart = body.partition(":")
-        return Bits.from_hex(hexpart, int(length))
-    if kind == "bytes":
-        return base64.b64decode(body)
-    raise ValueError(f"unknown value type {kind!r}")
+        value = Bits.from_hex(hexpart, int(length))
+    elif kind == "bytes":
+        value = base64.b64decode(body)
+    else:
+        raise ValueError(f"unknown value type {kind!r}")
+    if _encode(value) != text:
+        raise ValueError(f"{text!r} is not the canonical form {_encode(value)!r}")
+    return value
 
 
 def check_types(kind: str, mapping: dict, types: dict) -> None:
@@ -80,37 +89,50 @@ def dumps(kind: str, mapping: dict) -> str:
 
 
 def loads(text: str) -> tuple[str, dict]:
-    stream = io.StringIO(text)
+    """(kind, mapping) of a record; a malformed line raises ValueError
+    naming its number and, once the line has one, its key."""
+    stream = io.StringIO(text, newline=None)
     header = stream.readline().strip()
     parts = header.split()
     if len(parts) != 4 or parts[0] != "#" or parts[1] != "tamperstore":
-        raise ValueError(f"bad header {header!r}")
+        raise ValueError(f"line 1: bad header {header!r}")
     kind = parts[2]
     if parts[3] != f"v{_FORMAT_VERSION}":
-        raise ValueError(f"unsupported version {parts[3]}")
+        raise ValueError(f"line 1: unsupported version {parts[3]}")
     mapping = {}
-    for line in stream:
+    for number, line in enumerate(stream, 2):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition(" = ")
         if not sep:
-            raise ValueError(f"line {line!r} is not 'key = value'")
+            raise ValueError(f"line {number}: {line!r} is not 'key = value'")
         if key in mapping:
-            raise ValueError(f"duplicate key {key!r}")
-        mapping[key] = _decode(value)
+            raise ValueError(f"line {number}: duplicate key {key!r}")
+        try:
+            mapping[key] = _decode(value)
+        except ValueError as exc:
+            raise ValueError(f"line {number}, key {key!r}: {exc}") from None
     return kind, mapping
 
 
 def dump(path, kind: str, mapping: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(kind, mapping))
 
 
 def load(path, kind: str) -> dict:
-    """The mapping stored in ``path``; ValueError if the file holds another kind."""
-    with open(path) as fh:
-        found, mapping = loads(fh.read())
+    """The mapping stored in ``path``; ValueError naming the path if the file
+    is not UTF-8, is malformed, or holds another kind."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        found, mapping = loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}, {exc}") from None
     if found != kind:
         raise ValueError(f"{path}: expected a {kind} file, got {found!r}")
     return mapping

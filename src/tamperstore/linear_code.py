@@ -17,6 +17,11 @@ The inner Reed-Muller code is used only through byte symbols (see
 ``parity_check_matrix`` builds the explicit H from the generator as an
 independent reference.
 
+``syn_dec(s, received)`` finds a pattern e with syn(received ^ e) = s:
+it builds the coset word of s ^ syn(received) from the received blocks and
+s directly, so retrieval needs no syndrome of its measured word.  With
+``received`` left out it decodes s itself, the pattern of syndrome s.
+
 ``t_corr`` is a guarantee: every error pattern of weight <= t_corr is
 decoded exactly.  Heavier patterns may decode to a wrong pattern or
 return failure (None); failure is a value, not an exception.
@@ -129,7 +134,7 @@ class LinearCode:
     def syn(self, x: Bits) -> Bits:
         raise NotImplementedError
 
-    def syn_dec(self, s: Bits) -> Bits | None:
+    def syn_dec(self, s: Bits, received: Bits | None = None) -> Bits | None:
         raise NotImplementedError
 
     @property
@@ -346,10 +351,17 @@ class RmRsCode(LinearCode):
         return Bits.from_array(inner_syn.reshape(-1)).concat(Bits(outer, 8 * self.redundancy))
 
     def _unpack_syndrome(self, s: Bits) -> tuple[np.ndarray, np.ndarray]:
-        inner_len = self.outer_n * self.inner.check.size
-        inner_syn = s.first(inner_len).to_array().reshape(self.outer_n, -1)
-        outer = (s.value >> inner_len).to_bytes(self.redundancy, "little")
-        return inner_syn, np.frombuffer(outer, dtype=np.uint8)
+        """(N, n_in) words holding each block's inner syndrome on its check
+        positions and zeros elsewhere, and the outer syndrome symbols.
+
+        A block has 120 check bits, so both parts are whole bytes.
+        """
+        raw = s.value.to_bytes(s.length // 8, "little")
+        inner_bytes = self.outer_n * self.inner.check.size // 8
+        inner_syn = np.unpackbits(np.frombuffer(raw, np.uint8, inner_bytes), bitorder="little")
+        words = np.zeros((self.outer_n, self.inner.n), dtype=np.uint8)
+        words[:, self.inner.check] = inner_syn.reshape(self.outer_n, -1)
+        return words, np.frombuffer(raw, np.uint8, offset=inner_bytes)
 
     def syn(self, x: Bits) -> Bits:
         self._check_word(x)
@@ -357,20 +369,35 @@ class RmRsCode(LinearCode):
         outer_syn = self._rs_syndromes(self.inner.symbols(blocks))
         return self._pack_syndrome(self.inner.syndrome(blocks), outer_syn)
 
-    def syn_dec(self, s: Bits) -> Bits | None:
+    def syn_dec(self, s: Bits, received: Bits | None = None) -> Bits | None:
+        """The pattern e the decoder finds with syn(received ^ e) = s, or None.
+
+        ``received`` defaults to the zero word, so ``syn_dec(syn(e))`` gives
+        back every e of weight <= t_corr.  The word decoded is the coset
+        word of s ^ syn(received), built without that syndrome: with sym
+        the symbols of the received blocks, it is
+        blocks ^ encode(sym ^ preimage(s_outer ^ rs_syn(sym))) with s_inner
+        on the check positions.  blocks ^ encode(sym) is zero on the
+        information positions, so this is the word the difference alone
+        gives, and it is zero exactly when the difference is.
+        """
         self._check_syndrome(s)
-        if s.value == 0:
+        if received is None:
+            received = Bits.zeros(self.n)
+        self._check_word(received)
+        inner = self.inner
+        blocks = received.to_array().reshape(self.outer_n, inner.n)
+        symbols = inner.symbols(blocks)
+        inner_words, outer_syn = self._unpack_syndrome(s)
+        outer_diff = outer_syn ^ self._rs_syndromes(symbols)
+        y0 = blocks ^ inner_words ^ inner.encode(symbols ^ self._rs_preimage(outer_diff))
+        if not y0.any():
             return Bits.zeros(self.n)
-        inner_syn, outer_syn = self._unpack_syndrome(s)
-        # a word with syndrome s: the codewords of the outer preimage, plus
-        # the inner syndrome on the check positions (which adds no symbol)
-        y0 = self.inner.encode(self._rs_preimage(outer_syn))
-        y0[:, self.inner.check] ^= inner_syn
         # decode y0 toward the code
-        fixed = self._rs_decode(self.inner.decode_ml(y0))
+        fixed = self._rs_decode(inner.decode_ml(y0))
         if fixed is None:
             return None
-        return Bits.from_array((y0 ^ self.inner.encode(fixed)).reshape(-1))
+        return Bits.from_array((y0 ^ inner.encode(fixed)).reshape(-1))
 
     def parity_check_matrix(self) -> np.ndarray:
         """H built from the generator alone, as a reference for ``syn``."""

@@ -19,6 +19,9 @@ Variable homes (the classical state of one session):
   client secrets  mac key, trap layout, trap values v, syndrome s, m_nabla
   discarded       xi, x, z, p, m, m0 and every other intermediate
 
+Retrieval corrects the measured payload x' toward the stored s in one
+call, ``code.syn_dec(s, x')``; the syndrome of x' is never formed.
+
 Recursion, which would store the syndrome s in a further session, exists
 here only as ``ideal_recursion_accounting`` with capacity-rate codes.  A
 concrete chain cannot shorten the key: every code of the registry's menu
@@ -286,7 +289,7 @@ def retrieve(
         return RetrievalOutcome(0, None, "trap")  # a trap abort never needs the payload
 
     x_prime = layout.payload(word)
-    pattern = code.syn_dec(secrets.s ^ code.syn(x_prime))
+    pattern = code.syn_dec(secrets.s, x_prime)
     if pattern is None:
         return RetrievalOutcome(0, None, "decode")
     x_hat = x_prime ^ pattern

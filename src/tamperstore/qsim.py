@@ -17,7 +17,10 @@ and a register, ``measure_indices`` and ``replace_cells`` reject any basis
 or value outside {0, 1}.  On such cells the collapse is branch-free: the
 outcome is value ^ ((value ^ fresh) & (requested ^ basis)), the stored
 value where the bases agree and the fresh uniform bit where they differ,
-which costs the same whatever share of bases disagree.  ``TrapLayout``
+which costs the same whatever share of bases disagree.  Eve's
+``measure_indices`` draws one fresh bit per listed cell either way;
+``measure``, the client's full read-out, draws none when every requested
+basis is the cell's own, since no fresh bit would be read.  ``TrapLayout``
 keeps its trap string as a read-only 0/1 ``mask`` (``random`` seeds it
 from the draw, so the string is never unpacked again) and derives its
 index arrays from it once; ``traps`` and ``payload`` gather and pack each
@@ -181,25 +184,35 @@ def apply_storage_noise(
     return reg
 
 
-def _collapse(basis: np.ndarray, value: np.ndarray, requested: np.ndarray, rng) -> np.ndarray:
-    """Outcomes of measuring 0/1 cells (basis, value) in the requested bases.
+def _collapse(value: np.ndarray, differ: np.ndarray, rng) -> np.ndarray:
+    """Outcomes of measuring 0/1 cells of the given values, where ``differ``
+    marks the cells whose requested basis is not their own.
 
-    Equal bases return the value, unequal ones a fresh uniform bit; one
-    fresh bit is drawn per cell either way.
+    Agreeing cells return the value, differing ones a fresh uniform bit;
+    one fresh bit is drawn per cell either way.
     """
     fresh = rng.integers(0, 2, value.size, dtype=np.uint8)
-    return value ^ ((value ^ fresh) & (requested ^ basis))
+    return value ^ ((value ^ fresh) & differ)
 
 
 def measure(reg: QubitRegister, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Measure every cell; collapses the register onto the outcome array."""
+    """Measure every cell; collapses the register onto the outcome array.
+
+    The client's full read-out: when every requested basis is the cell's
+    own, the outcome is a copy of the values and ``rng`` is not drawn from;
+    otherwise one fresh bit is drawn per cell, as ``measure_indices`` does.
+    """
     requested = _cells(bases, "bases")
     if requested.size != reg.size:
         raise ValueError("need one basis choice per cell")
     basis, value = reg._records()
-    outcome = _collapse(basis, value, requested, rng)
-    basis[:] = requested
-    value[:] = outcome
+    differ = requested ^ basis
+    if np.count_nonzero(differ):
+        outcome = _collapse(value, differ, rng)
+        basis[:] = requested
+        value[:] = outcome
+    else:
+        outcome = value.copy()
     return outcome
 
 
@@ -212,7 +225,7 @@ def measure_indices(
     requested = _cells(bases, "bases")
     if requested.shape != indices.shape:
         raise ValueError("need one basis choice per listed cell")
-    outcome = _collapse(basis[indices], value[indices], requested, rng)
+    outcome = _collapse(value[indices], requested ^ basis[indices], rng)
     basis[indices] = requested
     value[indices] = outcome
     return outcome

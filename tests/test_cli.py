@@ -409,3 +409,16 @@ def test_runtime_imports_leave_out_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_retrieve_bundle_with_a_bad_hex_digit_is_one_error_line(capsys, tmp_path):
+    session = _stored_session(capsys, tmp_path)
+    bundle = session / "bundle.txt"
+    lines = bundle.read_text().splitlines(keepends=True)
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith("u = "))
+    lines[number - 1] = lines[number - 1][:-2] + "g\n"
+    bundle.write_text("".join(lines))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith(f"error: {bundle}, line {number}, key 'u': ")
+    assert err.count("\n") == 1 and "Traceback" not in err and "omega" not in out

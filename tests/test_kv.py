@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from tamperstore import kv
@@ -69,3 +72,57 @@ def test_load_table_rejects_malformed_lines(tmp_path, body, why):
     with pytest.raises(ValueError) as err:
         kv.load_table(path, float)
     assert str(err.value).startswith(f"{path}, {why}")
+
+
+@pytest.mark.parametrize(
+    "text,canonical",
+    [
+        ("bytes:@QUJD", "bytes:QUJD"),
+        ("bytes:Q U J D", "bytes:QUJD"),
+        ("int:+7", "int:7"),
+        ("int:1_000", "int:1000"),
+        ("int: 7", "int:7"),
+        ("bits:13:0D1F", "bits:13:0d1f"),
+        ("bits:13:0d 1f", "bits:13:0d1f"),
+        ("bits:+13:0d1f", "bits:13:0d1f"),
+        ("float:1_0.5", "float:10.5"),
+    ],
+)
+def test_loads_accepts_only_the_canonical_spelling(text, canonical):
+    # Python's parsers accept both spellings of each value; the format keeps one
+    header = "# tamperstore demo v1\n"
+    _, mapping = kv.loads(f"{header}a = {canonical}\n")
+    assert kv.dumps("demo", mapping) == f"{header}a = {canonical}\n"
+    why = re.escape(f"line 2, key 'a': {text!r} is not the canonical form")
+    with pytest.raises(ValueError, match=f"^{why}"):
+        kv.loads(f"{header}a = {text}\n")
+
+
+def test_load_names_the_path_line_and_key(tmp_path):
+    path = tmp_path / "bundle.txt"
+    kv.dump(path, "bundle", {"register": b"\x01\x02\x03", "u": Bits(5, 8)})
+    written = path.read_text()
+    for old, new, where in (
+        ("bytes:", "bytes:@@@", "line 2, key 'register'"),  # dropped by a lax base64 decode
+        ("bits:8:05", "bits:8:0g", "line 3, key 'u'"),  # a bad hex digit
+    ):
+        path.write_text(written.replace(old, new))
+        with pytest.raises(ValueError) as err:
+            kv.load(path, "bundle")
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{path}, {where}: ")
+
+
+def test_load_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "params.txt"
+    path.write_bytes(b"# tamperstore params v1\nname = str:caf\xe9\n")
+    with pytest.raises(ValueError) as err:
+        kv.load(path, "params")
+    assert type(err.value) is ValueError
+    assert str(err.value).startswith(f"{path}, line 2: not UTF-8 text")
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_pinned_params_files_load_unchanged(name):
+    path = Path(__file__).parent / "data" / f"params_{name}.txt"
+    assert kv.dumps("params", kv.load(path, "params")) == path.read_text()

@@ -274,6 +274,38 @@ def test_rmrs_step8_identity():
         assert pattern is not None and xp ^ pattern == x
 
 
+@pytest.mark.parametrize("n,k", [(20, 4), (76, 5), (12, 2), (255, 16)])  # A, C, menu ends
+def test_syn_dec_toward_received_equals_decoding_the_difference(n, k):
+    code = RmRsCode(n, k)
+    inner = code.inner
+    rng = np.random.default_rng(n * 256 + k)
+    failures = 0
+    for case in range(18):
+        x = Bits.random(code.n, rng)
+        if case % 3 == 0:  # within the radius
+            e = random_error(code.n, int(rng.integers(0, code.t_corr + 1)), rng)
+        elif case % 3 == 1:  # beyond it: every bit flipped with probability up to 1/2
+            e = Bits.from_array((rng.random(code.n) < rng.uniform(0, 0.5)).astype(np.uint8))
+        else:  # bursts: whole blocks replaced by random bits
+            burst = np.zeros((code.outer_n, inner.n), dtype=np.uint8)
+            size = int(rng.integers(1, code.outer_n + 1))
+            blocks = rng.choice(code.outer_n, size=size, replace=False)
+            burst[blocks] = rng.integers(0, 2, (size, inner.n))
+            e = Bits.from_array(burst.reshape(-1))
+        s, received = code.syn(x), x ^ e
+        pattern = code.syn_dec(s, received)
+        assert pattern == code.syn_dec(s ^ code.syn(received))
+        if pattern is None:
+            failures += 1
+        else:
+            assert code.syn(received ^ pattern) == s
+        if case % 3 == 0:
+            assert received ^ pattern == x
+    assert failures > 0
+    x = Bits.random(code.n, rng)
+    assert code.syn_dec(code.syn(x), x) == Bits.zeros(code.n)
+
+
 def random_codeword(code: RmRsCode, rng: np.random.Generator) -> np.ndarray:
     """Free symbols past the redundancy, the preimage of their RS syndromes
     on the first positions, each symbol inner-encoded."""

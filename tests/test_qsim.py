@@ -306,6 +306,18 @@ def test_measure_indices_equals_select_oracle(n):
     assert all(np.array_equal(a, b) for a, b in zip(reg._records(), (basis, value)))
 
 
+def test_measure_all_agreeing_returns_values_and_draws_nothing():
+    rng = np.random.default_rng(21)
+    xi, layout, reg = random_setup(14436, 4708, rng)
+    state = rng.bit_generator.state
+    outcome = measure(reg, layout.mask, rng)
+    assert outcome.dtype == np.uint8 and np.array_equal(outcome, xi.to_array())
+    assert rng.bit_generator.state == state
+    assert all(np.array_equal(a, b) for a, b in zip(reg._records(), (layout.mask, outcome)))
+    outcome[0] ^= 1  # a copy, not a view of the records
+    assert reg._records()[1][0] == xi[0]
+
+
 @pytest.mark.parametrize("total,r", [(1, 0), (1, 1), (50, 13), (14436, 4708)])
 def test_trap_layout_seeded_mask_equals_built_mask(total, r):
     drawn, built = layouts_both_ways(total, r, np.random.default_rng(total))
