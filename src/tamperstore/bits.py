@@ -10,6 +10,7 @@ of ``b`` are simply ``b.value & ((1 << l) - 1)``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,44 @@ class Bits:
 
     @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "Bits":
-        nbytes = (length + 7) // 8
-        value = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << length) - 1)
-        return cls(value, length)
+        """Uniform bits, drawn as ``rng.bytes(ceil(length / 8))`` draws them.
+
+        That is ceil(length / 32) 32-bit words, and one word when length
+        is 0; see :meth:`random_many`.
+        """
+        return cls.random_many((length,), rng)[0]
+
+    @classmethod
+    def random_many(cls, lengths: Sequence[int], rng: np.random.Generator) -> list["Bits"]:
+        """One uniform string per length, in one generator call.
+
+        String i takes the next max(1, ceil(lengths[i] / 32)) 32-bit words
+        of ``rng.integers(0, 2**32, dtype=np.uint32)`` and keeps their first
+        lengths[i] bits, little-endian.  So the values and the generator
+        state equal those of one ``rng.bytes(ceil(length / 8))`` per
+        string, taken in order; numpy's ``bytes`` draws a word even for
+        length 0.
+        """
+        counts = [_word_count(length) for length in lengths]
+        raw = random_words(sum(counts), rng).tobytes()
+        out, start = [], 0
+        for length, count in zip(lengths, counts):
+            value = int.from_bytes(raw[start : start + 4 * count], "little")
+            out.append(cls(value & ((1 << length) - 1), length))
+            start += 4 * count
+        return out
+
+    @classmethod
+    def random_array(cls, length: int, rng: np.random.Generator) -> np.ndarray:
+        """``random(length, rng).to_array()``: the same draw, as a 0/1 uint8
+        array, with no round trip through an int."""
+        words = random_words(_word_count(length), rng)
+        return np.unpackbits(words.view(np.uint8), bitorder="little")[:length]
 
     # -- views -------------------------------------------------------------
 
     def to_01(self) -> str:
-        return "".join("1" if (self.value >> i) & 1 else "0" for i in range(self.length))
+        return format(self.value, f"0{self.length}b")[::-1] if self.length else ""
 
     def to_array(self) -> np.ndarray:
         raw = self.value.to_bytes((self.length + 7) // 8 or 1, "little")
@@ -121,3 +152,15 @@ class Bits:
     def __repr__(self) -> str:
         body = self.to_01() if self.length <= 64 else self.to_01()[:61] + "..."
         return f"Bits<{self.length}>({body})"
+
+
+def random_words(count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform 32-bit words in one generator call, little-endian
+    in memory, so byte j of the result is byte j of the drawn stream."""
+    return rng.integers(0, 1 << 32, count, dtype=np.uint32).astype("<u4", copy=False)
+
+
+def _word_count(length: int) -> int:
+    """Words ``rng.bytes(ceil(length / 8))`` draws: numpy's C code takes
+    (nbytes - 1) // 4 + 1 with C division, which is 1 for nbytes = 0."""
+    return max(1, (length + 31) >> 5)

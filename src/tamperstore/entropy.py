@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +50,21 @@ class DiscreteDistribution:
     def support_size(self) -> int:
         return int(self.probs.size)
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probabilities, normalised by their last entry as
+        ``Generator.choice`` normalises them; computed once, read-only."""
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
+
     def sample(self, rng: np.random.Generator):
-        return rng.choice(self.outcomes, p=self.probs)
+        """One outcome, equal in value and generator state to
+        ``rng.choice(self.outcomes, p=self.probs)``: one ``rng.random()``
+        searched in the cached CDF, as ``choice`` does after rebuilding
+        and checking it on every call."""
+        return self.outcomes[self.cdf.searchsorted(rng.random(), side="right")]
 
 
 # ---------------------------------------------------------------------------

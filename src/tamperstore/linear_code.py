@@ -12,6 +12,8 @@ The GF(2^8) symbol arithmetic is ``gf2.GFTable``.  The Reed-Solomon
 syndrome map, its preimage (a closed-form Vandermonde inverse built once
 per code), the Chien search and the Forney step each act on whole symbol
 arrays through its gathers; only Berlekamp-Massey runs symbol by symbol.
+The two fixed matrices, the syndrome map and the inverse, are kept as
+logs, so a product with one of them gathers only the vector's logs.
 The inner Reed-Muller code is used only through byte symbols (see
 ``_InnerRM``), so no generic GF(2) matrix runs in ``syn`` or ``syn_dec``;
 ``parity_check_matrix`` builds the explicit H from the generator as an
@@ -227,7 +229,7 @@ class _InnerRM:
         T = np.matmul(self._h_hi, signs.reshape(len(words), -1, lo) @ self._h_lo)
         T = T.reshape(len(words), self.n)
         best = np.argmax(np.abs(T), axis=1)
-        negative = np.take_along_axis(T, best[:, None], axis=1)[:, 0] < 0
+        negative = T[np.arange(len(words)), best] < 0
         return negative | best << 1
 
 
@@ -266,12 +268,14 @@ class RmRsCode(LinearCode):
         self.t_out = self.redundancy // 2
         spec = self.spec_of(outer_n, outer_k)
         self.name, self.n, self.kappa, self.t_corr = spec.name, spec.n, spec.kappa, spec.t_corr
-        # syndrome map: row j-1 holds x_i^j for the symbol locator x_i = alpha^i
+        # syndrome map: row j-1 holds x_i^j for the symbol locator x_i = alpha^i,
+        # kept as logs (j i mod order) since it is only ever a multiplicand
         r = self.redundancy
-        self._powers = self.table.pow_alpha(np.outer(np.arange(1, r + 1), np.arange(outer_n)))
+        self._powers_log = np.outer(np.arange(1, r + 1), np.arange(outer_n)) % self.table.order
         # inverse of the syndrome map restricted to the first `redundancy`
-        # symbol positions, for syndrome preimages
-        self._v_inv = self._vandermonde_inverse(self._powers[0, :r])
+        # symbol positions, for syndrome preimages, and its logs
+        self._v_inv = self._vandermonde_inverse(self.table.pow_alpha(np.arange(r)))
+        self._v_inv_log = self.table.log[self._v_inv]
 
     # -- symbol-matrix helpers ------------------------------------------------
 
@@ -300,15 +304,20 @@ class RmRsCode(LinearCode):
             deriv = t.mul(deriv, x) ^ q[:, k]
         return t.mul(q, t.inv(t.mul(x, deriv))[:, None])
 
+    def _log_product(self, matrix_log: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """The product of a fixed symbol matrix, given by its logs, and a
+        symbol vector: ``table.mul`` with the matrix's gather done once."""
+        t = self.table
+        return np.bitwise_xor.reduce(t.exp[matrix_log + t.log[symbols]], axis=1)
+
     def _rs_syndromes(self, symbols: np.ndarray) -> np.ndarray:
-        return np.bitwise_xor.reduce(self.table.mul(self._powers, symbols), axis=1)
+        return self._log_product(self._powers_log, symbols)
 
     def _rs_preimage(self, syndromes: np.ndarray) -> np.ndarray:
         """Symbols supported on the first `redundancy` positions hitting them."""
         out = np.zeros(self.outer_n, dtype=np.int64)
-        out[: self.redundancy] = np.bitwise_xor.reduce(
-            self.table.mul(self._v_inv, syndromes), axis=1
-        )
+        if syndromes.any():
+            out[: self.redundancy] = self._log_product(self._v_inv_log, syndromes)
         return out
 
     def _rs_decode(self, symbols: np.ndarray) -> np.ndarray | None:

@@ -85,7 +85,8 @@ class MacKey:
 
     @classmethod
     def random(cls, lam: int, rng: np.random.Generator) -> "MacKey":
-        return cls(Bits.random(lam, rng).value, Bits.random(lam, rng).value, lam)
+        a, b = Bits.random_many((lam, lam), rng)
+        return cls(a.value, b.value, lam)
 
     @property
     def bit_size(self) -> int:

@@ -224,17 +224,18 @@ def store(
     rm = randomize(m0, w, params.ell)
 
     total = params.n + params.r
-    xi = Bits.random(total, rng).to_array()
+    xi = Bits.random_array(total, rng)
     layout = TrapLayout.random(total, params.r, rng)
     v, x = layout.split(xi)
     register = prepare(xi, layout.mask, params.r)
 
-    u = Bits.random(params.d, rng)
+    # the seed u and a fresh MAC key, used for this one tag, in one draw
+    u, a, b = Bits.random_many((params.d, params.lam, params.lam), rng)
+    mac_key = MacKey(a.value, b.value, params.lam)
     s = code.syn(x)
     z = one_time_pad(u, x, params.ell)
     c = rm.m ^ z
 
-    mac_key = MacKey.random(params.lam, rng)  # fresh key: used for this one tag
     bundle = ServerBundle(
         w=w,
         u=u,

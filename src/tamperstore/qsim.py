@@ -6,7 +6,10 @@ hidden-record simulation reproduces the exact single-qubit statistics:
 measuring in the preparation basis returns the stored bit (plus any
 accumulated noise flips), measuring in the other basis returns a fresh
 uniform bit, and either way the record collapses to the measured
-basis/value so earlier information is unrecoverable.
+basis/value so earlier information is unrecoverable.  Fresh bits come
+from 32-bit words, four cells to a word (the top bit of each byte, low
+byte first): the values and generator state of ``rng.integers(0, 2, n,
+dtype=np.uint8)`` from one cheaper call.
 
 Attack strategies never see the hidden records; they act through
 :class:`EveView`, whose only read operation is a collapsing measurement.
@@ -18,7 +21,7 @@ or value outside {0, 1}.  On such cells the collapse is branch-free: the
 outcome is value ^ ((value ^ fresh) & (requested ^ basis)), the stored
 value where the bases agree and the fresh uniform bit where they differ,
 which costs the same whatever share of bases disagree.  Eve's
-``measure_indices`` draws one fresh bit per listed cell either way;
+``measure_indices`` draws one fresh cell per listed cell either way;
 ``measure``, the client's full read-out, draws none when every requested
 basis is the cell's own, since no fresh bit would be read.  ``TrapLayout``
 keeps its trap string as a read-only 0/1 ``mask`` (``random`` seeds it
@@ -35,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import Bits
+from .bits import Bits, random_words
 
 STANDARD = 0
 HADAMARD = 1
@@ -184,14 +187,27 @@ def apply_storage_noise(
     return reg
 
 
+def _random_cells(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform 0/1 cells, equal in value and generator state to
+    ``rng.integers(0, 2, n, dtype=np.uint8)``.
+
+    numpy draws such a cell (Lemire's method on 8 bits) by reading the
+    next byte of a buffered 32-bit word, low byte first, and keeping its
+    top bit; the buffer starts empty on every call.  So cell j is the top
+    bit of byte j of ceil(n / 4) words drawn in one call.
+    """
+    return random_words((n + 3) >> 2, rng).view(np.uint8)[:n] >> 7
+
+
 def _collapse(value: np.ndarray, differ: np.ndarray, rng) -> np.ndarray:
     """Outcomes of measuring 0/1 cells of the given values, where ``differ``
     marks the cells whose requested basis is not their own.
 
     Agreeing cells return the value, differing ones a fresh uniform bit;
-    one fresh bit is drawn per cell either way.
+    one fresh cell is drawn per listed cell either way, by
+    ``_random_cells``, so every four cells take one 32-bit word.
     """
-    fresh = rng.integers(0, 2, value.size, dtype=np.uint8)
+    fresh = _random_cells(value.size, rng)
     return value ^ ((value ^ fresh) & differ)
 
 
@@ -296,7 +312,7 @@ class InterceptResend(EveStrategy):
     def apply(self, view, transcript, rng):
         n = view.size
         if self.policy == "random-basis":
-            bases = rng.integers(0, 2, n, dtype=np.uint8)
+            bases = _random_cells(n, rng)
         elif self.policy == "all-standard":
             bases = np.zeros(n, dtype=np.uint8)
         else:

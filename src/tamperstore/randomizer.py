@@ -130,7 +130,7 @@ def example1_code(L: int) -> PrefixCode:
     table = {mu0: Bits.from_01("1")}
     for mu in range(1 << L):
         if mu != mu0:
-            table[mu] = Bits.from_01("0").concat(Bits(mu, L))
+            table[mu] = Bits(mu << 1, L + 1)
     return PrefixCode(table, f"example1(L={L})")
 
 

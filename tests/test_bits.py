@@ -60,3 +60,13 @@ def test_from_hex_rejects_wrong_size_and_excess_bits():
         Bits.from_hex("ff3f", 13)  # bit 13 set: wider than the length
     with pytest.raises(ValueError):
         Bits.from_hex("00", 0)
+
+
+def test_to_01_equals_the_per_bit_form():
+    rng = np.random.default_rng(64)
+    for length in range(65):
+        for value in (0, (1 << length) - 1, int(rng.integers(0, 1 << 62)) & ((1 << length) - 1)):
+            bits = Bits(value, length)
+            expected = "".join("1" if (value >> i) & 1 else "0" for i in range(length))
+            assert bits.to_01() == expected
+            assert Bits.from_01(expected) == bits

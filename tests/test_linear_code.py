@@ -204,6 +204,23 @@ def test_rmrs_preimage_hits_its_syndromes(n, k):
         assert np.array_equal(code._rs_syndromes(pre), s)
 
 
+@pytest.mark.parametrize("n,k", [(12, 2), (20, 4), (76, 5), (255, 16)])
+def test_rmrs_log_products_equal_table_mul(n, k):
+    # the kept log matrices give what table.mul of the symbol matrices gives
+    code = RmRsCode(n, k)
+    t, r = code.table, code.redundancy
+    powers = t.pow_alpha(np.outer(np.arange(1, r + 1), np.arange(n)))
+    rng = np.random.default_rng(n + k)
+    for density in (0.0, 0.3, 1.0):
+        symbols = rng.integers(0, 256, size=n) * (rng.random(n) < density)
+        synd = np.bitwise_xor.reduce(t.mul(powers, symbols), axis=1)
+        assert np.array_equal(code._rs_syndromes(symbols), synd)
+        pre = np.zeros(n, dtype=np.int64)
+        pre[:r] = np.bitwise_xor.reduce(t.mul(code._v_inv, synd), axis=1)
+        assert np.array_equal(code._rs_preimage(synd), pre)
+    assert not code._rs_preimage(np.zeros(r, dtype=np.int64)).any()
+
+
 def radius_codes():
     return [make_rmrs(), RmRsCode(76, 5)]  # the small test code and the params-C code
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -270,3 +271,16 @@ def test_code_text_round_trip(tmp_path):
     code.dump(path)
     loaded = PrefixCode.load(path)
     assert loaded.codewords == code.codewords
+
+
+def test_example1_code_dump_is_pinned(tmp_path):
+    """example1:12 builds its codewords as ints; the table is the one that
+    '0' + the 12 bits of mu gave, pinned by the SHA-256 of its dump."""
+    path = tmp_path / "example1.txt"
+    example1_code(12).dump(path)
+    text = path.read_text()
+    assert text.splitlines()[:2] == ["0 0000000000000", "1 0100000000000"]
+    assert text.splitlines()[-1] == "4095 1"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4d7a2fc39c8256f0b00479559be46f9df2e1f96c4ba84a66432a23f8abb3f37a"
+    )
