@@ -10,8 +10,9 @@ place a menu entry's name, n, kappa and t_corr are worked out.
 
 The GF(2^8) symbol arithmetic is ``gf2.GFTable``.  The Reed-Solomon
 syndrome map, its preimage (a closed-form Vandermonde inverse built once
-per code), the Chien search and the Forney step each act on whole symbol
-arrays through its gathers; only Berlekamp-Massey runs symbol by symbol.
+per code), the Chien search (at points also built once per code) and the
+Forney step each act on whole symbol arrays through its gathers; only
+Berlekamp-Massey runs symbol by symbol.
 The two fixed matrices, the syndrome map and the inverse, are kept as
 logs, so a product with one of them gathers only the vector's logs.
 The inner Reed-Muller code is used only through byte symbols (see
@@ -19,10 +20,21 @@ The inner Reed-Muller code is used only through byte symbols (see
 ``parity_check_matrix`` builds the explicit H from the generator as an
 independent reference.
 
-``syn_dec(s, received)`` finds a pattern e with syn(received ^ e) = s:
-it builds the coset word of s ^ syn(received) from the received blocks and
-s directly, so retrieval needs no syndrome of its measured word.  With
-``received`` left out it decodes s itself, the pattern of syndrome s.
+``syn_dec(s, received)`` finds a pattern e with syn(received ^ e) = s,
+so retrieval needs no syndrome of its measured word.  It decodes in the
+received frame: each received block, with the inner part of s added, is
+ML-decoded by the Hadamard transform, and the RS decoder moves those
+symbols into the coset of the outer part of s rather than into the code.
+That is the decode of the coset word of s ^ syn(received), bit for bit,
+without the two symbol-matrix products that form the coset word: adding
+an inner codeword to a block shifts its ML symbol by that codeword's, and
+the coset decode sees the same RS syndrome.  The one exception is the
+choice among equally near inner codewords, which needs a block beyond the
+inner radius; only then is the coset word's frame formed, to break the
+tie as that decode breaks it.  The rule is kept so that no output depends
+on the frame: ``syn_dec(s, r) == syn_dec(s ^ syn(r))`` always, and
+retrieval outcomes match the coset-word decode's.  With ``received`` left
+out it decodes s itself, the pattern of syndrome s.
 
 ``t_corr`` is a guarantee: every error pattern of weight <= t_corr is
 decoded exactly.  Heavier patterns may decode to a wrong pattern or
@@ -213,24 +225,38 @@ class _InnerRM:
         codeword with its information bits, on the check positions."""
         return (words ^ self.encode(self.symbols(words)))[:, self.check]
 
+    def transform(self, words: np.ndarray) -> np.ndarray:
+        """(N, n) 0/1 words -> (N, n) float32 U = H y - (n/2) e0.
+
+        U[a] = sum_v y_v (-1)^parity(a & v), less n/2 at a = 0, which is
+        -1/2 of the correlation sum_v (-1)^(y_v ^ parity(a & v)) of the
+        word with the codeword of symbol a << 1.  H y is two float32
+        products: each word as a 2^hi x 2^lo matrix Y[v_hi, v_lo] becomes
+        H_hi Y H_lo, which read row by row is H y in natural order; the
+        first is one GEMM over every row of every block.  Every entry is
+        an integer of magnitude at most n, so float32 holds it exactly.
+        """
+        lo = self._h_lo.shape[0]
+        half = words.reshape(-1, lo).astype(np.float32) @ self._h_lo
+        U = np.matmul(self._h_hi, half.reshape(len(words), -1, lo)).reshape(len(words), self.n)
+        U[:, 0] -= self.n // 2
+        return U
+
+    @staticmethod
+    def symbols_at(U: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """The symbols of the codewords named by a in each row of U: the
+        codeword of a << 1 where U[a] < 0 (the correlation is positive),
+        its complement, with m0 = 1, where U[a] > 0."""
+        return (U[np.arange(len(U)), a] > 0) | a << 1
+
     def decode_ml(self, words: np.ndarray) -> np.ndarray:
         """(N, n) words -> (N,) symbols of the nearest codewords.
 
-        T[a] = sum_v (-1)^(y_v ^ parity(a & v)), the Hadamard transform of
-        the signs, as two float32 products: each word as a 2^hi x 2^lo
-        matrix Y[v_hi, v_lo] becomes H_hi Y H_lo, which read row by row is
-        T in natural order.  Every entry is an integer of magnitude at most
-        n, so float32 holds it exactly.  The nearest codeword has the
-        largest |T[a]| (the first such a on a tie), and m0 = 1 where that
-        T[a] is negative.
+        The nearest codeword has the largest |U[a]| (see ``transform``),
+        the first such a on a tie.
         """
-        signs = 1 - 2 * words.astype(np.float32)
-        lo = self._h_lo.shape[0]
-        T = np.matmul(self._h_hi, signs.reshape(len(words), -1, lo) @ self._h_lo)
-        T = T.reshape(len(words), self.n)
-        best = np.argmax(np.abs(T), axis=1)
-        negative = T[np.arange(len(words)), best] < 0
-        return negative | best << 1
+        U = self.transform(words)
+        return self.symbols_at(U, np.argmax(np.abs(U), axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -276,6 +302,8 @@ class RmRsCode(LinearCode):
         # symbol positions, for syndrome preimages, and its logs
         self._v_inv = self._vandermonde_inverse(self.table.pow_alpha(np.arange(r)))
         self._v_inv_log = self.table.log[self._v_inv]
+        # Chien-search points: alpha^-i, the root of the locator factor of position i
+        self._x_inv = self.table.pow_alpha(-np.arange(outer_n))
 
     # -- symbol-matrix helpers ------------------------------------------------
 
@@ -320,10 +348,19 @@ class RmRsCode(LinearCode):
             out[: self.redundancy] = self._log_product(self._v_inv_log, syndromes)
         return out
 
-    def _rs_decode(self, symbols: np.ndarray) -> np.ndarray | None:
-        """Errors-only bounded-distance decode toward the zero-syndrome codeword."""
+    def _rs_decode(self, symbols: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+        """Errors-only bounded-distance decode toward the coset of ``target``.
+
+        The symbols within t_out symbol errors of ``symbols`` whose RS
+        syndrome is ``target``, or None.  The error values have syndrome
+        rs_syn(symbols) ^ target, so Berlekamp-Massey, the Chien search
+        and Forney run on that, exactly as a decode toward the code runs
+        on a word of that syndrome; the final check is that the corrected
+        symbols have syndrome ``target``.  ``syn_dec`` decodes its received
+        frame this way, so no word of the code itself is ever formed.
+        """
         t = self.table
-        synd = self._rs_syndromes(symbols)
+        synd = self._rs_syndromes(symbols) ^ target
         if not synd.any():
             return symbols
         locator = _berlekamp_massey(t, synd.tolist())
@@ -331,8 +368,7 @@ class RmRsCode(LinearCode):
             return None
         degree = len(locator) - 1
         # Chien search over every position at once: roots are alpha^-i
-        x_inv = t.pow_alpha(-np.arange(self.outer_n))
-        positions = np.flatnonzero(t.poly_eval(locator, x_inv) == 0)
+        positions = np.flatnonzero(t.poly_eval(locator, self._x_inv) == 0)
         if positions.size != degree:
             return None
         # Forney: omega = S(X) * locator(X) mod X^redundancy
@@ -340,13 +376,13 @@ class RmRsCode(LinearCode):
         for j, lj in enumerate(locator):
             omega[j:] ^= t.mul(synd[: self.redundancy - j], lj)
         deriv = [locator[i] if i % 2 == 1 else 0 for i in range(1, len(locator))]
-        x = x_inv[positions]
+        x = self._x_inv[positions]
         den = t.poly_eval(deriv, x)
         if np.any(den == 0):
             return None
         fixed = symbols.copy()
         fixed[positions] ^= t.mul(t.poly_eval(omega, x), t.inv(den))
-        if np.any(self._rs_syndromes(fixed)):
+        if np.any(self._rs_syndromes(fixed) != target):
             return None
         return fixed
 
@@ -382,31 +418,56 @@ class RmRsCode(LinearCode):
         """The pattern e the decoder finds with syn(received ^ e) = s, or None.
 
         ``received`` defaults to the zero word, so ``syn_dec(syn(e))`` gives
-        back every e of weight <= t_corr.  The word decoded is the coset
-        word of s ^ syn(received), built without that syndrome: with sym
-        the symbols of the received blocks, it is
-        blocks ^ encode(sym ^ preimage(s_outer ^ rs_syn(sym))) with s_inner
-        on the check positions.  blocks ^ encode(sym) is zero on the
-        information positions, so this is the word the difference alone
-        gives, and it is zero exactly when the difference is.
+        back every e of weight <= t_corr.
+
+        The decode runs in the received frame.  z is the received blocks
+        with s_inner added on the check positions, so e must make z ^ e a
+        string of inner codewords whose symbols have RS syndrome s_outer.
+        e = 0 exactly when z = encode(sym) for its own symbols sym and
+        rs_syn(sym) = s_outer.  Otherwise each block of z is ML-decoded to
+        a symbol of d, ``_rs_decode`` moves d into the coset of s_outer,
+        giving fixed, and e = z ^ encode(fixed).
+
+        This is the decode of the coset word of s ^ syn(received),
+        y0 = z ^ encode(q) with q = sym ^ preimage(s_outer ^ rs_syn(sym)),
+        which ``syn_dec(s ^ syn(received))`` decodes.  y0's blocks are z's
+        plus inner codewords, which ML decoding carries through (y0's
+        symbols are d ^ q), and rs_syn(d ^ q) = rs_syn(d) ^ s_outer is
+        the syndrome the coset decode sees, so the outer products that
+        form q are not needed.  Only the tie rule tells the frames apart:
+        y0's first maximiser a' is the maximiser a of z with the least
+        a ^ (q >> 1).  A tie needs a block 32 or more bits from every
+        codeword (top |U| <= n/4, beyond the inner radius), so q is formed
+        and that rule applied only when such a block occurs.  Every output
+        is then the coset word's decode, bit for bit, and
+        ``syn_dec(s, r) == syn_dec(s ^ syn(r))`` holds on ties too.
         """
         self._check_syndrome(s)
         if received is None:
             received = Bits.zeros(self.n)
         self._check_word(received)
         inner = self.inner
-        blocks = received.to_array().reshape(self.outer_n, inner.n)
-        symbols = inner.symbols(blocks)
         inner_words, outer_syn = self._unpack_syndrome(s)
-        outer_diff = outer_syn ^ self._rs_syndromes(symbols)
-        y0 = blocks ^ inner_words ^ inner.encode(symbols ^ self._rs_preimage(outer_diff))
-        if not y0.any():
+        z = received.to_array().reshape(self.outer_n, inner.n) ^ inner_words
+        symbols = inner.symbols(z)
+        if np.array_equal(z, inner.encode(symbols)) and np.array_equal(
+            self._rs_syndromes(symbols), outer_syn
+        ):
             return Bits.zeros(self.n)
-        # decode y0 toward the code
-        fixed = self._rs_decode(inner.decode_ml(y0))
+        U = inner.transform(z)
+        size = np.abs(U)
+        best = np.argmax(size, axis=1)
+        top = size[np.arange(self.outer_n), best]
+        far = np.flatnonzero(top <= inner.n // 4)
+        if far.size:
+            q = symbols ^ self._rs_preimage(outer_syn ^ self._rs_syndromes(symbols))
+            # rank each far block's maximisers a by a ^ a_q, their index in y0
+            rank = np.arange(inner.n) ^ (q[far] >> 1)[:, None]
+            best[far] = np.argmin(np.where(size[far] == top[far, None], rank, inner.n), axis=1)
+        fixed = self._rs_decode(inner.symbols_at(U, best), outer_syn)
         if fixed is None:
             return None
-        return Bits.from_array((y0 ^ inner.encode(fixed)).reshape(-1))
+        return Bits.from_array((z ^ inner.encode(fixed)).reshape(-1))
 
     def parity_check_matrix(self) -> np.ndarray:
         """H built from the generator alone, as a reference for ``syn``."""

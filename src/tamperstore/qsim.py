@@ -155,14 +155,15 @@ class QubitRegister:
         nbytes = (size + 7) // 8
         if len(raw) != 5 + 2 * nbytes:
             raise ValueError(f"checkpoint of {size} qubits has {len(raw)} bytes")
-        basis = np.unpackbits(
-            np.frombuffer(raw[5 : 5 + nbytes], dtype=np.uint8), bitorder="little"
-        )[:size]
-        value = np.unpackbits(
-            np.frombuffer(raw[5 + nbytes : 5 + 2 * nbytes], dtype=np.uint8),
-            bitorder="little",
-        )[:size]
-        return cls(basis, value)
+        planes = []
+        for what, start in (("basis", 5), ("value", 5 + nbytes)):
+            bits = np.unpackbits(
+                np.frombuffer(raw[start : start + nbytes], dtype=np.uint8), bitorder="little"
+            )
+            if bits[size:].any():
+                raise ValueError(f"{what} plane of {size} qubits has nonzero padding bits")
+            planes.append(bits[:size])
+        return cls(*planes)
 
 
 def prepare(xi: np.ndarray, t: np.ndarray, r: int) -> QubitRegister:

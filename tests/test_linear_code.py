@@ -93,12 +93,18 @@ def test_inner_rm_ml_decoding():
         assert np.array_equal(inner.decode_ml(noisy), symbols)
 
 
-def butterfly_decode(words: np.ndarray, m: int) -> np.ndarray:
-    """The constant-geometry fast Hadamard transform, kept as the ML oracle."""
+def butterfly_transform(words: np.ndarray, m: int) -> np.ndarray:
+    """The constant-geometry fast Hadamard transform of the signs."""
     T = 1 - 2 * words.astype(np.int32)
     for _ in range(m):
         a, b = T[:, 0::2], T[:, 1::2]
         T = np.concatenate((a + b, a - b), axis=1)
+    return T
+
+
+def butterfly_decode(words: np.ndarray, m: int) -> np.ndarray:
+    """ML decoding by the butterfly transform, kept as the oracle."""
+    T = butterfly_transform(words, m)
     best = np.argmax(np.abs(T), axis=1)
     return (T[np.arange(len(T)), best] < 0) | best << 1
 
@@ -321,6 +327,117 @@ def test_syn_dec_toward_received_equals_decoding_the_difference(n, k):
     assert failures > 0
     x = Bits.random(code.n, rng)
     assert code.syn_dec(code.syn(x), x) == Bits.zeros(code.n)
+
+
+# The decoder as it stood before it ran in the received frame, kept verbatim
+# (methods become functions of the code) as the oracle of the current one.
+
+def coset_decode_ml(inner, words: np.ndarray) -> np.ndarray:
+    signs = 1 - 2 * words.astype(np.float32)
+    lo = inner._h_lo.shape[0]
+    T = np.matmul(inner._h_hi, signs.reshape(len(words), -1, lo) @ inner._h_lo)
+    T = T.reshape(len(words), inner.n)
+    best = np.argmax(np.abs(T), axis=1)
+    negative = T[np.arange(len(words)), best] < 0
+    return negative | best << 1
+
+
+def coset_rs_decode(self: RmRsCode, symbols: np.ndarray) -> np.ndarray | None:
+    """Errors-only bounded-distance decode toward the zero-syndrome codeword."""
+    from tamperstore.linear_code import _berlekamp_massey
+
+    t = self.table
+    synd = self._rs_syndromes(symbols)
+    if not synd.any():
+        return symbols
+    locator = _berlekamp_massey(t, synd.tolist())
+    if not locator or len(locator) - 1 > self.t_out:
+        return None
+    degree = len(locator) - 1
+    # Chien search over every position at once: roots are alpha^-i
+    x_inv = t.pow_alpha(-np.arange(self.outer_n))
+    positions = np.flatnonzero(t.poly_eval(locator, x_inv) == 0)
+    if positions.size != degree:
+        return None
+    # Forney: omega = S(X) * locator(X) mod X^redundancy
+    omega = np.zeros(self.redundancy, dtype=np.int64)
+    for j, lj in enumerate(locator):
+        omega[j:] ^= t.mul(synd[: self.redundancy - j], lj)
+    deriv = [locator[i] if i % 2 == 1 else 0 for i in range(1, len(locator))]
+    x = x_inv[positions]
+    den = t.poly_eval(deriv, x)
+    if np.any(den == 0):
+        return None
+    fixed = symbols.copy()
+    fixed[positions] ^= t.mul(t.poly_eval(omega, x), t.inv(den))
+    if np.any(self._rs_syndromes(fixed)):
+        return None
+    return fixed
+
+
+def coset_syn_dec(self: RmRsCode, s: Bits, received: Bits | None = None) -> Bits | None:
+    self._check_syndrome(s)
+    if received is None:
+        received = Bits.zeros(self.n)
+    self._check_word(received)
+    inner = self.inner
+    blocks = received.to_array().reshape(self.outer_n, inner.n)
+    symbols = inner.symbols(blocks)
+    inner_words, outer_syn = self._unpack_syndrome(s)
+    outer_diff = outer_syn ^ self._rs_syndromes(symbols)
+    y0 = blocks ^ inner_words ^ inner.encode(symbols ^ self._rs_preimage(outer_diff))
+    if not y0.any():
+        return Bits.zeros(self.n)
+    # decode y0 toward the code
+    fixed = coset_rs_decode(self, coset_decode_ml(inner, y0))
+    if fixed is None:
+        return None
+    return Bits.from_array((y0 ^ inner.encode(fixed)).reshape(-1))
+
+
+def tied_blocks(code: RmRsCode, s: Bits, received: Bits) -> int:
+    """Blocks of the word decoded with two or more nearest inner codewords."""
+    inner_words, _ = code._unpack_syndrome(s)
+    z = received.to_array().reshape(code.outer_n, -1) ^ inner_words
+    T = np.abs(butterfly_transform(z, code.inner.m))
+    return int(np.sum((T == T.max(axis=1, keepdims=True)).sum(axis=1) > 1))
+
+
+@pytest.mark.parametrize("n,k", [(12, 4), (20, 4), (76, 5)])
+def test_received_frame_decode_matches_coset_word_decode(n, k):
+    code = RmRsCode(n, k)
+    inner = code.inner
+    rng = np.random.default_rng(n * 256 + k + 1)
+    ties = 0
+    kinds = ("within", "beyond", "burst", "ties")
+    for case in range(4 * 60):
+        kind = kinds[case % 4]
+        x = Bits.random(code.n, rng)
+        if kind == "within":
+            e = random_error(code.n, int(rng.integers(0, code.t_corr + 1)), rng)
+        elif kind == "beyond":
+            e = Bits.from_array((rng.random(code.n) < rng.uniform(0, 0.5)).astype(np.uint8))
+        else:
+            blocks = np.zeros((code.outer_n, inner.n), dtype=np.uint8)
+            size = int(rng.integers(1, code.outer_n + 1))
+            hit = rng.choice(code.outer_n, size=size, replace=False)
+            if kind == "burst":  # whole blocks replaced by random bits
+                blocks[hit] = rng.integers(0, 2, (size, inner.n))
+            else:  # blocks halfway between two inner codewords
+                first, second = rng.integers(0, 256, (2, size))
+                second[first >> 1 == second >> 1] ^= 2  # distinct a: n/2 apart
+                blocks[hit] = inner.encode(first)
+                for row, diff in zip(hit, inner.encode(first) ^ inner.encode(second)):
+                    flips = rng.permutation(np.flatnonzero(diff))[: inner.n // 4]
+                    blocks[row, flips] ^= 1
+            e = Bits.from_array(blocks.reshape(-1))
+        s, received = code.syn(x), x ^ e
+        ties += tied_blocks(code, s, received)
+        pattern = code.syn_dec(s, received)
+        assert pattern == coset_syn_dec(code, s, received), (kind, case)
+        assert pattern == code.syn_dec(s ^ code.syn(received))
+        assert code.syn_dec(s) == coset_syn_dec(code, s)
+    assert ties > 0
 
 
 def random_codeword(code: RmRsCode, rng: np.random.Generator) -> np.ndarray:

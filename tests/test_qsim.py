@@ -266,6 +266,17 @@ def test_checkpoint_rejects_truncated_or_padded_bytes():
             QubitRegister.from_bytes(raw)
 
 
+@pytest.mark.parametrize("plane,offset", [("basis", 5), ("value", 6)])
+def test_checkpoint_rejects_nonzero_padding_bits(plane, offset):
+    # 3 qubits: basis 0b110, value 0b101, one byte each with 5 padding bits
+    blob = QubitRegister(np.array([0, 1, 1]), np.array([1, 0, 1])).to_bytes()
+    assert blob == bytes.fromhex("0103000000" "06" "05")
+    raw = bytearray(blob)
+    raw[offset] |= 0x80
+    with pytest.raises(ValueError, match=plane):
+        QubitRegister.from_bytes(bytes(raw))
+
+
 def where_collapse(basis, value, requested, rng):
     """The select form of the collapse, kept as the oracle of the branch-free one."""
     fresh = rng.integers(0, 2, requested.size, dtype=np.uint8)
