@@ -36,6 +36,8 @@ class DiscreteDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if outcomes.shape != probs.shape or probs.ndim != 1:
             raise ValueError("outcomes and probs must be 1-d and aligned")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("non-finite probability")
         if np.any(probs < 0):
             raise ValueError("negative probability")
         if abs(float(probs.sum()) - 1.0) > _SUM_TOL:
@@ -82,7 +84,10 @@ def example1(L: int) -> DiscreteDistribution:
 
     The heavy message mu0 is the all-ones string, so that the all-zero
     string keeps an ordinary codeword in the matching prefix code.
+    L must be at least 1.
     """
+    if L < 1:
+        raise ValueError(f"example1 needs L >= 1, got {L}")
     n = 1 << L
     mu0 = n - 1
     probs = np.full(n, 0.5 / (n - 1))
@@ -111,27 +116,10 @@ def example1_padded(L: int) -> DiscreteDistribution:
     )
 
 
-def iid_bernoulli(p: float, n: int) -> DiscreteDistribution:
-    if not 0 <= p <= 1:
-        raise ValueError("p outside [0, 1]")
-    if n > 24:
-        raise ValueError("support 2^n too large; keep n <= 24")
-    ids = np.arange(1 << n, dtype=np.int64)
-    weights = np.array([int(x).bit_count() for x in ids])
-    probs = p**weights * (1 - p) ** (n - weights)
-    return DiscreteDistribution(ids, probs, f"iid_bernoulli({p},{n})")
-
-
 def load_distribution(path) -> DiscreteDistribution:
     """Text table, one "outcome-id probability" pair per line (``kv.load_table``)."""
     table = kv.load_table(path, float)
     return DiscreteDistribution(np.array(list(table)), np.array(list(table.values())))
-
-
-def save_distribution(dist: DiscreteDistribution, path) -> None:
-    with open(path, "w") as fh:
-        for o, p in zip(dist.outcomes, dist.probs):
-            fh.write(f"{int(o)} {float(p)!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ Berlekamp-Massey runs symbol by symbol.
 The two fixed matrices, the syndrome map and the inverse, are kept as
 logs, so a product with one of them gathers only the vector's logs.
 The inner Reed-Muller code is used only through byte symbols (see
-``_InnerRM``), so no generic GF(2) matrix runs in ``syn`` or ``syn_dec``;
-``parity_check_matrix`` builds the explicit H from the generator as an
-independent reference.
+``_InnerRM``), so no generic GF(2) matrix runs in ``syn`` or ``syn_dec``.
 
 ``syn_dec(s, received)`` finds a pattern e with syn(received ^ e) = s,
 so retrieval needs no syndrome of its measured word.  It decodes in the
@@ -52,42 +50,6 @@ from .bits import Bits
 from .gf2 import GFTable, gf_table
 
 _RM_M = 7  # inner Reed-Muller order parameter: [2^m, m+1, 2^(m-1)]
-
-
-# ---------------------------------------------------------------------------
-# GF(2) linear algebra on 0/1 numpy arrays
-# ---------------------------------------------------------------------------
-
-def gf2_row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    m = mat.copy() % 2
-    pivots = []
-    row = 0
-    for col in range(m.shape[1]):
-        if row == m.shape[0]:
-            break
-        hit = np.nonzero(m[row:, col])[0]
-        if hit.size == 0:
-            continue
-        m[[row, row + hit[0]]] = m[[row + hit[0], row]]
-        others = np.nonzero(m[:, col])[0]
-        others = others[others != row]
-        m[others] ^= m[row]
-        pivots.append(col)
-        row += 1
-    return m, pivots
-
-
-def gf2_nullspace(mat: np.ndarray) -> np.ndarray:
-    """Rows form a basis of the right null space."""
-    reduced, pivots = gf2_row_reduce(mat)
-    n = mat.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = reduced[r, fc]
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +125,6 @@ class LinearCode:
         if s.length != self.syndrome_len:
             raise ValueError(f"syndrome length {s.length}, expected {self.syndrome_len}")
 
-    def parity_check_matrix(self) -> np.ndarray:
-        raise NotImplementedError
-
     @property
     def spec(self) -> CodeSpec:
         return CodeSpec(self.name, self.n, self.kappa, self.t_corr)
@@ -185,7 +144,8 @@ class _InnerRM:
     is m0 ^ parity(a & v).  Position 0 holds m0 and position 2^j holds
     m0 ^ a_j, so these m+1 information positions fix the symbol; the other
     n - m - 1 positions are the check positions.  Encoding is one gather
-    from a table of all codewords, ML decoding a Hadamard transform.
+    from a table of all codewords; the ML symbols are ``symbols_at`` the
+    largest |U| of the Hadamard transform ``transform``.
     """
 
     m = _RM_M
@@ -248,15 +208,6 @@ class _InnerRM:
         codeword of a << 1 where U[a] < 0 (the correlation is positive),
         its complement, with m0 = 1, where U[a] > 0."""
         return (U[np.arange(len(U)), a] > 0) | a << 1
-
-    def decode_ml(self, words: np.ndarray) -> np.ndarray:
-        """(N, n) words -> (N,) symbols of the nearest codewords.
-
-        The nearest codeword has the largest |U[a]| (see ``transform``),
-        the first such a on a tie.
-        """
-        U = self.transform(words)
-        return self.symbols_at(U, np.argmax(np.abs(U), axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -468,32 +419,6 @@ class RmRsCode(LinearCode):
         if fixed is None:
             return None
         return Bits.from_array((z ^ inner.encode(fixed)).reshape(-1))
-
-    def parity_check_matrix(self) -> np.ndarray:
-        """H built from the generator alone, as a reference for ``syn``."""
-        t = self.table
-        inner = self.inner
-        k, n1 = inner.k, inner.n
-        h_inner = gf2_nullspace(inner.gen)  # (n1 - k) x n1
-        extract = np.zeros((k, n1), dtype=np.uint8)  # symbol bits of a codeword
-        extract[:, 0] = 1
-        extract[np.arange(1, k), 1 << np.arange(inner.m)] = 1
-        rows = np.zeros((self.syndrome_len, self.n), dtype=np.uint8)
-        r_in = n1 - k
-        for i in range(self.outer_n):
-            rows[i * r_in : (i + 1) * r_in, i * n1 : (i + 1) * n1] = h_inner
-        base = self.outer_n * r_in
-        for j in range(1, self.redundancy + 1):
-            for i in range(self.outer_n):
-                coeff = t.pow_alpha(j * i)
-                # bit matrix of multiplication by coeff, composed with extraction
-                mult = np.zeros((k, k), dtype=np.uint8)
-                for b in range(k):
-                    prod = t.mul(coeff, 1 << b)
-                    mult[:, b] = [(prod >> bb) & 1 for bb in range(k)]
-                block = (mult.astype(np.int16) @ extract.astype(np.int16)) % 2
-                rows[base + (j - 1) * k : base + j * k, i * n1 : (i + 1) * n1] = block
-        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ Attack strategies never see the hidden records; they act through
 The simulator speaks 0/1 uint8 arrays, one cell per qubit: ``prepare``
 takes the cell values and bases, ``measure`` returns the outcome array,
 and a register, ``measure_indices`` and ``replace_cells`` reject any basis
-or value outside {0, 1}.  On such cells the collapse is branch-free: the
+or value outside {0, 1}.  ``measure_indices`` also rejects an index
+outside [0, size), negative ones included, and a cell listed twice, before
+it draws or writes anything.  On such cells the collapse is branch-free: the
 outcome is value ^ ((value ^ fresh) & (requested ^ basis)), the stored
 value where the bases agree and the fresh uniform bit where they differ,
 which costs the same whatever share of bases disagree.  Eve's
@@ -236,12 +238,23 @@ def measure(reg: QubitRegister, bases: np.ndarray, rng: np.random.Generator) -> 
 def measure_indices(
     reg: QubitRegister, indices: np.ndarray, bases: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Measure a subset of cells (same collapse semantics)."""
+    """Measure a subset of cells (same collapse semantics).
+
+    Each index must lie in [0, size) and appear once: the collapse reads
+    every listed cell as it was before the call, so a repeat would measure
+    one cell in two bases without the first measurement disturbing it.
+    """
     basis, value = reg._records()
     indices = np.asarray(indices, dtype=np.int64)
     requested = _cells(bases, "bases")
     if requested.shape != indices.shape:
         raise ValueError("need one basis choice per listed cell")
+    if indices.size and (indices.min() < 0 or indices.max() >= reg.size):
+        raise ValueError(f"cell index outside [0, {reg.size})")
+    listed = np.zeros(reg.size, dtype=bool)
+    listed[indices] = True
+    if np.count_nonzero(listed) != indices.size:
+        raise ValueError("a cell is listed more than once")
     outcome = _collapse(value[indices], requested ^ basis[indices], rng)
     basis[indices] = requested
     value[indices] = outcome

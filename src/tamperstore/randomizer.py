@@ -124,8 +124,11 @@ def example1_code(L: int) -> PrefixCode:
     """The explicit code behind :func:`tamperstore.entropy.example1`.
 
     The heavy message, all ones, gets the single bit '1'; every other
-    message mu is sent as '0' followed by the L bits of mu.
+    message mu is sent as '0' followed by the L bits of mu.  L must be at
+    least 1.
     """
+    if L < 1:
+        raise ValueError(f"example1 needs L >= 1, got {L}")
     mu0 = (1 << L) - 1
     table = {mu0: Bits.from_01("1")}
     for mu in range(1 << L):

@@ -193,6 +193,22 @@ def test_simulate_tamper_strategy(capsys):
     assert "acceptance_under_attack 0/6" in out
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--scenario", "correctness", "--trials", "2"], ["store", "--message", "0"]],
+    ids=["simulate", "store"],
+)
+def test_example1_of_zero_bits_is_an_error(capsys, tmp_path, command):
+    code, out, err = run(
+        capsys, *command, "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
+        "--dist", "example1:0", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "L >= 1" in err
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_attack_support_report(capsys, tmp_path):
     out_file = tmp_path / "attack.csv"
     code, out, _ = run(capsys, "attack-support", "--scheme", "toy-bb84", "--out", str(out_file))

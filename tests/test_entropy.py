@@ -11,11 +11,9 @@ from tamperstore.entropy import (
     example1,
     example1_padded,
     extractable_length,
-    iid_bernoulli,
     load_distribution,
     min_entropy,
     renyi_entropy,
-    save_distribution,
     shannon_entropy,
     smooth_renyi2,
     uniform,
@@ -223,18 +221,18 @@ def test_distribution_invariants():
     assert d.support_size == 2
 
 
-def test_iid_bernoulli():
-    d = iid_bernoulli(0.25, 3)
-    probs = dict(zip(d.outcomes.tolist(), d.probs.tolist()))
-    assert probs[0] == pytest.approx(0.75**3)
-    assert probs[0b111] == pytest.approx(0.25**3)
-    assert shannon_entropy(d) == pytest.approx(3 * binary_entropy(0.25), abs=1e-12)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_distribution_refuses_non_finite_probabilities(tmp_path, value):
+    path = tmp_path / "dist.txt"
+    path.write_text(f"0 {value}\n1 1.0\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_distribution(path)
 
 
 def test_load_save_round_trip(tmp_path):
     d = example1_padded(4)
     path = tmp_path / "dist.txt"
-    save_distribution(d, path)
+    path.write_text("".join(f"{int(o)} {float(p)!r}\n" for o, p in zip(d.outcomes, d.probs)))
     d2 = load_distribution(path)
     assert np.array_equal(d.outcomes, d2.outcomes)
     assert np.allclose(d.probs, d2.probs, atol=0)

@@ -1,8 +1,11 @@
-"""Every name a module, test or demo imports is used in that file.
+"""Every name a module, test or demo imports is used in that file, and
+every function and class ``src`` defines is reached outside the tests.
 
-No linter is installed, so this parse is the guard against dead imports.
-``__init__.py`` is skipped: its imports are the package's re-exports.
-``bench/`` is left out: its probes import modules in order to time them.
+No linter is installed, so these parses are the guard against dead imports
+and against code that only tests reach.  ``__init__.py`` is skipped: its
+imports are the package's re-exports.  ``bench/`` is left out of the import
+check, since its probes import modules in order to time them, but counts as
+a user of the package.
 """
 
 import ast
@@ -14,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tamperstore"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+USERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -59,3 +63,36 @@ def test_no_unused_imports(module):
 def test_checker_sees_an_unused_import():
     tree = ast.parse("import os\nfrom x import y as z\ndef f(a: z) -> None:\n    pass\n")
     assert set(_imported(tree)) - _referenced(tree) == {"os"}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Every function, method and class defined, dunder methods aside."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def _mentioned(tree: ast.Module) -> set[str]:
+    """Names, attributes, imported names and identifier-shaped strings
+    (``bench/spans.py`` patches attributes by their names)."""
+    out = _referenced(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def test_every_definition_in_src_is_reached_outside_tests():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + USERS}
+    mentioned = set().union(*map(_mentioned, trees.values()))
+    unreached = sorted(
+        f"{path.stem}.{name}" for path in MODULES for name in _defined(trees[path]) - mentioned
+    )
+    assert not unreached, f"defined in src but reached only from tests: {', '.join(unreached)}"

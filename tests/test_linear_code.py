@@ -8,15 +8,15 @@ from tamperstore.linear_code import (
     CodeSpec,
     RmRsCode,
     default_registry,
-    gf2_nullspace,
 )
+from reference import coset_syn_dec, gf2_nullspace, parity_check_matrix, row_int, syndrome
 
 
-def rank_via_ints(mat: np.ndarray) -> int:
+def rank_via_ints(rows: list[int]) -> int:
+    """GF(2) rank of rows held as ints."""
     pivots: dict[int, int] = {}
     count = 0
-    for row in mat:
-        value = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+    for value in rows:
         while value:
             lead = value.bit_length()
             if lead in pivots:
@@ -38,7 +38,7 @@ def random_error(n: int, weight: int, rng: np.random.Generator) -> Bits:
 def test_nullspace_and_right_inverse():
     rng = np.random.default_rng(0)
     mat = (rng.random((4, 9)) < 0.5).astype(np.uint8)
-    while rank_via_ints(mat) < 4:
+    while rank_via_ints([row_int(row) for row in mat]) < 4:
         mat = (rng.random((4, 9)) < 0.5).astype(np.uint8)
     null = gf2_nullspace(mat)
     assert null.shape[0] == 9 - 4
@@ -90,7 +90,14 @@ def test_inner_rm_ml_decoding():
             weight = int(rng.integers(0, inner.t_corr + 1))
             flips = rng.choice(inner.n, size=weight, replace=False)
             noisy[i, flips] ^= 1
-        assert np.array_equal(inner.decode_ml(noisy), symbols)
+        assert np.array_equal(syn_dec_ml(inner, noisy), symbols)
+
+
+def syn_dec_ml(inner, words: np.ndarray) -> np.ndarray:
+    """The ML symbols as ``syn_dec`` reads them: ``symbols_at`` the first
+    largest |U|."""
+    U = inner.transform(words)
+    return inner.symbols_at(U, np.argmax(np.abs(U), axis=1))
 
 
 def butterfly_transform(words: np.ndarray, m: int) -> np.ndarray:
@@ -130,7 +137,8 @@ def test_inner_rm_decode_matches_butterfly(blocks):
     batches.append(inner.encode(rng.integers(0, 256, blocks)))
     ties = 0
     for words in batches:
-        assert np.array_equal(inner.decode_ml(words), butterfly_decode(words, inner.m))
+        assert np.array_equal(inner.transform(words), -butterfly_transform(words, inner.m) / 2)
+        assert np.array_equal(syn_dec_ml(inner, words), butterfly_decode(words, inner.m))
         T = 1 - 2 * words.astype(np.int64) @ (1 - 2 * inner.codewords[0::2].astype(np.int64))
         ties += int(np.sum((np.abs(T) == np.abs(T).max(axis=1, keepdims=True)).sum(axis=1) > 1))
     assert ties >= blocks  # every row of the tied batch, at least
@@ -149,12 +157,12 @@ def test_rmrs_parameters():
 
 def test_rmrs_parity_check_matches_structural_syndrome():
     code = make_rmrs()
-    h = code.parity_check_matrix()
+    h = parity_check_matrix(code)
     assert rank_via_ints(h) == code.syndrome_len
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = Bits.random(code.n, rng)
-        assert np.array_equal(code.syn(x).to_array(), (h.astype(np.int64) @ x.to_array()) % 2)
+        assert code.syn(x) == syndrome(h, x)
 
 
 def test_rmrs_syndrome_linearity():
@@ -329,72 +337,6 @@ def test_syn_dec_toward_received_equals_decoding_the_difference(n, k):
     assert code.syn_dec(code.syn(x), x) == Bits.zeros(code.n)
 
 
-# The decoder as it stood before it ran in the received frame, kept verbatim
-# (methods become functions of the code) as the oracle of the current one.
-
-def coset_decode_ml(inner, words: np.ndarray) -> np.ndarray:
-    signs = 1 - 2 * words.astype(np.float32)
-    lo = inner._h_lo.shape[0]
-    T = np.matmul(inner._h_hi, signs.reshape(len(words), -1, lo) @ inner._h_lo)
-    T = T.reshape(len(words), inner.n)
-    best = np.argmax(np.abs(T), axis=1)
-    negative = T[np.arange(len(words)), best] < 0
-    return negative | best << 1
-
-
-def coset_rs_decode(self: RmRsCode, symbols: np.ndarray) -> np.ndarray | None:
-    """Errors-only bounded-distance decode toward the zero-syndrome codeword."""
-    from tamperstore.linear_code import _berlekamp_massey
-
-    t = self.table
-    synd = self._rs_syndromes(symbols)
-    if not synd.any():
-        return symbols
-    locator = _berlekamp_massey(t, synd.tolist())
-    if not locator or len(locator) - 1 > self.t_out:
-        return None
-    degree = len(locator) - 1
-    # Chien search over every position at once: roots are alpha^-i
-    x_inv = t.pow_alpha(-np.arange(self.outer_n))
-    positions = np.flatnonzero(t.poly_eval(locator, x_inv) == 0)
-    if positions.size != degree:
-        return None
-    # Forney: omega = S(X) * locator(X) mod X^redundancy
-    omega = np.zeros(self.redundancy, dtype=np.int64)
-    for j, lj in enumerate(locator):
-        omega[j:] ^= t.mul(synd[: self.redundancy - j], lj)
-    deriv = [locator[i] if i % 2 == 1 else 0 for i in range(1, len(locator))]
-    x = x_inv[positions]
-    den = t.poly_eval(deriv, x)
-    if np.any(den == 0):
-        return None
-    fixed = symbols.copy()
-    fixed[positions] ^= t.mul(t.poly_eval(omega, x), t.inv(den))
-    if np.any(self._rs_syndromes(fixed)):
-        return None
-    return fixed
-
-
-def coset_syn_dec(self: RmRsCode, s: Bits, received: Bits | None = None) -> Bits | None:
-    self._check_syndrome(s)
-    if received is None:
-        received = Bits.zeros(self.n)
-    self._check_word(received)
-    inner = self.inner
-    blocks = received.to_array().reshape(self.outer_n, inner.n)
-    symbols = inner.symbols(blocks)
-    inner_words, outer_syn = self._unpack_syndrome(s)
-    outer_diff = outer_syn ^ self._rs_syndromes(symbols)
-    y0 = blocks ^ inner_words ^ inner.encode(symbols ^ self._rs_preimage(outer_diff))
-    if not y0.any():
-        return Bits.zeros(self.n)
-    # decode y0 toward the code
-    fixed = coset_rs_decode(self, coset_decode_ml(inner, y0))
-    if fixed is None:
-        return None
-    return Bits.from_array((y0 ^ inner.encode(fixed)).reshape(-1))
-
-
 def tied_blocks(code: RmRsCode, s: Bits, received: Bits) -> int:
     """Blocks of the word decoded with two or more nearest inner codewords."""
     inner_words, _ = code._unpack_syndrome(s)
@@ -455,8 +397,8 @@ def test_codewords_have_zero_syndrome():
         for _ in range(3):
             assert code.syn(Bits.from_array(random_codeword(code, rng))).value == 0
     code = make_rmrs()  # and against the reference H
-    h = code.parity_check_matrix().astype(np.int64)
-    assert not ((h @ random_codeword(code, rng)) % 2).any()
+    h = parity_check_matrix(code)
+    assert syndrome(h, Bits.from_array(random_codeword(code, rng))).value == 0
 
 
 def test_syndrome_linearity():

@@ -14,6 +14,7 @@ from tamperstore.mac import (
     tag_length,
     verify,
 )
+from reference import explicit_tag
 
 
 def all_keys(lam):
@@ -53,19 +54,6 @@ def test_tag_is_polynomial_evaluation():
         for i, block in enumerate(blocks, start=1):
             expected ^= field.mul_int(block, field.pow_int(key.a, i))
         assert tag(key, msg).value == expected
-
-
-def explicit_tag(key: MacKey, msg: Bits) -> int:
-    """b + sum m_i a^i by textbook Horner over ``GF2Field.mul_int``, with
-    blocks cut by Bits slicing."""
-    lam = key.lam
-    field = GF2Field(lam)
-    blocks = [msg[start : start + lam].value for start in range(0, msg.length, lam)]
-    blocks.append(1 + msg.length % ((1 << lam) - 1))
-    acc = 0
-    for block in reversed(blocks):
-        acc = field.mul_int(acc ^ block, key.a)
-    return acc ^ key.b
 
 
 def oracle_lengths(lam: int) -> list[int]:

@@ -15,6 +15,7 @@ from tamperstore.qsim import (
     prepare,
     replace_cells,
 )
+from reference import where_collapse
 
 
 def prepare_bits(xi: Bits, t: Bits, r: int) -> QubitRegister:
@@ -277,12 +278,6 @@ def test_checkpoint_rejects_nonzero_padding_bits(plane, offset):
         QubitRegister.from_bytes(bytes(raw))
 
 
-def where_collapse(basis, value, requested, rng):
-    """The select form of the collapse, kept as the oracle of the branch-free one."""
-    fresh = rng.integers(0, 2, requested.size, dtype=np.uint8)
-    return np.where(requested == basis, value, fresh).astype(np.uint8)
-
-
 def half_mismatched_register(n, seed):
     rng = np.random.default_rng(seed)
     basis = rng.integers(0, 2, n, dtype=np.uint8)
@@ -370,3 +365,23 @@ def test_replace_and_measure_reject_bases_outside_01():
             measure(reg, np.array(bad * 8), rng)
         assert rng.bit_generator.state == state  # nothing drawn
     assert reg.to_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "size,indices",
+    [(8, [0, 0]), (8, [5, 2, 5]), (1, [0, -1]), (8, [-1]), (8, [8])],
+    ids=["repeat", "repeat-apart", "negative-alias", "negative", "past-end"],
+)
+def test_measure_indices_refuses_repeated_or_outside_cells(size, indices):
+    # a repeat would measure one cell in Z and X from the same pre-call record
+    reg, _ = half_mismatched_register(size, 23)
+    before = reg.to_bytes()
+    bases = np.arange(len(indices)) % 2
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        measure_indices(reg, indices, bases, rng)
+    with pytest.raises(ValueError):
+        EveView(reg).measure(indices, bases, rng)
+    assert reg.to_bytes() == before
+    assert rng.bit_generator.state == state  # nothing drawn
