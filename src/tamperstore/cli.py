@@ -56,8 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_dir(value: str | None) -> Path:
-    base = value or os.environ.get("TAMPERSTORE_OUT") or "."
-    path = Path(base)
+    path = Path(value or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 

@@ -4,9 +4,10 @@ A field element is a ``Bits`` of length nu, read as a polynomial over GF(2)
 with bit 0 as the constant coefficient.  ``GF2Field(nu)`` is the modulus of
 that degree with arithmetic on the ints that hold such bits (``mul_int``,
 ``mul_low``, ``inv_int``, ``pow_int``).  Every supported degree has exactly
-one reduction polynomial: the table below pins the published choices, and
-any other degree gets the lexicographically smallest irreducible polynomial
-x^nu + tail (smallest tail value), generated deterministically and cached.
+one reduction polynomial, the lexicographically smallest irreducible
+x^nu + tail (smallest tail value).  The table below pins it for the common
+small degrees and for every code length on the menu; any other degree is
+searched for deterministically, and the result is kept in memory only.
 Nothing serialized carries a modulus: the degree alone fixes it.
 
 Two fast paths live next to the generic big-int arithmetic, whose
@@ -28,8 +29,6 @@ inverted, at the cost of a 2^-nu seed bias.
 
 from __future__ import annotations
 
-import json
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -155,7 +154,15 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_irreducible(f: int) -> bool:
-    """Rabin's test, with cheap gcd screens against small-degree factors."""
+    """Rabin's test, after Ben-Or's screen against factors of degree <= 14.
+
+    gcd(f, x^(2^k) + x) is the product of the irreducible factors of f whose
+    degree divides k (Ben-Or 1981; Gao & Panario 1997), so k = 7..14 expose
+    every factor of degree at most 14.  Reducing f modulo the two-term
+    x^(2^k) + x is a few shifts and XORs, so each screen is a gcd at degree
+    2^k rather than deg; a screen runs only where 2^k <= deg.  Most reducible
+    candidates stop there, before the deg squarings of Rabin's test.
+    """
     deg = poly_degree(f)
     if deg <= 0:
         return False
@@ -163,18 +170,24 @@ def is_irreducible(f: int) -> bool:
         return True
     if f & 1 == 0:  # divisible by x
         return False
-    if bin(f).count("1") % 2 == 0:  # f(1) == 0, divisible by x+1
+    if f.bit_count() % 2 == 0:  # f(1) == 0, divisible by x+1
         return False
-    # iterate h = x^(2^k) mod f; screen early, checkpoint at deg//p
+    for k in range(7, 15):
+        if 1 << k > deg:
+            break
+        m = (1 << (1 << k)) | 2  # x^(2^k) + x
+        if poly_gcd(m, poly_mod(f, m)) != 1:
+            return False
+    # h = x^(2^k) mod f; f is irreducible iff gcd(h - x, f) = 1 at every
+    # k = deg/p, p a prime factor of deg, and h = x at k = deg
     checkpoints = {deg // p for p in _prime_factors(deg)}
-    screens = {k for k in (4, 8, 16) if k < deg}
     h = 2  # the polynomial x
     for k in range(1, deg + 1):
         h = _sqmod(h, f)
-        if (k in screens or k in checkpoints) and k < deg:
+        if k in checkpoints and k < deg:
             if poly_gcd(h ^ 2, f) != 1:
                 return False
-    return h == 2  # x^(2^deg) == x (mod f)
+    return h == 2
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +196,9 @@ def is_irreducible(f: int) -> bool:
 
 # Published table: for each pinned degree, the full modulus x^nu + tail.
 # Every entry is the smallest-tail irreducible polynomial of its degree
-# (the deterministic rule implemented by generate_modulus); the large
-# protocol-scale degrees were generated once with the same rule and are
-# pinned here so that sessions start without a search.
+# (the deterministic rule implemented by generate_modulus).  The code
+# lengths n on the menu were generated once with that search and are
+# pinned here, so no session searches for the field of its pad.
 PINNED_MODULI: dict[int, int] = {
     3: (1 << 3) | 0b011,
     4: (1 << 4) | 0b0011,
@@ -195,47 +208,43 @@ PINNED_MODULI: dict[int, int] = {
     64: (1 << 64) | 0b00011011,
     128: (1 << 128) | 0b10000111,
     256: (1 << 256) | 0b10000100101,
-    # protocol-scale extractor and seed fields (same smallest-tail rule)
-    2560: (1 << 2560) | 0b1000001011,
-    6656: (1 << 6656) | 0b1101001101101,
-    9728: (1 << 9728) | 0b111110100011,
+    # every code length n of linear_code.default_registry()
+    1536: (1 << 1536) | 0x54b,
+    2048: (1 << 2048) | 0xbc7,
+    2560: (1 << 2560) | 0x20b,
+    3072: (1 << 3072) | 0x5db,
+    3584: (1 << 3584) | 0x965,
+    4096: (1 << 4096) | 0xa93,
+    4608: (1 << 4608) | 0x1139,
+    5120: (1 << 5120) | 0x13bf,
+    5632: (1 << 5632) | 0x12e7,
+    6144: (1 << 6144) | 0x1eeb,
+    6656: (1 << 6656) | 0x1a6d,
+    7168: (1 << 7168) | 0x124b,
+    7680: (1 << 7680) | 0x6b7,
+    8192: (1 << 8192) | 0x225,
+    9216: (1 << 9216) | 0xa1d,
+    9728: (1 << 9728) | 0xfa3,
+    10240: (1 << 10240) | 0x170f,
+    11264: (1 << 11264) | 0xcf5,
+    12288: (1 << 12288) | 0xa483,
+    14336: (1 << 14336) | 0xa7ab,
+    16384: (1 << 16384) | 0x14a03,
+    20480: (1 << 20480) | 0x5c33,
+    24576: (1 << 24576) | 0xc59,
+    28672: (1 << 28672) | 0x48db,
+    32640: (1 << 32640) | 0x60f9,
 }
-
-_CACHE_ENV = "TAMPERSTORE_CACHE"
-
-
-def _cache_path() -> str:
-    root = os.environ.get(_CACHE_ENV) or os.path.join(
-        os.path.expanduser("~"), ".cache", "tamperstore"
-    )
-    return os.path.join(root, "gf2_moduli.json")
-
-
-def _load_disk_cache() -> dict[int, int]:
-    try:
-        with open(_cache_path()) as fh:
-            return {int(k): int(v) for k, v in json.load(fh).items()}
-    except (OSError, ValueError):
-        return {}
-
-
-def _store_disk_cache(entries: dict[int, int]) -> None:
-    path = _cache_path()
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump({str(k): str(v) for k, v in entries.items()}, fh)
-    except OSError:
-        pass
 
 
 @lru_cache(maxsize=None)
 def generate_modulus(degree: int) -> int:
     """Deterministic reduction polynomial for GF(2^degree).
 
-    Returns the pinned table entry when there is one, otherwise the
-    smallest-tail irreducible x^degree + tail.  Freshly generated values
-    for degrees above 256 are cached on disk because the search is slow.
+    Returns the pinned table entry when there is one, otherwise searches
+    for the smallest-tail irreducible x^degree + tail.  Every code length
+    on the menu is pinned; what is left to search (the randomiser's l0 and
+    the MAC's lambda) is small, and the result lives only in this process.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -243,9 +252,6 @@ def generate_modulus(degree: int) -> int:
         return 0b11  # x + 1
     if degree in PINNED_MODULI:
         return PINNED_MODULI[degree]
-    disk = _load_disk_cache() if degree > 256 else {}
-    if degree in disk and is_irreducible(disk[degree]):
-        return disk[degree]
     top = 1 << degree
     tail = 1
     while True:
@@ -253,9 +259,6 @@ def generate_modulus(degree: int) -> int:
         if is_irreducible(f):
             break
         tail += 2  # constant term must be 1
-    if degree > 256:
-        disk[degree] = f
-        _store_disk_cache(disk)
     return f
 
 

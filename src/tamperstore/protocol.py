@@ -86,7 +86,7 @@ class ServerBundle:
             "bundle", mapping, {"w": Bits, "u": Bits, "c": Bits, "theta": Bits, "register": bytes}
         )
         # w stays a bit string: a field of a length the server chose would
-        # cost a modulus search and a write to the client's cache, so
+        # cost a modulus search (seconds to minutes at thousands of bits), so
         # retrieval reads w in the field of params.ell0 after checking its
         # length.  A "w_modulus" key left by older files is ignored.
         return cls(

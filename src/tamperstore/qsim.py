@@ -17,9 +17,12 @@ Attack strategies never see the hidden records; they act through
 The simulator speaks 0/1 uint8 arrays, one cell per qubit: ``prepare``
 takes the cell values and bases, ``measure`` returns the outcome array,
 and a register, ``measure_indices`` and ``replace_cells`` reject any basis
-or value outside {0, 1}.  ``measure_indices`` also rejects an index
-outside [0, size), negative ones included, and a cell listed twice, before
-it draws or writes anything.  On such cells the collapse is branch-free: the
+or value outside {0, 1}.  Both also take their cells by one shared check:
+a 1-d integer index array (a float or bool array is refused, not truncated
+or read as 0/1), every index in [0, size), negative ones included, no cell
+listed twice, and exactly one basis (and value) per listed cell.  Every
+refusal is a ``ValueError`` raised before anything is drawn or written.
+On valid cells the collapse is branch-free: the
 outcome is value ^ ((value ^ fresh) & (requested ^ basis)), the stored
 value where the bases agree and the fresh uniform bit where they differ,
 which costs the same whatever share of bases disagree.  Eve's
@@ -235,26 +238,36 @@ def measure(reg: QubitRegister, bases: np.ndarray, rng: np.random.Generator) -> 
     return outcome
 
 
+def _listed(reg: QubitRegister, indices, *per_cell: np.ndarray) -> np.ndarray:
+    """indices as an array of distinct cells of reg, each with one entry in
+    every ``per_cell`` array; ValueError otherwise.
+
+    A repeat is refused because the collapse reads every listed cell as it
+    was before the call, so it would measure one cell in two bases without
+    the first measurement disturbing it (and a replace would keep only the
+    last write).  Repeats are found with a mask, not a sort.
+    """
+    listed = np.asarray(indices)
+    if listed.ndim != 1 or listed.dtype.kind not in "iu":
+        raise ValueError("cell indices must be a 1-d integer array")
+    if any(cells.shape != listed.shape for cells in per_cell):
+        raise ValueError("need one basis (and value) per listed cell")
+    if listed.size and (listed.min() < 0 or listed.max() >= reg.size):
+        raise ValueError(f"cell index outside [0, {reg.size})")
+    seen = np.zeros(reg.size, dtype=bool)
+    seen[listed] = True
+    if np.count_nonzero(seen) != listed.size:
+        raise ValueError("a cell is listed more than once")
+    return listed
+
+
 def measure_indices(
     reg: QubitRegister, indices: np.ndarray, bases: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Measure a subset of cells (same collapse semantics).
-
-    Each index must lie in [0, size) and appear once: the collapse reads
-    every listed cell as it was before the call, so a repeat would measure
-    one cell in two bases without the first measurement disturbing it.
-    """
+    """Measure a subset of distinct cells (same collapse semantics)."""
     basis, value = reg._records()
-    indices = np.asarray(indices, dtype=np.int64)
     requested = _cells(bases, "bases")
-    if requested.shape != indices.shape:
-        raise ValueError("need one basis choice per listed cell")
-    if indices.size and (indices.min() < 0 or indices.max() >= reg.size):
-        raise ValueError(f"cell index outside [0, {reg.size})")
-    listed = np.zeros(reg.size, dtype=bool)
-    listed[indices] = True
-    if np.count_nonzero(listed) != indices.size:
-        raise ValueError("a cell is listed more than once")
+    indices = _listed(reg, indices, requested)
     outcome = _collapse(value[indices], requested ^ basis[indices], rng)
     basis[indices] = requested
     value[indices] = outcome
@@ -264,10 +277,10 @@ def measure_indices(
 def replace_cells(
     reg: QubitRegister, indices: np.ndarray, bases: np.ndarray, values: np.ndarray
 ) -> None:
-    """Discard the listed cells and install freshly prepared ones."""
+    """Discard the listed distinct cells and install freshly prepared ones."""
     basis, value = reg._records()
-    indices = np.asarray(indices, dtype=np.int64)
     new_basis, new_value = _cells(bases, "bases"), _cells(values, "values")
+    indices = _listed(reg, indices, new_basis, new_value)
     basis[indices] = new_basis
     value[indices] = new_value
 

@@ -134,19 +134,21 @@ def test_store_retrieve_round_trip(capsys, tmp_path):
     assert "omega = 1" in out and "message = 777" in out
 
 
-def test_store_message_file_and_env_default(capsys, tmp_path, monkeypatch):
+def test_store_message_file_ignores_env_out(capsys, tmp_path, monkeypatch):
     msg = tmp_path / "msg.txt"
     msg.write_text("42\n")
-    session = tmp_path / "envdir"
-    monkeypatch.setenv("TAMPERSTORE_OUT", str(session))
+    session = tmp_path / "session"
+    ignored = tmp_path / "envdir"
+    monkeypatch.setenv("TAMPERSTORE_OUT", str(ignored))
     code, out, _ = run(
         capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
-        "--message-file", str(msg), "--seed", "1",
+        "--message-file", str(msg), "--seed", "1", "--out", str(session),
     )
     assert code == 0
     assert (session / "bundle.txt").exists()
-    code, out, _ = run(capsys, "retrieve", "--seed", "2")
+    code, out, _ = run(capsys, "retrieve", "--seed", "2", "--out", str(session))
     assert code == 0 and "message = 42" in out
+    assert not ignored.exists()  # only --out names the session directory
 
 
 def test_store_depth_is_unrecognised(capsys, tmp_path):

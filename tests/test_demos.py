@@ -22,9 +22,7 @@ def run_demo(tmp_path_factory):
     def run(demo):
         if demo not in runs:
             tmp = tmp_path_factory.mktemp(demo.stem)
-            env = dict(
-                os.environ, PYTHONPATH=str(ROOT / "src"), TAMPERSTORE_CACHE=str(tmp / "cache")
-            )
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
             runs[demo] = subprocess.run(
                 [sys.executable, "-W", "error", str(demo)], env=env, cwd=tmp,
                 capture_output=True, text=True, timeout=300,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamperstore import gf2
 from tamperstore.bits import Bits
 from tamperstore.gf2 import (
     GF2Field,
@@ -19,6 +20,7 @@ from tamperstore.gf2 import (
     poly_divmod,
     poly_mod,
 )
+from tamperstore.linear_code import default_registry
 
 
 def schoolbook_mul(a: int, b: int, modulus: int) -> int:
@@ -34,6 +36,33 @@ def schoolbook_mul(a: int, b: int, modulus: int) -> int:
         shift = value.bit_length() - modulus.bit_length()
         value ^= modulus << shift
     return value
+
+
+def test_every_menu_length_is_pinned(monkeypatch):
+    def refuse(f):
+        raise AssertionError(f"searched degree {f.bit_length() - 1}")
+
+    monkeypatch.setattr(gf2, "is_irreducible", refuse)
+    lengths = sorted({spec.n for spec in default_registry().specs()})
+    assert lengths and set(lengths) <= set(PINNED_MODULI)
+    for n in lengths:
+        assert generate_modulus.__wrapped__(n) == PINNED_MODULI[n]
+
+
+@pytest.mark.parametrize("degree", [1536, 2560])
+def test_screened_search_finds_the_pin(degree, monkeypatch):
+    pinned = PINNED_MODULI[degree]
+    monkeypatch.setattr(gf2, "PINNED_MODULI", {})
+    assert generate_modulus.__wrapped__(degree) == pinned
+
+
+def test_search_writes_nothing_to_home(tmp_path, monkeypatch):
+    # 257 is unpinned, so building its field runs the search
+    monkeypatch.setenv("HOME", str(tmp_path))
+    generate_modulus.cache_clear()
+    assert 257 not in PINNED_MODULI
+    assert is_irreducible(GF2Field(257).modulus)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pinned_moduli_are_irreducible_and_smallest():
@@ -193,14 +222,19 @@ def test_gftable_inverse_and_powers(m):
 _MUL_LOW_ELLS = (1, 3, 4, 40, 128)
 
 
-@pytest.mark.parametrize("degree", sorted(set(PINNED_MODULI) | {1, 2, 13}))
+# the small pinned degrees, 1, 2 and 13, the pad fields of params A and C
+# (2560, 9728) and the largest menu length; the other menu pins differ only
+# in their tails, which test_modulus_tails_fold_once covers
+@pytest.mark.parametrize(
+    "degree", [1, 2, 3, 4, 8, 13, 16, 32, 64, 128, 256, 2560, 6656, 9728, 32640]
+)
 def test_mul_low_matches_full_product(degree):
     field = GF2Field(degree)
     rng = np.random.default_rng(degree)
     mask = (1 << degree) - 1
     ells = [0] + [l for l in _MUL_LOW_ELLS if l <= degree] + ([degree] if degree <= 256 else [])
     # mul_int is the reference: ~8 ms a product at degree 9728
-    count = 40 if degree > 1000 else 200
+    count = 4 if degree > 10000 else 40 if degree > 1000 else 200
     pairs = [(0, mask), (mask, 0), (mask, mask), (1, mask)]
     pairs += [(Bits.random(degree, rng).value, Bits.random(degree, rng).value) for _ in range(count)]
     for a, b in pairs:

@@ -1,5 +1,6 @@
-"""Every name a module, test or demo imports is used in that file, and
-every function and class ``src`` defines is reached outside the tests.
+"""Every name a module, test or demo imports is used in that file, every
+function and class ``src`` defines is reached outside the tests, and the
+package reads no environment variable.
 
 No linter is installed, so these parses are the guard against dead imports
 and against code that only tests reach.  ``__init__.py`` is skipped: its
@@ -9,6 +10,7 @@ a user of the package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,18 @@ def test_every_definition_in_src_is_reached_outside_tests():
         f"{path.stem}.{name}" for path in MODULES for name in _defined(trees[path]) - mentioned
     )
     assert not unreached, f"defined in src but reached only from tests: {', '.join(unreached)}"
+
+
+_ENV_KNOB = re.compile(r"environ|getenv|expanduser")
+
+
+def test_package_reads_no_environment():
+    # the package writes only where its caller says: no knob in the
+    # environment, no default under the home directory
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _ENV_KNOB.search(line)
+    ]
+    assert not hits, "\n".join(hits)

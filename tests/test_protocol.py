@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from tamperstore import kv
+from tamperstore import gf2, kv
 from tamperstore.bits import Bits
 from tamperstore.gf2 import GF2Field
 from tamperstore.linear_code import default_registry
@@ -344,19 +344,26 @@ def test_secrets_that_do_not_fit_params_raise(name, broken):
     assert inst.retrieve(bundle, secrets, rng).omega == 1
 
 
-@pytest.mark.parametrize("length", [1536, 0])
+@pytest.mark.parametrize("length", [1537, 0])
 def test_bundle_w_length_builds_no_field(length, tmp_path, monkeypatch):
     # loading must not search for a modulus of a degree the server picked
-    # (minutes at a few thousand bits) nor write it into the client's cache
-    monkeypatch.setenv("TAMPERSTORE_CACHE", str(tmp_path / "cache"))
+    # (1,537 has no pin, so building its field would cost a search)
     inst, bundle, secrets, rng = _params_a_session(4)
     mapping = bundle.to_kv()
     mapping["w"] = Bits.random(length, rng)
     kv.dump(tmp_path / "bundle.txt", "bundle", mapping)
+    asked = []
+    search = gf2.generate_modulus
+
+    def recorder(degree):
+        asked.append(degree)
+        return search(degree)
+
+    monkeypatch.setattr(gf2, "generate_modulus", recorder)
     loaded = ServerBundle.load(tmp_path / "bundle.txt")
     assert loaded.w.length == length
     _assert_format_abort(inst, loaded, secrets, rng)
-    assert not (tmp_path / "cache").exists()
+    assert length not in asked
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

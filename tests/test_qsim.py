@@ -385,3 +385,47 @@ def test_measure_indices_refuses_repeated_or_outside_cells(size, indices):
         EveView(reg).measure(indices, bases, rng)
     assert reg.to_bytes() == before
     assert rng.bit_generator.state == state  # nothing drawn
+
+
+@pytest.mark.parametrize(
+    "indices,bases,values",
+    [
+        (np.array([0.9, 2.7]), [0, 1], [1, 1]),
+        ([0, 0], [0, 1], [1, 0]),
+        ([5], [1], [1]),
+        ([0, 1, 2], [1], [1]),
+        ([0, 1, 2], [1, 1, 1], [1]),
+        ([True, False, True], [1, 1, 1], [1, 1, 1]),
+        ([[0], [1]], [1, 1], [1, 1]),
+        ([], [], []),
+    ],
+    ids=["float", "repeat", "past-end", "broadcast-both", "broadcast-value",
+         "bool", "2-d", "empty-float"],
+)
+def test_replace_and_measure_refuse_bad_cell_lists(indices, bases, values):
+    # one shared check: integer dtype, in range, distinct, one entry per cell
+    reg, _ = half_mismatched_register(3, 29)
+    before = reg.to_bytes()
+    view = EveView(reg)
+    with pytest.raises(ValueError):
+        replace_cells(reg, indices, bases, values)
+    with pytest.raises(ValueError):
+        view.replace(indices, bases, values)
+    if np.shape(bases) == np.shape(values):  # a measurement lists no values
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            measure_indices(reg, indices, bases, rng)
+        with pytest.raises(ValueError):
+            view.measure(indices, bases, rng)
+        assert rng.bit_generator.state == state  # nothing drawn
+    assert reg.to_bytes() == before
+
+
+def test_replace_accepts_distinct_integer_cells():
+    reg, _ = half_mismatched_register(3, 31)
+    for dtype in (np.int64, np.uint8, np.intp):
+        replace_cells(reg, np.array([2, 0], dtype=dtype), [1, 0], [0, 1])
+        basis, value = reg._records()
+        assert basis.tolist()[::2] == [0, 1] and value.tolist()[::2] == [1, 0]
+    replace_cells(reg, np.array([], dtype=np.int64), [], [])  # nothing listed
