@@ -82,7 +82,7 @@ def clsq(a: int) -> int:
     if a == 0:
         return 0
     raw = np.frombuffer(a.to_bytes((a.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return int.from_bytes(_SPREAD[raw].tobytes(), "little")
+    return int.from_bytes(_SPREAD.take(raw).tobytes(), "little")
 
 
 def poly_degree(p: int) -> int:

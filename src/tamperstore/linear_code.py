@@ -171,19 +171,23 @@ class _InnerRM:
         self._h_hi = signs[:: 1 << lo, :: 1 << lo]
 
     def symbols(self, words: np.ndarray) -> np.ndarray:
-        """(N, n) words -> (N,) symbols read off the information positions."""
-        bits = words[:, self.info]
-        bits[:, 1:] ^= bits[:, :1]
-        return np.packbits(bits, axis=1, bitorder="little")[:, 0]
+        """(N, n) words -> (N,) symbols read off the information positions.
+
+        Packed in order, the bits at positions 0, 1, 2, 4, ..., 2^(m-1)
+        give the byte m0 | (a ^ m0 * (2^m - 1)) << 1, so a block whose m0
+        is set has its other seven bits flipped back."""
+        packed = np.packbits(words.take(self.info, axis=1), bitorder="little")
+        return packed ^ (packed & 1) * np.uint8(0xFE)
 
     def encode(self, symbols: np.ndarray) -> np.ndarray:
         """(N,) symbols -> (N, n) codewords."""
         return self.codewords[symbols]
 
-    def syndrome(self, words: np.ndarray) -> np.ndarray:
-        """(N, n) words -> (N, n - k) check bits: each word minus the
-        codeword with its information bits, on the check positions."""
-        return (words ^ self.encode(self.symbols(words)))[:, self.check]
+    def syndrome(self, words: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """(N, n) words and their ``symbols`` -> (N, n - k) check bits: each
+        word minus the codeword with its information bits, on the check
+        positions."""
+        return (words ^ self.encode(symbols)).take(self.check, axis=1)
 
     def transform(self, words: np.ndarray) -> np.ndarray:
         """(N, n) 0/1 words -> (N, n) float32 U = H y - (n/2) e0.
@@ -340,18 +344,15 @@ class RmRsCode(LinearCode):
     # -- bit-level interface ----------------------------------------------------
     #
     # A syndrome is the inner check bits of every block, block by block,
-    # then the outer syndrome symbols, one byte each, low bit first.
-
-    def _pack_syndrome(self, inner_syn: np.ndarray, outer_syn: np.ndarray) -> Bits:
-        outer = int.from_bytes(outer_syn.astype(np.uint8).tobytes(), "little")
-        return Bits.from_array(inner_syn.reshape(-1)).concat(Bits(outer, 8 * self.redundancy))
+    # then the outer syndrome symbols, one byte each, low bit first.  A
+    # block has 120 check bits, so both parts are whole bytes: ``syn``
+    # reads each block's symbol once, feeds it to both the check bits and
+    # the RS syndrome, and turns the two parts into the syndrome's int with
+    # one ``int.from_bytes``; ``_unpack_syndrome`` reads them back.
 
     def _unpack_syndrome(self, s: Bits) -> tuple[np.ndarray, np.ndarray]:
         """(N, n_in) words holding each block's inner syndrome on its check
-        positions and zeros elsewhere, and the outer syndrome symbols.
-
-        A block has 120 check bits, so both parts are whole bytes.
-        """
+        positions and zeros elsewhere, and the outer syndrome symbols."""
         raw = s.value.to_bytes(s.length // 8, "little")
         inner_bytes = self.outer_n * self.inner.check.size // 8
         inner_syn = np.unpackbits(np.frombuffer(raw, np.uint8, inner_bytes), bitorder="little")
@@ -361,9 +362,15 @@ class RmRsCode(LinearCode):
 
     def syn(self, x: Bits) -> Bits:
         self._check_word(x)
-        blocks = x.to_array().reshape(self.outer_n, self.inner.n)
-        outer_syn = self._rs_syndromes(self.inner.symbols(blocks))
-        return self._pack_syndrome(self.inner.syndrome(blocks), outer_syn)
+        inner = self.inner
+        blocks = x.to_array().reshape(self.outer_n, inner.n)
+        symbols = inner.symbols(blocks)
+        checks = inner.syndrome(blocks, symbols)
+        raw = (
+            np.packbits(checks, bitorder="little").tobytes()
+            + self._rs_syndromes(symbols).astype(np.uint8).tobytes()
+        )
+        return Bits(int.from_bytes(raw, "little"), self.syndrome_len)
 
     def syn_dec(self, s: Bits, received: Bits | None = None) -> Bits | None:
         """The pattern e the decoder finds with syn(received ^ e) = s, or None.

@@ -109,12 +109,18 @@ class TrapLayout:
 def _cells(values, what: str) -> np.ndarray:
     """values as a new 1-d uint8 array; ValueError unless every entry is 0 or 1.
 
-    The branch-free collapse is exact only on such cells.
+    The branch-free collapse is exact only on such cells.  Only a signed
+    array can hold a negative entry, so only a signed one pays for the
+    ``min``.  The result is always a copy, so a register never shares its
+    records with a caller's array.
     """
     cells = np.asarray(values)
     if cells.ndim != 1:
         raise ValueError(f"{what} must be a 1-d array")
-    if cells.size and not (cells.dtype.kind in "biu" and cells.min() >= 0 and cells.max() <= 1):
+    kind = cells.dtype.kind
+    if cells.size and not (
+        kind in "biu" and cells.max() <= 1 and (kind != "i" or cells.min() >= 0)
+    ):
         raise ValueError(f"{what} must be 0/1 cells")
     return cells.astype(np.uint8)
 

@@ -13,6 +13,7 @@ from tamperstore.gf2 import (
     NonInvertibleError,
     PINNED_MODULI,
     clmul,
+    clsq,
     generate_modulus,
     gf_table,
     is_irreducible,
@@ -165,6 +166,14 @@ def test_generate_modulus_deterministic_and_verified():
     m1 = generate_modulus(13)
     assert is_irreducible(m1)
     assert m1 == generate_modulus(13)
+
+
+def test_clsq_equals_clmul_square():
+    rng = np.random.default_rng(41)
+    operands = [0] + [1 << i for i in (0, 1, 7, 8, 15, 63, 64, 32639)]
+    operands += [Bits.random(n, rng).value for n in (1, 8, 9, 100, 2560, 9728, 32640, 32640)]
+    for a in operands:
+        assert clsq(a) == clmul(a, a), a.bit_length()
 
 
 def test_poly_mod_matches_divmod():

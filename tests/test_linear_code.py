@@ -65,7 +65,8 @@ def test_inner_rm_syndrome_is_parity_check_product():
     h = gf2_nullspace(inner.gen).astype(np.int64)
     rng = np.random.default_rng(9)
     words = (rng.random((200, inner.n)) < 0.5).astype(np.uint8)
-    assert np.array_equal(inner.syndrome(words), (words.astype(np.int64) @ h.T) % 2)
+    checks = inner.syndrome(words, inner.symbols(words))
+    assert np.array_equal(checks, (words.astype(np.int64) @ h.T) % 2)
 
 
 def test_inner_rm_ml_decoding():
@@ -399,6 +400,24 @@ def test_codewords_have_zero_syndrome():
     code = make_rmrs()  # and against the reference H
     h = parity_check_matrix(code)
     assert syndrome(h, Bits.from_array(random_codeword(code, rng))).value == 0
+
+
+@pytest.fixture(scope="module", params=[(20, 4), (52, 4), (76, 5)], ids=lambda nk: "rs(%d,%d)" % nk)
+def reference_h(request):
+    """The code of params A, B or C and its H from the generator, built once."""
+    code = RmRsCode(*request.param)
+    return code, parity_check_matrix(code)
+
+
+def test_syn_matches_reference_h_at_reference_codes(reference_h):
+    code, h = reference_h
+    rng = np.random.default_rng(19)
+    words = [Bits.zeros(code.n), Bits((1 << code.n) - 1, code.n)]
+    words.append(Bits.from_array(random_codeword(code, rng)))
+    words += [Bits.random(code.n, rng) for _ in range(3)]
+    for i, x in enumerate(words):
+        assert code.syn(x) == syndrome(h, x), i
+    assert code.syn(words[2]).value == 0
 
 
 def test_syndrome_linearity():

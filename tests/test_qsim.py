@@ -344,6 +344,45 @@ def test_register_rejects_cells_outside_01(basis, value):
         QubitRegister(np.array(basis), np.array(value))
 
 
+BAD_CELLS = {
+    "uint8-2": np.array([0, 2], np.uint8),
+    "uint8-255": np.array([255, 1], np.uint8),
+    "int8-minus-1": np.array([0, -1], np.int8),
+    "int64-minus-1": np.array([-1, 1], np.int64),
+    "float-01": np.array([0.0, 1.0]),
+    "2-d": np.array([[0], [1]], np.uint8),
+    "ragged": [[0, 1], [1]],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CELLS.values(), ids=BAD_CELLS)
+def test_register_refuses_each_kind_of_bad_cell(bad):
+    # unsigned and bool arrays skip the min() check; each kind still refuses
+    good = np.array([0, 1], np.uint8)
+    for basis, value in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError):
+            QubitRegister(basis, value)
+
+
+def test_register_accepts_bool_and_signed_01_cells():
+    reg = QubitRegister(np.array([True, False, True]), np.array([0, 1, 1], np.int8))
+    assert reg.to_bytes() == QubitRegister(np.array([1, 0, 1]), np.array([0, 1, 1])).to_bytes()
+
+
+def test_register_owns_copies_of_its_cells():
+    rng = np.random.default_rng(29)
+    xi = Bits.random_array(64, rng)
+    layout = TrapLayout.random(64, 20, rng)
+    reg = prepare(xi, layout.mask, 20)
+    before = reg.to_bytes()
+    xi ^= 1  # the caller's array is the caller's
+    with pytest.raises(ValueError):
+        layout.mask[:] = 0  # and the layout's mask stays read-only
+    assert reg.to_bytes() == before
+    basis, value = reg._records()
+    assert not np.shares_memory(basis, layout.mask) and not np.shares_memory(value, xi)
+
+
 def test_replace_and_measure_reject_bases_outside_01():
     reg, _ = half_mismatched_register(8, 19)
     before = reg.to_bytes()
