@@ -190,7 +190,6 @@ def bb84_toy(
     num_qubits: int,
     key_bits: int = 1,
     probs: np.ndarray | None = None,
-    name: str | None = None,
 ) -> ToyScheme:
     """Product BB84 encodings: message bits in bases selected by the key.
 
@@ -214,9 +213,7 @@ def bb84_toy(
                 basis = _HAD if (k >> (j % key_bits)) & 1 else np.eye(2)
                 vec = np.kron(vec, basis[(m >> j) & 1])  # H is symmetric: row = column
             states[m, k] = vec
-    return ToyScheme(
-        name or f"toy-bb84(q={num_qubits},kb={key_bits})", messages, probs, keys, states
-    )
+    return ToyScheme(f"toy-bb84(q={num_qubits},kb={key_bits})", messages, probs, keys, states)
 
 
 def classical_otp_toy(num_bits: int, probs: np.ndarray | None = None) -> ToyScheme:
@@ -388,18 +385,18 @@ def permutation_average_win_given_not_star(scheme: ToyScheme, probs: np.ndarray)
     return float(np.mean(win / priors.sum(axis=1)))
 
 
-def fixed_advantage_witness(
-    usefulness_y: float, qubit_sizes=(2, 3, 4), p_star: float = 0.5
-) -> dict:
+def fixed_advantage_witness(usefulness_y: float, qubit_sizes=(2, 3, 4)) -> dict:
     """Fixed-advantage floor across message sizes at constant key fraction.
 
-    For each size q a scheme with |K| = (1 - Y) |M| keys is built; the
-    measured best-placement advantage never drops below p*(1-p*) Y, so no
-    epsilon below that floor is achievable no matter the message length.
+    For each size q a scheme with |K| = (1 - Y) |M| keys is built and the
+    heavy message gets the prior p* = 1/2; the measured best-placement
+    advantage never drops below p*(1-p*) Y, so no epsilon below that floor
+    is achievable no matter the message length.
     """
     if not 0 < usefulness_y < 1:
         raise ValueError("need 0 < Y < 1")
     key_frac = 1 - usefulness_y
+    p_star = 0.5  # the heavy message's prior
     floor = p_star * (1 - p_star) * usefulness_y
     rows = []
     for q in qubit_sizes:

@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
-    except KeyError as exc:  # a key missing from a file, or a message outside the prefix code
+    except KeyError as exc:  # a message outside the prefix code, or a code off the menu
         sys.stderr.write(f"error: no entry for {exc}\n")
         return USAGE_EXIT
 

@@ -29,7 +29,6 @@ class DiscreteDistribution:
 
     outcomes: np.ndarray
     probs: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         outcomes = np.asarray(self.outcomes, dtype=np.int64)
@@ -76,7 +75,7 @@ class DiscreteDistribution:
 def uniform(n: int) -> DiscreteDistribution:
     if n < 1:
         raise ValueError("empty support")
-    return DiscreteDistribution(np.arange(n), np.full(n, 1.0 / n), f"uniform({n})")
+    return DiscreteDistribution(np.arange(n), np.full(n, 1.0 / n))
 
 
 def example1(L: int) -> DiscreteDistribution:
@@ -92,7 +91,7 @@ def example1(L: int) -> DiscreteDistribution:
     mu0 = n - 1
     probs = np.full(n, 0.5 / (n - 1))
     probs[mu0] = 0.5
-    return DiscreteDistribution(np.arange(n), probs, f"example1(L={L})")
+    return DiscreteDistribution(np.arange(n), probs)
 
 
 def example1_padded(L: int) -> DiscreteDistribution:
@@ -112,7 +111,6 @@ def example1_padded(L: int) -> DiscreteDistribution:
     return DiscreteDistribution(
         np.concatenate([ids_zero, ids_one]),
         np.concatenate([probs_zero, probs_one]),
-        f"example1_padded(L={L})",
     )
 
 

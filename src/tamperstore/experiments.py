@@ -29,7 +29,7 @@ from .entropy import DiscreteDistribution, example1, load_distribution, uniform
 from .params import ProtocolParams, correctness_bound
 from .protocol import ProtocolInstance, ServerBundle
 from .qsim import ClassicalTamper, EveStrategy, EveView, InterceptResend, PassiveEve
-from .randomizer import build_prefix_code, example1_code
+from .randomizer import PrefixCode, build_prefix_code, example1_code
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -63,11 +63,14 @@ def parse_dist(spec: str) -> DiscreteDistribution:
     raise ValueError(f"unknown distribution spec {spec!r}")
 
 
-def prefix_code_for(spec: str):
+def prefix_code_for(spec: str, dist: DiscreteDistribution | None = None) -> PrefixCode:
+    """The explicit code of "example1:<L>", else the Huffman code of the
+    distribution ``spec`` names.  A caller that has read that distribution
+    passes it as ``dist``, so a "file:" table is read once."""
     kind, _, arg = spec.partition(":")
     if kind == "example1":
         return example1_code(int(arg))
-    return build_prefix_code(parse_dist(spec))
+    return build_prefix_code(parse_dist(spec) if dist is None else dist)
 
 
 def make_strategy(name: str) -> EveStrategy:
@@ -174,7 +177,7 @@ def _verdict(bound: float, low: float) -> str:
 
 def build_instance(config: ExperimentConfig) -> tuple[ProtocolInstance, DiscreteDistribution]:
     dist = parse_dist(config.dist)
-    prefix = prefix_code_for(config.dist)
+    prefix = prefix_code_for(config.dist, dist)
     instance = ProtocolInstance.derive(config.epsilon, config.beta0, config.ell, prefix)
     return instance, dist
 

@@ -12,6 +12,11 @@ separator, space, upper-case hex or stray base64 character), and a file
 that breaks any rule raises ValueError naming the file, the line and the
 key.  The first line names the record kind and format version.
 
+Each record type declares its keys and their value types once; ``check``
+holds a mapping to that declaration, so a key the writer never writes, a
+missing required key or a value of another type is a ValueError naming
+the key, and ``load`` adds the file's name to it.
+
 ``load_table`` reads the other text form, the "id value" tables of prefix
 codes and message distributions.
 """
@@ -66,17 +71,19 @@ def _decode(text: str):
     return value
 
 
-def check_types(kind: str, mapping: dict, types: dict) -> None:
-    """Raise ValueError for a field whose value is not of its type in ``types``.
-
-    A missing field is not reported here; the caller's lookup raises
-    KeyError for it.
-    """
-    for key, expected in types.items():
-        if key in mapping and not isinstance(mapping[key], expected):
-            raise ValueError(
-                f"{kind} field {key} has the wrong type ({type(mapping[key]).__name__})"
-            )
+def check(kind: str, mapping: dict, required: dict, optional: dict) -> None:
+    """ValueError naming the key unless ``mapping`` holds every key of
+    ``required``, no key outside ``required`` and ``optional``, and under
+    each key a value of the type (or one of the types) declared for it."""
+    for key, value in mapping.items():
+        types = required.get(key) or optional.get(key)
+        if types is None:
+            raise ValueError(f"unknown {kind} field {key!r}")
+        if not isinstance(value, types):
+            raise ValueError(f"{kind} field {key} = {value!r:.40} has the wrong type")
+    for key in required:
+        if key not in mapping:
+            raise ValueError(f"{kind} field {key!r} is missing")
 
 
 def dumps(kind: str, mapping: dict) -> str:
@@ -121,9 +128,10 @@ def dump(path, kind: str, mapping: dict) -> None:
         fh.write(dumps(kind, mapping))
 
 
-def load(path, kind: str) -> dict:
-    """The mapping stored in ``path``; ValueError naming the path if the file
-    is not UTF-8, is malformed, or holds another kind."""
+def load(path, kind: str, build):
+    """``build(mapping)`` of the record stored in ``path``; ValueError naming
+    the path if the file is not UTF-8, is malformed, holds another kind, or
+    ``build`` refuses its mapping."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -135,7 +143,10 @@ def load(path, kind: str) -> dict:
         raise ValueError(f"{path}, {exc}") from None
     if found != kind:
         raise ValueError(f"{path}: expected a {kind} file, got {found!r}")
-    return mapping
+    try:
+        return build(mapping)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_table(path, convert) -> dict:

@@ -125,10 +125,6 @@ class LinearCode:
         if s.length != self.syndrome_len:
             raise ValueError(f"syndrome length {s.length}, expected {self.syndrome_len}")
 
-    @property
-    def spec(self) -> CodeSpec:
-        return CodeSpec(self.name, self.n, self.kappa, self.t_corr)
-
     def __repr__(self):
         return f"{type(self).__name__}({self.name}: n={self.n}, k={self.kappa}, t={self.t_corr})"
 

@@ -83,11 +83,6 @@ class MacKey:
         if not (0 <= self.a < limit and 0 <= self.b < limit):
             raise ValueError("key components must be lam-bit values")
 
-    @classmethod
-    def random(cls, lam: int, rng: np.random.Generator) -> "MacKey":
-        a, b = Bits.random_many((lam, lam), rng)
-        return cls(a.value, b.value, lam)
-
     @property
     def bit_size(self) -> int:
         return 2 * self.lam

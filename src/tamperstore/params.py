@@ -32,7 +32,8 @@ expressions above, so no derived value can be set on its own.  Every
 constraint of the recipe is checked in ``ProtocolParams.validate``, once,
 when the params are made.  A params file lists the choices, the derived
 values and the bounds; reading it recomputes the derived values and bounds
-and refuses a file whose written ones differ.
+and refuses a file whose written ones differ, or that holds a key the
+writer does not write.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property
 
 from . import kv
 from .entropy import binary_entropy
-from .linear_code import CodeRegistry, CodeSpec, default_registry
+from .linear_code import CodeSpec, default_registry
 from .mac import tag_length
 
 
@@ -108,14 +109,19 @@ class ProtocolParams:
     r: int
     code_name: str
 
-    # the choices a params file holds -> accepted value types (an integer
-    # is a valid real); every other value it holds is recomputed
+    # the keys a params file holds and their value types (an integer is a
+    # valid real): the six choices, which it must hold, and the derived
+    # values and bounds, which it may hold and which are recomputed
     _KV_CHOICES = {
         **dict.fromkeys(("epsilon", "beta0"), (int, float)),
         **dict.fromkeys(("ell", "ell0", "r"), int),
         "code_name": str,
     }
-    _KV_DERIVED = ("n", "kappa", "eps0", "eps_mac", "eps_qp", "beta", "nu", "lam")
+    _KV_DERIVED = {
+        **dict.fromkeys(("n", "kappa", "lam"), int),
+        **dict.fromkeys(("eps0", "eps_mac", "eps_qp", "beta", "nu", "delta"), (int, float)),
+    }
+    _KV_BOUNDS = dict.fromkeys(("correctness_bound", "security_bound"), (int, float))
 
     def __post_init__(self):
         self.validate()
@@ -146,7 +152,6 @@ class ProtocolParams:
     def to_kv(self) -> dict:
         """The choices, the derived values and the bounds, for reading by people."""
         mapping = {name: getattr(self, name) for name in (*self._KV_CHOICES, *self._KV_DERIVED)}
-        mapping["delta"] = self.delta
         mapping["correctness_bound"] = correctness_bound(self)
         mapping["security_bound"] = security_bound(self)
         return mapping
@@ -155,11 +160,12 @@ class ProtocolParams:
     def from_kv(cls, mapping: dict) -> "ProtocolParams":
         """Inverse of :meth:`to_kv`: reads the six choices and recomputes the rest.
 
-        A derived value or bound the file holds must equal the recomputed
-        one, so an edited beta, nu or bound is refused rather than trusted.
-        A "d" key left by older files is ignored: it always equalled n.
+        A key :meth:`to_kv` does not write, a missing choice or a value of
+        the wrong type is a ValueError naming the key.  A derived value or
+        bound the mapping holds must equal the recomputed one, so an edited
+        beta, nu or bound is refused rather than trusted.
         """
-        kv.check_types("params", mapping, cls._KV_CHOICES)
+        kv.check("params", mapping, cls._KV_CHOICES, {**cls._KV_DERIVED, **cls._KV_BOUNDS})
         params = cls(**{name: mapping[name] for name in cls._KV_CHOICES})
         for name, value in params.to_kv().items():
             if name in mapping and mapping[name] != value:
@@ -173,7 +179,7 @@ class ProtocolParams:
 
     @classmethod
     def load(cls, path) -> "ProtocolParams":
-        return cls.from_kv(kv.load(path, "params"))
+        return kv.load(path, "params", cls.from_kv)
 
     def validate(self) -> None:
         """Raise InfeasibleParamsError unless every constraint of the recipe holds.
@@ -218,12 +224,10 @@ def derive_params(
     beta0: float,
     ell: int,
     ell0: int | None = None,
-    registry: CodeRegistry | None = None,
 ) -> ProtocolParams:
-    """Run the finite-size recipe; see the module docstring."""
+    """Run the finite-size recipe over the menu codes; see the module docstring."""
     ell0 = ell if ell0 is None else ell0
     _check_inputs(epsilon, beta0, ell, ell0)
-    registry = registry or default_registry()
 
     kappa_min = _kappa(ell, epsilon / 8)
     r_min = math.floor(_r_floor(epsilon, beta0)) + 1
@@ -233,7 +237,7 @@ def derive_params(
 
     best: tuple[int, CodeSpec, int] | None = None
     tight_ratio = None
-    for spec in registry.specs():
+    for spec in default_registry().specs():
         if spec.kappa < kappa_min:
             continue
         margin = spec.ratio - beta0

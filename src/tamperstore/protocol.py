@@ -47,9 +47,6 @@ from .params import ProtocolParams, derive_params
 from .qsim import QubitRegister, TrapLayout, apply_storage_noise, measure, prepare
 from .randomizer import ParseError, PrefixCode, compress, decompress, derandomize, randomize
 
-BUNDLE_VARS = ("w", "u", "c", "theta", "register")
-SECRET_VARS = ("mac_key", "layout", "v", "s", "m_nabla")
-
 
 def _transcript(w: Bits, u: Bits, c: Bits) -> Bits:
     """The layout the MAC covers: w || u || c, unframed."""
@@ -70,6 +67,12 @@ class ServerBundle:
         """The authenticated transcript w || u || c."""
         return _transcript(self.w, self.u, self.c)
 
+    # the keys a bundle file holds and their value types; w stays a bit
+    # string, since a field of a length the server chose would cost a
+    # modulus search, so retrieval reads w in the field of params.ell0
+    # after checking its length
+    _KV_FIELDS = {**dict.fromkeys(("w", "u", "c", "theta"), Bits), "register": bytes}
+
     def to_kv(self) -> dict:
         return {
             "w": self.w,
@@ -77,18 +80,12 @@ class ServerBundle:
             "c": self.c,
             "theta": self.theta,
             "register": self.register.to_bytes(),
-            "register_note": "simulation checkpoint, not physically transferable",
         }
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ServerBundle":
-        kv.check_types(
-            "bundle", mapping, {"w": Bits, "u": Bits, "c": Bits, "theta": Bits, "register": bytes}
-        )
-        # w stays a bit string: a field of a length the server chose would
-        # cost a modulus search (seconds to minutes at thousands of bits), so
-        # retrieval reads w in the field of params.ell0 after checking its
-        # length.  A "w_modulus" key left by older files is ignored.
+        """Inverse of :meth:`to_kv`; refuses what it does not write (``kv.check``)."""
+        kv.check("bundle", mapping, cls._KV_FIELDS, {})
         return cls(
             w=mapping["w"],
             u=mapping["u"],
@@ -102,7 +99,7 @@ class ServerBundle:
 
     @classmethod
     def load(cls, path) -> "ServerBundle":
-        return cls.from_kv(kv.load(path, "bundle"))
+        return kv.load(path, "bundle", cls.from_kv)
 
 
 @dataclass(frozen=True)
@@ -128,6 +125,9 @@ class ClientSecrets:
             + self.m_nabla.length
         )
 
+    # the keys a secrets file holds, all bit strings; r is the weight of t
+    _KV_FIELDS = dict.fromkeys(("mac_key", "t", "v", "s", "m_nabla"), Bits)
+
     def to_kv(self) -> dict:
         return {
             "mac_key": self.mac_key.to_bits(),
@@ -139,18 +139,11 @@ class ClientSecrets:
 
     @classmethod
     def from_kv(cls, mapping: dict) -> "ClientSecrets":
-        kv.check_types("secrets", mapping, {
-            **dict.fromkeys(("mac_key", "t", "v", "s", "m_nabla"), Bits),
-            "r": int,
-        })
-        # "code_name" and "prefix_code_name" keys left by older files are
-        # ignored; an "r" key they left must be the weight of t
-        layout = TrapLayout(mapping["t"])
-        if mapping.get("r", layout.r) != layout.r:
-            raise ValueError(f"secrets field r = {mapping['r']}, but t holds {layout.r} traps")
+        """Inverse of :meth:`to_kv`; refuses what it does not write (``kv.check``)."""
+        kv.check("secrets", mapping, cls._KV_FIELDS, {})
         return cls(
             mac_key=MacKey.from_bits(mapping["mac_key"]),
-            layout=layout,
+            layout=TrapLayout(mapping["t"]),
             v=mapping["v"],
             s=mapping["s"],
             m_nabla=mapping["m_nabla"],
@@ -161,7 +154,7 @@ class ClientSecrets:
 
     @classmethod
     def load(cls, path) -> "ClientSecrets":
-        return cls.from_kv(kv.load(path, "secrets"))
+        return kv.load(path, "secrets", cls.from_kv)
 
 
 @dataclass(frozen=True)
@@ -227,7 +220,7 @@ def store(
     xi = Bits.random_array(total, rng)
     layout = TrapLayout.random(total, params.r, rng)
     v, x = layout.split(xi)
-    register = prepare(xi, layout.mask, params.r)
+    register = prepare(xi, layout.mask)
 
     # the seed u and a fresh MAC key, used for this one tag, in one draw
     u, a, b = Bits.random_many((params.d, params.lam, params.lam), rng)
@@ -388,10 +381,8 @@ class ProtocolInstance:
         prefix_code: PrefixCode,
         registry: CodeRegistry | None = None,
     ) -> "ProtocolInstance":
+        params = derive_params(epsilon, beta0, ell, ell0=prefix_code.max_len)
         registry = registry or default_registry()
-        params = derive_params(
-            epsilon, beta0, ell, ell0=prefix_code.max_len, registry=registry
-        )
         return cls(params, registry.by_name(params.code_name), prefix_code)
 
     def store(self, message: int, rng: np.random.Generator):

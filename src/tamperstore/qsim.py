@@ -177,13 +177,10 @@ class QubitRegister:
         return cls(*planes)
 
 
-def prepare(xi: np.ndarray, t: np.ndarray, r: int) -> QubitRegister:
+def prepare(xi: np.ndarray, t: np.ndarray) -> QubitRegister:
     """Encode cell j of xi in the Hadamard basis where t_j = 1, else standard."""
     if np.shape(xi) != np.shape(t):
         raise ValueError("xi and t must have equal length")
-    weight = int(np.count_nonzero(t))
-    if weight != r:
-        raise ValueError(f"trap string weight {weight} != r = {r}")
     return QubitRegister(t, xi)
 
 

@@ -34,7 +34,6 @@ class UnknownMessageError(KeyError):
 @dataclass(frozen=True)
 class PrefixCode:
     codewords: dict[int, Bits]
-    name: str = ""
 
     def __post_init__(self):
         if not self.codewords:
@@ -98,7 +97,7 @@ def build_prefix_code(dist: DiscreteDistribution) -> PrefixCode:
     for seq, idx in enumerate(order):
         heap.append((float(dist.probs[idx]), seq, int(dist.outcomes[idx])))
     if len(heap) == 1:
-        return PrefixCode({heap[0][2]: Bits.zeros(0)}, dist.name)
+        return PrefixCode({heap[0][2]: Bits.zeros(0)})
     heapq.heapify(heap)
     counter = len(heap)
     trees: dict[int, object] = {item[1]: item[2] for item in heap}
@@ -117,7 +116,7 @@ def build_prefix_code(dist: DiscreteDistribution) -> PrefixCode:
             stack.append((node[1], word + "1"))
         else:
             table[node] = Bits.from_01(word)
-    return PrefixCode(table, dist.name)
+    return PrefixCode(table)
 
 
 def example1_code(L: int) -> PrefixCode:
@@ -134,7 +133,7 @@ def example1_code(L: int) -> PrefixCode:
     for mu in range(1 << L):
         if mu != mu0:
             table[mu] = Bits(mu << 1, L + 1)
-    return PrefixCode(table, f"example1(L={L})")
+    return PrefixCode(table)
 
 
 def compress(message: int, code: PrefixCode, rng: np.random.Generator) -> Bits:

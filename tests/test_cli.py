@@ -335,7 +335,7 @@ def test_retrieve_mistyped_field_is_an_error(capsys, tmp_path, name, line):
     key = line.split(" = ")[0] + " = "
     lines = path.read_text().splitlines(keepends=True)
     if (name, key) == ("secrets.txt", "r = "):
-        lines.append("r = int:1276\n")  # only secrets files written before r was derived hold it
+        lines.append("r = int:1276\n")  # older secrets files held r; it is refused
     assert sum(old.startswith(key) for old in lines) == 1
     path.write_text("".join(line + "\n" if old.startswith(key) else old for old in lines))
     code, out, err = run(capsys, "retrieve", "--out", str(session))
@@ -361,6 +361,44 @@ def _stored_session(capsys, tmp_path):
     )
     assert code == 0
     return session
+
+
+# one key per record that its writer never writes (an unknown one and the
+# ones older files held) or that is missing: "-" deletes the key
+@pytest.mark.parametrize(
+    "name,line",
+    [
+        ("params.txt", "zz = int:1"),
+        ("params.txt", "d = int:2560"),
+        ("params.txt", "-epsilon"),
+        ("bundle.txt", "zz = int:1"),
+        ("bundle.txt", "w_modulus = bits:14:2720"),
+        ("bundle.txt", "register_note = str:simulation checkpoint, not physically transferable"),
+        ("bundle.txt", "-u"),
+        ("secrets.txt", "zz = int:1"),
+        ("secrets.txt", "r = int:1276"),
+        ("secrets.txt", "code_name = str:rs(20,4)*rm(1,7)"),
+        ("secrets.txt", "prefix_code_name = str:custom"),
+        ("secrets.txt", "-s"),
+    ],
+)
+def test_retrieve_refuses_a_foreign_or_missing_key(capsys, tmp_path, name, line):
+    session = _stored_session(capsys, tmp_path)
+    path = session / name
+    lines = path.read_text().splitlines(keepends=True)
+    if line.startswith("-"):
+        key = line[1:]
+        kept = [old for old in lines if not old.startswith(f"{key} = ")]
+        assert len(kept) == len(lines) - 1
+        path.write_text("".join(kept))
+    else:
+        key = line.split(" = ")[0]
+        assert not any(old.startswith(f"{key} = ") for old in lines)
+        path.write_text("".join(lines) + line + "\n")
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith(f"error: {path}: ") and f"'{key}'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err and "omega" not in out
 
 
 def test_retrieve_swapped_params_file_is_an_error(capsys, tmp_path):

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from tamperstore import cli
+from tamperstore import cli, kv
 from tamperstore.bits import Bits
 from tamperstore.experiments import (
     ExperimentConfig,
+    build_instance,
     log_binomial_cdf,
     make_strategy,
     parse_dist,
+    prefix_code_for,
     run_correctness_experiment,
     run_tamper_experiment,
     tamper_acceptance_bound,
@@ -22,7 +24,7 @@ from tamperstore.experiments import (
 from tamperstore.params import derive_params
 from tamperstore.protocol import ProtocolInstance
 from tamperstore.qsim import ClassicalTamper, InterceptResend, PassiveEve, apply_storage_noise
-from tamperstore.randomizer import example1_code
+from tamperstore.randomizer import build_prefix_code, example1_code
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,22 @@ def test_parse_dist_specs(tmp_path):
     assert parse_dist(f"file:{path}").support_size == 2
     with pytest.raises(ValueError):
         parse_dist("nope:1")
+
+
+def test_build_instance_reads_a_file_table_once(tmp_path, monkeypatch):
+    # the distribution sampled and the prefix code built come from one read
+    path = tmp_path / "d.txt"
+    path.write_text("".join(f"{i} {p}\n" for i, p in enumerate([0.5, 0.25, 0.125, 0.0625, 0.0625])))
+    reads = []
+    load_table = kv.load_table
+    monkeypatch.setattr(kv, "load_table", lambda *args: reads.append(args) or load_table(*args))
+    config = ExperimentConfig("correctness", 0.05, 0.0, 4, dist=f"file:{path}")
+    instance, dist = build_instance(config)
+    assert len(reads) == 1
+    assert instance.prefix_code == build_prefix_code(dist)
+    # both stay callable with the spec alone, one read each
+    assert prefix_code_for(config.dist) == instance.prefix_code and len(reads) == 2
+    assert np.array_equal(parse_dist(config.dist).probs, dist.probs) and len(reads) == 3
 
 
 def test_make_strategy():

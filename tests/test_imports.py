@@ -1,6 +1,7 @@
 """Every name a module, test or demo imports is used in that file, every
-function and class ``src`` defines is reached outside the tests, and the
-package reads no environment variable.
+function and class ``src`` defines is reached outside the tests (a
+classmethod only when it is named on its class, or on ``cls`` inside it),
+and the package reads no environment variable.
 
 No linter is installed, so these parses are the guard against dead imports
 and against code that only tests reach.  ``__init__.py`` is skipped: its
@@ -91,13 +92,57 @@ def _mentioned(tree: ast.Module) -> set[str]:
     return out
 
 
+def _named_attributes(tree: ast.AST) -> set[tuple[str, str]]:
+    """(owner, attribute) for every ``owner.attribute`` whose owner is a plain name."""
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+
+
+def _unnamed_classmethods(path: Path, tree: ast.Module, named: set) -> list[str]:
+    """The classmethods of ``tree`` named neither as ``Class.name`` in
+    ``named`` nor as ``cls.name`` inside their own class.
+
+    A bare attribute name would count a method as reached by any
+    attribute of that name (``MacKey.random`` by ``rng.random``).
+    """
+    out = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        own = _named_attributes(cls)
+        for item in cls.body:
+            is_classmethod = isinstance(item, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "classmethod" for d in item.decorator_list
+            )
+            if not is_classmethod:
+                continue
+            if (cls.name, item.name) not in named and ("cls", item.name) not in own:
+                out.append(f"{path.stem}.{cls.name}.{item.name}")
+    return out
+
+
 def test_every_definition_in_src_is_reached_outside_tests():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + USERS}
     mentioned = set().union(*map(_mentioned, trees.values()))
+    named = set().union(*map(_named_attributes, trees.values()))
     unreached = sorted(
         f"{path.stem}.{name}" for path in MODULES for name in _defined(trees[path]) - mentioned
     )
+    for path in MODULES:
+        unreached += _unnamed_classmethods(path, trees[path], named)
     assert not unreached, f"defined in src but reached only from tests: {', '.join(unreached)}"
+
+
+def test_checker_sees_a_classmethod_named_only_on_an_instance():
+    tree = ast.parse(
+        "class K:\n"
+        "    @classmethod\n    def make(cls): return cls.build()\n"
+        "    @classmethod\n    def build(cls): return cls()\n"
+        "    @classmethod\n    def random(cls): return cls()\n"
+        "K.make()\nrng.random()\n"
+    )
+    assert _unnamed_classmethods(Path("m.py"), tree, _named_attributes(tree)) == ["m.K.random"]
 
 
 _ENV_KNOB = re.compile(r"environ|getenv|expanduser")

@@ -43,9 +43,41 @@ def test_loads_rejects_oversized_bits():
 def test_load_checks_the_kind(tmp_path):
     path = tmp_path / "params.txt"
     kv.dump(path, "secrets", {"a": 1})
-    assert kv.load(path, "secrets") == {"a": 1}
+    assert kv.load(path, "secrets", dict) == {"a": 1}
     with pytest.raises(ValueError, match="expected a params file, got 'secrets'"):
-        kv.load(path, "params")
+        kv.load(path, "params", dict)
+
+
+def test_load_names_the_path_when_the_record_refuses_its_mapping(tmp_path):
+    path = tmp_path / "bundle.txt"
+    kv.dump(path, "bundle", {"u": Bits(5, 8), "zz": 1})
+
+    def build(mapping):
+        kv.check("bundle", mapping, {"u": Bits}, {})
+
+    with pytest.raises(ValueError) as err:
+        kv.load(path, "bundle", build)
+    assert str(err.value) == f"{path}: unknown bundle field 'zz'"
+
+
+@pytest.mark.parametrize(
+    "mapping,why",
+    [
+        ({"a": 1, "b": Bits(1, 2), "zz": 1}, "unknown demo field 'zz'"),
+        ({"a": 1}, "demo field 'b' is missing"),
+        ({"a": "1", "b": Bits(1, 2)}, "demo field a = '1' has the wrong type"),
+        ({"a": 1, "b": Bits(1, 2), "c": 0.5, "d": 2}, "unknown demo field 'd'"),
+        ({"a": 1, "b": Bits(1, 2), "c": b"x"}, "demo field c = b'x' has the wrong type"),
+    ],
+    ids=["unknown", "missing", "wrong-type", "unknown-beside-optional", "optional-wrong-type"],
+)
+def test_check_refuses_what_the_declaration_does_not_allow(mapping, why):
+    required, optional = {"a": int, "b": Bits}, {"c": (int, float)}
+    kv.check("demo", {"a": 1, "b": Bits(1, 2)}, required, optional)
+    kv.check("demo", {"a": 1, "b": Bits(1, 2), "c": 2}, required, optional)
+    with pytest.raises(ValueError) as err:
+        kv.check("demo", mapping, required, optional)
+    assert str(err.value) == why
 
 
 def test_load_table_reads_ids_and_comments(tmp_path):
@@ -108,7 +140,7 @@ def test_load_names_the_path_line_and_key(tmp_path):
     ):
         path.write_text(written.replace(old, new))
         with pytest.raises(ValueError) as err:
-            kv.load(path, "bundle")
+            kv.load(path, "bundle", dict)
         assert type(err.value) is ValueError
         assert str(err.value).startswith(f"{path}, {where}: ")
 
@@ -117,7 +149,7 @@ def test_load_refuses_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "params.txt"
     path.write_bytes(b"# tamperstore params v1\nname = str:caf\xe9\n")
     with pytest.raises(ValueError) as err:
-        kv.load(path, "params")
+        kv.load(path, "params", dict)
     assert type(err.value) is ValueError
     assert str(err.value).startswith(f"{path}, line 2: not UTF-8 text")
 
@@ -125,4 +157,4 @@ def test_load_refuses_bytes_that_are_not_utf8(tmp_path):
 @pytest.mark.parametrize("name", ["A", "B", "C"])
 def test_pinned_params_files_load_unchanged(name):
     path = Path(__file__).parent / "data" / f"params_{name}.txt"
-    assert kv.dumps("params", kv.load(path, "params")) == path.read_text()
+    assert kv.dumps("params", kv.load(path, "params", dict)) == path.read_text()

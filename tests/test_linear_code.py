@@ -437,7 +437,9 @@ def test_zero_syndrome_decodes_to_zero():
 
 @pytest.mark.parametrize("n,k", [(12, 2), (76, 5), (255, 16)])
 def test_spec_of_matches_built_code(n, k):
-    assert RmRsCode.spec_of(n, k) == RmRsCode(n, k).spec
+    spec, code = RmRsCode.spec_of(n, k), RmRsCode(n, k)
+    built = (code.name, code.n, code.kappa, code.t_corr)
+    assert (spec.name, spec.n, spec.kappa, spec.t_corr) == built
 
 
 def test_registry_build_by_name():
@@ -445,7 +447,7 @@ def test_registry_build_by_name():
     code = reg.by_name("rs(12,4)*rm(1,7)")
     assert isinstance(code, RmRsCode)
     assert reg.by_name("rs(12,4)*rm(1,7)") is code
-    assert reg.build(code.spec) is code
+    assert reg.build(reg.spec("rs(12,4)*rm(1,7)")) is code
 
 
 def test_registry_holds_only_the_menu():

@@ -21,12 +21,18 @@ def all_keys(lam):
     return [MacKey(a, b, lam) for a in range(1 << lam) for b in range(1 << lam)]
 
 
+def random_key(lam, rng):
+    """A uniform key, a then b, drawn as ``store`` draws them."""
+    a, b = Bits.random_many((lam, lam), rng)
+    return MacKey(a.value, b.value, lam)
+
+
 def test_completeness_every_key_and_message():
     rng = np.random.default_rng(0)
     for lam in (1, 3, 4, 8):
         cap = min(4 * lam, lam * (1 << lam))
         for _ in range(30):
-            key = MacKey.random(lam, rng)
+            key = random_key(lam, rng)
             msg = Bits.random(int(rng.integers(0, cap + 1)), rng)
             assert verify(key, msg, tag(key, msg))
 
@@ -47,7 +53,7 @@ def test_tag_is_polynomial_evaluation():
     field = GF2Field(lam)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        key = MacKey.random(lam, rng)
+        key = random_key(lam, rng)
         msg = Bits.random(11, rng)
         blocks = [msg[0:4].value, msg[4:8].value, msg[8:11].value, 1 + (11 % 15)]
         expected = key.b
@@ -74,7 +80,7 @@ def test_tag_matches_explicit_sum_oracle(lam):
     top = (1 << lam) - 1
     keys = [MacKey(0, 1, lam), MacKey(1, 0, lam), MacKey(top, top, lam)]
     for i, length in enumerate(oracle_lengths(lam)):  # edge keys and random ones in turn
-        key = MacKey.random(lam, rng) if i % 2 else keys[i // 2 % 3]
+        key = random_key(lam, rng) if i % 2 else keys[i // 2 % 3]
         msg = Bits.random(length, rng)
         assert tag(key, msg).value == explicit_tag(key, msg), (lam, length, key)
 
@@ -169,7 +175,7 @@ def test_bit_flip_rejection_rate_exhaustive():
 
 def test_tag_flip_always_rejected():
     rng = np.random.default_rng(3)
-    key = MacKey.random(6, rng)
+    key = random_key(6, rng)
     msg = Bits.random(20, rng)
     theta = tag(key, msg)
     for i in range(theta.length):
@@ -244,7 +250,7 @@ def test_tag_length_is_smallest_meeting_the_bound():
 
 def test_key_bits_round_trip():
     rng = np.random.default_rng(4)
-    key = MacKey.random(5, rng)
+    key = random_key(5, rng)
     assert MacKey.from_bits(key.to_bits()) == key
     assert key.bit_size == 10
 

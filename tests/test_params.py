@@ -172,7 +172,8 @@ def test_pad_seed_length_is_n():
     assert p.d == p.n
     mapping = p.to_kv()
     assert "d" not in mapping
-    assert ProtocolParams.from_kv({**mapping, "d": p.n}) == p  # older files carry d
+    with pytest.raises(ValueError, match="unknown params field 'd'"):
+        ProtocolParams.from_kv({**mapping, "d": p.n})  # older files carried it
 
 
 def test_params_file_of_the_six_choices_loads(tmp_path):

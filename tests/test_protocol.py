@@ -12,8 +12,6 @@ from tamperstore.linear_code import default_registry
 from tamperstore.mac import MacKey, verify
 from tamperstore.params import InfeasibleParamsError, ProtocolParams, derive_params
 from tamperstore.protocol import (
-    BUNDLE_VARS,
-    SECRET_VARS,
     ClientSecrets,
     ProtocolInstance,
     RetrievalOutcome,
@@ -180,10 +178,12 @@ def test_outcome_invariant():
 
 
 def test_variable_partition_audit():
-    assert set(BUNDLE_VARS) & set(SECRET_VARS) == set()
-    assert set(ServerBundle.__dataclass_fields__) == set(BUNDLE_VARS)
-    fields = set(ClientSecrets.__dataclass_fields__)
-    assert fields == set(SECRET_VARS)
+    # the server holds w, u, c, theta and the qubits; the client the key
+    # material; no variable is in both
+    bundle_fields = {f.name for f in fields(ServerBundle)}
+    secret_fields = {f.name for f in fields(ClientSecrets)}
+    assert bundle_fields == {"w", "u", "c", "theta", "register"}
+    assert secret_fields == {"mac_key", "layout", "v", "s", "m_nabla"}
 
 
 def test_serialization_round_trips(tmp_path):
@@ -200,37 +200,58 @@ def test_serialization_round_trips(tmp_path):
     assert (out.omega, out.message) == (1, 3)
 
 
-def test_secrets_file_with_code_names_still_loads(tmp_path):
-    # files written before the unused code-name fields were dropped carry them
+# keys that no writer of the record writes: an unknown one, and the ones
+# older files held (params' d, the bundle's w_modulus and register_note,
+# the secrets' r and code names); None deletes the key instead
+FOREIGN_OR_MISSING_KEYS = [
+    ("params", "zz", 1),
+    ("params", "d", 2560),
+    ("params", "epsilon", None),
+    ("bundle", "zz", 1),
+    ("bundle", "w_modulus", Bits(0x2027, 14)),
+    ("bundle", "register_note", "simulation checkpoint, not physically transferable"),
+    ("bundle", "u", None),
+    ("secrets", "zz", 1),
+    ("secrets", "r", 1276),
+    ("secrets", "code_name", "rs(20,4)*rm(1,7)"),
+    ("secrets", "prefix_code_name", "custom"),
+    ("secrets", "s", None),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,key,value",
+    FOREIGN_OR_MISSING_KEYS,
+    ids=[f"{kind}-{key}" for kind, key, _ in FOREIGN_OR_MISSING_KEYS],
+)
+def test_record_file_with_a_foreign_or_missing_key_is_refused(tmp_path, kind, key, value):
     inst = params_a()
-    rng = np.random.default_rng(7)
-    bundle, secrets = inst.store(3, rng)
-    mapping = {**secrets.to_kv(), "code_name": inst.params.code_name, "prefix_code_name": "custom"}
-    kv.dump(tmp_path / "secrets.txt", "secrets", mapping)
-    loaded = ClientSecrets.load(tmp_path / "secrets.txt")
-    assert loaded == secrets
-    out = inst.retrieve(bundle, loaded, rng)
-    assert (out.omega, out.message) == (1, 3)
-
-
-def test_secrets_file_r_must_be_the_trap_weight():
-    # r is the weight of t; files written before it stopped being stored carry it
-    _, secrets = params_a().store(3, np.random.default_rng(7))
-    mapping = secrets.to_kv()
-    assert "r" not in mapping
-    assert ClientSecrets.from_kv({**mapping, "r": 1276}) == secrets
-    with pytest.raises(ValueError, match="r = 1277, but t holds 1276 traps"):
-        ClientSecrets.from_kv({**mapping, "r": 1277})
+    bundle, secrets = inst.store(777, np.random.default_rng(7))
+    record = {"params": inst.params, "bundle": bundle, "secrets": secrets}[kind]
+    mapping = record.to_kv()
+    assert (key in mapping) == (value is None)
+    if value is None:
+        del mapping[key]
+    else:
+        mapping[key] = value
+    with pytest.raises(ValueError, match=f"{kind} field '{key}'"):
+        type(record).from_kv(mapping)
+    path = tmp_path / f"{kind}.txt"
+    kv.dump(path, kind, mapping)
+    with pytest.raises(ValueError) as err:
+        type(record).load(path)
+    assert type(err.value) is ValueError
+    assert str(err.value).startswith(f"{path}: ") and f"'{key}'" in str(err.value)
 
 
 def test_secrets_without_syndrome_rejected(tmp_path):
     _, secrets = params_a().store(3, np.random.default_rng(7))
     mapping = secrets.to_kv()
     del mapping["s"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="secrets field 's' is missing"):
         ClientSecrets.from_kv(mapping)
     kv.dump(tmp_path / "secrets.txt", "secrets", mapping)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="secrets field 's' is missing"):
         ClientSecrets.load(tmp_path / "secrets.txt")
 
 
@@ -242,23 +263,6 @@ def test_secrets_with_malformed_mac_key_rejected(mac_key):
     mapping["mac_key"] = mac_key
     with pytest.raises(ValueError):
         ClientSecrets.from_kv(mapping)
-
-
-def test_bundle_modulus_is_not_read_from_the_file(tmp_path):
-    # the stored seed field is GF(2^13) with the pinned 0x201b
-    inst = params_a()
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        bundle, secrets = inst.store(777, rng)
-        mapping = bundle.to_kv()
-        assert "w_modulus" not in mapping
-        mapping["w_modulus"] = Bits(0x2027, 14)  # another irreducible of degree 13
-        kv.dump(tmp_path / "bundle.txt", "bundle", mapping)
-        loaded = ServerBundle.load(tmp_path / "bundle.txt")
-        assert loaded.w == bundle.w
-        out = inst.retrieve(loaded, secrets, rng)
-        assert out.omega == 0 or out.message == 777
-        assert (out.omega, out.message) == (1, 777)
 
 
 @pytest.mark.parametrize("key", ["w", "u", "c", "theta", "register"])

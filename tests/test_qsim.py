@@ -18,8 +18,8 @@ from tamperstore.qsim import (
 from reference import where_collapse
 
 
-def prepare_bits(xi: Bits, t: Bits, r: int) -> QubitRegister:
-    return prepare(xi.to_array(), t.to_array(), r)
+def prepare_bits(xi: Bits, t: Bits) -> QubitRegister:
+    return prepare(xi.to_array(), t.to_array())
 
 
 def measure_bits(reg: QubitRegister, bases: Bits, rng) -> Bits:
@@ -29,7 +29,7 @@ def measure_bits(reg: QubitRegister, bases: Bits, rng) -> Bits:
 def random_setup(total, r, rng):
     xi = Bits.random(total, rng)
     layout = TrapLayout.random(total, r, rng)
-    reg = prepare_bits(xi, layout.t, r)
+    reg = prepare_bits(xi, layout.t)
     return xi, layout, reg
 
 
@@ -42,14 +42,14 @@ def test_same_basis_measurement_is_faithful():
 def test_all_standard_degenerate_layout():
     rng = np.random.default_rng(1)
     xi = Bits.random(64, rng)
-    reg = prepare_bits(xi, Bits.zeros(64), 0)
+    reg = prepare_bits(xi, Bits.zeros(64))
     assert measure_bits(reg, Bits.zeros(64), rng) == xi
 
 
-def test_weight_mismatch_rejected():
+def test_prepare_refuses_xi_and_t_of_unequal_length():
     rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
-        prepare_bits(Bits.random(8, rng), Bits.from_01("11000000"), 3)
+    with pytest.raises(ValueError, match="equal length"):
+        prepare_bits(Bits.random(8, rng), Bits.from_01("1100000"))
     assert TrapLayout(Bits.from_01("110")).r == 2  # r is the weight of t, never stored apart
 
 
@@ -75,7 +75,7 @@ def test_noise_flip_rate_confidence_interval():
     rng = np.random.default_rng(5)
     n, beta0 = 100_000, 0.05
     xi = Bits.random(n, rng)
-    reg = prepare_bits(xi, Bits.zeros(n), 0)
+    reg = prepare_bits(xi, Bits.zeros(n))
     apply_storage_noise(reg, beta0, rng)
     out = measure_bits(reg, Bits.zeros(n), rng)
     rate = (out ^ xi).weight() / n
@@ -87,7 +87,7 @@ def test_noise_composition_convolution():
     rng = np.random.default_rng(6)
     n, b0, b1 = 100_000, 0.05, 0.1
     xi = Bits.random(n, rng)
-    reg = prepare_bits(xi, Bits.zeros(n), 0)
+    reg = prepare_bits(xi, Bits.zeros(n))
     apply_storage_noise(reg, b0, rng)
     apply_storage_noise(reg, b1, rng)
     out = measure_bits(reg, Bits.zeros(n), rng)
@@ -101,7 +101,7 @@ def test_cross_basis_outcomes_uniform():
     rng = np.random.default_rng(7)
     n = 100_000
     xi = Bits.random(n, rng)
-    reg = prepare_bits(xi, Bits.zeros(n), 0)  # all standard
+    reg = prepare_bits(xi, Bits.zeros(n))  # all standard
     ones = Bits((1 << n) - 1, n)
     out = measure_bits(reg, ones, rng)  # all Hadamard
     freq = out.weight() / n
@@ -112,7 +112,7 @@ def test_measurement_collapses():
     rng = np.random.default_rng(8)
     n = 1000
     xi = Bits.random(n, rng)
-    reg = prepare_bits(xi, Bits.zeros(n), 0)
+    reg = prepare_bits(xi, Bits.zeros(n))
     bases = Bits.random(n, rng)
     first = measure_bits(reg, bases, rng)
     again = measure_bits(reg, bases, rng)
@@ -124,7 +124,7 @@ def test_intercept_resend_random_basis_error_rate():
     n = 100_000
     xi = Bits.random(n, rng)
     t = Bits.zeros(n)
-    reg = prepare_bits(xi, t, 0)
+    reg = prepare_bits(xi, t)
     InterceptResend(policy="random-basis").apply(EveView(reg), {}, rng)
     out = measure_bits(reg, t, rng)
     rate = (out ^ xi).weight() / n
@@ -137,7 +137,7 @@ def test_intercept_resend_all_standard_split_rates():
     n = 100_000
     xi = Bits.random(n, rng)
     layout = TrapLayout.random(n, n // 2, rng)
-    reg = prepare_bits(xi, layout.t, n // 2)
+    reg = prepare_bits(xi, layout.t)
     InterceptResend(policy="all-standard").apply(EveView(reg), {}, rng)
     out = measure_bits(reg, layout.t, rng)
     errors = (out ^ xi).to_array()
@@ -172,7 +172,7 @@ def test_eve_cannot_read_preparation_without_disturbance():
     rng = np.random.default_rng(13)
     n = 40_000
     xi = Bits.zeros(n)  # deterministic preparation values
-    reg = prepare_bits(xi, Bits.zeros(n), 0)
+    reg = prepare_bits(xi, Bits.zeros(n))
     view = EveView(reg)
     out = view.measure(np.arange(n), np.ones(n, dtype=np.uint8), rng)
     assert abs(out.mean() - 0.5) <= 3 * (0.25 / n) ** 0.5
@@ -373,7 +373,7 @@ def test_register_owns_copies_of_its_cells():
     rng = np.random.default_rng(29)
     xi = Bits.random_array(64, rng)
     layout = TrapLayout.random(64, 20, rng)
-    reg = prepare(xi, layout.mask, 20)
+    reg = prepare(xi, layout.mask)
     before = reg.to_bytes()
     xi ^= 1  # the caller's array is the caller's
     with pytest.raises(ValueError):

@@ -224,6 +224,25 @@ def test_seed_of_another_length_rejected(seed_len):
         derandomize(Bits.zeros(4), Bits.zeros(4), seed)
 
 
+@pytest.mark.parametrize("L", range(1, 7))
+def test_example1_padded_is_the_law_of_compress(L):
+    # the randomiser is certified on example1_padded(L); it must be exactly
+    # what compress(m, example1_code(L)) emits for m drawn from example1(L):
+    # the codeword of m followed by uniform padding
+    code, source = example1_code(L), example1(L)
+    law = {}
+    for m, p in zip(source.outcomes, source.probs):
+        codeword = code.codewords[int(m)]
+        pad = code.max_len - codeword.length
+        for tail in range(1 << pad):
+            padded = codeword.concat(Bits(tail, pad)).value
+            law[padded] = law.get(padded, 0.0) + float(p) / (1 << pad)
+        rng, twin = np.random.default_rng(int(m)), np.random.default_rng(int(m))
+        assert compress(int(m), code, rng) == codeword.concat(Bits.random(pad, twin))
+    padded_dist = example1_padded(L)
+    assert dict(zip(padded_dist.outcomes.tolist(), padded_dist.probs.tolist())) == law
+
+
 def test_statistical_distance_exact_convolution():
     # m computed over every (w != 0, padded message) pair, exactly
     L, eps0, ell = 10, 1 / 16, 4
