@@ -338,9 +338,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
-    except KeyError as exc:  # a message outside the prefix code, or a code off the menu
-        sys.stderr.write(f"error: no entry for {exc}\n")
-        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -122,18 +122,27 @@ def poly_gcd(a: int, b: int) -> int:
 
 
 def poly_invmod(a: int, m: int) -> int:
-    """Inverse of a modulo the irreducible m, by extended Euclid."""
-    if poly_mod(a, m) == 0:
+    """Inverse of a modulo the irreducible m, below x^deg(m).
+
+    Extended Euclid by shifts and XORs (Hankerson, Menezes & Vanstone,
+    *Guide to Elliptic Curve Cryptography*, Alg. 2.48): with g1 a = u and
+    g2 a = v (mod m), the longer of u, v loses its leading term to the
+    other shifted under it, and g1, g2 follow, until u = 1.  No quotient
+    is formed, and g1 never reaches the degree of m.
+    """
+    u, v = poly_mod(a, m), m
+    if u == 0:
         raise NonInvertibleError("zero is not invertible")
-    r0, r1 = m, poly_mod(a, m)
-    s0, s1 = 0, 1
-    while r1:
-        q, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 ^ clmul(q, s1)
-    if r0 != 1:  # m reducible; unreachable for field moduli
-        raise NonInvertibleError(f"gcd is {r0:#x}, not 1")
-    return poly_mod(s0, m)
+    g1, g2 = 1, 0
+    while u != 1:
+        if u == 0:  # m reducible; unreachable for field moduli
+            raise NonInvertibleError(f"gcd is {v:#x}, not 1")
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
 
 
 def _sqmod(a: int, m: int) -> int:

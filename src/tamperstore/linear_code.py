@@ -19,18 +19,28 @@ The inner Reed-Muller code is used only through byte symbols (see
 ``_InnerRM``), so no generic GF(2) matrix runs in ``syn`` or ``syn_dec``.
 
 ``syn_dec(s, received)`` finds a pattern e with syn(received ^ e) = s,
-so retrieval needs no syndrome of its measured word.  It decodes in the
-received frame: each received block, with the inner part of s added, is
-ML-decoded by the Hadamard transform, and the RS decoder moves those
-symbols into the coset of the outer part of s rather than into the code.
-That is the decode of the coset word of s ^ syn(received), bit for bit,
-without the two symbol-matrix products that form the coset word: adding
-an inner codeword to a block shifts its ML symbol by that codeword's, and
-the coset decode sees the same RS syndrome.  The one exception is the
-choice among equally near inner codewords, which needs a block beyond the
-inner radius; only then is the coset word's frame formed, to break the
-tie as that decode breaks it.  The rule is kept so that no output depends
-on the frame: ``syn_dec(s, r) == syn_dec(s ^ syn(r))`` always, and
+so retrieval needs no syndrome of its measured word; ``received`` is the
+measured 0/1 payload cells, a uint8 array of length n, read as they are.
+It decodes in the received frame: each received block, with the inner
+part of s added, is ML-decoded, and the RS decoder moves those symbols
+into the coset of the outer part of s rather than into the code.
+
+ML decoding uses certified hard decisions.  A block's hard decision is
+the symbol read off its information positions.  A block within the inner
+radius of that symbol's codeword has it as its unique ML codeword, so
+the hard decision is certified and the block is not transformed; under
+storage noise at params C that is about two blocks in three.  Only the
+other blocks go through the Hadamard transform, one GEMM against the
+n x n +-1 matrix.
+
+The received-frame decode is the decode of the coset word of
+s ^ syn(received), bit for bit, without the two symbol-matrix products
+that form the coset word: adding an inner codeword to a block shifts its
+ML symbol by that codeword's, and the coset decode sees the same RS
+syndrome.  The one exception is the choice among equally near inner
+codewords, which needs a block beyond the inner radius; only then is the
+coset word's frame formed, to break the tie as that decode breaks it.
+The rule is kept so that no output depends on the frame: ``syn_dec(s, r) == syn_dec(s ^ syn(r))`` always, and
 retrieval outcomes match the coset-word decode's.  With ``received`` left
 out it decodes s itself, the pattern of syndrome s.
 
@@ -110,7 +120,7 @@ class LinearCode:
     def syn(self, x: Bits) -> Bits:
         raise NotImplementedError
 
-    def syn_dec(self, s: Bits, received: Bits | None = None) -> Bits | None:
+    def syn_dec(self, s: Bits, received: np.ndarray | None = None) -> Bits | None:
         raise NotImplementedError
 
     @property
@@ -120,6 +130,12 @@ class LinearCode:
     def _check_word(self, x: Bits) -> None:
         if x.length != self.n:
             raise ValueError(f"word length {x.length}, expected {self.n}")
+
+    def _check_cells(self, cells: np.ndarray) -> None:
+        if not (
+            isinstance(cells, np.ndarray) and cells.dtype == np.uint8 and cells.shape == (self.n,)
+        ):
+            raise ValueError(f"received cells must be a uint8 array of shape ({self.n},)")
 
     def _check_syndrome(self, s: Bits) -> None:
         if s.length != self.syndrome_len:
@@ -140,8 +156,12 @@ class _InnerRM:
     is m0 ^ parity(a & v).  Position 0 holds m0 and position 2^j holds
     m0 ^ a_j, so these m+1 information positions fix the symbol; the other
     n - m - 1 positions are the check positions.  Encoding is one gather
-    from a table of all codewords; the ML symbols are ``symbols_at`` the
-    largest |U| of the Hadamard transform ``transform``.
+    from a table of all codewords.  The symbol a block's information
+    positions give is its hard decision; when the block is within the
+    inner radius of that codeword (``weights`` of the difference), the
+    hard decision is certified ML.  Otherwise the ML symbols are
+    ``symbols_at`` the largest |U| of the Hadamard transform ``transform``,
+    one GEMM.
     """
 
     m = _RM_M
@@ -159,12 +179,8 @@ class _InnerRM:
         self.check = np.delete(v, self.info)
         msgs = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
         self.codewords = ((msgs @ self.gen) % 2).astype(np.uint8)  # 256 x n
-        # Hadamard matrix H[a, v] = (-1)^parity(a & v): the codewords with m0 = 0.
-        # With a = a_hi 2^lo + a_lo and v likewise it is H_hi (x) H_lo.
-        signs = 1 - 2 * self.codewords[0::2].astype(np.float32)
-        lo = m // 2
-        self._h_lo = signs[: 1 << lo, : 1 << lo]
-        self._h_hi = signs[:: 1 << lo, :: 1 << lo]
+        # the symmetric +-1 matrix H[a, v] = (-1)^parity(a & v): the codewords with m0 = 0
+        self._hadamard = 1 - 2 * self.codewords[0::2].astype(np.float32)
 
     def symbols(self, words: np.ndarray) -> np.ndarray:
         """(N, n) words -> (N,) symbols read off the information positions.
@@ -185,20 +201,22 @@ class _InnerRM:
         positions."""
         return (words ^ self.encode(symbols)).take(self.check, axis=1)
 
+    @staticmethod
+    def weights(words: np.ndarray) -> np.ndarray:
+        """(N, n) 0/1 words, C-contiguous -> (N,) Hamming weights: each
+        uint64 lane holds eight cells, so its popcount counts their ones."""
+        return np.bitwise_count(words.view(np.uint64)).sum(axis=1)
+
     def transform(self, words: np.ndarray) -> np.ndarray:
-        """(N, n) 0/1 words -> (N, n) float32 U = H y - (n/2) e0.
+        """(N, n) 0/1 words -> (N, n) float32 U = y H - (n/2) e0.
 
         U[a] = sum_v y_v (-1)^parity(a & v), less n/2 at a = 0, which is
         -1/2 of the correlation sum_v (-1)^(y_v ^ parity(a & v)) of the
-        word with the codeword of symbol a << 1.  H y is two float32
-        products: each word as a 2^hi x 2^lo matrix Y[v_hi, v_lo] becomes
-        H_hi Y H_lo, which read row by row is H y in natural order; the
-        first is one GEMM over every row of every block.  Every entry is
-        an integer of magnitude at most n, so float32 holds it exactly.
+        word with the codeword of symbol a << 1.  y H is one float32 GEMM
+        of every word against the n x n +-1 matrix H.  Every entry is an
+        integer of magnitude at most n, so float32 holds it exactly.
         """
-        lo = self._h_lo.shape[0]
-        half = words.reshape(-1, lo).astype(np.float32) @ self._h_lo
-        U = np.matmul(self._h_hi, half.reshape(len(words), -1, lo)).reshape(len(words), self.n)
+        U = words.astype(np.float32) @ self._hadamard
         U[:, 0] -= self.n // 2
         return U
 
@@ -319,7 +337,7 @@ class RmRsCode(LinearCode):
             return None
         degree = len(locator) - 1
         # Chien search over every position at once: roots are alpha^-i
-        positions = np.flatnonzero(t.poly_eval(locator, self._x_inv) == 0)
+        positions = (t.poly_eval(locator, self._x_inv) == 0).nonzero()[0]
         if positions.size != degree:
             return None
         # Forney: omega = S(X) * locator(X) mod X^redundancy
@@ -368,19 +386,29 @@ class RmRsCode(LinearCode):
         )
         return Bits(int.from_bytes(raw, "little"), self.syndrome_len)
 
-    def syn_dec(self, s: Bits, received: Bits | None = None) -> Bits | None:
+    def syn_dec(self, s: Bits, received: np.ndarray | None = None) -> Bits | None:
         """The pattern e the decoder finds with syn(received ^ e) = s, or None.
 
-        ``received`` defaults to the zero word, so ``syn_dec(syn(e))`` gives
-        back every e of weight <= t_corr.
+        ``received`` is the received cells, a 0/1 uint8 array of length n;
+        any other shape or dtype is a ``ValueError``.  It defaults to the
+        zero word, so ``syn_dec(syn(e))`` gives back every e of weight
+        <= t_corr.
 
         The decode runs in the received frame.  z is the received blocks
         with s_inner added on the check positions, so e must make z ^ e a
         string of inner codewords whose symbols have RS syndrome s_outer.
-        e = 0 exactly when z = encode(sym) for its own symbols sym and
+        sym is z's hard decisions, read off the information positions, and
+        diff = z ^ encode(sym).  e = 0 exactly when diff = 0 and
         rs_syn(sym) = s_outer.  Otherwise each block of z is ML-decoded to
         a symbol of d, ``_rs_decode`` moves d into the coset of s_outer,
         giving fixed, and e = z ^ encode(fixed).
+
+        Certified hard decisions: a block of diff weight w <= t_in = 31 has
+        |U| = 64 - w >= 33 at its hard decision's codeword and |U| <= 31
+        at every other (that codeword is n/2 from all others but its
+        complement), so its ML symbol is its hard decision, and it is the
+        unique first maximiser.  Only blocks of weight above 31 are
+        transformed.
 
         This is the decode of the coset word of s ^ syn(received),
         y0 = z ^ encode(q) with q = sym ^ preimage(s_outer ^ rs_syn(sym)),
@@ -391,34 +419,38 @@ class RmRsCode(LinearCode):
         form q are not needed.  Only the tie rule tells the frames apart:
         y0's first maximiser a' is the maximiser a of z with the least
         a ^ (q >> 1).  A tie needs a block 32 or more bits from every
-        codeword (top |U| <= n/4, beyond the inner radius), so q is formed
-        and that rule applied only when such a block occurs.  Every output
-        is then the coset word's decode, bit for bit, and
-        ``syn_dec(s, r) == syn_dec(s ^ syn(r))`` holds on ties too.
+        codeword (top |U| <= n/4, beyond the inner radius, so never a
+        certified one), so q is formed and that rule applied only when
+        such a block occurs.  Every output is then the coset word's
+        decode, bit for bit, and ``syn_dec(s, r) == syn_dec(s ^ syn(r))``
+        holds on ties too.
         """
         self._check_syndrome(s)
-        if received is None:
-            received = Bits.zeros(self.n)
-        self._check_word(received)
         inner = self.inner
         inner_words, outer_syn = self._unpack_syndrome(s)
-        z = received.to_array().reshape(self.outer_n, inner.n) ^ inner_words
+        z = inner_words
+        if received is not None:
+            self._check_cells(received)
+            z = received.reshape(self.outer_n, inner.n) ^ inner_words
         symbols = inner.symbols(z)
-        if np.array_equal(z, inner.encode(symbols)) and np.array_equal(
-            self._rs_syndromes(symbols), outer_syn
-        ):
+        diff = z ^ inner.encode(symbols)
+        if not diff.any() and np.array_equal(self._rs_syndromes(symbols), outer_syn):
             return Bits.zeros(self.n)
-        U = inner.transform(z)
-        size = np.abs(U)
-        best = np.argmax(size, axis=1)
-        top = size[np.arange(self.outer_n), best]
-        far = np.flatnonzero(top <= inner.n // 4)
-        if far.size:
-            q = symbols ^ self._rs_preimage(outer_syn ^ self._rs_syndromes(symbols))
-            # rank each far block's maximisers a by a ^ a_q, their index in y0
-            rank = np.arange(inner.n) ^ (q[far] >> 1)[:, None]
-            best[far] = np.argmin(np.where(size[far] == top[far, None], rank, inner.n), axis=1)
-        fixed = self._rs_decode(inner.symbols_at(U, best), outer_syn)
+        ml = symbols.astype(np.int64)
+        open_ = (inner.weights(diff) > inner.t_corr).nonzero()[0]  # not certified
+        if open_.size:
+            U = inner.transform(z[open_])
+            size = np.abs(U)
+            best = np.argmax(size, axis=1)
+            top = size[np.arange(open_.size), best]
+            far = (top <= inner.n // 4).nonzero()[0]
+            if far.size:
+                q = symbols ^ self._rs_preimage(outer_syn ^ self._rs_syndromes(symbols))
+                # rank each far block's maximisers a by a ^ a_q, their index in y0
+                rank = np.arange(inner.n) ^ (q[open_[far]] >> 1)[:, None]
+                best[far] = np.argmin(np.where(size[far] == top[far, None], rank, inner.n), axis=1)
+            ml[open_] = inner.symbols_at(U, best)
+        fixed = self._rs_decode(ml, outer_syn)
         if fixed is None:
             return None
         return Bits.from_array((z ^ inner.encode(fixed)).reshape(-1))

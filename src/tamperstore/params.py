@@ -128,7 +128,15 @@ class ProtocolParams:
 
     # worked out from the choices, each once, on first read (validate reads
     # beta and nu only after the checks that keep their formulas defined)
-    _spec = cached_property(lambda self: default_registry().spec(self.code_name))
+    @cached_property
+    def _spec(self) -> CodeSpec:
+        try:
+            return default_registry().spec(self.code_name)
+        except KeyError:
+            raise InfeasibleParamsError(
+                f"code_name {self.code_name!r} is not on the code menu", "code-menu"
+            ) from None
+
     n = cached_property(lambda self: self._spec.n)
     kappa = cached_property(lambda self: self._spec.kappa)
     eps0 = cached_property(lambda self: self.epsilon / 16)
@@ -184,11 +192,13 @@ class ProtocolParams:
     def validate(self) -> None:
         """Raise InfeasibleParamsError unless every constraint of the recipe holds.
 
-        The order keeps each formula defined: the ranges, the trap floor
+        The order keeps each formula defined: the ranges, the menu code
+        (``"code-menu"`` names a code_name off the menu), the trap floor
         (so r > 0), n > 2r and kappa >= kappa_min come before beta, nu and
         eps_qp are first read.
         """
         _check_inputs(self.epsilon, self.beta0, self.ell, self.ell0)
+        self._spec  # the code is on the menu
         floor = _r_floor(self.epsilon, self.beta0)
         if self.r <= floor:
             raise InfeasibleParamsError(

@@ -20,7 +20,11 @@ Variable homes (the classical state of one session):
   discarded       xi, x, z, p, m, m0 and every other intermediate
 
 Retrieval corrects the measured payload x' toward the stored s in one
-call, ``code.syn_dec(s, x')``; the syndrome of x' is never formed.
+call, ``code.syn_dec(s, x')``, where x' is the received cells: the payload
+positions of the measured word, gathered once, as a 0/1 uint8 array.  The
+syndrome of x' is never formed, and x' becomes ``Bits`` only once, as the
+corrected x^ = x' ^ e that the pad hashes.  The decoder transforms only
+the blocks whose hard decisions it cannot certify (see ``linear_code``).
 
 Recursion, which would store the syndrome s in a further session, exists
 here only as ``ideal_recursion_accounting`` with capacity-rate codes.  A
@@ -282,11 +286,11 @@ def retrieve(
     if (layout.traps(word) ^ secrets.v).weight() > params.beta * params.r:
         return RetrievalOutcome(0, None, "trap")  # a trap abort never needs the payload
 
-    x_prime = layout.payload(word)
-    pattern = code.syn_dec(secrets.s, x_prime)
+    cells = word[layout.payload_indices]  # x', the received payload cells
+    pattern = code.syn_dec(secrets.s, cells)
     if pattern is None:
         return RetrievalOutcome(0, None, "decode")
-    x_hat = x_prime ^ pattern
+    x_hat = Bits.from_array(cells) ^ pattern
     z_hat = one_time_pad(bundle.u, x_hat, params.ell)
     m_hat = z_hat ^ bundle.c
     # _lengths_match fixed len(w) = ell0 and w != 0: no field of a length

@@ -27,7 +27,7 @@ class ParseError(ValueError):
     """No codeword is a prefix of the given string."""
 
 
-class UnknownMessageError(KeyError):
+class UnknownMessageError(ValueError):
     """Message has no codeword in the prefix code."""
 
 
@@ -141,7 +141,7 @@ def compress(message: int, code: PrefixCode, rng: np.random.Generator) -> Bits:
     try:
         cw = code.codewords[message]
     except KeyError:
-        raise UnknownMessageError(message) from None
+        raise UnknownMessageError(f"message {message} has no codeword in the prefix code") from None
     return cw.concat(Bits.random(code.max_len - cw.length, rng))
 
 

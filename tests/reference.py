@@ -31,6 +31,7 @@ The module is not collected by pytest; tests import it as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,11 +128,20 @@ def syndrome(h: list[int], x: Bits) -> Bits:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def hadamard(m: int) -> np.ndarray:
+    """The 2^m x 2^m matrix H[a, v] = (-1)^parity(a & v), from its definition."""
+    v = np.arange(1 << m)
+    parity = np.zeros((1 << m, 1 << m), dtype=np.int64)
+    for j in range(m):
+        parity ^= ((v[:, None] & v) >> j) & 1
+    return 1.0 - 2 * parity
+
+
 def coset_decode_ml(inner, words: np.ndarray) -> np.ndarray:
-    signs = 1 - 2 * words.astype(np.float32)
-    lo = inner._h_lo.shape[0]
-    T = np.matmul(inner._h_hi, signs.reshape(len(words), -1, lo) @ inner._h_lo)
-    T = T.reshape(len(words), inner.n)
+    """ML symbols of RM(1, m) blocks: the first largest |T[a]| of the
+    correlations T = signs H (float64, exact on these integer sums)."""
+    T = (1.0 - 2 * words) @ hadamard(inner.m)
     best = np.argmax(np.abs(T), axis=1)
     negative = T[np.arange(len(words)), best] < 0
     return negative | best << 1

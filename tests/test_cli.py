@@ -350,7 +350,7 @@ def test_store_message_outside_prefix_code_is_an_error(capsys, tmp_path):
         "--message", "5000", "--dist", "example1:12", "--out", str(tmp_path),
     )
     assert code == 1
-    assert err.startswith("error:") and "5000" in err
+    assert err == "error: message 5000 has no codeword in the prefix code\n"
 
 
 def _stored_session(capsys, tmp_path):
@@ -398,6 +398,18 @@ def test_retrieve_refuses_a_foreign_or_missing_key(capsys, tmp_path, name, line)
     code, out, err = run(capsys, "retrieve", "--out", str(session))
     assert code == 1
     assert err.startswith(f"error: {path}: ") and f"'{key}'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err and "omega" not in out
+
+
+def test_retrieve_params_code_off_the_menu_is_one_error_line(capsys, tmp_path):
+    session = _stored_session(capsys, tmp_path)
+    params = session / "params.txt"
+    text = params.read_text()
+    assert "code_name = str:rs(20,4)*rm(1,7)\n" in text
+    params.write_text(text.replace("rs(20,4)*rm(1,7)", "rs(20,7)*rm(1,7)"))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith(f"error: {params}: ") and "code_name" in err
     assert err.count("\n") == 1 and "Traceback" not in err and "omega" not in out
 
 

@@ -121,6 +121,25 @@ def test_inverse_exhaustive_gf256():
         assert f.mul_int(v, f.inv_int(v)) == 1
 
 
+@pytest.mark.parametrize("degree", [*range(1, 13), 13, 64, 2560])
+def test_inverse_times_element_is_one(degree):
+    # every nonzero a up to degree 12, random a above; the inverse is reduced
+    f = GF2Field(degree)
+    if degree <= 12:
+        elements = range(1, 1 << degree)
+    else:
+        rng = np.random.default_rng(degree)
+        elements = [Bits.random(degree, rng).value or 1 for _ in range(40 if degree < 2560 else 8)]
+    for a in elements:
+        inverse = f.inv_int(a)
+        assert 0 < inverse < 1 << degree
+        assert f.mul_int(a, inverse) == 1, (degree, a)
+    with pytest.raises(NonInvertibleError):
+        f.inv_int(0)
+    with pytest.raises(NonInvertibleError):
+        f.inv_int(f.modulus)  # zero once reduced
+
+
 def test_inverse_of_one_and_zero():
     f = GF2Field(8)
     assert f.inv_int(1) == 1

@@ -325,7 +325,7 @@ def test_syn_dec_toward_received_equals_decoding_the_difference(n, k):
             burst[blocks] = rng.integers(0, 2, (size, inner.n))
             e = Bits.from_array(burst.reshape(-1))
         s, received = code.syn(x), x ^ e
-        pattern = code.syn_dec(s, received)
+        pattern = code.syn_dec(s, received.to_array())
         assert pattern == code.syn_dec(s ^ code.syn(received))
         if pattern is None:
             failures += 1
@@ -335,7 +335,7 @@ def test_syn_dec_toward_received_equals_decoding_the_difference(n, k):
             assert received ^ pattern == x
     assert failures > 0
     x = Bits.random(code.n, rng)
-    assert code.syn_dec(code.syn(x), x) == Bits.zeros(code.n)
+    assert code.syn_dec(code.syn(x), x.to_array()) == Bits.zeros(code.n)
 
 
 def tied_blocks(code: RmRsCode, s: Bits, received: Bits) -> int:
@@ -376,7 +376,7 @@ def test_received_frame_decode_matches_coset_word_decode(n, k):
             e = Bits.from_array(blocks.reshape(-1))
         s, received = code.syn(x), x ^ e
         ties += tied_blocks(code, s, received)
-        pattern = code.syn_dec(s, received)
+        pattern = code.syn_dec(s, received.to_array())
         assert pattern == coset_syn_dec(code, s, received), (kind, case)
         assert pattern == code.syn_dec(s ^ code.syn(received))
         assert code.syn_dec(s) == coset_syn_dec(code, s)
@@ -461,3 +461,113 @@ def test_registry_holds_only_the_menu():
         reg.build(CodeSpec("hamming(7,4)", 7, 4, 1))
     with pytest.raises(KeyError):
         reg.build(RmRsCode.spec_of(13, 4))  # a valid code, but not on the menu
+
+
+# -- certified hard decisions ---------------------------------------------------
+
+def boundary_received(code: RmRsCode, x: Bits, distance: int, rng) -> np.ndarray:
+    """x plus errors that put t_out blocks of the decoding frame at exactly
+    ``distance`` from the codeword of a wrong hard decision.
+
+    Received as x, each block of the frame is the codeword c of x's own
+    symbol.  For a block, a symbol h with another a is drawn, and the
+    errors flip every information position where c and encode(h) differ,
+    so the block reads h there, plus more of their 64 differing positions
+    up to 64 - distance flips: the block is then ``distance`` from
+    encode(h) and 64 - distance from c."""
+    inner = code.inner
+    frame = inner.encode(inner.symbols(x.to_array().reshape(code.outer_n, inner.n)))
+    errors = np.zeros((code.outer_n, inner.n), dtype=np.uint8)
+    info = np.zeros(inner.n, dtype=bool)
+    info[inner.info] = True
+    for block in rng.choice(code.outer_n, size=code.t_out, replace=False):
+        own = int(inner.symbols(frame[block : block + 1])[0])
+        h = int(rng.integers(0, 256))
+        while h >> 1 == own >> 1:
+            h = int(rng.integers(0, 256))
+        differ = frame[block] ^ inner.encode(np.array([h]))[0]
+        on_info = np.flatnonzero(differ.astype(bool) & info)
+        rest = rng.permutation(np.flatnonzero(differ.astype(bool) & ~info))
+        flips = np.concatenate((on_info, rest[: inner.n // 2 - distance - on_info.size]))
+        errors[block, flips] = 1
+        assert inner.symbols(frame[block : block + 1] ^ errors[block : block + 1])[0] == h
+    return x.to_array() ^ errors.reshape(-1)
+
+
+@pytest.mark.parametrize("n,k", [(12, 4), (20, 4), (76, 5)])
+def test_certification_boundary_matches_coset_word_decode(n, k):
+    # at distance 31 the wrong hard decision is certified and is the ML
+    # symbol; at 32 it ties with the sent codeword and goes to the transform
+    code = RmRsCode(n, k)
+    inner = code.inner
+    rng = np.random.default_rng(n * 256 + k + 2)
+    for distance in (inner.t_corr, inner.t_corr + 1):
+        ties = 0
+        for _ in range(6):
+            x = Bits.random(code.n, rng)
+            cells = boundary_received(code, x, distance, rng)
+            received, s = Bits.from_array(cells), code.syn(x)
+            ties += tied_blocks(code, s, received)
+            pattern = code.syn_dec(s, cells)
+            assert pattern == coset_syn_dec(code, s, received), distance
+            assert pattern == code.syn_dec(s ^ code.syn(received))
+            assert pattern is not None and received ^ pattern == x  # t_out symbol errors
+        assert (ties > 0) == (distance > inner.t_corr)
+
+
+@pytest.mark.parametrize("n,k", [(20, 4), (76, 5)])
+def test_transform_sees_only_uncertified_blocks(n, k, monkeypatch):
+    code = RmRsCode(n, k)
+    inner = code.inner
+    seen = []
+    transform = inner.transform
+
+    def counting(words):
+        seen.append(words.copy())
+        return transform(words)
+
+    monkeypatch.setattr(inner, "transform", counting)
+    rng = np.random.default_rng(n + 3)
+    x = Bits.random(code.n, rng)
+    s = code.syn(x)
+    # noise-free, and every block within the radius off the information positions
+    assert code.syn_dec(s, x.to_array()) == Bits.zeros(code.n)
+    assert code.syn_dec(Bits.zeros(code.syndrome_len)) == Bits.zeros(code.n)
+    errors = np.zeros((code.outer_n, inner.n), dtype=np.uint8)
+    for row in errors:
+        row[rng.choice(inner.check, size=int(rng.integers(0, inner.t_corr + 1)), replace=False)] = 1
+    e = Bits.from_array(errors.reshape(-1))
+    assert code.syn_dec(s, (x ^ e).to_array()) == e
+    assert seen == []
+    # otherwise exactly the blocks more than the radius from their hard decision
+    inner_words, _ = code._unpack_syndrome(s)
+    for rate in (0.05, 0.15, 0.3):
+        cells = (x ^ Bits.from_array((rng.random(code.n) < rate).astype(np.uint8))).to_array()
+        z = cells.reshape(code.outer_n, inner.n) ^ inner_words
+        far = (z ^ inner.encode(inner.symbols(z))).sum(axis=1) > inner.t_corr
+        seen.clear()
+        code.syn_dec(s, cells)
+        if far.any():
+            assert len(seen) == 1 and np.array_equal(seen[0], z[far]), rate
+        else:
+            assert seen == []
+    assert far.any()
+
+
+def test_syn_dec_refuses_cells_of_the_wrong_shape_or_dtype():
+    code = make_rmrs()
+    s = Bits.zeros(code.syndrome_len)
+    cells = np.zeros(code.n, dtype=np.uint8)
+    assert code.syn_dec(s, cells) == Bits.zeros(code.n)
+    for bad in (
+        Bits.zeros(code.n),
+        cells[:-1],
+        np.zeros(code.n + 1, dtype=np.uint8),
+        cells.reshape(code.outer_n, -1),
+        cells.astype(np.int64),
+        cells.astype(bool),
+        cells.astype(np.float32),
+        list(cells),
+    ):
+        with pytest.raises(ValueError, match="uint8 array of shape"):
+            code.syn_dec(s, bad)

@@ -45,8 +45,9 @@ def test_params_hand_built_validate():
     for broken in ({"r": p.n // 2}, {"ell": p.kappa}):
         with pytest.raises(InfeasibleParamsError):
             replace(p, **broken)
-    with pytest.raises(KeyError):
+    with pytest.raises(InfeasibleParamsError, match="code_name 'rs\\(20,7\\)") as info:
         replace(p, code_name="rs(20,7)*rm(1,7)")  # not on the menu
+    assert info.value.constraint == "code-menu" and isinstance(info.value, ValueError)
 
 
 def test_bundle_and_secret_shapes():
@@ -163,10 +164,11 @@ def test_trap_abort_bundle_never_gathers_the_payload(monkeypatch):
     basis, value = bundle.register._records()
     value[secrets.layout.trap_indices] ^= 1  # every trap wrong: r > beta r errors
 
-    def no_payload(layout, word):
+    def no_payload(layout):
         raise AssertionError("payload gathered on a trap abort")
 
-    monkeypatch.setattr(TrapLayout, "payload", no_payload)
+    # a data descriptor, so it wins over the index array store cached
+    monkeypatch.setattr(TrapLayout, "payload_indices", property(no_payload))
     assert inst.retrieve(bundle, secrets, rng) == RetrievalOutcome(0, None, "trap")
 
 
