@@ -86,11 +86,11 @@ def _cmd_store(args) -> int:
     params = derive_params(args.epsilon, args.ber, args.ell, ell0=prefix.max_len)
     message = _load_message(args)
     rng = np.random.default_rng(args.seed)
-    out = _out_dir(args.out)
-    prefix.dump(out / "prefix_code.txt")
-    params.dump(out / "params.txt")
     code = default_registry().by_name(params.code_name)
     bundle, secrets = protocol_store(message, params, code, prefix, rng)
+    out = _out_dir(args.out)  # only once nothing is left to refuse
+    prefix.dump(out / "prefix_code.txt")
+    params.dump(out / "params.txt")
     bundle.dump(out / "bundle.txt")
     secrets.dump(out / "secrets.txt")
     print(f"stored message {message}: bundle.txt, secrets.txt, params.txt, "
@@ -100,7 +100,7 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    out = _out_dir(args.out)
+    out = Path(args.out or ".")  # read, never created
     params = ProtocolParams.load(out / "params.txt")
     code = default_registry().by_name(params.code_name)
     prefix = PrefixCode.load(out / "prefix_code.txt")
@@ -218,9 +218,11 @@ def _selftest_checks():
     for i, block in enumerate(blocks):
         flips = rng.choice(inner.n, size=inner.t_corr + (i < code.t_out), replace=False)
         patterns[9, block * inner.n + flips] = 1
+    zeros = np.zeros(code.n, dtype=np.uint8)
     ok = all(
-        e.weight() == (i > 0) * code.t_corr and code.syn_dec(code.syn(e)) == e
-        for i, e in enumerate(map(Bits.from_array, patterns))
+        np.count_nonzero(e) == (i > 0) * code.t_corr
+        and np.array_equal(code.syn_dec(code.syn(e), zeros), e)
+        for i, e in enumerate(patterns)
     )
     yield "menu-code-decode", ok, f"{code.name}: zero, weight-{code.t_corr} and block patterns"
 

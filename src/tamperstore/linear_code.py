@@ -18,12 +18,13 @@ logs, so a product with one of them gathers only the vector's logs.
 The inner Reed-Muller code is used only through byte symbols (see
 ``_InnerRM``), so no generic GF(2) matrix runs in ``syn`` or ``syn_dec``.
 
-``syn_dec(s, received)`` finds a pattern e with syn(received ^ e) = s,
-so retrieval needs no syndrome of its measured word; ``received`` is the
-measured 0/1 payload cells, a uint8 array of length n, read as they are.
-It decodes in the received frame: each received block, with the inner
-part of s added, is ML-decoded, and the RS decoder moves those symbols
-into the coset of the outer part of s rather than into the code.
+Words are cells in, cells out: 0/1 uint8 arrays of length n.
+``syn(cells)`` is the syndrome, a ``Bits``.  ``syn_dec(s, received)``, one
+mode, finds the pattern e, as cells, with syn(received ^ e) = s, so
+retrieval needs no syndrome of its measured word; a bare syndrome is
+decoded against zero cells.  It decodes in the received frame: each
+received block, with the inner part of s added, is ML-decoded, and the
+RS decoder moves those symbols into the coset of the outer part of s.
 
 ML decoding uses certified hard decisions.  A block's hard decision is
 the symbol read off its information positions.  A block within the inner
@@ -40,9 +41,9 @@ ML symbol by that codeword's, and the coset decode sees the same RS
 syndrome.  The one exception is the choice among equally near inner
 codewords, which needs a block beyond the inner radius; only then is the
 coset word's frame formed, to break the tie as that decode breaks it.
-The rule is kept so that no output depends on the frame: ``syn_dec(s, r) == syn_dec(s ^ syn(r))`` always, and
-retrieval outcomes match the coset-word decode's.  With ``received`` left
-out it decodes s itself, the pattern of syndrome s.
+The rule is kept so that no output depends on the frame:
+``syn_dec(s, r)`` equals ``syn_dec(s ^ syn(r), zeros)`` always, and retrieval
+outcomes match the coset-word decode's.
 
 ``t_corr`` is a guarantee: every error pattern of weight <= t_corr is
 decoded exactly.  Heavier patterns may decode to a wrong pattern or
@@ -117,25 +118,21 @@ class LinearCode:
     kappa: int
     t_corr: int
 
-    def syn(self, x: Bits) -> Bits:
+    def syn(self, cells: np.ndarray) -> Bits:
         raise NotImplementedError
 
-    def syn_dec(self, s: Bits, received: np.ndarray | None = None) -> Bits | None:
+    def syn_dec(self, s: Bits, received: np.ndarray) -> np.ndarray | None:
         raise NotImplementedError
 
     @property
     def syndrome_len(self) -> int:
         return self.n - self.kappa
 
-    def _check_word(self, x: Bits) -> None:
-        if x.length != self.n:
-            raise ValueError(f"word length {x.length}, expected {self.n}")
-
     def _check_cells(self, cells: np.ndarray) -> None:
         if not (
             isinstance(cells, np.ndarray) and cells.dtype == np.uint8 and cells.shape == (self.n,)
         ):
-            raise ValueError(f"received cells must be a uint8 array of shape ({self.n},)")
+            raise ValueError(f"cells must be a uint8 array of shape ({self.n},)")
 
     def _check_syndrome(self, s: Bits) -> None:
         if s.length != self.syndrome_len:
@@ -374,10 +371,11 @@ class RmRsCode(LinearCode):
         words[:, self.inner.check] = inner_syn.reshape(self.outer_n, -1)
         return words, np.frombuffer(raw, np.uint8, offset=inner_bytes)
 
-    def syn(self, x: Bits) -> Bits:
-        self._check_word(x)
+    def syn(self, cells: np.ndarray) -> Bits:
+        """The syndrome of the word ``cells``, refused as ``syn_dec`` refuses them."""
+        self._check_cells(cells)
         inner = self.inner
-        blocks = x.to_array().reshape(self.outer_n, inner.n)
+        blocks = cells.reshape(self.outer_n, inner.n)
         symbols = inner.symbols(blocks)
         checks = inner.syndrome(blocks, symbols)
         raw = (
@@ -386,13 +384,14 @@ class RmRsCode(LinearCode):
         )
         return Bits(int.from_bytes(raw, "little"), self.syndrome_len)
 
-    def syn_dec(self, s: Bits, received: np.ndarray | None = None) -> Bits | None:
-        """The pattern e the decoder finds with syn(received ^ e) = s, or None.
+    def syn_dec(self, s: Bits, received: np.ndarray) -> np.ndarray | None:
+        """The pattern e the decoder finds with syn(received ^ e) = s, as
+        0/1 uint8 cells of length n, or None.
 
         ``received`` is the received cells, a 0/1 uint8 array of length n;
-        any other shape or dtype is a ``ValueError``.  It defaults to the
-        zero word, so ``syn_dec(syn(e))`` gives back every e of weight
-        <= t_corr.
+        any other shape or dtype is a ``ValueError``.  On zero cells it
+        decodes s itself: ``syn_dec(syn(e), zeros)`` gives back every e of
+        weight <= t_corr.
 
         The decode runs in the received frame.  z is the received blocks
         with s_inner added on the check positions, so e must make z ^ e a
@@ -412,7 +411,7 @@ class RmRsCode(LinearCode):
 
         This is the decode of the coset word of s ^ syn(received),
         y0 = z ^ encode(q) with q = sym ^ preimage(s_outer ^ rs_syn(sym)),
-        which ``syn_dec(s ^ syn(received))`` decodes.  y0's blocks are z's
+        which ``syn_dec(s ^ syn(received), zeros)`` decodes.  y0's blocks are z's
         plus inner codewords, which ML decoding carries through (y0's
         symbols are d ^ q), and rs_syn(d ^ q) = rs_syn(d) ^ s_outer is
         the syndrome the coset decode sees, so the outer products that
@@ -422,20 +421,18 @@ class RmRsCode(LinearCode):
         codeword (top |U| <= n/4, beyond the inner radius, so never a
         certified one), so q is formed and that rule applied only when
         such a block occurs.  Every output is then the coset word's
-        decode, bit for bit, and ``syn_dec(s, r) == syn_dec(s ^ syn(r))``
-        holds on ties too.
+        decode, bit for bit, and ``syn_dec(s, r)`` equals
+        ``syn_dec(s ^ syn(r), zeros)`` on ties too.
         """
         self._check_syndrome(s)
+        self._check_cells(received)
         inner = self.inner
         inner_words, outer_syn = self._unpack_syndrome(s)
-        z = inner_words
-        if received is not None:
-            self._check_cells(received)
-            z = received.reshape(self.outer_n, inner.n) ^ inner_words
+        z = received.reshape(self.outer_n, inner.n) ^ inner_words
         symbols = inner.symbols(z)
         diff = z ^ inner.encode(symbols)
         if not diff.any() and np.array_equal(self._rs_syndromes(symbols), outer_syn):
-            return Bits.zeros(self.n)
+            return np.zeros(self.n, dtype=np.uint8)
         ml = symbols.astype(np.int64)
         open_ = (inner.weights(diff) > inner.t_corr).nonzero()[0]  # not certified
         if open_.size:
@@ -453,7 +450,7 @@ class RmRsCode(LinearCode):
         fixed = self._rs_decode(ml, outer_syn)
         if fixed is None:
             return None
-        return Bits.from_array((z ^ inner.encode(fixed)).reshape(-1))
+        return (z ^ inner.encode(fixed)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ Variable homes (the classical state of one session):
   client secrets  mac key, trap layout, trap values v, syndrome s, m_nabla
   discarded       xi, x, z, p, m, m0 and every other intermediate
 
-Retrieval corrects the measured payload x' toward the stored s in one
-call, ``code.syn_dec(s, x')``, where x' is the received cells: the payload
-positions of the measured word, gathered once, as a 0/1 uint8 array.  The
-syndrome of x' is never formed, and x' becomes ``Bits`` only once, as the
-corrected x^ = x' ^ e that the pad hashes.  The decoder transforms only
-the blocks whose hard decisions it cannot certify (see ``linear_code``).
+The code takes and returns 0/1 uint8 cells.  ``store`` gathers the
+payload x once as cells for ``code.syn`` and packs it once for the pad.
+Retrieval corrects the received cells x', the measured payload gathered
+once, toward the stored s in one call, ``code.syn_dec(s, x')``; the
+syndrome of x' is never formed, and x^ = x' ^ e is packed once, for the
+pad.  The decoder transforms only the blocks whose hard decisions it
+cannot certify (see ``linear_code``).
 
 Recursion, which would store the syndrome s in a further session, exists
 here only as ``ideal_recursion_accounting`` with capacity-rate codes.  A
@@ -223,14 +224,14 @@ def store(
     total = params.n + params.r
     xi = Bits.random_array(total, rng)
     layout = TrapLayout.random(total, params.r, rng)
-    v, x = layout.split(xi)
+    v, cells = layout.traps(xi), xi[layout.payload_indices]  # cells: the payload x
     register = prepare(xi, layout.mask)
 
     # the seed u and a fresh MAC key, used for this one tag, in one draw
     u, a, b = Bits.random_many((params.d, params.lam, params.lam), rng)
     mac_key = MacKey(a.value, b.value, params.lam)
-    s = code.syn(x)
-    z = one_time_pad(u, x, params.ell)
+    s = code.syn(cells)
+    z = one_time_pad(u, Bits.from_array(cells), params.ell)
     c = rm.m ^ z
 
     bundle = ServerBundle(
@@ -290,7 +291,7 @@ def retrieve(
     pattern = code.syn_dec(secrets.s, cells)
     if pattern is None:
         return RetrievalOutcome(0, None, "decode")
-    x_hat = Bits.from_array(cells) ^ pattern
+    x_hat = Bits.from_array(cells ^ pattern)
     z_hat = one_time_pad(bundle.u, x_hat, params.ell)
     m_hat = z_hat ^ bundle.c
     # _lengths_match fixed len(w) = ell0 and w != 0: no field of a length

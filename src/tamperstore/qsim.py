@@ -31,9 +31,9 @@ which costs the same whatever share of bases disagree.  Eve's
 basis is the cell's own, since no fresh bit would be read.  ``TrapLayout``
 keeps its trap string as a read-only 0/1 ``mask`` (``random`` seeds it
 from the draw, so the string is never unpacked again) and derives its
-index arrays from it once; ``traps`` and ``payload`` gather and pack each
-part of a measured word separately, so a caller can test the traps
-before it touches the payload.
+index arrays from it once.  ``traps`` packs the trap part of a word, so
+a caller can test the traps before it touches the payload, which stays
+cells (``word[payload_indices]``), the word type the codes take.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class TrapLayout:
-    """Trap positions t (its weight is the trap count r) and the induced index split."""
+    """Trap positions t (its weight is the trap count r) and the induced index
+    split; ``traps`` packs the trap part, and the payload part stays cells."""
 
     t: Bits
 
@@ -96,14 +97,6 @@ class TrapLayout:
     def traps(self, word: np.ndarray) -> Bits:
         """The trap part v of a 0/1 word, in ascending position order."""
         return Bits.from_array(word[self.trap_indices])
-
-    def payload(self, word: np.ndarray) -> Bits:
-        """The payload part x of a 0/1 word, in ascending position order."""
-        return Bits.from_array(word[self.payload_indices])
-
-    def split(self, word: np.ndarray) -> tuple[Bits, Bits]:
-        """(trap part v, payload part x) of a 0/1 word."""
-        return self.traps(word), self.payload(word)
 
 
 def _cells(values, what: str) -> np.ndarray:

@@ -85,7 +85,12 @@ class PrefixCode:
 
     @classmethod
     def load(cls, path) -> "PrefixCode":
-        return cls(kv.load_table(path, Bits.from_01))
+        """The code in ``path``; a refused table is a ValueError naming it."""
+        table = kv.load_table(path, Bits.from_01)
+        try:
+            return cls(table)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def build_prefix_code(dist: DiscreteDistribution) -> PrefixCode:

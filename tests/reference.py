@@ -184,7 +184,8 @@ def coset_syn_dec(self: RmRsCode, s: Bits, received: Bits | None = None) -> Bits
     self._check_syndrome(s)
     if received is None:
         received = Bits.zeros(self.n)
-    self._check_word(received)
+    if received.length != self.n:
+        raise ValueError(f"word length {received.length}, expected {self.n}")
     inner = self.inner
     blocks = received.to_array().reshape(self.outer_n, inner.n)
     symbols = inner.symbols(blocks)

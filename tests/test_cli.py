@@ -353,6 +353,26 @@ def test_store_message_outside_prefix_code_is_an_error(capsys, tmp_path):
     assert err == "error: message 5000 has no codeword in the prefix code\n"
 
 
+def test_refused_store_leaves_no_session_behind(capsys, tmp_path):
+    session = tmp_path / "d"
+    code, out, err = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0", "--ell", "4",
+        "--message", "5000", "--out", str(session),
+    )
+    assert code == 1
+    assert err == "error: message 5000 has no codeword in the prefix code\n"
+    assert out == "" and not session.exists()
+
+
+def test_retrieve_from_a_missing_directory_creates_nothing(capsys, tmp_path):
+    session = tmp_path / "typo" / "dir"
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith("error:") and "params.txt" in err
+    assert err.count("\n") == 1 and "Traceback" not in err and "omega" not in out
+    assert not (tmp_path / "typo").exists()
+
+
 def _stored_session(capsys, tmp_path):
     session = tmp_path / "session"
     code, _, _ = run(
@@ -436,6 +456,20 @@ def test_retrieve_duplicate_prefix_code_id_is_an_error(capsys, tmp_path):
     assert "Traceback" not in err and "omega" not in out
 
 
+def test_retrieve_prefix_code_with_duplicate_codewords_names_the_file(capsys, tmp_path):
+    session = _stored_session(capsys, tmp_path)
+    path = session / "prefix_code.txt"
+    lines = path.read_text().splitlines()
+    first_word = lines[0].split()[1]
+    ident = lines[1].split()[0]
+    lines[1] = f"{ident} {first_word}"  # a second message with the first one's codeword
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err == f"error: {path}: duplicate codewords\n"
+    assert "omega" not in out
+
+
 def test_store_dist_file_with_three_fields_is_an_error(capsys, tmp_path):
     dist = tmp_path / "dist.txt"
     dist.write_text("0 0.5\n1 0.25 0.25\n2 0.25\n")
@@ -450,10 +484,11 @@ def test_store_dist_file_with_three_fields_is_an_error(capsys, tmp_path):
 
 
 def test_selftest_fails_when_the_decoder_does_not_correct(capsys, monkeypatch):
-    from tamperstore.bits import Bits
+    import numpy as np
+
     from tamperstore.linear_code import RmRsCode
 
-    monkeypatch.setattr(RmRsCode, "syn_dec", lambda self, s: Bits.zeros(self.n))
+    monkeypatch.setattr(RmRsCode, "syn_dec", lambda self, s, received: np.zeros(self.n, np.uint8))
     code, out, _ = run(capsys, "selftest")
     assert code == 2
     assert "FAIL menu-code-decode" in out

@@ -33,6 +33,16 @@ def random_error(n: int, weight: int, rng: np.random.Generator) -> Bits:
     return Bits(int(sum(1 << int(p) for p in positions)), n)
 
 
+def zeros(code) -> np.ndarray:
+    """The zero received cells, against which ``syn_dec`` decodes s itself."""
+    return np.zeros(code.n, dtype=np.uint8)
+
+
+def as_bits(pattern: np.ndarray | None) -> Bits | None:
+    """A decoded pattern of cells as ``Bits`` (None stays None)."""
+    return None if pattern is None else Bits.from_array(pattern)
+
+
 # -- GF(2) linear algebra -----------------------------------------------------
 
 def test_nullspace_and_right_inverse():
@@ -163,7 +173,7 @@ def test_rmrs_parity_check_matches_structural_syndrome():
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = Bits.random(code.n, rng)
-        assert code.syn(x) == syndrome(h, x)
+        assert code.syn(x.to_array()) == syndrome(h, x)
 
 
 def test_rmrs_syndrome_linearity():
@@ -171,7 +181,7 @@ def test_rmrs_syndrome_linearity():
     rng = np.random.default_rng(12)
     for _ in range(10):
         x, y = Bits.random(code.n, rng), Bits.random(code.n, rng)
-        assert code.syn(x ^ y) == code.syn(x) ^ code.syn(y)
+        assert code.syn((x ^ y).to_array()) == code.syn(x.to_array()) ^ code.syn(y.to_array())
 
 
 def test_rmrs_vandermonde_inverse_for_every_redundancy():
@@ -246,7 +256,7 @@ def test_rmrs_decodes_random_patterns_within_radius():
         for _ in range(300):
             weight = int(rng.integers(0, code.t_corr + 1))
             e = random_error(code.n, weight, rng)
-            assert code.syn_dec(code.syn(e)) == e
+            assert as_bits(code.syn_dec(code.syn(e.to_array()), zeros(code))) == e
 
 
 def test_rmrs_decodes_adversarial_pattern_at_radius():
@@ -265,7 +275,7 @@ def test_rmrs_decodes_adversarial_pattern_at_radius():
             pattern[blocks[-1] * inner_n + flips] = 1
             e = Bits.from_array(pattern)
             assert e.weight() == code.t_corr
-            assert code.syn_dec(code.syn(e)) == e
+            assert as_bits(code.syn_dec(code.syn(e.to_array()), zeros(code))) == e
 
 
 def test_rmrs_beyond_radius_fails_or_stays_sound():
@@ -286,11 +296,11 @@ def test_rmrs_beyond_radius_fails_or_stays_sound():
                 pattern[b * inner.n : (b + 1) * inner.n] = diff[0] ^ diff[1]
             e = Bits.from_array(pattern)
             assert e.weight() > code.t_corr
-            out = code.syn_dec(code.syn(e))
+            out = code.syn_dec(code.syn(e.to_array()), zeros(code))
             if out is None:
                 failures += 1
             else:
-                assert code.syn(out) == code.syn(e)
+                assert code.syn(out) == code.syn(e.to_array())
         assert failures > 0, code.name
 
 
@@ -301,8 +311,8 @@ def test_rmrs_step8_identity():
         x = Bits.random(code.n, rng)
         e = random_error(code.n, int(rng.integers(0, code.t_corr + 1)), rng)
         xp = x ^ e
-        s = code.syn(x)
-        pattern = code.syn_dec(s ^ code.syn(xp))
+        s = code.syn(x.to_array())
+        pattern = as_bits(code.syn_dec(s ^ code.syn(xp.to_array()), zeros(code)))
         assert pattern is not None and xp ^ pattern == x
 
 
@@ -324,18 +334,18 @@ def test_syn_dec_toward_received_equals_decoding_the_difference(n, k):
             blocks = rng.choice(code.outer_n, size=size, replace=False)
             burst[blocks] = rng.integers(0, 2, (size, inner.n))
             e = Bits.from_array(burst.reshape(-1))
-        s, received = code.syn(x), x ^ e
-        pattern = code.syn_dec(s, received.to_array())
-        assert pattern == code.syn_dec(s ^ code.syn(received))
+        s, received = code.syn(x.to_array()), x ^ e
+        pattern = as_bits(code.syn_dec(s, received.to_array()))
+        assert pattern == as_bits(code.syn_dec(s ^ code.syn(received.to_array()), zeros(code)))
         if pattern is None:
             failures += 1
         else:
-            assert code.syn(received ^ pattern) == s
+            assert code.syn((received ^ pattern).to_array()) == s
         if case % 3 == 0:
             assert received ^ pattern == x
     assert failures > 0
     x = Bits.random(code.n, rng)
-    assert code.syn_dec(code.syn(x), x.to_array()) == Bits.zeros(code.n)
+    assert as_bits(code.syn_dec(code.syn(x.to_array()), x.to_array())) == Bits.zeros(code.n)
 
 
 def tied_blocks(code: RmRsCode, s: Bits, received: Bits) -> int:
@@ -374,12 +384,12 @@ def test_received_frame_decode_matches_coset_word_decode(n, k):
                     flips = rng.permutation(np.flatnonzero(diff))[: inner.n // 4]
                     blocks[row, flips] ^= 1
             e = Bits.from_array(blocks.reshape(-1))
-        s, received = code.syn(x), x ^ e
+        s, received = code.syn(x.to_array()), x ^ e
         ties += tied_blocks(code, s, received)
-        pattern = code.syn_dec(s, received.to_array())
+        pattern = as_bits(code.syn_dec(s, received.to_array()))
         assert pattern == coset_syn_dec(code, s, received), (kind, case)
-        assert pattern == code.syn_dec(s ^ code.syn(received))
-        assert code.syn_dec(s) == coset_syn_dec(code, s)
+        assert pattern == as_bits(code.syn_dec(s ^ code.syn(received.to_array()), zeros(code)))
+        assert as_bits(code.syn_dec(s, zeros(code))) == coset_syn_dec(code, s)
     assert ties > 0
 
 
@@ -396,7 +406,7 @@ def test_codewords_have_zero_syndrome():
     rng = np.random.default_rng(17)
     for code in radius_codes():
         for _ in range(3):
-            assert code.syn(Bits.from_array(random_codeword(code, rng))).value == 0
+            assert code.syn(random_codeword(code, rng)).value == 0
     code = make_rmrs()  # and against the reference H
     h = parity_check_matrix(code)
     assert syndrome(h, Bits.from_array(random_codeword(code, rng))).value == 0
@@ -416,8 +426,8 @@ def test_syn_matches_reference_h_at_reference_codes(reference_h):
     words.append(Bits.from_array(random_codeword(code, rng)))
     words += [Bits.random(code.n, rng) for _ in range(3)]
     for i, x in enumerate(words):
-        assert code.syn(x) == syndrome(h, x), i
-    assert code.syn(words[2]).value == 0
+        assert code.syn(x.to_array()) == syndrome(h, x), i
+    assert code.syn(words[2].to_array()).value == 0
 
 
 def test_syndrome_linearity():
@@ -425,12 +435,12 @@ def test_syndrome_linearity():
     rng = np.random.default_rng(2)
     for _ in range(5):
         x, y = Bits.random(code.n, rng), Bits.random(code.n, rng)
-        assert code.syn(x ^ y) == code.syn(x) ^ code.syn(y)
+        assert code.syn((x ^ y).to_array()) == code.syn(x.to_array()) ^ code.syn(y.to_array())
 
 
 def test_zero_syndrome_decodes_to_zero():
     for code in radius_codes():
-        assert code.syn_dec(Bits.zeros(code.syndrome_len)) == Bits.zeros(code.n)
+        assert as_bits(code.syn_dec(Bits.zeros(code.syndrome_len), zeros(code))) == Bits.zeros(code.n)
 
 
 # -- registry -------------------------------------------------------------------
@@ -506,11 +516,11 @@ def test_certification_boundary_matches_coset_word_decode(n, k):
         for _ in range(6):
             x = Bits.random(code.n, rng)
             cells = boundary_received(code, x, distance, rng)
-            received, s = Bits.from_array(cells), code.syn(x)
+            received, s = Bits.from_array(cells), code.syn(x.to_array())
             ties += tied_blocks(code, s, received)
-            pattern = code.syn_dec(s, cells)
+            pattern = as_bits(code.syn_dec(s, cells))
             assert pattern == coset_syn_dec(code, s, received), distance
-            assert pattern == code.syn_dec(s ^ code.syn(received))
+            assert pattern == as_bits(code.syn_dec(s ^ code.syn(received.to_array()), zeros(code)))
             assert pattern is not None and received ^ pattern == x  # t_out symbol errors
         assert (ties > 0) == (distance > inner.t_corr)
 
@@ -529,15 +539,15 @@ def test_transform_sees_only_uncertified_blocks(n, k, monkeypatch):
     monkeypatch.setattr(inner, "transform", counting)
     rng = np.random.default_rng(n + 3)
     x = Bits.random(code.n, rng)
-    s = code.syn(x)
+    s = code.syn(x.to_array())
     # noise-free, and every block within the radius off the information positions
-    assert code.syn_dec(s, x.to_array()) == Bits.zeros(code.n)
-    assert code.syn_dec(Bits.zeros(code.syndrome_len)) == Bits.zeros(code.n)
+    assert as_bits(code.syn_dec(s, x.to_array())) == Bits.zeros(code.n)
+    assert as_bits(code.syn_dec(Bits.zeros(code.syndrome_len), zeros(code))) == Bits.zeros(code.n)
     errors = np.zeros((code.outer_n, inner.n), dtype=np.uint8)
     for row in errors:
         row[rng.choice(inner.check, size=int(rng.integers(0, inner.t_corr + 1)), replace=False)] = 1
     e = Bits.from_array(errors.reshape(-1))
-    assert code.syn_dec(s, (x ^ e).to_array()) == e
+    assert as_bits(code.syn_dec(s, (x ^ e).to_array())) == e
     assert seen == []
     # otherwise exactly the blocks more than the radius from their hard decision
     inner_words, _ = code._unpack_syndrome(s)
@@ -558,7 +568,8 @@ def test_syn_dec_refuses_cells_of_the_wrong_shape_or_dtype():
     code = make_rmrs()
     s = Bits.zeros(code.syndrome_len)
     cells = np.zeros(code.n, dtype=np.uint8)
-    assert code.syn_dec(s, cells) == Bits.zeros(code.n)
+    assert as_bits(code.syn_dec(s, cells)) == Bits.zeros(code.n)
+    assert code.syn(cells) == s
     for bad in (
         Bits.zeros(code.n),
         cells[:-1],
@@ -571,3 +582,5 @@ def test_syn_dec_refuses_cells_of_the_wrong_shape_or_dtype():
     ):
         with pytest.raises(ValueError, match="uint8 array of shape"):
             code.syn_dec(s, bad)
+        with pytest.raises(ValueError, match="uint8 array of shape"):  # syn takes the same cells
+            code.syn(bad)

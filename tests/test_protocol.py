@@ -172,6 +172,22 @@ def test_trap_abort_bundle_never_gathers_the_payload(monkeypatch):
     assert inst.retrieve(bundle, secrets, rng) == RetrievalOutcome(0, None, "trap")
 
 
+@pytest.mark.parametrize("epsilon, beta0, ell", [(0.05, 0.0, 4), (0.01, 0.05, 3)], ids=["A", "C"])
+def test_session_never_unpacks_a_bits_word(monkeypatch, epsilon, beta0, ell):
+    # the payload reaches the code as cells and the pattern comes back as
+    # cells, so no step of store -> noise -> retrieve turns Bits into cells
+    inst = ProtocolInstance.derive(epsilon, beta0, ell, example1_code(12))
+    rng = np.random.default_rng(21)
+
+    def no_unpack(bits):
+        raise AssertionError("a session step unpacked a Bits word")
+
+    monkeypatch.setattr(Bits, "to_array", no_unpack)
+    bundle, secrets = inst.store(3, rng)
+    inst.apply_noise(bundle, rng)
+    assert inst.retrieve(bundle, secrets, rng) == RetrievalOutcome(1, 3, "none")
+
+
 def test_outcome_invariant():
     with pytest.raises(ValueError):
         RetrievalOutcome(1, None, "none")

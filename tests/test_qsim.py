@@ -178,6 +178,12 @@ def test_eve_cannot_read_preparation_without_disturbance():
     assert abs(out.mean() - 0.5) <= 3 * (0.25 / n) ** 0.5
 
 
+def split(layout: TrapLayout, word: np.ndarray) -> tuple[Bits, Bits]:
+    """(trap part, payload part) of a 0/1 word: ``traps`` and the payload
+    cells ``store`` gathers, packed here to compare with ``Bits``."""
+    return layout.traps(word), Bits.from_array(word[layout.payload_indices])
+
+
 def merge(layout: TrapLayout, traps: Bits, payload: Bits) -> Bits:
     """The word whose split is (traps, payload): the inverse of ``split``."""
     word = np.empty(layout.t.length, dtype=np.uint8)
@@ -190,7 +196,7 @@ def test_trap_layout_split_merge_round_trip():
     rng = np.random.default_rng(14)
     word = Bits.random(50, rng)
     layout = TrapLayout.random(50, 13, rng)
-    v, x = layout.split(word.to_array())
+    v, x = split(layout, word.to_array())
     assert v.length == 13 and x.length == 37
     assert merge(layout, v, x) == word
 
@@ -219,17 +225,17 @@ def test_trap_layout_split_matches_position_loop(total, r):
     for layout in layouts_both_ways(total, r, rng):
         for _ in range(3):
             word = Bits.random(total, rng)
-            v, x = layout.split(word.to_array())
+            v, x = split(layout, word.to_array())
             trap_bits = [word[i] for i in range(total) if layout.t[i]]
             payload_bits = [word[i] for i in range(total) if not layout.t[i]]
             assert v == Bits.from_array(trap_bits) and x == Bits.from_array(payload_bits)
             assert merge(layout, v, x) == word
-            assert layout.split(merge(layout, v, x).to_array()) == (v, x)
+            assert split(layout, merge(layout, v, x).to_array()) == (v, x)
 
 
 def test_trap_layout_cached_indices_are_read_only():
     layout = TrapLayout.random(40, 9, np.random.default_rng(16))
-    layout.split(np.zeros(40, dtype=np.uint8))
+    split(layout, np.zeros(40, dtype=np.uint8))
     for indices in (layout.trap_indices, layout.payload_indices):
         with pytest.raises(ValueError):
             indices[0] = 1
@@ -239,7 +245,7 @@ def test_trap_layout_cached_indices_are_read_only():
 def test_trap_layouts_stay_equal_and_hash_equal_with_filled_caches():
     drawn, built = layouts_both_ways(200, 60, np.random.default_rng(17))
     assert drawn == built and hash(drawn) == hash(built)
-    drawn.split(np.zeros(200, dtype=np.uint8))
+    split(drawn, np.zeros(200, dtype=np.uint8))
     merge(built, Bits.zeros(60), Bits.zeros(140))
     assert drawn == built and hash(drawn) == hash(built)
     assert len({drawn, built}) == 1

@@ -292,6 +292,24 @@ def test_code_text_round_trip(tmp_path):
     assert loaded.codewords == code.codewords
 
 
+@pytest.mark.parametrize(
+    "text,refusal",
+    [
+        ("# no codewords\n", "empty codeword table"),
+        ("0 10\n1 10\n", "duplicate codewords"),
+        ("0 1\n1 10\n", "codeword 1 is a prefix of 10"),
+        ("0 0\n1 1\n2 11\n", "codeword 1 is a prefix of 11"),  # Kraft sum 5/4
+    ],
+    ids=["empty", "duplicate", "prefix", "kraft"],
+)
+def test_code_file_refusals_name_the_file(tmp_path, text, refusal):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        PrefixCode.load(path)
+    assert str(info.value) == f"{path}: {refusal}"
+
+
 def test_example1_code_dump_is_pinned(tmp_path):
     """example1:12 builds its codewords as ints; the table is the one that
     '0' + the 12 bits of mu gave, pinned by the SHA-256 of its dump."""
