@@ -7,7 +7,7 @@ part for the server and a short remainder kept locally.
 
 import numpy as np
 
-from tamperstore import DiscreteDistribution, GF2Field
+from tamperstore import Bits, DiscreteDistribution, GF2Field
 from tamperstore.randomizer import (
     build_prefix_code,
     compress,
@@ -26,12 +26,18 @@ for message in range(4):
 print(f"padded length l0 = {code.max_len}, average = {code.average_length(dist):.3f} bits")
 
 ###############################################################################
-# compress pads every codeword to l0 with fresh random bits; decompress
-# parses the unique codeword prefix and throws the padding away.
+# compress pads every codeword to l0 with the caller's random bits (it keeps
+# as many as the codeword leaves room for); decompress parses the unique
+# codeword prefix and throws the padding away.
+
+
+def padding():
+    return Bits.random(code.max_len, rng).value
+
 
 for message in (0, 3):
     for _ in range(3):
-        padded = compress(message, code, rng)
+        padded = compress(message, code, padding())
         assert decompress(padded, code) == message
         print(f"  {message} -> {padded.to_01()} -> {decompress(padded, code)}")
 
@@ -42,7 +48,7 @@ for message in (0, 3):
 l0, ell = code.max_len, 2
 field = GF2Field(l0)
 w = field.random_nonzero(rng)
-padded = compress(1, code, rng)
+padded = compress(1, code, padding())
 out = randomize(padded, w, ell)
 print(f"seed w = {w.value:#x}")
 print(f"m       = {out.m.to_01()}   (length {ell}, goes into the ciphertext)")
@@ -60,7 +66,7 @@ counts = np.zeros(1 << ell)
 trials = 20_000
 for _ in range(trials):
     message = int(dist.sample(rng))
-    padded = compress(message, code, rng)
+    padded = compress(message, code, padding())
     w = field.random_nonzero(rng)
     counts[randomize(padded, w, ell).m.value] += 1
 print("empirical distribution of m:", np.array2string(counts / trials, precision=4))

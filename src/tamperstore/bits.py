@@ -83,13 +83,6 @@ class Bits:
             start += 4 * count
         return out
 
-    @classmethod
-    def random_array(cls, length: int, rng: np.random.Generator) -> np.ndarray:
-        """``random(length, rng).to_array()``: the same draw, as a 0/1 uint8
-        array, with no round trip through an int."""
-        words = random_words(_word_count(length), rng)
-        return np.unpackbits(words.view(np.uint8), bitorder="little")[:length]
-
     # -- views -------------------------------------------------------------
 
     def to_01(self) -> str:
@@ -158,13 +151,18 @@ def random_words(count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` uniform 32-bit words in one generator call, little-endian
     in memory, so byte j of the result is byte j of the drawn stream.
 
-    One ``integers`` call costs about 6 us whatever the count (2-vCPU
+    Each word is one ``next_uint32`` of the bit generator, buffered half
+    word included, so one call of k1 + k2 words gives the values and the
+    state of a call of k1 words followed by one of k2; ``store`` relies on
+    this to draw its padding, seed w and cells xi in one call.
+
+    One ``integers`` call costs about 5-6 us whatever the count (2-vCPU
     x86-64 guest, numpy 2.4).  Calling ``rng.bit_generator.ctypes.next_uint32``
-    per word gives the same words and state at about 1.5 us a word, but
+    per word gives the same words and state at about 1.5 us a word, and
     numpy builds that ``ctypes`` interface on first use, about 5.5 us per
-    generator.  A session draws from a fresh generator and makes only two
-    one-word draws (the padding of ``compress`` and the seed w), and timed
-    per session at params A that route was no faster, so it is not taken.
+    generator; a session draws from a fresh generator, and its only draws
+    of a few words share a call with the ~120 words of xi, so that route
+    is not taken.
     """
     return rng.integers(0, 1 << 32, count, dtype=np.uint32).astype("<u4", copy=False)
 

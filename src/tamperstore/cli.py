@@ -39,6 +39,8 @@ from .params import (
 from .protocol import (
     ServerBundle,
     ClientSecrets,
+    _check_secrets,
+    _check_shapes,
     retrieve as protocol_retrieve,
     store as protocol_store,
 )
@@ -106,6 +108,16 @@ def _cmd_retrieve(args) -> int:
     prefix = PrefixCode.load(out / "prefix_code.txt")
     bundle = ServerBundle.load(out / "bundle.txt")
     secrets = ClientSecrets.load(out / "secrets.txt")
+    # the records' cross-checks are retrieve's own; run first here, a
+    # refusal names the two files that disagree
+    for record, check in (
+        ("prefix_code.txt", lambda: _check_shapes(params, code, prefix)),
+        ("secrets.txt", lambda: _check_secrets(secrets, params)),
+    ):
+        try:
+            check()
+        except ValueError as exc:
+            raise ValueError(f"{out / record} does not fit {out / 'params.txt'}: {exc}") from None
     rng = np.random.default_rng(args.seed)
     outcome = protocol_retrieve(bundle, secrets, params, code, prefix, rng)
     print(f"omega = {outcome.omega}, abort_reason = {outcome.abort_reason}, "

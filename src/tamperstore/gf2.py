@@ -23,8 +23,9 @@ Two fast paths live next to the generic big-int arithmetic, whose
 The hash ``phi(w, x, l)`` of two equal-length ``Bits`` is the first l bits
 of w*x, computed with ``mul_low``; the protocol's one-time pad is this
 hash.  Over the full seed space it is two-universal.  The randomiser's
-seed is drawn by ``GF2Field.random_nonzero`` instead, so that w*x can be
-inverted, at the cost of a 2^-nu seed bias.
+seed is drawn nonzero instead (``GF2Field.random_nonzero``, whose rule
+``store`` keeps inside its one draw), so that w*x can be inverted, at the
+cost of a 2^-nu seed bias.
 """
 
 from __future__ import annotations

@@ -4,15 +4,17 @@ accounting, and the ideal ledger of recursive delegation.
 ``store`` runs the five preparation steps (compress, randomise, encode
 into qubits with hidden traps, extract a one-time pad and syndrome, tag)
 and returns the server bundle next to the client secrets; everything else
-is discarded.  Field elements are ``Bits``: the randomiser's seed w of
-GF(2^ell0) goes into the bundle as drawn, and the pad is the hash of the
-n-bit payload x under the n-bit seed u.  ``retrieve`` runs the four
-testing/decryption steps against a possibly tampered bundle and returns an
-outcome flag instead of raising: aborts are regular results, and a bundle
-whose field lengths differ from the parameters', or whose seed w is zero,
-aborts with reason "format" before the MAC is checked.  Both take a
-``ProtocolParams``, which checks the recipe's constraints once, when it is
-made, and the menu code it names.
+is discarded.  It makes three generator calls: the padding, the seed w
+(redrawn from the next words while zero) and the cells xi in one, the trap
+set, then the seed u and the MAC key in one.  Field elements are ``Bits``:
+the randomiser's seed w of GF(2^ell0) goes into the bundle as drawn, and
+the pad is the hash of the n-bit payload x under the n-bit seed u.
+``retrieve`` runs the four testing/decryption steps against a possibly
+tampered bundle and returns an outcome flag instead of raising: aborts are
+regular results, and a bundle whose field lengths differ from the
+parameters', or whose seed w is zero, aborts with reason "format" before
+the MAC is checked.  Both take a ``ProtocolParams``, which checks the
+recipe's constraints once, when it is made, and the menu code it names.
 
 Variable homes (the classical state of one session):
   server bundle   w, u, c, theta, qubit register
@@ -43,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kv
-from .bits import Bits
+from .bits import Bits, _word_count, random_words
 from .entropy import binary_entropy
-from .gf2 import GF2Field, phi
+from .gf2 import phi
 from .linear_code import CodeRegistry, LinearCode, default_registry
 from .mac import MacKey, tag, verify
 from .params import ProtocolParams, derive_params
@@ -54,8 +56,11 @@ from .randomizer import ParseError, PrefixCode, compress, decompress, derandomiz
 
 
 def _transcript(w: Bits, u: Bits, c: Bits) -> Bits:
-    """The layout the MAC covers: w || u || c, unframed."""
-    return w.concat(u).concat(c)
+    """The layout the MAC covers: w || u || c, unframed, built as one int."""
+    return Bits(
+        w.value | (u.value << w.length) | (c.value << (w.length + u.length)),
+        w.length + u.length + c.length,
+    )
 
 
 @dataclass(frozen=True)
@@ -208,6 +213,33 @@ def _check_secrets(secrets: ClientSecrets, params: ProtocolParams) -> None:
             raise ValueError(f"secrets field {name} is {got}; params want {want}")
 
 
+def _draw_padding_seed_cells(
+    pad_len: int, ell0: int, total: int, rng: np.random.Generator
+) -> tuple[int, Bits, np.ndarray]:
+    """The padding, the nonzero seed w and the cells xi in one generator call.
+
+    The values and the generator state are those of ``Bits.random(pad_len)``,
+    ``GF2Field(ell0).random_nonzero`` and ``Bits.random(total).to_array()``
+    taken in turn (see ``bits.random_words``): a zero seed is redrawn from
+    the next words, so xi starts after the accepted seed and the words it
+    displaced are drawn at the end.  The padding is returned as the int of
+    its whole words, whose first ``pad_len`` bits ``compress`` keeps.
+    """
+    pad_words, seed_words = _word_count(pad_len), _word_count(ell0)
+    words = random_words(pad_words + seed_words + _word_count(total), rng)
+    padding = int.from_bytes(words[:pad_words].tobytes(), "little")
+    start, seed_mask = pad_words, (1 << ell0) - 1
+    while True:
+        end = start + seed_words
+        seed = int.from_bytes(words[start:end].tobytes(), "little") & seed_mask
+        if seed:
+            break
+        words = np.concatenate((words, random_words(seed_words, rng)))
+        start = end
+    xi = np.unpackbits(words[end:].view(np.uint8), bitorder="little")[:total]
+    return padding, Bits(seed, ell0), xi
+
+
 def store(
     message: int,
     params: ProtocolParams,
@@ -217,12 +249,13 @@ def store(
 ) -> tuple[ServerBundle, ClientSecrets]:
     """Steps 1-5: compress, randomise, prepare qubits, pad, tag."""
     _check_shapes(params, code, prefix_code)
-    m0 = compress(message, prefix_code, rng)
-    w = GF2Field(params.ell0).random_nonzero(rng)
+    total = params.n + params.r
+    padding, w, xi = _draw_padding_seed_cells(
+        params.ell0 - prefix_code.codeword(message).length, params.ell0, total, rng
+    )
+    m0 = compress(message, prefix_code, padding)
     rm = randomize(m0, w, params.ell)
 
-    total = params.n + params.r
-    xi = Bits.random_array(total, rng)
     layout = TrapLayout.random(total, params.r, rng)
     v, cells = layout.traps(xi), xi[layout.payload_indices]  # cells: the payload x
     register = prepare(xi, layout.mask)

@@ -2,12 +2,12 @@
 invertible extraction through the truncated multiplicative hash.
 
 ``compress`` maps every message to a fixed-length string whose tail is
-uniform padding; because the code is prefix-free the padding needs no
-delimiter and costs nothing to remember.  ``randomize`` multiplies that
-string, as an element of GF(2^l0), by a nonzero seed w of the same length
-and splits the product into the near-uniform part ``m`` and the locally
-stored remainder ``m_nabla``; ``derandomize`` multiplies ``m || m_nabla``
-by w^-1.  Seed and strings are all ``Bits``.
+padding the caller draws uniform; because the code is prefix-free the
+padding needs no delimiter and costs nothing to remember.  ``randomize``
+multiplies that string, as an element of GF(2^l0), by a nonzero seed w of
+the same length and splits the product into the near-uniform part ``m``
+and the locally stored remainder ``m_nabla``; ``derandomize`` multiplies
+``m || m_nabla`` by w^-1.  Seed and strings are all ``Bits``.
 """
 
 from __future__ import annotations
@@ -43,24 +43,30 @@ class PrefixCode:
         }
         if len(decode) != len(self.codewords):
             raise ValueError("duplicate codewords")
-        object.__setattr__(self, "_decode", decode)
-        object.__setattr__(
-            self, "_max_len", max(cw.length for cw in self.codewords.values())
-        )
+        # a prefix-free binary table has Kraft sum <= 1, so there is no
+        # separate Kraft check
         strings = sorted(cw.to_01() for cw in self.codewords.values())
         for a, b in zip(strings, strings[1:]):
             if b.startswith(a):
                 raise ValueError(f"codeword {a} is a prefix of {b}")
-        if self.kraft_sum() > 1 + 1e-12:
-            raise ValueError("Kraft sum exceeds 1")
+        lengths = sorted({length for length, _ in decode})
+        object.__setattr__(self, "_decode", decode)
+        object.__setattr__(self, "_lengths", tuple(lengths))
+        object.__setattr__(self, "_max_len", lengths[-1])
 
     @property
     def max_len(self) -> int:
         """Length of the longest codeword; the padded length l0."""
         return self.__dict__["_max_len"]
 
-    def kraft_sum(self) -> float:
-        return float(sum(2.0 ** -cw.length for cw in self.codewords.values()))
+    def codeword(self, message: int) -> Bits:
+        """The codeword of ``message``; UnknownMessageError if it has none."""
+        try:
+            return self.codewords[message]
+        except KeyError:
+            raise UnknownMessageError(
+                f"message {message} has no codeword in the prefix code"
+            ) from None
 
     def average_length(self, dist: DiscreteDistribution) -> float:
         return float(
@@ -69,9 +75,11 @@ class PrefixCode:
 
     def parse(self, word: Bits) -> tuple[int, int]:
         """Parse the unique codeword prefix; returns (message, codeword length)."""
-        decode = self.__dict__["_decode"]
-        for length in range(0, word.length + 1):
-            message = decode.get((length, word.first(length).value))
+        decode, value = self.__dict__["_decode"], word.value
+        for length in self.__dict__["_lengths"]:  # ascending
+            if length > word.length:
+                break
+            message = decode.get((length, value & ((1 << length) - 1)))
             if message is not None:
                 return message, length
         raise ParseError(f"no codeword prefixes {word!r}")
@@ -141,13 +149,17 @@ def example1_code(L: int) -> PrefixCode:
     return PrefixCode(table)
 
 
-def compress(message: int, code: PrefixCode, rng: np.random.Generator) -> Bits:
-    """Codeword followed by uniform padding up to the longest-codeword length."""
-    try:
-        cw = code.codewords[message]
-    except KeyError:
-        raise UnknownMessageError(f"message {message} has no codeword in the prefix code") from None
-    return cw.concat(Bits.random(code.max_len - cw.length, rng))
+def compress(message: int, code: PrefixCode, padding: int) -> Bits:
+    """Codeword followed by padding up to the longest-codeword length.
+
+    The padding is the first max_len - len(codeword) bits of the
+    nonnegative int ``padding``; its higher bits are dropped.  The caller
+    draws it uniform, so the output's tail is uniform and needs no
+    delimiter.
+    """
+    cw, l0 = code.codeword(message), code.max_len
+    pad_mask = (1 << (l0 - cw.length)) - 1
+    return Bits(cw.value | ((padding & pad_mask) << cw.length), l0)
 
 
 def decompress(padded: Bits, code: PrefixCode) -> int:

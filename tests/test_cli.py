@@ -442,6 +442,33 @@ def test_retrieve_swapped_params_file_is_an_error(capsys, tmp_path):
     assert "Traceback" not in err and "omega" not in out
 
 
+def test_retrieve_secrets_that_do_not_fit_params_name_both_files(capsys, tmp_path):
+    session = _stored_session(capsys, tmp_path)
+    path = session / "secrets.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join("t = bits:9:ff01\n" if line.startswith("t = ") else line for line in lines))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err == (
+        f"error: {path} does not fit {session / 'params.txt'}: "
+        "secrets field t length is 9; params want 3836\n"
+    )
+    assert "omega" not in out
+
+
+def test_retrieve_prefix_code_that_does_not_fit_params_names_both_files(capsys, tmp_path):
+    session = _stored_session(capsys, tmp_path)
+    path = session / "prefix_code.txt"
+    path.write_text("0 0\n1 1\n")
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err == (
+        f"error: {path} does not fit {session / 'params.txt'}: "
+        "prefix code pads to 1, params.ell0 = 13\n"
+    )
+    assert "omega" not in out
+
+
 def test_retrieve_duplicate_prefix_code_id_is_an_error(capsys, tmp_path):
     # even a repeated line is refused: a reader that keeps one of two
     # entries for an id guesses which one was meant

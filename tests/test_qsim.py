@@ -377,7 +377,7 @@ def test_register_accepts_bool_and_signed_01_cells():
 
 def test_register_owns_copies_of_its_cells():
     rng = np.random.default_rng(29)
-    xi = Bits.random_array(64, rng)
+    xi = Bits.random(64, rng).to_array()
     layout = TrapLayout.random(64, 20, rng)
     reg = prepare(xi, layout.mask)
     before = reg.to_bytes()

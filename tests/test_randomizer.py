@@ -1,9 +1,12 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamperstore.bits import Bits
 from tamperstore.entropy import (
@@ -83,9 +86,35 @@ def test_prefix_free_enforced():
         PrefixCode({0: Bits.from_01("1"), 1: Bits.from_01("10")})
 
 
-def test_kraft_enforced():
-    with pytest.raises(ValueError):
+def test_overfull_table_is_refused_as_not_prefix_free():
+    # Kraft sum 5/4: the prefix check is what refuses it
+    with pytest.raises(ValueError, match="codeword 1 is a prefix of 11"):
         PrefixCode({0: Bits.from_01("0"), 1: Bits.from_01("1"), 2: Bits.from_01("11")})
+
+
+# complete codes (Kraft sum 1) from random binary trees
+_COMPLETE = st.recursive(
+    st.just([""]),
+    lambda sub: st.tuples(sub, sub).map(lambda kids: ["0" + w for w in kids[0]] + ["1" + w for w in kids[1]]),
+    max_leaves=16,
+)
+_TABLES = st.one_of(
+    st.lists(st.text("01", max_size=6), min_size=1, max_size=12),
+    # a complete code less one word, plus up to two arbitrary words
+    st.tuples(_COMPLETE, st.integers(0, 16), st.lists(st.text("01", max_size=6), max_size=2)).map(
+        lambda t: [w for i, w in enumerate(t[0]) if i != t[1]] + t[2]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLES)
+def test_every_accepted_table_has_kraft_sum_at_most_one(words):
+    try:
+        code = PrefixCode({i: Bits.from_01(word) for i, word in enumerate(words)})
+    except ValueError:
+        return
+    assert sum(Fraction(1, 2**cw.length) for cw in code.codewords.values()) <= 1
 
 
 def test_empty_support_rejected():
@@ -99,8 +128,7 @@ def test_empty_support_rejected():
 
 def test_full_length_codeword_gets_no_padding():
     code = build_prefix_code(dist(0.5, 0.5))
-    rng = np.random.default_rng(2)
-    assert compress(0, code, rng).length == 1
+    assert compress(0, code, (1 << 64) - 1) == code.codewords[0]
 
 
 def test_compress_example1_heavy_message():
@@ -109,7 +137,7 @@ def test_compress_example1_heavy_message():
     mu0 = (1 << L) - 1
     rng = np.random.default_rng(3)
     for _ in range(100):
-        out = compress(mu0, code, rng)
+        out = compress(mu0, code, Bits.random(L, rng).value)
         assert out.length == L + 1
         assert out[0] == 1
         assert decompress(out, code) == mu0
@@ -123,7 +151,7 @@ def test_padding_frequency_uniform():
     counts = np.zeros(1 << L, dtype=int)
     draws = 64 * (1 << L)
     for _ in range(draws):
-        counts[compress(mu0, code, rng).value >> 1] += 1
+        counts[compress(mu0, code, Bits.random(L, rng).value).value >> 1] += 1
     assert counts.min() > 0
     expected = draws / (1 << L)
     assert abs(counts.max() - expected) < 0.6 * expected
@@ -133,10 +161,9 @@ def test_padding_frequency_uniform():
 def test_decompress_round_trip_any_padding():
     d = dist(0.4, 0.3, 0.2, 0.1)
     code = build_prefix_code(d)
-    rng = np.random.default_rng(5)
     for message in range(4):
-        for _ in range(100):
-            assert decompress(compress(message, code, rng), code) == message
+        for padding in range(1 << code.max_len):
+            assert decompress(compress(message, code, padding), code) == message
 
 
 def test_decompress_example1_plain_branch():
@@ -161,7 +188,7 @@ def test_decompress_parse_error():
 def test_unknown_message_rejected():
     code = build_prefix_code(dist(0.5, 0.5))
     with pytest.raises(UnknownMessageError):
-        compress(7, code, np.random.default_rng(0))
+        compress(7, code, 0)
 
 
 # -- randomize / derandomize ----------------------------------------------------
@@ -227,18 +254,17 @@ def test_seed_of_another_length_rejected(seed_len):
 @pytest.mark.parametrize("L", range(1, 7))
 def test_example1_padded_is_the_law_of_compress(L):
     # the randomiser is certified on example1_padded(L); it must be exactly
-    # what compress(m, example1_code(L)) emits for m drawn from example1(L):
-    # the codeword of m followed by uniform padding
+    # what compress(m, example1_code(L)) emits for m drawn from example1(L)
+    # and a uniform padding word: the codeword of m followed by the padding
     code, source = example1_code(L), example1(L)
     law = {}
     for m, p in zip(source.outcomes, source.probs):
         codeword = code.codewords[int(m)]
         pad = code.max_len - codeword.length
         for tail in range(1 << pad):
-            padded = codeword.concat(Bits(tail, pad)).value
-            law[padded] = law.get(padded, 0.0) + float(p) / (1 << pad)
-        rng, twin = np.random.default_rng(int(m)), np.random.default_rng(int(m))
-        assert compress(int(m), code, rng) == codeword.concat(Bits.random(pad, twin))
+            padded = compress(int(m), code, tail | (tail + 1) << pad)  # high bits dropped
+            assert padded == codeword.concat(Bits(tail, pad))
+            law[padded.value] = law.get(padded.value, 0.0) + float(p) / (1 << pad)
     padded_dist = example1_padded(L)
     assert dict(zip(padded_dist.outcomes.tolist(), padded_dist.probs.tolist())) == law
 

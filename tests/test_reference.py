@@ -7,6 +7,7 @@ and the whole generator state must be equal.  "passive" skips the noise
 step; "storage-noise" runs it and nothing else.
 """
 
+import json
 from functools import cache
 
 import numpy as np
@@ -14,11 +15,12 @@ import pytest
 
 import reference
 from tamperstore import kv
+from tamperstore.bits import Bits
 from tamperstore.entropy import example1
-from tamperstore.experiments import _apply_strategy, make_strategy
+from tamperstore.experiments import _apply_strategy, make_strategy, trial_rng
 from tamperstore.protocol import ProtocolInstance
-from tamperstore.qsim import QubitRegister
-from tamperstore.randomizer import example1_code
+from tamperstore.qsim import QubitRegister, TrapLayout
+from tamperstore.randomizer import compress, example1_code, randomize
 
 PARAMS = {"A": (0.05, 0.0, 4), "B": (0.05, 0.05, 4), "C": (0.01, 0.05, 3)}
 SEEDS = {"A": (0, 1, 2), "B": (0, 1, 2), "C": (0, 1)}
@@ -31,6 +33,11 @@ STRATEGIES = (
 )
 
 
+def state(rng) -> str:
+    """The whole generator state as text; Philox (``trial_rng``) holds arrays."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=lambda a: a.tolist())
+
+
 @cache
 def instance_and_h(name: str):
     """The params set's session and its dense H, built once per module."""
@@ -41,9 +48,51 @@ def instance_and_h(name: str):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("name,seed", [(name, seed) for name in PARAMS for seed in SEEDS[name]])
 def test_session_matches_reference(name, seed, strategy):
+    run_side_by_side(name, strategy, np.random.default_rng(seed), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_zero_seed_trial_matches_per_call_draws_and_reference(strategy):
+    """trial_rng(7, 8011) at A draws a zero seed w first and redraws it.
+
+    ``store`` takes padding, seed and cells from one generator call; here
+    the per-call draws (the padding word, seed words until one is nonzero,
+    then xi, the trap set, then u and the MAC key) must give the same
+    bundle, secrets and generator state, and the reference session must
+    agree step by step.
+    """
+    instance, _ = instance_and_h("A")
+    params, prefix_code = instance.params, instance.prefix_code
+    rng, calls = trial_rng(7, 8011), trial_rng(7, 8011)
+    message = int(example1(12).sample(rng))
+    assert message == int(example1(12).sample(calls))
+    bundle, secrets = instance.store(message, rng)
+
+    total = params.n + params.r
+    padding = Bits.random(params.ell0 - prefix_code.codewords[message].length, calls)
+    seeds = [Bits.random(params.ell0, calls)]
+    while seeds[-1].value == 0:
+        seeds.append(Bits.random(params.ell0, calls))
+    assert [w.value for w in seeds] == [0, 3831]
+    xi = Bits.random(total, calls).to_array()
+    layout = TrapLayout.random(total, params.r, calls)
+    u, a, b = (Bits.random(length, calls) for length in (params.n, params.lam, params.lam))
+    assert state(rng) == state(calls)
+
+    rm = randomize(compress(message, prefix_code, padding.value), seeds[-1], params.ell)
+    assert (bundle.w, bundle.u, secrets.m_nabla) == (seeds[-1], u, rm.m_nabla)
+    assert secrets.layout.t == layout.t and (secrets.mac_key.a, secrets.mac_key.b) == (a.value, b.value)
+    basis, value = bundle.register._records()
+    assert np.array_equal(value, xi) and np.array_equal(basis, layout.mask)
+
+    run_side_by_side("A", strategy, trial_rng(7, 8011), trial_rng(7, 8011))
+
+
+def run_side_by_side(name, strategy, rng, ref_rng):
+    """One session of the package and one of ``reference`` from equal
+    generators, checked after every step."""
     instance, h = instance_and_h(name)
     params, code, prefix_code = instance.params, instance.code, instance.prefix_code
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
 
     def check(step):
         fields = ("w", "u", "c", "theta")
@@ -51,12 +100,12 @@ def test_session_matches_reference(name, seed, strategy):
         ref_register = QubitRegister(ref_bundle.basis, ref_bundle.value)
         assert bundle.register.to_bytes() == ref_register.to_bytes(), step
         assert kv.dumps("secrets", secrets.to_kv()) == kv.dumps("secrets", ref_secrets.to_kv()), step
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, step
+        assert state(rng) == state(ref_rng), step
 
     dist = example1(12)
     message = int(dist.sample(rng))
     assert message == reference.sample(dist, ref_rng)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert state(rng) == state(ref_rng)
 
     bundle, secrets = instance.store(message, rng)
     ref_bundle, ref_secrets = reference.store(message, params, h, prefix_code, ref_rng)

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from tamperstore import kv
-from tamperstore.bits import Bits
+from tamperstore.bits import Bits, random_words
 from tamperstore.entropy import DiscreteDistribution, example1, example1_padded, uniform
 from tamperstore.experiments import trial_rng
-from tamperstore.protocol import ProtocolInstance
+from tamperstore.gf2 import GF2Field
+from tamperstore.protocol import ProtocolInstance, _draw_padding_seed_cells
 from tamperstore.qsim import EveView, InterceptResend, _random_cells
 from tamperstore.randomizer import example1_code
 
@@ -120,11 +121,35 @@ def test_random_bits_equal_numpy_bytes(bit_generator, prior_words):
         assert bits == Bits(_numpy_bits(length, numpy_rng), length), length
         assert _state_text(rng) == _state_text(numpy_rng), length
 
-        rng, numpy_rng = _twin_generators(bit_generator, length, prior_words)
-        cells = Bits.random_array(length, rng)
-        expected = Bits(_numpy_bits(length, numpy_rng), length).to_array()
-        assert cells.dtype == np.uint8 and np.array_equal(cells, expected), length
-        assert _state_text(rng) == _state_text(numpy_rng), length
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("prior_words", [0, 1])
+def test_one_words_call_equals_two(bit_generator, prior_words):
+    # store draws its padding, seed and cells in one call on this property
+    for k1, k2 in ((1, 1), (1, 120), (3, 4), (5, 0), (7, 455), (0, 3)):
+        rng, split_rng = _twin_generators(bit_generator, k1 * 100 + k2, prior_words)
+        merged = random_words(k1 + k2, rng)
+        split = np.concatenate((random_words(k1, split_rng), random_words(k2, split_rng)))
+        assert np.array_equal(merged, split), (k1, k2)
+        assert _state_text(rng) == _state_text(split_rng), (k1, k2)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("prior_words", [0, 1])
+@pytest.mark.parametrize("ell0", [1, 2, 13, 33])
+def test_store_draws_equal_one_call_per_value(bit_generator, prior_words, ell0):
+    # ell0 = 1 and 2 draw a zero seed often, so the redraw path runs
+    for trial in range(40):
+        pad_len, total = trial % (ell0 + 1), 1 + 37 * trial
+        rng, numpy_rng = _twin_generators(bit_generator, trial, prior_words)
+        padding, w, xi = _draw_padding_seed_cells(pad_len, ell0, total, rng)
+        expected_padding = _numpy_bits(pad_len, numpy_rng)
+        expected_w = GF2Field(ell0).random_nonzero(numpy_rng)
+        expected_xi = Bits(_numpy_bits(total, numpy_rng), total).to_array()
+        assert padding & ((1 << pad_len) - 1) == expected_padding, trial
+        assert w == expected_w, trial
+        assert xi.dtype == np.uint8 and np.array_equal(xi, expected_xi), trial
+        assert _state_text(rng) == _state_text(numpy_rng), trial
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
