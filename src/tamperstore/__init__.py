@@ -1,13 +1,15 @@
 """Tamper-evident delegated storage on a simulated quantum server.
 
-The library covers the whole pipeline: binary-field hashing (gf2),
-entropy accounting (entropy), reversible message randomisation
-(randomizer), syndrome codes (linear_code), one-time authentication
-(mac), the stochastic qubit store (qsim), the store/retrieve state
-machines (protocol), the finite-size parameter recipe (params), the
-exact support-measurement attack lab on pure-state toy schemes
-(attack_lab), and a reproducible Monte-Carlo harness (experiments) with
-a CLI (cli).
+``import tamperstore`` loads the session layers and re-exports their
+names: binary-field hashing (gf2), entropy accounting (entropy),
+reversible message randomisation (randomizer), syndrome codes
+(linear_code), one-time authentication (mac), the stochastic qubit store
+(qsim), the finite-size parameter recipe (params) and the store/retrieve
+state machines (protocol).  Two analyses sit on top and are imported by
+name only: the exact support-measurement attack lab on pure-state toy
+schemes (``tamperstore.attack_lab``) and the reproducible Monte-Carlo
+harness (``tamperstore.experiments``).  The CLI (``tamperstore.cli``)
+loads them only for the subcommands that run them.
 """
 
 __version__ = "0.1.0"
@@ -63,13 +65,6 @@ from .protocol import (
     retrieve,
     store,
     usefulness,
-)
-from .attack_lab import (
-    ToyScheme,
-    bb84_toy,
-    best_permutation,
-    run_support,
-    fixed_advantage_witness,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,7 +2,9 @@
 
 Subcommands: params, store, retrieve, simulate, attack-support, rates,
 selftest.  Exit status 0 on success, 1 on usage or configuration errors,
-2 when selftest finds a bound violation.
+2 when selftest finds a bound violation.  The attack lab and the
+experiment harness are imported by the subcommands that run them, so
+params, store, retrieve and rates load only the session layers.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kv
-from .attack_lab import ToyScheme, bb84_toy, advantage_floor, run_support
 from .bits import Bits
-from .experiments import (
-    ExperimentConfig,
-    prefix_code_for,
-    run_correctness_experiment,
-    run_tamper_experiment,
-)
 from .gf2 import phi
 from .linear_code import default_registry
 from .mac import MacKey, forgery_bound, tag as mac_tag
@@ -44,7 +39,7 @@ from .protocol import (
     retrieve as protocol_retrieve,
     store as protocol_store,
 )
-from .randomizer import PrefixCode
+from .randomizer import PrefixCode, prefix_code_for
 
 USAGE_EXIT = 1
 VIOLATION_EXIT = 2
@@ -126,6 +121,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .experiments import ExperimentConfig, run_correctness_experiment, run_tamper_experiment
+
     config = ExperimentConfig(
         scenario=args.scenario,
         epsilon=args.epsilon,
@@ -149,6 +146,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_attack_support(args) -> int:
+    from .attack_lab import ToyScheme, advantage_floor, bb84_toy, run_support
+
     if args.scheme == "toy-bb84":
         scheme = bb84_toy(2, 1)
     elif os.path.exists(args.scheme):
@@ -188,6 +187,8 @@ def _cmd_rates(args) -> int:
 
 
 def _selftest_checks():
+    from .attack_lab import advantage_floor, bb84_toy, run_support
+
     # universal hash exactness, exhaustively over GF(2^3)
     ok = True
     for l in (1, 2, 3):
@@ -285,8 +286,17 @@ def _cmd_selftest(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="tamperstore", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags store and simulate share
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("--epsilon", type=float, required=True)
+    session.add_argument("--ber", type=float, required=True)
+    session.add_argument("--ell", type=int, default=4)
+    session.add_argument("--dist", default="example1:12",
+                         help="example1:<L>, uniform:<n> or file:<path>")
+    session.add_argument("--seed", type=int, default=2024)
+    session.add_argument("--out", default=None)
 
-    p = sub.add_parser("params", help="derive protocol parameters", parents=[])
+    p = sub.add_parser("params", help="derive protocol parameters")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--ber", type=float, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -294,16 +304,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("store", help="run the storage phase, write a session dir")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--ber", type=float, required=True)
-    p.add_argument("--ell", type=int, default=4)
-    p.add_argument("--dist", default="example1:12",
-                   help="example1:<L>, uniform:<n> or file:<path>")
+    p = sub.add_parser("store", help="run the storage phase, write a session dir",
+                       parents=[session])
     p.add_argument("--message", type=int, default=None)
     p.add_argument("--message-file", default=None)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_store)
 
     p = sub.add_parser("retrieve", help="run the retrieval phase from a session dir")
@@ -311,18 +315,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="session dir written by store")
     p.set_defaults(func=_cmd_retrieve)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo bound-consistency runs")
+    p = sub.add_parser("simulate", help="Monte-Carlo bound-consistency runs", parents=[session])
     p.add_argument("--scenario", choices=("correctness", "tamper"), default="correctness")
     p.add_argument("--strategy", default="passive",
                    help="passive, intercept-resend[/policy], flip-c[/bit]")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--ber", type=float, required=True)
-    p.add_argument("--ell", type=int, default=4)
-    p.add_argument("--dist", default="example1:12",
-                   help="example1:<L>, uniform:<n> or file:<path>")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("attack-support", help="exact support-measurement attack report")

@@ -120,6 +120,18 @@ def load_distribution(path) -> DiscreteDistribution:
     return DiscreteDistribution(np.array(list(table)), np.array(list(table.values())))
 
 
+def parse_dist(spec: str) -> DiscreteDistribution:
+    """"example1:12", "uniform:256", or "file:<path>" (the ``--dist`` flag)."""
+    kind, _, arg = spec.partition(":")
+    if kind == "example1":
+        return example1(int(arg))
+    if kind == "uniform":
+        return uniform(int(arg))
+    if kind == "file":
+        return load_distribution(arg)
+    raise ValueError(f"unknown distribution spec {spec!r}")
+
+
 # ---------------------------------------------------------------------------
 # entropy functionals
 # ---------------------------------------------------------------------------

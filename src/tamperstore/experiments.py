@@ -25,11 +25,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .entropy import DiscreteDistribution, example1, load_distribution, uniform
+from .entropy import DiscreteDistribution, parse_dist
 from .params import ProtocolParams, correctness_bound
 from .protocol import ProtocolInstance, ServerBundle
 from .qsim import ClassicalTamper, EveStrategy, EveView, InterceptResend, PassiveEve
-from .randomizer import PrefixCode, build_prefix_code, example1_code
+from .randomizer import prefix_code_for
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -49,28 +49,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     """Counter-mode stream: independent of evaluation order."""
     return np.random.Generator(np.random.Philox(key=master_seed, counter=[0, 0, index, 0]))
-
-
-def parse_dist(spec: str) -> DiscreteDistribution:
-    """"example1:12", "uniform:256", or "file:<path>"."""
-    kind, _, arg = spec.partition(":")
-    if kind == "example1":
-        return example1(int(arg))
-    if kind == "uniform":
-        return uniform(int(arg))
-    if kind == "file":
-        return load_distribution(arg)
-    raise ValueError(f"unknown distribution spec {spec!r}")
-
-
-def prefix_code_for(spec: str, dist: DiscreteDistribution | None = None) -> PrefixCode:
-    """The explicit code of "example1:<L>", else the Huffman code of the
-    distribution ``spec`` names.  A caller that has read that distribution
-    passes it as ``dist``, so a "file:" table is read once."""
-    kind, _, arg = spec.partition(":")
-    if kind == "example1":
-        return example1_code(int(arg))
-    return build_prefix_code(parse_dist(spec) if dist is None else dist)
 
 
 def make_strategy(name: str) -> EveStrategy:

@@ -45,9 +45,6 @@ import numpy as np
 
 from .bits import Bits, random_words
 
-STANDARD = 0
-HADAMARD = 1
-
 _CHECKPOINT_VERSION = 1
 
 
@@ -300,9 +297,6 @@ class EveView:
 
     def replace(self, indices, bases, values) -> None:
         replace_cells(self.__reg, indices, bases, values)
-
-
-PUBLIC_EVE_API = ("measure", "replace", "size")
 
 
 class EveStrategy:

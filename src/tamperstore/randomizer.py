@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kv
 from .bits import Bits
-from .entropy import DiscreteDistribution
+from .entropy import DiscreteDistribution, parse_dist
 from .gf2 import GF2Field, NonInvertibleError
 
 
@@ -147,6 +147,16 @@ def example1_code(L: int) -> PrefixCode:
         if mu != mu0:
             table[mu] = Bits(mu << 1, L + 1)
     return PrefixCode(table)
+
+
+def prefix_code_for(spec: str, dist: DiscreteDistribution | None = None) -> PrefixCode:
+    """The explicit code of "example1:<L>", else the Huffman code of the
+    distribution ``spec`` names.  A caller that has read that distribution
+    passes it as ``dist``, so a "file:" table is read once."""
+    kind, _, arg = spec.partition(":")
+    if kind == "example1":
+        return example1_code(int(arg))
+    return build_prefix_code(parse_dist(spec) if dist is None else dist)
 
 
 def compress(message: int, code: PrefixCode, padding: int) -> Bits:

@@ -1,6 +1,8 @@
 import os
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tamperstore.cli import main
@@ -541,6 +543,41 @@ def test_runtime_imports_leave_out_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_session_commands_leave_out_the_attack_lab_and_the_harness(tmp_path):
+    # the package root and a store -> retrieve through the CLI load the
+    # session layers only; simulate, attack-support and selftest import the
+    # rest when they run
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tamperstore
+
+    env = dict(os.environ, PYTHONPATH=str(Path(tamperstore.__file__).parents[1]))
+    probe = (
+        "import sys\n"
+        "names = ('protocol', 'attack_lab', 'experiments', 'cli')\n"
+        "loaded = lambda: [n for n in names if 'tamperstore.' + n in sys.modules]\n"
+        "import tamperstore\n"
+        "print(loaded())\n"
+        "from tamperstore import cli\n"
+        "session = sys.argv[1]\n"
+        "assert cli.main(['store', '--epsilon', '0.05', '--ber', '0', '--ell', '4',\n"
+        "                 '--message', '777', '--out', session]) == 0\n"
+        "assert cli.main(['retrieve', '--out', session]) == 0\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "session")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "['protocol']"
+    assert "omega = 1" in lines[-2] and "message = 777" in lines[-2]
+    assert lines[-1] == "['protocol', 'cli']"
+
+
 def test_retrieve_bundle_with_a_bad_hex_digit_is_one_error_line(capsys, tmp_path):
     session = _stored_session(capsys, tmp_path)
     bundle = session / "bundle.txt"
@@ -552,3 +589,104 @@ def test_retrieve_bundle_with_a_bad_hex_digit_is_one_error_line(capsys, tmp_path
     assert code == 1
     assert err.startswith(f"error: {bundle}, line {number}, key 'u': ")
     assert err.count("\n") == 1 and "Traceback" not in err and "omega" not in out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one stored session, one of its four files edited, run through retrieve
+# ---------------------------------------------------------------------------
+
+SESSION_FILES = ("bundle.txt", "params.txt", "prefix_code.txt", "secrets.txt")
+TAGS = ("int", "float", "str", "bits", "bytes")
+FUZZ_EDITS = 24  # per file
+
+
+def _split_value(line: str) -> tuple[str, str]:
+    """(key and separator, value) of a record line or a table line."""
+    head, sep, value = line.partition(" = ") if " = " in line else line.partition(" ")
+    return head + sep, value
+
+
+def _fuzz_edit(text: str, pool: list[str], rng) -> str:
+    """Delete, duplicate or insert a line, truncate the file, swap two
+    values, or rewrite one value's type tag, bit length, one character or
+    one number."""
+    lines = text.splitlines(keepends=True)
+    i, j = (int(k) for k in rng.integers(len(lines), size=2))
+    line = lines[i]
+    kinds = ["delete", "duplicate", "insert", "truncate", "swap", "char"]
+    if re.search(r"\d", line):
+        kinds.append("number")
+    if re.search(r"= \w+:", line):
+        kinds.append("tag")
+    if "bits:" in line:
+        kinds.append("length")
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "truncate":
+        return text[: int(rng.integers(len(text)))]
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, line)
+    elif kind == "insert":
+        lines.insert(i, pool[int(rng.integers(len(pool)))])
+    elif kind == "swap":
+        (key_i, value_i), (key_j, value_j) = _split_value(line), _split_value(lines[j])
+        lines[i], lines[j] = key_i + value_j, key_j + value_i
+    elif kind == "char":
+        k = int(rng.integers(len(line)))
+        lines[i] = line[:k] + "0123456789abcdefgx:= -."[int(rng.integers(23))] + line[k + 1 :]
+    elif kind == "number":
+        runs = list(re.finditer(r"\d+", line))
+        run = runs[int(rng.integers(len(runs)))]
+        number = str(int(rng.integers(2 * int(run.group()) + 2)))
+        lines[i] = line[: run.start()] + number + line[run.end() :]
+    elif kind == "tag":
+        lines[i] = re.sub(r"= \w+:", f"= {TAGS[int(rng.integers(len(TAGS)))]}:", line, count=1)
+    else:
+        length = re.search(r"bits:(\d+)", line)
+        number = str(int(rng.integers(2 * int(length.group(1)) + 2)))
+        lines[i] = line[: length.start(1)] + number + line[length.end(1) :]
+    return "".join(lines)
+
+
+# outcome counts of FUZZ_EDITS edits per file; only bundle.txt is held by
+# the server, and the other three are the client's own files, so a wrong
+# message from one of them (an edited key) is outside the threat model
+FUZZ_OUTCOMES = {
+    "bundle.txt": {"refused": 18, "abort format": 1, "abort mac": 1, "right": 4},
+    "params.txt": {"refused": 19, "right": 5},
+    "prefix_code.txt": {"refused": 18, "right": 6},
+    "secrets.txt": {"refused": 19, "right": 3, "wrong": 2},
+}
+
+
+@pytest.mark.parametrize("name", SESSION_FILES)
+def test_retrieve_of_an_edited_session_refuses_by_name_or_aborts(capsys, tmp_path, name):
+    session = _stored_session(capsys, tmp_path)
+    texts = {other: (session / other).read_text() for other in SESSION_FILES}
+    path = session / name
+    rng = np.random.default_rng((2024, SESSION_FILES.index(name)))
+    # lines to insert: all of each record, the first 40 of the prefix table
+    pool = [line for text in texts.values() for line in text.splitlines(keepends=True)[:40]]
+    counts = {}
+    for _ in range(FUZZ_EDITS):
+        path.write_text(_fuzz_edit(texts[name], pool, rng))
+        code, out, err = run(capsys, "retrieve", "--out", str(session))
+        assert code in (0, 1) and "Traceback" not in err, err
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(path) in err, err
+            assert out == "", out
+            outcome = "refused"
+        else:
+            assert err == "", err
+            found = re.fullmatch(r"omega = (\d), abort_reason = (\w+), message = (\w+)\n", out)
+            omega, reason, message = found.groups()
+            if omega == "0":
+                outcome = f"abort {reason}"
+            else:
+                outcome = "right" if message == "777" else "wrong"
+        counts[outcome] = counts.get(outcome, 0) + 1
+    if name == "bundle.txt":
+        assert "wrong" not in counts
+    assert counts == FUZZ_OUTCOMES[name]

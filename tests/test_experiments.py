@@ -8,13 +8,12 @@ import pytest
 
 from tamperstore import cli, kv
 from tamperstore.bits import Bits
+from tamperstore.entropy import parse_dist
 from tamperstore.experiments import (
     ExperimentConfig,
     build_instance,
     log_binomial_cdf,
     make_strategy,
-    parse_dist,
-    prefix_code_for,
     run_correctness_experiment,
     run_tamper_experiment,
     tamper_acceptance_bound,
@@ -24,7 +23,7 @@ from tamperstore.experiments import (
 from tamperstore.params import derive_params
 from tamperstore.protocol import ProtocolInstance
 from tamperstore.qsim import ClassicalTamper, InterceptResend, PassiveEve, apply_storage_noise
-from tamperstore.randomizer import build_prefix_code, example1_code
+from tamperstore.randomizer import build_prefix_code, example1_code, prefix_code_for
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Every name a module, test or demo imports is used in that file, every
-function and class ``src`` defines is reached outside the tests (a
-classmethod only when it is named on its class, or on ``cls`` inside it),
-and the package reads no environment variable.
+function, class and public module-level constant ``src`` defines is
+reached outside the tests (a classmethod only when it is named on its
+class, or on ``cls`` inside it), and the package reads no environment
+variable.
 
 No linter is installed, so these parses are the guard against dead imports
 and against code that only tests reach.  ``__init__.py`` is skipped: its
@@ -37,7 +38,12 @@ def _imported(tree: ast.Module) -> dict[str, int]:
 
 
 def _referenced(tree: ast.Module) -> set[str]:
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Names read or deleted; a name only assigned to is not a use."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
 
 
 def test_modules_found():
@@ -69,13 +75,25 @@ def test_checker_sees_an_unused_import():
 
 
 def _defined(tree: ast.Module) -> set[str]:
-    """Every function, method and class defined, dunder methods aside."""
+    """Every function, method and class defined, dunder methods aside, and
+    every public name a module-level assignment binds."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return {
+    out = {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
     }
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                and not name.id.startswith("_")
+            }
+    return out
 
 
 def _mentioned(tree: ast.Module) -> set[str]:
@@ -143,6 +161,15 @@ def test_checker_sees_a_classmethod_named_only_on_an_instance():
         "K.make()\nrng.random()\n"
     )
     assert _unnamed_classmethods(Path("m.py"), tree, _named_attributes(tree)) == ["m.K.random"]
+
+
+def test_checker_sees_public_module_constants_only():
+    tree = ast.parse(
+        "A = 1\n_B = 2\nC: int = 3\nD, E = 4, 5\nF[0] = 6\n"
+        "def f():\n    G = 7\n    return A\n"
+    )
+    assert _defined(tree) == {"A", "C", "D", "E", "f"}
+    assert _defined(tree) - _mentioned(tree) == {"C", "D", "E", "f"}
 
 
 _ENV_KNOB = re.compile(r"environ|getenv|expanduser")

@@ -4,7 +4,8 @@ Both sides start from equal generators and run sample -> store -> storage
 noise -> strategy -> retrieve.  After every step the bundle fields, the
 register's checkpoint bytes, the secrets' kv text, the message or outcome
 and the whole generator state must be equal.  "passive" skips the noise
-step; "storage-noise" runs it and nothing else.
+step; "storage-noise" runs it and nothing else.  The decode path is reached
+by flipping payload cells on both sides alike, with the secrets in hand.
 """
 
 import json
@@ -19,7 +20,7 @@ from tamperstore.bits import Bits
 from tamperstore.entropy import example1
 from tamperstore.experiments import _apply_strategy, make_strategy, trial_rng
 from tamperstore.protocol import ProtocolInstance
-from tamperstore.qsim import QubitRegister, TrapLayout
+from tamperstore.qsim import EveView, QubitRegister, TrapLayout
 from tamperstore.randomizer import compress, example1_code, randomize
 
 PARAMS = {"A": (0.05, 0.0, 4), "B": (0.05, 0.05, 4), "C": (0.01, 0.05, 3)}
@@ -88,9 +89,43 @@ def test_zero_seed_trial_matches_per_call_draws_and_reference(strategy):
     run_side_by_side("A", strategy, trial_rng(7, 8011), trial_rng(7, 8011))
 
 
-def run_side_by_side(name, strategy, rng, ref_rng):
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("spread", ("cells", "blocks"))
+def test_decode_past_the_radius_matches_reference(spread, seed):
+    """Payload cells re-prepared flipped, each in its own basis, and no
+    trap touched: the MAC and trap tests pass, and the two decoders must
+    agree on what follows past the radius.  "cells" flips t_corr + 1 cells
+    spread over the payload; "blocks" flips 5/8 of each of t_out + 1 inner
+    blocks, more than the outer code can correct."""
+    instance, _ = instance_and_h("C")
+    code, inner = instance.code, instance.code.inner
+    picks = np.random.default_rng(100 + seed)  # not the sessions' generators
+    if spread == "cells":
+        positions = picks.choice(code.n, code.t_corr + 1, replace=False)
+    else:
+        blocks = picks.choice(code.outer_n, code.t_out + 1, replace=False)
+        per_block = inner.n * 5 // 8
+        positions = np.concatenate(
+            [block * inner.n + picks.choice(inner.n, per_block, replace=False) for block in blocks]
+        )
+    assert positions.size > code.t_corr
+
+    def flip(bundle, secrets, ref_bundle):
+        cells = secrets.layout.payload_indices[positions]
+        EveView(bundle.register).replace(cells, ref_bundle.basis[cells], 1 - ref_bundle.value[cells])
+        ref_bundle.value[cells] ^= 1
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    omega, _, reason = run_side_by_side("C", "passive", rng, ref_rng, edit=flip)
+    # spread flips decode past the radius; the blocks' flips abort
+    assert (omega, reason) == ((1, "none") if spread == "cells" else (0, "decode"))
+
+
+def run_side_by_side(name, strategy, rng, ref_rng, edit=None):
     """One session of the package and one of ``reference`` from equal
-    generators, checked after every step."""
+    generators, checked after every step; ``edit(bundle, secrets,
+    ref_bundle)``, if given, changes both bundles alike before retrieve.
+    Returns the outcome (omega, message, abort reason)."""
     instance, h = instance_and_h(name)
     params, code, prefix_code = instance.params, instance.code, instance.prefix_code
 
@@ -119,8 +154,12 @@ def run_side_by_side(name, strategy, rng, ref_rng):
         bundle, _ = _apply_strategy(make_strategy(strategy), bundle, params, rng)
         reference.attack(ref_bundle, strategy, ref_rng)
         check(strategy)
+    if edit is not None:
+        edit(bundle, secrets, ref_bundle)
+        check("edit")
 
     out = instance.retrieve(bundle, secrets, rng)
     expected = reference.retrieve(ref_bundle, ref_secrets, params, code, h, prefix_code, ref_rng)
     assert (out.omega, out.message, out.abort_reason) == expected
     check("retrieve")
+    return expected
