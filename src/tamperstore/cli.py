@@ -14,6 +14,7 @@ import itertools
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +33,9 @@ from .params import (
     security_bound,
 )
 from .protocol import (
-    ServerBundle,
     ClientSecrets,
-    _check_secrets,
-    _check_shapes,
+    ProtocolInstance,
+    ServerBundle,
     retrieve as protocol_retrieve,
     store as protocol_store,
 )
@@ -67,33 +67,28 @@ def _cmd_params(args) -> int:
     return 0
 
 
-def _load_message(args) -> int:
-    if args.message is not None:
-        return args.message
-    if args.message_file:
-        words = Path(args.message_file).read_text().split()
-        if not words:
-            raise ValueError(f"message file {args.message_file} holds no message")
-        return int(words[0], 0)
-    raise InfeasibleParamsError("no message given (use --message or --message-file)", "cli")
-
-
 def _cmd_store(args) -> int:
-    prefix = prefix_code_for(args.dist)
-    params = derive_params(args.epsilon, args.ber, args.ell, ell0=prefix.max_len)
-    message = _load_message(args)
-    rng = np.random.default_rng(args.seed)
-    code = default_registry().by_name(params.code_name)
-    bundle, secrets = protocol_store(message, params, code, prefix, rng)
+    session = ProtocolInstance.derive(args.epsilon, args.ber, args.ell, prefix_code_for(args.dist))
+    bundle, secrets = protocol_store(session, args.message, np.random.default_rng(args.seed))
     out = _out_dir(args.out)  # only once nothing is left to refuse
-    prefix.dump(out / "prefix_code.txt")
+    params = session.params
+    session.prefix_code.dump(out / "prefix_code.txt")
     params.dump(out / "params.txt")
     bundle.dump(out / "bundle.txt")
     secrets.dump(out / "secrets.txt")
-    print(f"stored message {message}: bundle.txt, secrets.txt, params.txt, "
+    print(f"stored message {args.message}: bundle.txt, secrets.txt, params.txt, "
           f"prefix_code.txt in {out}")
     print(f"qubits: {params.n + params.r}, local bits: {secrets.storage_bits()}")
     return 0
+
+
+@contextmanager
+def _fits_params(out: Path, record: str):
+    """A cross-check of ``record`` against params.txt; a refusal names both files."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{out / record} does not fit {out / 'params.txt'}: {exc}") from None
 
 
 def _cmd_retrieve(args) -> int:
@@ -103,18 +98,11 @@ def _cmd_retrieve(args) -> int:
     prefix = PrefixCode.load(out / "prefix_code.txt")
     bundle = ServerBundle.load(out / "bundle.txt")
     secrets = ClientSecrets.load(out / "secrets.txt")
-    # the records' cross-checks are retrieve's own; run first here, a
-    # refusal names the two files that disagree
-    for record, check in (
-        ("prefix_code.txt", lambda: _check_shapes(params, code, prefix)),
-        ("secrets.txt", lambda: _check_secrets(secrets, params)),
-    ):
-        try:
-            check()
-        except ValueError as exc:
-            raise ValueError(f"{out / record} does not fit {out / 'params.txt'}: {exc}") from None
-    rng = np.random.default_rng(args.seed)
-    outcome = protocol_retrieve(bundle, secrets, params, code, prefix, rng)
+    with _fits_params(out, "prefix_code.txt"):
+        session = ProtocolInstance(params, code, prefix)
+    with _fits_params(out, "secrets.txt"):
+        session.check_secrets(secrets)
+    outcome = protocol_retrieve(session, bundle, secrets, np.random.default_rng(args.seed))
     print(f"omega = {outcome.omega}, abort_reason = {outcome.abort_reason}, "
           f"message = {outcome.message}")
     return 0
@@ -171,6 +159,8 @@ def _cmd_attack_support(args) -> int:
 
 def _cmd_rates(args) -> int:
     if args.ber_max is not None:
+        if args.steps < 2:  # a sweep has both ends
+            raise ValueError(f"--steps must be at least 2 with --ber-max, got {args.steps}")
         points = np.linspace(args.ber, args.ber_max, args.steps)
     else:
         points = [args.ber]
@@ -306,8 +296,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("store", help="run the storage phase, write a session dir",
                        parents=[session])
-    p.add_argument("--message", type=int, default=None)
-    p.add_argument("--message-file", default=None)
+    p.add_argument("--message", type=int, required=True)
     p.set_defaults(func=_cmd_store)
 
     p = sub.add_parser("retrieve", help="run the retrieval phase from a session dir")

@@ -13,8 +13,10 @@ the pad is the hash of the n-bit payload x under the n-bit seed u.
 tampered bundle and returns an outcome flag instead of raising: aborts are
 regular results, and a bundle whose field lengths differ from the
 parameters', or whose seed w is zero, aborts with reason "format" before
-the MAC is checked.  Both take a ``ProtocolParams``, which checks the
-recipe's constraints once, when it is made, and the menu code it names.
+the MAC is checked.  Both run on a ``ProtocolInstance``, the session: its
+params check the recipe's constraints and the session checks that its
+code and prefix code are the ones the params name, each once, when it is
+made, so neither phase checks them per call.
 
 Variable homes (the classical state of one session):
   server bundle   w, u, c, theta, qubit register
@@ -188,31 +190,6 @@ def one_time_pad(u: Bits, x: Bits, ell: int) -> Bits:
     return phi(u, x, ell)
 
 
-def _check_shapes(params: ProtocolParams, code: LinearCode, prefix_code: PrefixCode):
-    if code.name != params.code_name:
-        raise ValueError(f"code {code.name}; params want {params.code_name}")
-    if prefix_code.max_len != params.ell0:
-        raise ValueError(
-            f"prefix code pads to {prefix_code.max_len}, params.ell0 = {params.ell0}"
-        )
-
-
-def _check_secrets(secrets: ClientSecrets, params: ProtocolParams) -> None:
-    """The client's own secrets fit params.  A mismatch is a local fault,
-    not the server's, so it raises ValueError naming the field."""
-    layout = secrets.layout
-    for name, got, want in (
-        ("t length", layout.t.length, params.n + params.r),
-        ("t weight", layout.r, params.r),
-        ("v length", secrets.v.length, params.r),
-        ("s length", secrets.s.length, params.n - params.kappa),
-        ("m_nabla length", secrets.m_nabla.length, params.ell0 - params.ell),
-        ("mac_key lam", secrets.mac_key.lam, params.lam),
-    ):
-        if got != want:
-            raise ValueError(f"secrets field {name} is {got}; params want {want}")
-
-
 def _draw_padding_seed_cells(
     pad_len: int, ell0: int, total: int, rng: np.random.Generator
 ) -> tuple[int, Bits, np.ndarray]:
@@ -241,14 +218,10 @@ def _draw_padding_seed_cells(
 
 
 def store(
-    message: int,
-    params: ProtocolParams,
-    code: LinearCode,
-    prefix_code: PrefixCode,
-    rng: np.random.Generator,
+    session: ProtocolInstance, message: int, rng: np.random.Generator
 ) -> tuple[ServerBundle, ClientSecrets]:
     """Steps 1-5: compress, randomise, prepare qubits, pad, tag."""
-    _check_shapes(params, code, prefix_code)
+    params, code, prefix_code = session.params, session.code, session.prefix_code
     total = params.n + params.r
     padding, w, xi = _draw_padding_seed_cells(
         params.ell0 - prefix_code.codeword(message).length, params.ell0, total, rng
@@ -297,19 +270,17 @@ def _lengths_match(bundle: ServerBundle, params: ProtocolParams) -> bool:
 
 
 def retrieve(
+    session: ProtocolInstance,
     bundle: ServerBundle,
     secrets: ClientSecrets,
-    params: ProtocolParams,
-    code: LinearCode,
-    prefix_code: PrefixCode,
     rng: np.random.Generator,
 ) -> RetrievalOutcome:
     """Steps 6-9 against a possibly tampered bundle; aborts are outcomes.
 
     Secrets that do not fit params raise ValueError: the fault is local.
     """
-    _check_shapes(params, code, prefix_code)
-    _check_secrets(secrets, params)
+    session.check_secrets(secrets)
+    params, code, prefix_code = session.params, session.code, session.prefix_code
     if not _lengths_match(bundle, params):
         return RetrievalOutcome(0, None, "format")
     if not verify(secrets.mac_key, bundle.classical_bits(), bundle.theta):
@@ -399,16 +370,31 @@ def ideal_recursion_accounting(beta0: float, ell: float, residual_threshold: flo
 
 
 # ---------------------------------------------------------------------------
-# session convenience wrapper
+# the session
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ProtocolInstance:
-    """A parameter set, code, and prefix code wired together."""
+    """One session's parameter set, syndrome code and prefix code.
+
+    The three must agree: the code is the one ``params.code_name`` names
+    and the prefix code pads to ``params.ell0``.  That is checked once,
+    when the session is made (``dataclasses.replace`` included), and
+    ``store`` and ``retrieve`` trust it.
+    """
 
     params: ProtocolParams
     code: LinearCode
     prefix_code: PrefixCode
+
+    def __post_init__(self):
+        params = self.params
+        if self.code.name != params.code_name:
+            raise ValueError(f"code {self.code.name}; params want {params.code_name}")
+        if self.prefix_code.max_len != params.ell0:
+            raise ValueError(
+                f"prefix code pads to {self.prefix_code.max_len}, params.ell0 = {params.ell0}"
+            )
 
     @classmethod
     def derive(
@@ -423,12 +409,26 @@ class ProtocolInstance:
         registry = registry or default_registry()
         return cls(params, registry.by_name(params.code_name), prefix_code)
 
-    def store(self, message: int, rng: np.random.Generator):
-        return store(message, self.params, self.code, self.prefix_code, rng)
+    def check_secrets(self, secrets: ClientSecrets) -> None:
+        """The client's own secrets fit params.  A mismatch is a local fault,
+        not the server's, so it raises ValueError naming the field."""
+        params, layout = self.params, secrets.layout
+        for name, got, want in (
+            ("t length", layout.t.length, params.n + params.r),
+            ("t weight", layout.r, params.r),
+            ("v length", secrets.v.length, params.r),
+            ("s length", secrets.s.length, params.n - params.kappa),
+            ("m_nabla length", secrets.m_nabla.length, params.ell0 - params.ell),
+            ("mac_key lam", secrets.mac_key.lam, params.lam),
+        ):
+            if got != want:
+                raise ValueError(f"secrets field {name} is {got}; params want {want}")
+
+    # the two phases themselves: session.store(message, rng) is
+    # store(session, message, rng)
+    store = store
+    retrieve = retrieve
 
     def apply_noise(self, bundle: ServerBundle, rng: np.random.Generator) -> None:
         if self.params.beta0 > 0:
             apply_storage_noise(bundle.register, self.params.beta0, rng)
-
-    def retrieve(self, bundle, secrets, rng: np.random.Generator) -> RetrievalOutcome:
-        return retrieve(bundle, secrets, self.params, self.code, self.prefix_code, rng)

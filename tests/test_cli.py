@@ -1,11 +1,17 @@
 import os
 import re
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tamperstore.cli import main
+import reference
+from tamperstore.cli import build_parser, main
+from tamperstore.linear_code import default_registry
+from tamperstore.params import ProtocolParams
+from tamperstore.protocol import ClientSecrets, ServerBundle
+from tamperstore.randomizer import PrefixCode
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,6 +60,19 @@ def test_rates_refuses_ber_outside_half_interval(capsys, tmp_path, argv):
     assert code == 1
     assert err.startswith("error:") and "outside [0, 1/2)" in err
     assert "Traceback" not in err
+    assert out == "" and not out_file.exists()
+
+
+@pytest.mark.parametrize("steps", ["1", "0"])
+def test_rates_refuses_a_sweep_of_fewer_than_two_points(capsys, tmp_path, steps):
+    # one point would drop --ber-max and none would print the header alone
+    out_file = tmp_path / "rates.csv"
+    code, out, err = run(
+        capsys, "rates", "--ber", "0.05", "--ber-max", "0.1", "--steps", steps,
+        "--out", str(out_file),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "--steps" in err and err.count("\n") == 1
     assert out == "" and not out_file.exists()
 
 
@@ -136,15 +155,13 @@ def test_store_retrieve_round_trip(capsys, tmp_path):
     assert "omega = 1" in out and "message = 777" in out
 
 
-def test_store_message_file_ignores_env_out(capsys, tmp_path, monkeypatch):
-    msg = tmp_path / "msg.txt"
-    msg.write_text("42\n")
+def test_store_ignores_env_out(capsys, tmp_path, monkeypatch):
     session = tmp_path / "session"
     ignored = tmp_path / "envdir"
     monkeypatch.setenv("TAMPERSTORE_OUT", str(ignored))
     code, out, _ = run(
         capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
-        "--message-file", str(msg), "--seed", "1", "--out", str(session),
+        "--message", "42", "--seed", "1", "--out", str(session),
     )
     assert code == 0
     assert (session / "bundle.txt").exists()
@@ -161,16 +178,17 @@ def test_store_depth_is_unrecognised(capsys, tmp_path):
     assert code == 1 and "unrecognized arguments: --depth 2" in err
 
 
-def test_store_empty_message_file_is_an_error(capsys, tmp_path):
-    msg = tmp_path / "empty.txt"
-    msg.write_text(" \n")
-    code, _, err = run(
-        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
-        "--message-file", str(msg), "--out", str(tmp_path / "session"),
-    )
-    assert code == 1
-    assert err.startswith("error:") and "holds no message" in err
-    assert "Traceback" not in err
+def test_store_takes_the_message_from_message_only(capsys, tmp_path):
+    # a message file was read by guessing (its first word, any int base);
+    # --message is the one way in, and it is required
+    for extra in ([], ["--message-file", str(tmp_path / "msg.txt")]):
+        code, _, err = run(
+            capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
+            *extra, "--out", str(tmp_path / "session"),
+        )
+        assert code == 1 and err.startswith("usage:") and "Traceback" not in err
+        assert "--message" in err.splitlines()[-1]
+    assert not (tmp_path / "session").exists()
 
 
 def test_simulate_writes_report(capsys, tmp_path):
@@ -660,6 +678,33 @@ FUZZ_OUTCOMES = {
 }
 
 
+@cache
+def code_and_h(code_name: str):
+    """The menu code and its dense H, built once per module."""
+    code = default_registry().by_name(code_name)
+    return code, reference.parity_check_matrix(code)
+
+
+def reference_retrieve(session: Path) -> tuple[int, str, int | None]:
+    """(omega, abort reason, message) of ``reference.retrieve`` on a session
+    directory's files, drawing from the generator of retrieve's default --seed."""
+    params = ProtocolParams.load(session / "params.txt")
+    code, h = code_and_h(params.code_name)
+    bundle = ServerBundle.load(session / "bundle.txt")
+    secrets = ClientSecrets.load(session / "secrets.txt")
+    basis, value = bundle.register._records()
+    ref_bundle = reference.Bundle(bundle.w, bundle.u, bundle.c, bundle.theta, basis, value)
+    ref_secrets = reference.Secrets(
+        secrets.mac_key, secrets.layout.t, secrets.v, secrets.s, secrets.m_nabla
+    )
+    rng = np.random.default_rng(build_parser().parse_args(["retrieve"]).seed)
+    prefix_code = PrefixCode.load(session / "prefix_code.txt")
+    omega, message, reason = reference.retrieve(
+        ref_bundle, ref_secrets, params, code, h, prefix_code, rng
+    )
+    return omega, reason, message
+
+
 @pytest.mark.parametrize("name", SESSION_FILES)
 def test_retrieve_of_an_edited_session_refuses_by_name_or_aborts(capsys, tmp_path, name):
     session = _stored_session(capsys, tmp_path)
@@ -682,6 +727,9 @@ def test_retrieve_of_an_edited_session_refuses_by_name_or_aborts(capsys, tmp_pat
             assert err == "", err
             found = re.fullmatch(r"omega = (\d), abort_reason = (\w+), message = (\w+)\n", out)
             omega, reason, message = found.groups()
+            if name == "bundle.txt":  # the server's edits, decided as the reference decides
+                printed = (int(omega), reason, None if message == "None" else int(message))
+                assert reference_retrieve(session) == printed
             if omega == "0":
                 outcome = f"abort {reason}"
             else:

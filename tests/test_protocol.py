@@ -50,6 +50,24 @@ def test_params_hand_built_validate():
     assert info.value.constraint == "code-menu" and isinstance(info.value, ValueError)
 
 
+def test_session_refuses_disagreeing_parts_when_made():
+    # the code must be the one params name and the prefix code must pad to
+    # ell0; a session that breaks either is refused before it can store
+    inst = params_a()
+    parts = {"params": inst.params, "code": inst.code, "prefix_code": inst.prefix_code}
+    other_code = default_registry().by_name("rs(12,2)*rm(1,7)")
+    short = example1_code(4)
+    for part, message in (
+        ({"code": other_code}, "code rs(12,2)*rm(1,7); params want rs(20,4)*rm(1,7)"),
+        ({"prefix_code": short}, "prefix code pads to 5, params.ell0 = 13"),
+    ):
+        with pytest.raises(ValueError) as made:
+            ProtocolInstance(**{**parts, **part})
+        with pytest.raises(ValueError) as replaced:
+            replace(inst, **part)
+        assert str(made.value) == str(replaced.value) == message
+
+
 def test_bundle_and_secret_shapes():
     inst = params_a()
     rng = np.random.default_rng(0)
