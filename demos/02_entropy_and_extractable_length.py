@@ -11,9 +11,10 @@ import numpy as np
 from tamperstore import (
     binary_entropy,
     example1,
-    example1_padded,
+    example1_code,
     extractable_length,
     min_entropy,
+    padded_law,
     renyi_entropy,
     shannon_entropy,
     smooth_renyi2,
@@ -21,7 +22,7 @@ from tamperstore import (
 
 L = 12
 messages = example1(L)
-padded = example1_padded(L)
+padded = padded_law(messages, example1_code(L))
 
 print(f"source with 2^{L} messages, one of probability 1/2")
 print(f"  min-entropy          H_min = {min_entropy(messages):.6f}")

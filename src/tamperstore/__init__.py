@@ -20,7 +20,6 @@ from .entropy import (
     DiscreteDistribution,
     binary_entropy,
     example1,
-    example1_padded,
     extractable_length,
     min_entropy,
     renyi_entropy,
@@ -35,6 +34,7 @@ from .randomizer import (
     decompress,
     derandomize,
     example1_code,
+    padded_law,
     randomize,
 )
 from .linear_code import LinearCode, default_registry

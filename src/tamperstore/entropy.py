@@ -47,10 +47,6 @@ class DiscreteDistribution:
         if len(np.unique(self.outcomes)) != len(self.outcomes):
             raise ValueError("duplicate outcome ids")
 
-    @property
-    def support_size(self) -> int:
-        return int(self.probs.size)
-
     @cached_property
     def cdf(self) -> np.ndarray:
         """Cumulative probabilities, normalised by their last entry as
@@ -94,26 +90,6 @@ def example1(L: int) -> DiscreteDistribution:
     return DiscreteDistribution(np.arange(n), probs)
 
 
-def example1_padded(L: int) -> DiscreteDistribution:
-    """Distribution of the padded compression of :func:`example1`.
-
-    Outcome ids are the (L+1)-bit strings with bit 0 first: ``0 || x`` has
-    probability (1/2)/(2^L - 1) for x != mu0 (all ones), and ``1 || x`` has
-    2^-(L+1).
-    """
-    n = 1 << L
-    mu0 = n - 1
-    ids_zero = (np.arange(n) << 1)  # '0' || x
-    ids_one = (np.arange(n) << 1) | 1  # '1' || x
-    probs_zero = np.full(n, 0.5 / (n - 1))
-    probs_zero[mu0] = 0.0
-    probs_one = np.full(n, 0.5 / n)
-    return DiscreteDistribution(
-        np.concatenate([ids_zero, ids_one]),
-        np.concatenate([probs_zero, probs_one]),
-    )
-
-
 def load_distribution(path) -> DiscreteDistribution:
     """Text table, one "outcome-id probability" pair per line (``kv.load_table``)."""
     table = kv.load_table(path, float)
@@ -121,12 +97,12 @@ def load_distribution(path) -> DiscreteDistribution:
 
 
 def parse_dist(spec: str) -> DiscreteDistribution:
-    """"example1:12", "uniform:256", or "file:<path>" (the ``--dist`` flag)."""
+    """"example1:12", "uniform:256", or "file:<path>" (``--dist``), sizes by ``kv.decimal``."""
     kind, _, arg = spec.partition(":")
     if kind == "example1":
-        return example1(int(arg))
+        return example1(kv.decimal(arg))
     if kind == "uniform":
-        return uniform(int(arg))
+        return uniform(kv.decimal(arg))
     if kind == "file":
         return load_distribution(arg)
     raise ValueError(f"unknown distribution spec {spec!r}")

@@ -149,6 +149,14 @@ def load(path, kind: str, build):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def decimal(text: str) -> int:
+    """The int ``text`` spells in canonical decimal; ValueError for any other
+    spelling (a plus sign, leading zero, digit separator, space, non-ASCII digit)."""
+    if text.isascii() and text.removeprefix("-").isdigit() and str(int(text)) == text:
+        return int(text)
+    raise ValueError(f"{text!r} is not a canonical decimal integer")
+
+
 def load_table(path, convert) -> dict:
     """{id: convert(value)} from "id value" lines (# comments); a line without
     two fields, a bad id or value, or a repeated id raises ValueError naming it."""
@@ -161,7 +169,7 @@ def load_table(path, convert) -> dict:
             try:
                 if len(fields) != 2:
                     raise ValueError(f"expected 'id value', got {len(fields)} fields")
-                ident, value = int(fields[0]), convert(fields[1])
+                ident, value = decimal(fields[0]), convert(fields[1])
                 if ident in table:
                     raise ValueError(f"id {ident} appears twice")
             except ValueError as exc:

@@ -13,7 +13,7 @@ and the locally stored remainder ``m_nabla``; ``derandomize`` multiplies
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class PrefixCode:
 
     def average_length(self, dist: DiscreteDistribution) -> float:
         return float(
-            sum(p * self.codewords[int(o)].length for o, p in zip(dist.outcomes, dist.probs))
+            sum(p * self.codeword(int(o)).length for o, p in zip(dist.outcomes, dist.probs))
         )
 
     def parse(self, word: Bits) -> tuple[int, int]:
@@ -93,7 +93,10 @@ class PrefixCode:
 
     @classmethod
     def load(cls, path) -> "PrefixCode":
-        """The code in ``path``; a refused table is a ValueError naming it."""
+        """The code in ``path``, a record or a table; a refused file is a ValueError naming it."""
+        with open(path, "rb") as fh:
+            if fh.readline().startswith(b"# tamperstore "):
+                return kv.load(path, "prefix_code", Example1Code.from_kv)
         table = kv.load_table(path, Bits.from_01)
         try:
             return cls(table)
@@ -103,50 +106,65 @@ class PrefixCode:
 
 def build_prefix_code(dist: DiscreteDistribution) -> PrefixCode:
     """Huffman code with deterministic tie-breaking (stable by message id)."""
-    if dist.support_size == 0:
-        raise ValueError("empty support")
     order = np.argsort(dist.outcomes)
-    heap = []
-    for seq, idx in enumerate(order):
-        heap.append((float(dist.probs[idx]), seq, int(dist.outcomes[idx])))
-    if len(heap) == 1:
-        return PrefixCode({heap[0][2]: Bits.zeros(0)})
+    heap = [(float(dist.probs[i]), seq, int(dist.outcomes[i])) for seq, i in enumerate(order)]
     heapq.heapify(heap)
-    counter = len(heap)
-    trees: dict[int, object] = {item[1]: item[2] for item in heap}
-    while len(heap) > 1:
-        p1, s1, _ = heapq.heappop(heap)
-        p2, s2, _ = heapq.heappop(heap)
-        trees[counter] = (trees.pop(s1), trees.pop(s2))
-        heapq.heappush(heap, (p1 + p2, counter, -1))
-        counter += 1
-    table: dict[int, Bits] = {}
-    stack = [(trees.popitem()[1], "")]
+    for seq in range(len(heap), 2 * len(heap) - 1):  # seq breaks every tie
+        p1, _, first = heapq.heappop(heap)
+        p2, _, second = heapq.heappop(heap)
+        heapq.heappush(heap, (p1 + p2, seq, (first, second)))
+    table, stack = {}, [(heap[0][2], Bits.zeros(0))]
     while stack:
         node, word = stack.pop()
-        if isinstance(node, tuple):
-            stack.append((node[0], word + "0"))
-            stack.append((node[1], word + "1"))
+        if isinstance(node, tuple):  # '0' leads into the subtree popped first
+            stack += [(node[0], word.concat(Bits(0, 1))), (node[1], word.concat(Bits(1, 1)))]
         else:
-            table[node] = Bits.from_01(word)
+            table[node] = word
     return PrefixCode(table)
 
 
-def example1_code(L: int) -> PrefixCode:
-    """The explicit code behind :func:`tamperstore.entropy.example1`.
+@dataclass(frozen=True)
+class Example1Code(PrefixCode):
+    """The code of :func:`tamperstore.entropy.example1` by its rule, L >= 1: the heavy
+    message 2^L - 1 is '1', any other mu is '0' and the L bits of mu."""
 
-    The heavy message, all ones, gets the single bit '1'; every other
-    message mu is sent as '0' followed by the L bits of mu.  L must be at
-    least 1.
-    """
-    if L < 1:
-        raise ValueError(f"example1 needs L >= 1, got {L}")
-    mu0 = (1 << L) - 1
-    table = {mu0: Bits.from_01("1")}
-    for mu in range(1 << L):
-        if mu != mu0:
-            table[mu] = Bits(mu << 1, L + 1)
-    return PrefixCode(table)
+    codewords: None = field(default=None, init=False, repr=False, compare=False)  # no table
+    L: int
+
+    def __post_init__(self):
+        if self.L < 1:
+            raise ValueError(f"example1 needs L >= 1, got {self.L}")
+        object.__setattr__(self, "_max_len", self.L + 1)
+
+    def codeword(self, message: int) -> Bits:
+        heavy = (1 << self.L) - 1
+        if message not in range(heavy + 1):  # an int in O(1), any other type by value
+            raise UnknownMessageError(f"message {message} has no codeword in the prefix code")
+        return Bits(1, 1) if message == heavy else Bits(int(message) << 1, self.L + 1)
+
+    def parse(self, word: Bits) -> tuple[int, int]:
+        heavy = (1 << self.L) - 1
+        mu = (word.value >> 1) & heavy
+        if word.value & 1:
+            return heavy, 1
+        if word.length > self.L and mu != heavy:
+            return mu, self.L + 1
+        raise ParseError(f"no codeword prefixes {word!r}")
+
+    def dump(self, path) -> None:
+        kv.dump(path, "prefix_code", {"source": f"example1:{self.L}"})
+
+    @classmethod
+    def from_kv(cls, mapping: dict) -> "Example1Code":
+        """Inverse of :meth:`dump`; a source other than example1 is refused."""
+        kv.check("prefix_code", mapping, {"source": str}, {})
+        kind, _, arg = mapping["source"].partition(":")
+        if kind != "example1":
+            raise ValueError(f"unknown prefix code source {mapping['source']!r}")
+        return cls(kv.decimal(arg))
+
+
+example1_code = Example1Code
 
 
 def prefix_code_for(spec: str, dist: DiscreteDistribution | None = None) -> PrefixCode:
@@ -155,7 +173,7 @@ def prefix_code_for(spec: str, dist: DiscreteDistribution | None = None) -> Pref
     passes it as ``dist``, so a "file:" table is read once."""
     kind, _, arg = spec.partition(":")
     if kind == "example1":
-        return example1_code(int(arg))
+        return example1_code(kv.decimal(arg))
     return build_prefix_code(parse_dist(spec) if dist is None else dist)
 
 
@@ -170,6 +188,19 @@ def compress(message: int, code: PrefixCode, padding: int) -> Bits:
     cw, l0 = code.codeword(message), code.max_len
     pad_mask = (1 << (l0 - cw.length)) - 1
     return Bits(cw.value | ((padding & pad_mask) << cw.length), l0)
+
+
+def padded_law(dist: DiscreteDistribution, code: PrefixCode) -> DiscreteDistribution:
+    """The law of :func:`compress` for m drawn from ``dist`` and a uniform
+    padding: m's codeword followed by any one of its 2^pad tails has p(m) / 2^pad.
+    Outcome ids are the padded strings as int64, so ``code.max_len`` is below 64."""
+    ids, probs = [], []
+    for message, p in zip(dist.outcomes.tolist(), dist.probs.tolist()):
+        cw = code.codeword(message)
+        pad = code.max_len - cw.length
+        ids.append(np.arange(1 << pad, dtype=np.int64) << cw.length | cw.value)
+        probs.append(np.full(1 << pad, p / (1 << pad)))
+    return DiscreteDistribution(np.concatenate(ids), np.concatenate(probs))
 
 
 def decompress(padded: Bits, code: PrefixCode) -> int:

@@ -21,6 +21,9 @@ it does not bring a copy of the code it replaces.
 * The decoder is the coset-word decoder (``coset_syn_dec``), the decoder
   as it stood before it ran in the received frame.  Its pattern e must
   satisfy H(x' ^ e) = s.
+* The message code is a table built from ``example1``'s rule as strings
+  (``example1_table``); ``store`` looks the codeword up and retrieval scans
+  the table for the one that prefixes m0.
 * Retrieval aborts in the order ``retrieve``'s docstring gives: format,
   mac, trap, decode.
 
@@ -274,9 +277,20 @@ def sample(dist, rng: np.random.Generator) -> int:
     return int(rng.choice(dist.outcomes, p=dist.probs))
 
 
-def store(message: int, params, h: list[int], prefix_code, rng) -> tuple[Bundle, Secrets]:
-    """Compress, randomise, prepare the cells with traps, pad, tag."""
-    codeword = prefix_code.codewords[message]
+@lru_cache(maxsize=None)
+def example1_table(L: int) -> dict[int, Bits]:
+    """{message: codeword} of example1: the heavy message 2^L - 1 is '1', and
+    every other mu is '0' followed by the L bits of mu, lowest bit first."""
+    heavy = (1 << L) - 1
+    table = {mu: Bits.from_01("0" + format(mu, f"0{L}b")[::-1]) for mu in range(heavy)}
+    table[heavy] = Bits.from_01("1")
+    return table
+
+
+def store(message: int, params, h: list[int], table, rng) -> tuple[Bundle, Secrets]:
+    """Compress with the code ``table``, randomise, prepare the cells with
+    traps, pad, tag."""
+    codeword = table[message]
     m0 = codeword.concat(random_bits(params.ell0 - codeword.length, rng))
     w = random_bits(params.ell0, rng)
     while w.value == 0:
@@ -322,7 +336,7 @@ def attack(bundle: Bundle, strategy: str, rng) -> None:
     bundle.basis = bases
 
 
-def retrieve(bundle: Bundle, secrets: Secrets, params, code, h, prefix_code, rng):
+def retrieve(bundle: Bundle, secrets: Secrets, params, code, h, table, rng):
     """(omega, message, abort reason), testing format, MAC, traps, decode."""
     lengths = (bundle.w.length, bundle.u.length, bundle.c.length, bundle.theta.length)
     wanted = (params.ell0, params.n, params.ell, params.lam)
@@ -348,7 +362,7 @@ def retrieve(bundle: Bundle, secrets: Secrets, params, code, h, prefix_code, rng
     m_hat = pad(bundle.u, x_hat, params.ell) ^ bundle.c
     field = GF2Field(params.ell0)
     m0 = field.mul_int(field.inv_int(bundle.w.value), m_hat.concat(secrets.m_nabla).value)
-    for message, codeword in prefix_code.codewords.items():
+    for message, codeword in table.items():
         if m0 & ((1 << codeword.length) - 1) == codeword.value:
             return 1, message, "none"
     return 0, None, "decode"

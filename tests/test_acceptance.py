@@ -17,7 +17,6 @@ from tamperstore.bits import Bits
 from tamperstore.entropy import (
     DiscreteDistribution,
     example1,
-    example1_padded,
     min_entropy,
     renyi_entropy,
     smooth_renyi2,
@@ -31,7 +30,7 @@ from tamperstore.gf2 import phi
 from tamperstore.mac import MacKey, forgery_bound, tag, verify
 from tamperstore.params import asymptotic_rates, sampling_bad_event_bound
 from tamperstore.protocol import ProtocolInstance, ideal_recursion_accounting
-from tamperstore.randomizer import example1_code
+from tamperstore.randomizer import example1_code, padded_law
 
 
 def report(number: int, name: str, ok: bool, detail: str, started: float) -> None:
@@ -173,7 +172,8 @@ def test_criterion_7_entropy_toolkit():
     ok = abs(min_entropy(example1(12)) - 1.0) <= 1e-12
     ok &= abs(renyi_entropy(example1(16), 2) - 2.0) <= 2**-12
     L = 12
-    ok &= abs(min_entropy(example1_padded(L)) - (math.log2(2**L - 1) + 1)) <= 1e-9
+    padded = padded_law(example1(L), example1_code(L))
+    ok &= abs(min_entropy(padded) - (math.log2(2**L - 1) + 1)) <= 1e-9
 
     rng = np.random.default_rng(7)
     worst_gap = 0.0

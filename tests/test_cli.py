@@ -11,7 +11,6 @@ from tamperstore.cli import build_parser, main
 from tamperstore.linear_code import default_registry
 from tamperstore.params import ProtocolParams
 from tamperstore.protocol import ClientSecrets, ServerBundle
-from tamperstore.randomizer import PrefixCode
 
 DATA = Path(__file__).parent / "data"
 
@@ -393,10 +392,10 @@ def test_retrieve_from_a_missing_directory_creates_nothing(capsys, tmp_path):
     assert not (tmp_path / "typo").exists()
 
 
-def _stored_session(capsys, tmp_path):
+def _stored_session(capsys, tmp_path, dist="example1:12"):
     session = tmp_path / "session"
     code, _, _ = run(
-        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4",
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "4", "--dist", dist,
         "--message", "777", "--seed", "5", "--out", str(session),
     )
     assert code == 0
@@ -491,8 +490,9 @@ def test_retrieve_prefix_code_that_does_not_fit_params_names_both_files(capsys, 
 
 def test_retrieve_duplicate_prefix_code_id_is_an_error(capsys, tmp_path):
     # even a repeated line is refused: a reader that keeps one of two
-    # entries for an id guesses which one was meant
-    session = _stored_session(capsys, tmp_path)
+    # entries for an id guesses which one was meant; a Huffman session
+    # writes its code as a table
+    session = _stored_session(capsys, tmp_path, "uniform:1024")
     path = session / "prefix_code.txt"
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines + lines[-1:]))
@@ -504,7 +504,7 @@ def test_retrieve_duplicate_prefix_code_id_is_an_error(capsys, tmp_path):
 
 
 def test_retrieve_prefix_code_with_duplicate_codewords_names_the_file(capsys, tmp_path):
-    session = _stored_session(capsys, tmp_path)
+    session = _stored_session(capsys, tmp_path, "uniform:1024")
     path = session / "prefix_code.txt"
     lines = path.read_text().splitlines()
     first_word = lines[0].split()[1]
@@ -515,6 +515,69 @@ def test_retrieve_prefix_code_with_duplicate_codewords_names_the_file(capsys, tm
     assert code == 1
     assert err == f"error: {path}: duplicate codewords\n"
     assert "omega" not in out
+
+
+def test_example1_session_keeps_its_code_as_one_record(capsys, tmp_path):
+    session = _stored_session(capsys, tmp_path)
+    assert (session / "prefix_code.txt").read_bytes() == (
+        b"# tamperstore prefix_code v1\nsource = str:example1:12\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "source,why",
+    [
+        ("example1:11", "does not fit"),  # another code: it pads to 12 bits
+        ("example1:+12", "'+12' is not a canonical decimal integer"),
+        ("bits:12", "unknown prefix code source 'bits:12'"),
+        ("uniform:8192", "unknown prefix code source 'uniform:8192'"),  # only a closed form
+    ],
+    ids=["other-length", "plus-sign", "unknown-kind", "table-kind"],
+)
+def test_retrieve_refuses_an_edited_prefix_code_record_by_name(capsys, tmp_path, source, why):
+    session = _stored_session(capsys, tmp_path)
+    path = session / "prefix_code.txt"
+    path.write_text(path.read_text().replace("example1:12", source))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert code == 1
+    assert err.startswith(f"error: {path}") and why in err
+    assert err.count("\n") == 1 and "Traceback" not in err and out == ""
+
+
+def test_retrieve_reads_an_example1_code_written_as_a_table(capsys, tmp_path):
+    # the table an example1:12 session held before its code became a record
+    session = _stored_session(capsys, tmp_path)
+    table = reference.example1_table(12)
+    (session / "prefix_code.txt").write_text("".join(f"{m} {table[m].to_01()}\n" for m in sorted(table)))
+    code, out, err = run(capsys, "retrieve", "--out", str(session))
+    assert (code, err) == (0, "")
+    assert out == "omega = 1, abort_reason = none, message = 777\n"
+
+
+@pytest.mark.parametrize(
+    "spec", ["example1:+12", "example1: 12", "example1:1_2", "example1:012", "uniform:+8", "uniform:0_8"]
+)
+def test_store_refuses_a_dist_size_not_in_canonical_decimal(capsys, tmp_path, spec):
+    code, out, err = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "1",
+        "--dist", spec, "--message", "0", "--out", str(tmp_path / "session"),
+    )
+    assert code == 1
+    assert err == f"error: {spec.partition(':')[2]!r} is not a canonical decimal integer\n"
+    assert out == "" and not (tmp_path / "session").exists()
+
+
+def test_store_dist_file_with_a_noncanonical_id_is_an_error(capsys, tmp_path):
+    # "1_0" once read as id 10, so message 10 was stored
+    dist = tmp_path / "dist.txt"
+    dist.write_text("0 0.5\n1_0 0.5\n")
+    code, out, err = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "1",
+        "--dist", f"file:{dist}", "--message", "10", "--out", str(tmp_path / "session"),
+    )
+    assert code == 1
+    assert err == f"error: {dist}, line 2: '1_0' is not a canonical decimal integer\n"
+    assert out == "" and not (tmp_path / "session").exists()
 
 
 def test_store_dist_file_with_three_fields_is_an_error(capsys, tmp_path):
@@ -669,12 +732,15 @@ def _fuzz_edit(text: str, pool: list[str], rng) -> str:
 
 # outcome counts of FUZZ_EDITS edits per file; only bundle.txt is held by
 # the server, and the other three are the client's own files, so a wrong
-# message from one of them (an edited key) is outside the threat model
+# message from one of them (an edited key) is outside the threat model.
+# prefix_code.txt is the one-line example1:12 record: an edit of it is
+# "right" only where it leaves the record as it was or adds a comment line
+# (a record's "# tamperstore ... v1" header)
 FUZZ_OUTCOMES = {
     "bundle.txt": {"refused": 18, "abort format": 1, "abort mac": 1, "right": 4},
-    "params.txt": {"refused": 19, "right": 5},
-    "prefix_code.txt": {"refused": 18, "right": 6},
-    "secrets.txt": {"refused": 19, "right": 3, "wrong": 2},
+    "params.txt": {"refused": 18, "right": 6},
+    "prefix_code.txt": {"refused": 21, "right": 3},
+    "secrets.txt": {"refused": 18, "right": 4, "wrong": 2},
 }
 
 
@@ -698,9 +764,9 @@ def reference_retrieve(session: Path) -> tuple[int, str, int | None]:
         secrets.mac_key, secrets.layout.t, secrets.v, secrets.s, secrets.m_nabla
     )
     rng = np.random.default_rng(build_parser().parse_args(["retrieve"]).seed)
-    prefix_code = PrefixCode.load(session / "prefix_code.txt")
+    assert (session / "prefix_code.txt").read_text().endswith("source = str:example1:12\n")
     omega, message, reason = reference.retrieve(
-        ref_bundle, ref_secrets, params, code, h, prefix_code, rng
+        ref_bundle, ref_secrets, params, code, h, reference.example1_table(12), rng
     )
     return omega, reason, message
 
@@ -711,7 +777,7 @@ def test_retrieve_of_an_edited_session_refuses_by_name_or_aborts(capsys, tmp_pat
     texts = {other: (session / other).read_text() for other in SESSION_FILES}
     path = session / name
     rng = np.random.default_rng((2024, SESSION_FILES.index(name)))
-    # lines to insert: all of each record, the first 40 of the prefix table
+    # lines to insert: the first 40 of each record
     pool = [line for text in texts.values() for line in text.splitlines(keepends=True)[:40]]
     counts = {}
     for _ in range(FUZZ_EDITS):

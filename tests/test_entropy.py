@@ -9,7 +9,6 @@ from tamperstore.entropy import (
     UnsupportedOrderError,
     binary_entropy,
     example1,
-    example1_padded,
     extractable_length,
     load_distribution,
     min_entropy,
@@ -18,6 +17,7 @@ from tamperstore.entropy import (
     smooth_renyi2,
     uniform,
 )
+from tamperstore.randomizer import example1_code, padded_law
 
 
 def dist(*probs):
@@ -94,7 +94,7 @@ def test_shannon():
 def test_min_entropy_values():
     L = 12
     assert min_entropy(example1(L)) == pytest.approx(1.0, abs=1e-12)
-    assert min_entropy(example1_padded(L)) == pytest.approx(
+    assert min_entropy(padded_law(example1(L), example1_code(L))) == pytest.approx(
         math.log2(2**L - 1) + 1, abs=1e-12
     )
     assert min_entropy(uniform(100)) == pytest.approx(math.log2(100), abs=1e-12)
@@ -169,7 +169,7 @@ def test_extractable_length_uniform_at_eta_zero():
 
 
 def test_extractable_length_monotone_in_eps0():
-    p = example1_padded(8)
+    p = padded_law(example1(8), example1_code(8))
     lengths = [extractable_length(p, e) for e in (0.01, 0.05, 0.1, 0.25)]
     assert lengths == sorted(lengths)
 
@@ -180,7 +180,7 @@ def test_extractable_length_never_negative():
 
 def test_extractable_length_two_level_oracle():
     # independent eta-grid x capping search, naive implementation
-    p = example1_padded(12)
+    p = padded_law(example1(12), example1_code(12))
     eps0 = 2**-8
     grid_points = 64
 
@@ -207,7 +207,7 @@ def test_extractable_length_two_level_oracle():
 
 def test_extractable_length_example1_l10():
     # the value used by the randomiser statistical-distance test
-    assert extractable_length(example1_padded(10), 1 / 16) == 4
+    assert extractable_length(padded_law(example1(10), example1_code(10)), 1 / 16) == 4
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -218,7 +218,7 @@ def test_distribution_invariants():
     with pytest.raises(ValueError):
         dist(1.2, -0.2)
     d = dist(0.5, 0.5, 0.0)
-    assert d.support_size == 2
+    assert d.probs.size == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -230,7 +230,7 @@ def test_load_distribution_refuses_non_finite_probabilities(tmp_path, value):
 
 
 def test_load_save_round_trip(tmp_path):
-    d = example1_padded(4)
+    d = padded_law(example1(4), example1_code(4))
     path = tmp_path / "dist.txt"
     path.write_text("".join(f"{int(o)} {float(p)!r}\n" for o, p in zip(d.outcomes, d.probs)))
     d2 = load_distribution(path)

@@ -49,11 +49,11 @@ def test_trial_rng_is_order_independent():
 
 
 def test_parse_dist_specs(tmp_path):
-    assert parse_dist("uniform:8").support_size == 8
-    assert parse_dist("example1:4").support_size == 16
+    assert parse_dist("uniform:8").probs.size == 8
+    assert parse_dist("example1:4").probs.size == 16
     path = tmp_path / "d.txt"
     path.write_text("0 0.5\n1 0.5\n")
-    assert parse_dist(f"file:{path}").support_size == 2
+    assert parse_dist(f"file:{path}").probs.size == 2
     with pytest.raises(ValueError):
         parse_dist("nope:1")
 

@@ -93,10 +93,16 @@ def test_load_table_reads_ids_and_comments(tmp_path):
         ("0 0\n1 10\n1 11\n", "line 3: id 1 appears twice"),
         ("0 0.5\n1 0.25 0.25\n", "line 2: expected 'id value', got 3 fields"),
         ("0 0.5\n1\n", "line 2: expected 'id value', got 1 fields"),
-        ("x 0.5\n", "line 1: invalid literal"),
+        ("x 0.5\n", "line 1: 'x' is not a canonical decimal integer"),
         ("0 half\n", "line 1: could not convert"),
+        # ids read once in one spelling only: these loaded as 0, 10 and 3
+        ("+0 0.5\n", "line 1: '+0' is not a canonical decimal integer"),
+        ("0 0.5\n1_0 0.5\n", "line 2: '1_0' is not a canonical decimal integer"),
+        ("\u0663 1.0\n", "line 1: '\u0663' is not a canonical decimal integer"),
+        ("07 1.0\n", "line 1: '07' is not a canonical decimal integer"),
     ],
-    ids=["duplicate-id", "three-fields", "one-field", "bad-id", "bad-value"],
+    ids=["duplicate-id", "three-fields", "one-field", "bad-id", "bad-value",
+         "plus-sign", "digit-separator", "arabic-indic-digit", "leading-zero"],
 )
 def test_load_table_rejects_malformed_lines(tmp_path, body, why):
     path = tmp_path / "table.txt"

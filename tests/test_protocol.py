@@ -93,7 +93,7 @@ def test_store_is_reproducible_bit_for_bit():
 
 def test_noiseless_completeness_small():
     inst = params_a()
-    assert {inst.prefix_code.codewords[m].length for m in range(4)} == {13}  # no padding
+    assert {inst.prefix_code.codeword(m).length for m in range(4)} == {13}  # no padding
     rng = np.random.default_rng(1)
     for message in range(4):
         for _ in range(25):
@@ -107,7 +107,7 @@ def test_noiseless_completeness_with_compression():
     # unequal codeword lengths: message 4095 compresses to one bit and
     # carries 12 bits of random padding
     inst = params_a()
-    lengths = {m: inst.prefix_code.codewords[m].length for m in (0, 4095)}
+    lengths = {m: inst.prefix_code.codeword(m).length for m in (0, 4095)}
     assert lengths == {0: 13, 4095: 1}
     rng = np.random.default_rng(2)
     for message in lengths:

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamperstore.bits import Bits
-from tamperstore.entropy import (
-    DiscreteDistribution,
-    example1,
-    example1_padded,
-    shannon_entropy,
-)
+from tamperstore.entropy import DiscreteDistribution, example1, load_distribution, shannon_entropy
 from tamperstore.gf2 import GF2Field, NonInvertibleError
 from tamperstore.randomizer import (
     ParseError,
@@ -25,8 +20,10 @@ from tamperstore.randomizer import (
     decompress,
     derandomize,
     example1_code,
+    padded_law,
     randomize,
 )
+from reference import example1_table
 
 
 def dist(*probs):
@@ -251,22 +248,69 @@ def test_seed_of_another_length_rejected(seed_len):
         derandomize(Bits.zeros(4), Bits.zeros(4), seed)
 
 
-@pytest.mark.parametrize("L", range(1, 7))
-def test_example1_padded_is_the_law_of_compress(L):
-    # the randomiser is certified on example1_padded(L); it must be exactly
-    # what compress(m, example1_code(L)) emits for m drawn from example1(L)
-    # and a uniform padding word: the codeword of m followed by the padding
-    code, source = example1_code(L), example1(L)
+def law_of_compress(source: DiscreteDistribution, code: PrefixCode) -> dict[int, float]:
+    """{padded value: probability} by running compress over every padding:
+    the codeword of m followed by each tail, high padding bits dropped."""
     law = {}
-    for m, p in zip(source.outcomes, source.probs):
-        codeword = code.codewords[int(m)]
+    for m, p in zip(source.outcomes.tolist(), source.probs.tolist()):
+        codeword = code.codeword(m)
         pad = code.max_len - codeword.length
         for tail in range(1 << pad):
-            padded = compress(int(m), code, tail | (tail + 1) << pad)  # high bits dropped
+            padded = compress(m, code, tail | (tail + 1) << pad)  # high bits dropped
             assert padded == codeword.concat(Bits(tail, pad))
-            law[padded.value] = law.get(padded.value, 0.0) + float(p) / (1 << pad)
-    padded_dist = example1_padded(L)
-    assert dict(zip(padded_dist.outcomes.tolist(), padded_dist.probs.tolist())) == law
+            law[padded.value] = law.get(padded.value, 0.0) + p / (1 << pad)
+    return law
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_example1_padded_is_the_law_of_compress(L):
+    # the randomiser is certified on the padded law of example1(L); it must
+    # be exactly what compress(m, example1_code(L)) emits for m drawn from
+    # example1(L) and a uniform padding word
+    code, source = example1_code(L), example1(L)
+    law = padded_law(source, code)
+    assert dict(zip(law.outcomes.tolist(), law.probs.tolist())) == law_of_compress(source, code)
+
+
+def test_padded_law_of_a_file_table_is_the_law_of_compress(tmp_path):
+    # a Huffman code of unequal lengths, read from a "file:" table
+    path = tmp_path / "dist.txt"
+    path.write_text("3 0.4\n0 0.25\n7 0.15\n1 0.1\n2 0.06\n5 0.04\n")
+    source = load_distribution(path)
+    code = build_prefix_code(source)
+    assert len({code.codeword(m).length for m in (3, 0, 7, 1, 2, 5)}) > 2
+    law = padded_law(source, code)
+    assert dict(zip(law.outcomes.tolist(), law.probs.tolist())) == law_of_compress(source, code)
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_example1_code_is_its_table(L):
+    # the closed form against a table built from the rule as strings: every
+    # codeword, every message off the code, and parse of every (L+1)-bit word
+    code, table = example1_code(L), PrefixCode(example1_table(L))
+    assert code.max_len == table.max_len == L + 1
+    for m in range(1 << L):
+        assert code.codeword(m) == table.codeword(m)
+    for m in (-1, 1 << L, 1.5, "0"):
+        with pytest.raises(UnknownMessageError):
+            code.codeword(m)
+    for value in range(1 << (L + 1)):
+        word = Bits(value, L + 1)
+        try:
+            expected = table.parse(word)
+        except ParseError:
+            with pytest.raises(ParseError):
+                code.parse(word)
+        else:
+            assert code.parse(word) == expected
+    for length in range(L + 1):  # only '1' fits in a word shorter than L + 1
+        for value in range(1 << length):
+            word = Bits(value, length)
+            if value & 1:
+                assert code.parse(word) == table.parse(word) == ((1 << L) - 1, 1)
+            else:
+                with pytest.raises(ParseError):
+                    code.parse(word)
 
 
 def test_statistical_distance_exact_convolution():
@@ -293,7 +337,7 @@ def test_statistical_distance_exact_convolution():
     log = np.empty(size, dtype=np.int64)
     log[exp] = np.arange(group)
 
-    padded_dist = example1_padded(L)
+    padded_dist = padded_law(example1(L), example1_code(L))
     ids = padded_dist.outcomes
     probs = padded_dist.probs
     bins = np.zeros(1 << ell)
@@ -337,11 +381,15 @@ def test_code_file_refusals_name_the_file(tmp_path, text, refusal):
 
 
 def test_example1_code_dump_is_pinned(tmp_path):
-    """example1:12 builds its codewords as ints; the table is the one that
-    '0' + the 12 bits of mu gave, pinned by the SHA-256 of its dump."""
+    """example1:12 writes a one-line record; its codewords, built as ints,
+    are the table that '0' + the 12 bits of mu gave, pinned by the SHA-256
+    of that table's text."""
+    code = example1_code(12)
     path = tmp_path / "example1.txt"
-    example1_code(12).dump(path)
-    text = path.read_text()
+    code.dump(path)
+    assert path.read_text() == "# tamperstore prefix_code v1\nsource = str:example1:12\n"
+    assert PrefixCode.load(path) == code
+    text = "".join(f"{m} {code.codeword(m).to_01()}\n" for m in range(4096))
     assert text.splitlines()[:2] == ["0 0000000000000", "1 0100000000000"]
     assert text.splitlines()[-1] == "4095 1"
     assert hashlib.sha256(text.encode()).hexdigest() == (

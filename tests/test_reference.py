@@ -70,7 +70,7 @@ def test_zero_seed_trial_matches_per_call_draws_and_reference(strategy):
     bundle, secrets = instance.store(message, rng)
 
     total = params.n + params.r
-    padding = Bits.random(params.ell0 - prefix_code.codewords[message].length, calls)
+    padding = Bits.random(params.ell0 - prefix_code.codeword(message).length, calls)
     seeds = [Bits.random(params.ell0, calls)]
     while seeds[-1].value == 0:
         seeds.append(Bits.random(params.ell0, calls))
@@ -127,7 +127,8 @@ def run_side_by_side(name, strategy, rng, ref_rng, edit=None):
     ref_bundle)``, if given, changes both bundles alike before retrieve.
     Returns the outcome (omega, message, abort reason)."""
     instance, h = instance_and_h(name)
-    params, code, prefix_code = instance.params, instance.code, instance.prefix_code
+    params, code = instance.params, instance.code
+    table = reference.example1_table(12)
 
     def check(step):
         fields = ("w", "u", "c", "theta")
@@ -143,7 +144,7 @@ def run_side_by_side(name, strategy, rng, ref_rng, edit=None):
     assert state(rng) == state(ref_rng)
 
     bundle, secrets = instance.store(message, rng)
-    ref_bundle, ref_secrets = reference.store(message, params, h, prefix_code, ref_rng)
+    ref_bundle, ref_secrets = reference.store(message, params, h, table, ref_rng)
     check("store")
 
     if strategy != "passive":
@@ -159,7 +160,7 @@ def run_side_by_side(name, strategy, rng, ref_rng, edit=None):
         check("edit")
 
     out = instance.retrieve(bundle, secrets, rng)
-    expected = reference.retrieve(ref_bundle, ref_secrets, params, code, h, prefix_code, ref_rng)
+    expected = reference.retrieve(ref_bundle, ref_secrets, params, code, h, table, ref_rng)
     assert (out.omega, out.message, out.abort_reason) == expected
     check("retrieve")
     return expected

@@ -18,12 +18,12 @@ import pytest
 
 from tamperstore import kv
 from tamperstore.bits import Bits, random_words
-from tamperstore.entropy import DiscreteDistribution, example1, example1_padded, uniform
+from tamperstore.entropy import DiscreteDistribution, example1, uniform
 from tamperstore.experiments import trial_rng
 from tamperstore.gf2 import GF2Field
 from tamperstore.protocol import ProtocolInstance, _draw_padding_seed_cells
 from tamperstore.qsim import EveView, InterceptResend, _random_cells
-from tamperstore.randomizer import example1_code
+from tamperstore.randomizer import example1_code, padded_law
 
 # SHA-256 of four trials at each params set, recorded before the draws
 # took their cheaper forms; see _stream_digest.
@@ -164,7 +164,7 @@ def test_random_many_equals_one_bytes_call_per_string(bit_generator, prior_words
 
 DISTRIBUTIONS = {
     "example1(L=12)": example1(12),
-    "example1_padded(L=4)": example1_padded(4),
+    "example1_padded(L=4)": padded_law(example1(4), example1_code(4)),
     "uniform(1)": uniform(1),
     "uniform(7)": uniform(7),
     "skewed": DiscreteDistribution(np.array([5, 2, 9]), np.array([0.1, 0.6, 0.3])),
