@@ -10,7 +10,6 @@ import numpy as np
 
 from tamperstore import (
     binary_entropy,
-    example1,
     example1_code,
     extractable_length,
     min_entropy,
@@ -21,8 +20,9 @@ from tamperstore import (
 )
 
 L = 12
-messages = example1(L)
-padded = padded_law(messages, example1_code(L))
+code = example1_code(L)
+messages = code.law  # example1(L), the source the code was built for
+padded = padded_law(code)
 
 print(f"source with 2^{L} messages, one of probability 1/2")
 print(f"  min-entropy          H_min = {min_entropy(messages):.6f}")

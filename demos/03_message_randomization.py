@@ -23,7 +23,7 @@ code = build_prefix_code(dist)
 print("Huffman codewords (transmission order):")
 for message in range(4):
     print(f"  message {message}: {code.codewords[message].to_01()}")
-print(f"padded length l0 = {code.max_len}, average = {code.average_length(dist):.3f} bits")
+print(f"padded length l0 = {code.max_len}, average = {code.average_length():.3f} bits")
 
 ###############################################################################
 # compress pads every codeword to l0 with the caller's random bits (it keeps
@@ -31,13 +31,13 @@ print(f"padded length l0 = {code.max_len}, average = {code.average_length(dist):
 # codeword prefix and throws the padding away.
 
 
-def padding():
-    return Bits.random(code.max_len, rng).value
+def pad(message):
+    return compress(code.codeword(message), code.max_len, Bits.random(code.max_len, rng).value)
 
 
 for message in (0, 3):
     for _ in range(3):
-        padded = compress(message, code, padding())
+        padded = pad(message)
         assert decompress(padded, code) == message
         print(f"  {message} -> {padded.to_01()} -> {decompress(padded, code)}")
 
@@ -48,7 +48,7 @@ for message in (0, 3):
 l0, ell = code.max_len, 2
 field = GF2Field(l0)
 w = field.random_nonzero(rng)
-padded = compress(1, code, padding())
+padded = pad(1)
 out = randomize(padded, w, ell)
 print(f"seed w = {w.value:#x}")
 print(f"m       = {out.m.to_01()}   (length {ell}, goes into the ciphertext)")
@@ -66,7 +66,7 @@ counts = np.zeros(1 << ell)
 trials = 20_000
 for _ in range(trials):
     message = int(dist.sample(rng))
-    padded = compress(message, code, padding())
+    padded = pad(message)
     w = field.random_nonzero(rng)
     counts[randomize(padded, w, ell).m.value] += 1
 print("empirical distribution of m:", np.array2string(counts / trials, precision=4))

@@ -23,7 +23,7 @@ config = ExperimentConfig(
     "tamper", epsilon=0.05, beta0=0.0, ell=4, dist="example1:12",
     strategy="intercept-resend/random-basis", trials=300, master_seed=55,
 )
-instance, _ = build_instance(config)
+instance = build_instance(config)
 p = instance.params
 threshold = int(np.floor(p.beta * p.r))
 print(f"r = {p.r} traps, accepted errors <= beta r = {threshold}")

@@ -17,6 +17,7 @@ import numpy as np
 from . import kv
 
 _SUM_TOL = 1e-12
+ETA_GRID_POINTS = 1024  # the smoothing levels extractable_length tries
 
 
 class UnsupportedOrderError(ValueError):
@@ -175,17 +176,15 @@ def _smooth_renyi2_grid(dist: DiscreteDistribution, etas: np.ndarray) -> np.ndar
     return -np.log2(out)
 
 
-def extractable_length(
-    dist: DiscreteDistribution, eps0: float, grid_points: int = 1024
-) -> int:
+def extractable_length(dist: DiscreteDistribution, eps0: float) -> int:
     """Bits of near-uniform randomness extractable at non-uniformity eps0.
 
-    Maximises floor(H2^eta + 2 - log(1/(eps0*(eps0 - eta)))) over an evenly
-    spaced eta grid in [0, eps0); never negative.
+    Maximises floor(H2^eta + 2 - log(1/(eps0*(eps0 - eta)))) over
+    ETA_GRID_POINTS evenly spaced eta in [0, eps0); never negative.
     """
     if not 0 < eps0 < 1:
         raise ValueError("eps0 outside (0, 1)")
-    etas = np.linspace(0.0, eps0, grid_points, endpoint=False)
+    etas = np.linspace(0.0, eps0, ETA_GRID_POINTS, endpoint=False)
     h2 = _smooth_renyi2_grid(dist, etas)
     lengths = np.floor(h2 + 2 - np.log2(1.0 / (eps0 * (eps0 - etas))))
     return max(0, int(lengths.max()))

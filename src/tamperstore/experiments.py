@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .entropy import DiscreteDistribution, parse_dist
+from .entropy import parse_dist
 from .params import ProtocolParams, correctness_bound
 from .protocol import ProtocolInstance, ServerBundle
 from .qsim import ClassicalTamper, EveStrategy, EveView, InterceptResend, PassiveEve
@@ -153,11 +153,10 @@ def _verdict(bound: float, low: float) -> str:
     return "violated" if low > bound else "consistent"
 
 
-def build_instance(config: ExperimentConfig) -> tuple[ProtocolInstance, DiscreteDistribution]:
-    dist = parse_dist(config.dist)
-    prefix = prefix_code_for(config.dist, dist)
-    instance = ProtocolInstance.derive(config.epsilon, config.beta0, config.ell, prefix)
-    return instance, dist
+def build_instance(config: ExperimentConfig) -> ProtocolInstance:
+    """The session of ``config``; its prefix code carries the law of ``config.dist``."""
+    prefix = prefix_code_for(config.dist, parse_dist(config.dist))
+    return ProtocolInstance.derive(config.epsilon, config.beta0, config.ell, prefix)
 
 
 def _apply_strategy(
@@ -236,24 +235,21 @@ def _run(
     counted,
     bound,
 ) -> ExperimentReport:
-    """The trial loop and report shared by both scenarios.
+    """The trial loop and report of both scenarios, on messages drawn from the session's law.
 
     ``counted(outcome, message)`` says whether a trial is an event;
     ``bound(params, strategy)`` returns the (name, value) it is held to.
     """
     if config.scenario != scenario:
         raise ValueError(f"config.scenario must be {scenario!r}")
-    if instance is None:
-        instance, dist = build_instance(config)
-    else:
-        dist = parse_dist(config.dist)
+    instance = instance or build_instance(config)
     strategy = make_strategy(config.strategy)
     events = 0
     proxies = []
     outcomes = []
     for index in range(config.trials):
         rng = trial_rng(config.master_seed, index)
-        message = int(dist.sample(rng))
+        message = int(instance.prefix_code.law.sample(rng))
         bundle, secrets = instance.store(message, rng)
         instance.apply_noise(bundle, rng)
         bundle, transcript = _apply_strategy(strategy, bundle, instance.params, rng)

@@ -158,8 +158,8 @@ def decimal(text: str) -> int:
 
 
 def load_table(path, convert) -> dict:
-    """{id: convert(value)} from "id value" lines (# comments); a line without
-    two fields, a bad id or value, or a repeated id raises ValueError naming it."""
+    """{id: convert(value)} from "id value" lines (# comments); a line without two
+    fields, a bad id or value, an id outside int64 or a repeated id raises ValueError naming it."""
     table = {}
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -170,6 +170,8 @@ def load_table(path, convert) -> dict:
                 if len(fields) != 2:
                     raise ValueError(f"expected 'id value', got {len(fields)} fields")
                 ident, value = decimal(fields[0]), convert(fields[1])
+                if not -(1 << 63) <= ident < 1 << 63:
+                    raise ValueError(f"id {ident} is outside int64")
                 if ident in table:
                     raise ValueError(f"id {ident} appears twice")
             except ValueError as exc:

@@ -221,12 +221,10 @@ def store(
     session: ProtocolInstance, message: int, rng: np.random.Generator
 ) -> tuple[ServerBundle, ClientSecrets]:
     """Steps 1-5: compress, randomise, prepare qubits, pad, tag."""
-    params, code, prefix_code = session.params, session.code, session.prefix_code
-    total = params.n + params.r
-    padding, w, xi = _draw_padding_seed_cells(
-        params.ell0 - prefix_code.codeword(message).length, params.ell0, total, rng
-    )
-    m0 = compress(message, prefix_code, padding)
+    params, code = session.params, session.code
+    total, cw = params.n + params.r, session.prefix_code.codeword(message)
+    padding, w, xi = _draw_padding_seed_cells(params.ell0 - cw.length, params.ell0, total, rng)
+    m0 = compress(cw, params.ell0, padding)
     rm = randomize(m0, w, params.ell)
 
     layout = TrapLayout.random(total, params.r, rng)
@@ -240,13 +238,7 @@ def store(
     z = one_time_pad(u, Bits.from_array(cells), params.ell)
     c = rm.m ^ z
 
-    bundle = ServerBundle(
-        w=w,
-        u=u,
-        c=c,
-        theta=tag(mac_key, _transcript(w, u, c)),
-        register=register,
-    )
+    bundle = ServerBundle(w, u, c, tag(mac_key, _transcript(w, u, c)), register)
     secrets = ClientSecrets(mac_key=mac_key, layout=layout, v=v, s=s, m_nabla=rm.m_nabla)
     return bundle, secrets
 

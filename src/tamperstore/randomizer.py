@@ -1,8 +1,8 @@
 """Message preparation: prefix-code compression with random padding, then
 invertible extraction through the truncated multiplicative hash.
 
-``compress`` maps every message to a fixed-length string whose tail is
-padding the caller draws uniform; because the code is prefix-free the
+``compress`` pads every message's codeword to a fixed-length string whose
+tail the caller draws uniform; because the code is prefix-free the
 padding needs no delimiter and costs nothing to remember.  ``randomize``
 multiplies that string, as an element of GF(2^l0), by a nonzero seed w of
 the same length and splits the product into the near-uniform part ``m``
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kv
 from .bits import Bits
-from .entropy import DiscreteDistribution, parse_dist
+from .entropy import DiscreteDistribution, example1, parse_dist
 from .gf2 import GF2Field, NonInvertibleError
 
 
@@ -34,17 +35,18 @@ class UnknownMessageError(ValueError):
 @dataclass(frozen=True)
 class PrefixCode:
     codewords: dict[int, Bits]
+    # the message law the code was built for; a table read back from a file has none
+    law: DiscreteDistribution | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.codewords:
             raise ValueError("empty codeword table")
-        decode = {
-            (cw.length, cw.value): message for message, cw in self.codewords.items()
-        }
+        if self.law is not None and not self.codewords.keys() >= set(self.law.outcomes.tolist()):
+            raise ValueError("the law has a message with no codeword")
+        decode = {(cw.length, cw.value): message for message, cw in self.codewords.items()}
         if len(decode) != len(self.codewords):
             raise ValueError("duplicate codewords")
-        # a prefix-free binary table has Kraft sum <= 1, so there is no
-        # separate Kraft check
+        # a prefix-free binary table has Kraft sum <= 1: no separate Kraft check
         strings = sorted(cw.to_01() for cw in self.codewords.values())
         for a, b in zip(strings, strings[1:]):
             if b.startswith(a):
@@ -68,10 +70,9 @@ class PrefixCode:
                 f"message {message} has no codeword in the prefix code"
             ) from None
 
-    def average_length(self, dist: DiscreteDistribution) -> float:
-        return float(
-            sum(p * self.codeword(int(o)).length for o, p in zip(dist.outcomes, dist.probs))
-        )
+    def average_length(self) -> float:
+        law = _law(self)
+        return float(sum(p * self.codeword(int(o)).length for o, p in zip(law.outcomes, law.probs)))
 
     def parse(self, word: Bits) -> tuple[int, int]:
         """Parse the unique codeword prefix; returns (message, codeword length)."""
@@ -93,10 +94,14 @@ class PrefixCode:
 
     @classmethod
     def load(cls, path) -> "PrefixCode":
-        """The code in ``path``, a record or a table; a refused file is a ValueError naming it."""
+        """The record or law-less table in ``path``; a refused file is a ValueError naming it."""
         with open(path, "rb") as fh:
-            if fh.readline().startswith(b"# tamperstore "):
-                return kv.load(path, "prefix_code", Example1Code.from_kv)
+            headers = (n for n, line in enumerate(fh, 1) if line.startswith(b"# tamperstore "))
+            header = next(headers, 0)  # the line of the first record header, 0 for none
+        if header == 1:
+            return kv.load(path, "prefix_code", Example1Code.from_kv)
+        if header:
+            raise ValueError(f"{path}, line {header}: a record's header must be on line 1")
         table = kv.load_table(path, Bits.from_01)
         try:
             return cls(table)
@@ -105,7 +110,7 @@ class PrefixCode:
 
 
 def build_prefix_code(dist: DiscreteDistribution) -> PrefixCode:
-    """Huffman code with deterministic tie-breaking (stable by message id)."""
+    """Huffman code of ``dist``, its law, with deterministic tie-breaking (stable by message id)."""
     order = np.argsort(dist.outcomes)
     heap = [(float(dist.probs[i]), seq, int(dist.outcomes[i])) for seq, i in enumerate(order)]
     heapq.heapify(heap)
@@ -120,7 +125,7 @@ def build_prefix_code(dist: DiscreteDistribution) -> PrefixCode:
             stack += [(node[0], word.concat(Bits(0, 1))), (node[1], word.concat(Bits(1, 1)))]
         else:
             table[node] = word
-    return PrefixCode(table)
+    return PrefixCode(table, dist)
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,9 @@ class Example1Code(PrefixCode):
     message 2^L - 1 is '1', any other mu is '0' and the L bits of mu."""
 
     codewords: None = field(default=None, init=False, repr=False, compare=False)  # no table
+    law: DiscreteDistribution = field(  # example1(L), built the first time it is read
+        default=cached_property(lambda c: example1(c.L)), init=False, compare=False, repr=False
+    )
     L: int
 
     def __post_init__(self):
@@ -169,33 +177,37 @@ example1_code = Example1Code
 
 def prefix_code_for(spec: str, dist: DiscreteDistribution | None = None) -> PrefixCode:
     """The explicit code of "example1:<L>", else the Huffman code of the
-    distribution ``spec`` names.  A caller that has read that distribution
-    passes it as ``dist``, so a "file:" table is read once."""
+    distribution ``spec`` names; either carries that distribution as its law.
+    A caller that has read it passes it as ``dist``, so a "file:" table is read once."""
     kind, _, arg = spec.partition(":")
     if kind == "example1":
         return example1_code(kv.decimal(arg))
     return build_prefix_code(parse_dist(spec) if dist is None else dist)
 
 
-def compress(message: int, code: PrefixCode, padding: int) -> Bits:
-    """Codeword followed by padding up to the longest-codeword length.
+def compress(codeword: Bits, l0: int, padding: int) -> Bits:
+    """A message's codeword followed by padding up to l0, the code's ``max_len``.
 
-    The padding is the first max_len - len(codeword) bits of the
-    nonnegative int ``padding``; its higher bits are dropped.  The caller
-    draws it uniform, so the output's tail is uniform and needs no
-    delimiter.
+    The padding is the first l0 - len(codeword) bits of the nonnegative int
+    ``padding``; its higher bits are dropped.  The caller draws it uniform,
+    so the output's tail is uniform and needs no delimiter.
     """
-    cw, l0 = code.codeword(message), code.max_len
-    pad_mask = (1 << (l0 - cw.length)) - 1
-    return Bits(cw.value | ((padding & pad_mask) << cw.length), l0)
+    pad_mask = (1 << (l0 - codeword.length)) - 1
+    return Bits(codeword.value | ((padding & pad_mask) << codeword.length), l0)
 
 
-def padded_law(dist: DiscreteDistribution, code: PrefixCode) -> DiscreteDistribution:
-    """The law of :func:`compress` for m drawn from ``dist`` and a uniform
+def _law(code: PrefixCode) -> DiscreteDistribution:
+    if code.law is None:
+        raise ValueError("the prefix code has no law (a table read from a file has none)")
+    return code.law
+
+
+def padded_law(code: PrefixCode) -> DiscreteDistribution:
+    """The law of :func:`compress` for m drawn from ``code.law`` and a uniform
     padding: m's codeword followed by any one of its 2^pad tails has p(m) / 2^pad.
     Outcome ids are the padded strings as int64, so ``code.max_len`` is below 64."""
-    ids, probs = [], []
-    for message, p in zip(dist.outcomes.tolist(), dist.probs.tolist()):
+    ids, probs, law = [], [], _law(code)
+    for message, p in zip(law.outcomes.tolist(), law.probs.tolist()):
         cw = code.codeword(message)
         pad = code.max_len - cw.length
         ids.append(np.arange(1 << pad, dtype=np.int64) << cw.length | cw.value)
@@ -205,8 +217,7 @@ def padded_law(dist: DiscreteDistribution, code: PrefixCode) -> DiscreteDistribu
 
 def decompress(padded: Bits, code: PrefixCode) -> int:
     """Parse the unique codeword prefix and discard the padding."""
-    message, _ = code.parse(padded)
-    return message
+    return code.parse(padded)[0]
 
 
 @dataclass(frozen=True)

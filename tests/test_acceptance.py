@@ -172,7 +172,7 @@ def test_criterion_7_entropy_toolkit():
     ok = abs(min_entropy(example1(12)) - 1.0) <= 1e-12
     ok &= abs(renyi_entropy(example1(16), 2) - 2.0) <= 2**-12
     L = 12
-    padded = padded_law(example1(L), example1_code(L))
+    padded = padded_law(example1_code(L))
     ok &= abs(min_entropy(padded) - (math.log2(2**L - 1) + 1)) <= 1e-9
 
     rng = np.random.default_rng(7)

@@ -593,6 +593,30 @@ def test_store_dist_file_with_three_fields_is_an_error(capsys, tmp_path):
     assert not (tmp_path / "session").exists()
 
 
+@pytest.mark.parametrize("ident", ["99999999999999999999", str(1 << 63), str(-(1 << 63) - 1)])
+def test_store_dist_file_with_an_id_outside_int64_is_an_error(capsys, tmp_path, ident):
+    # such an id once escaped as an OverflowError traceback
+    dist = tmp_path / "big.txt"
+    dist.write_text(f"0 0.5\n{ident} 0.5\n")
+    code, out, err = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "1",
+        "--dist", f"file:{dist}", "--message", "0", "--out", str(tmp_path / "session"),
+    )
+    assert code == 1
+    assert err == f"error: {dist}, line 2: id {ident} is outside int64\n"
+    assert out == "" and not (tmp_path / "session").exists()
+
+
+def test_store_dist_file_with_the_int64_extremes_stores(capsys, tmp_path):
+    dist = tmp_path / "dist.txt"
+    dist.write_text(f"{-(1 << 63)} 0.5\n{(1 << 63) - 1} 0.5\n")
+    code, _, err = run(
+        capsys, "store", "--epsilon", "0.05", "--ber", "0.0", "--ell", "1",
+        "--dist", f"file:{dist}", "--message", str((1 << 63) - 1), "--out", str(tmp_path / "s"),
+    )
+    assert (code, err) == (0, "")
+
+
 def test_selftest_fails_when_the_decoder_does_not_correct(capsys, monkeypatch):
     import numpy as np
 

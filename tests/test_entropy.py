@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from tamperstore import entropy
 from tamperstore.entropy import (
     DiscreteDistribution,
     UnsupportedOrderError,
@@ -94,7 +95,7 @@ def test_shannon():
 def test_min_entropy_values():
     L = 12
     assert min_entropy(example1(L)) == pytest.approx(1.0, abs=1e-12)
-    assert min_entropy(padded_law(example1(L), example1_code(L))) == pytest.approx(
+    assert min_entropy(padded_law(example1_code(L))) == pytest.approx(
         math.log2(2**L - 1) + 1, abs=1e-12
     )
     assert min_entropy(uniform(100)) == pytest.approx(math.log2(100), abs=1e-12)
@@ -169,7 +170,7 @@ def test_extractable_length_uniform_at_eta_zero():
 
 
 def test_extractable_length_monotone_in_eps0():
-    p = padded_law(example1(8), example1_code(8))
+    p = padded_law(example1_code(8))
     lengths = [extractable_length(p, e) for e in (0.01, 0.05, 0.1, 0.25)]
     assert lengths == sorted(lengths)
 
@@ -178,11 +179,13 @@ def test_extractable_length_never_negative():
     assert extractable_length(uniform(4), 2**-8) == 0
 
 
-def test_extractable_length_two_level_oracle():
-    # independent eta-grid x capping search, naive implementation
-    p = padded_law(example1(12), example1_code(12))
+def test_extractable_length_two_level_oracle(monkeypatch):
+    # independent eta-grid x capping search, naive implementation, on a
+    # coarser grid than ETA_GRID_POINTS to keep the naive search short
+    p = padded_law(example1_code(12))
     eps0 = 2**-8
     grid_points = 64
+    monkeypatch.setattr(entropy, "ETA_GRID_POINTS", grid_points)
 
     def naive_smooth_h2(probs, eta):
         desc = np.sort(probs)[::-1]
@@ -202,12 +205,12 @@ def test_extractable_length_two_level_oracle():
         h2 = naive_smooth_h2(p.probs, eta)
         best = max(best, math.floor(h2 + 2 - math.log2(1 / (eps0 * (eps0 - eta)))))
     oracle = max(0, int(best))
-    assert extractable_length(p, eps0, grid_points=grid_points) == oracle
+    assert extractable_length(p, eps0) == oracle
 
 
 def test_extractable_length_example1_l10():
     # the value used by the randomiser statistical-distance test
-    assert extractable_length(padded_law(example1(10), example1_code(10)), 1 / 16) == 4
+    assert extractable_length(padded_law(example1_code(10)), 1 / 16) == 4
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -230,7 +233,7 @@ def test_load_distribution_refuses_non_finite_probabilities(tmp_path, value):
 
 
 def test_load_save_round_trip(tmp_path):
-    d = padded_law(example1(4), example1_code(4))
+    d = padded_law(example1_code(4))
     path = tmp_path / "dist.txt"
     path.write_text("".join(f"{int(o)} {float(p)!r}\n" for o, p in zip(d.outcomes, d.probs)))
     d2 = load_distribution(path)

@@ -23,7 +23,7 @@ from tamperstore.experiments import (
 from tamperstore.params import derive_params
 from tamperstore.protocol import ProtocolInstance
 from tamperstore.qsim import ClassicalTamper, InterceptResend, PassiveEve, apply_storage_noise
-from tamperstore.randomizer import build_prefix_code, example1_code, prefix_code_for
+from tamperstore.randomizer import build_prefix_code, example1_code, padded_law, prefix_code_for
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +66,9 @@ def test_build_instance_reads_a_file_table_once(tmp_path, monkeypatch):
     load_table = kv.load_table
     monkeypatch.setattr(kv, "load_table", lambda *args: reads.append(args) or load_table(*args))
     config = ExperimentConfig("correctness", 0.05, 0.0, 4, dist=f"file:{path}")
-    instance, dist = build_instance(config)
+    instance = build_instance(config)
     assert len(reads) == 1
+    dist = instance.prefix_code.law
     assert instance.prefix_code == build_prefix_code(dist)
     # both stay callable with the spec alone, one read each
     assert prefix_code_for(config.dist) == instance.prefix_code and len(reads) == 2
@@ -323,3 +324,19 @@ def test_simulate_correctness_with_attack_is_an_error(capsys):
     assert code == 1
     assert err.startswith("error:") and "passive" in err
     assert "Traceback" not in err and "retrieval_failure" not in out
+
+
+@pytest.mark.parametrize("spec", ["example1:4", "uniform:8", "file:"])
+def test_a_derived_session_carries_the_law_of_its_dist(tmp_path, spec):
+    # the law reaches the session through its prefix code alone, and the
+    # padded law, which the randomiser is certified on, is read off that code
+    if spec == "file:":
+        path = tmp_path / "d.txt"
+        path.write_text("3 0.4\n0 0.25\n7 0.15\n1 0.1\n2 0.06\n5 0.04\n")
+        spec += str(path)
+    instance = ProtocolInstance.derive(0.05, 0.0, 2, prefix_code_for(spec))
+    law, named = instance.prefix_code.law, parse_dist(spec)
+    assert np.array_equal(law.outcomes, named.outcomes) and np.array_equal(law.probs, named.probs)
+    padded = padded_law(instance.prefix_code)
+    assert padded.probs.sum() == pytest.approx(1.0)
+    assert 0 <= padded.outcomes.min() and padded.outcomes.max() < 1 << instance.params.ell0

@@ -8,10 +8,12 @@ No linter is installed, so these parses are the guard against dead imports
 and against code that only tests reach.  ``__init__.py`` is skipped: its
 imports are the package's re-exports.  ``bench/`` is left out of the import
 check, since its probes import modules in order to time them, but counts as
-a user of the package.
+a user of the package, and every package name it imports must resolve.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -21,7 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tamperstore"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-USERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+USERS = sorted((ROOT / "demos").glob("*.py")) + BENCH
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -72,6 +75,57 @@ def test_no_unused_imports(module):
 def test_checker_sees_an_unused_import():
     tree = ast.parse("import os\nfrom x import y as z\ndef f(a: z) -> None:\n    pass\n")
     assert set(_imported(tree)) - _referenced(tree) == {"os"}
+
+
+def _unresolved_package_imports(tree: ast.Module) -> list[str]:
+    """Each ``import tamperstore...`` module and ``from tamperstore... import
+    name`` in ``tree`` that the package does not have, as "module.name (line)"."""
+    def found(module: str, name: str | None) -> bool:
+        if importlib.util.find_spec(module) is None:
+            return False
+        if name is None:
+            return True
+        imported = importlib.import_module(module)
+        if hasattr(imported, name):
+            return True
+        is_package = hasattr(imported, "__path__")
+        return is_package and importlib.util.find_spec(f"{module}.{name}") is not None
+
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            pairs = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        missing += [
+            f"{module}{'' if name is None else '.' + name} (line {node.lineno})"
+            for module, name in pairs
+            if module.partition(".")[0] == "tamperstore" and not found(module, name)
+        ]
+    return missing
+
+
+@pytest.mark.parametrize("script", BENCH, ids=[p.stem for p in BENCH])
+def test_every_package_name_the_bench_imports_resolves(script):
+    # the benchmark is run as it stands against each change of the package:
+    # parse it, never run it, and look up each name it imports from the package
+    tree = ast.parse(script.read_text(), filename=str(script))
+    missing = _unresolved_package_imports(tree)
+    assert not missing, f"bench/{script.name} imports what the package lacks: {', '.join(missing)}"
+
+
+def test_checker_sees_an_unresolved_package_import():
+    tree = ast.parse(
+        "import tamperstore.cli\nimport tamperstore.nope\nimport os\n"
+        "from tamperstore import kv, nope\nfrom tamperstore.experiments import parse_dist, gone\n"
+        "def f():\n    from tamperstore.randomizer import PrefixCode, padded\n"
+    )
+    assert _unresolved_package_imports(tree) == [
+        "tamperstore.nope (line 2)", "tamperstore.nope (line 4)",
+        "tamperstore.experiments.gone (line 5)", "tamperstore.randomizer.padded (line 7)",
+    ]
 
 
 def _defined(tree: ast.Module) -> set[str]:

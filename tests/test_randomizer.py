@@ -64,7 +64,7 @@ def test_huffman_average_length_bounds():
         raw = rng.random(8) + 0.05
         d = dist(*(raw / raw.sum()))
         code = build_prefix_code(d)
-        assert code.average_length(d) <= shannon_entropy(d) + 1 + 1e-9
+        assert code.average_length() <= shannon_entropy(d) + 1 + 1e-9
 
 
 def test_huffman_matches_exhaustive_optimum():
@@ -74,7 +74,7 @@ def test_huffman_matches_exhaustive_optimum():
             raw = rng.random(size) + 0.05
             p = raw / raw.sum()
             code = build_prefix_code(dist(*p))
-            ours = code.average_length(dist(*p))
+            ours = code.average_length()
             assert ours == pytest.approx(optimal_average_length(list(p)), abs=1e-9)
 
 
@@ -125,7 +125,7 @@ def test_empty_support_rejected():
 
 def test_full_length_codeword_gets_no_padding():
     code = build_prefix_code(dist(0.5, 0.5))
-    assert compress(0, code, (1 << 64) - 1) == code.codewords[0]
+    assert compress(code.codeword(0), code.max_len, (1 << 64) - 1) == code.codewords[0]
 
 
 def test_compress_example1_heavy_message():
@@ -134,7 +134,7 @@ def test_compress_example1_heavy_message():
     mu0 = (1 << L) - 1
     rng = np.random.default_rng(3)
     for _ in range(100):
-        out = compress(mu0, code, Bits.random(L, rng).value)
+        out = compress(code.codeword(mu0), code.max_len, Bits.random(L, rng).value)
         assert out.length == L + 1
         assert out[0] == 1
         assert decompress(out, code) == mu0
@@ -148,7 +148,8 @@ def test_padding_frequency_uniform():
     counts = np.zeros(1 << L, dtype=int)
     draws = 64 * (1 << L)
     for _ in range(draws):
-        counts[compress(mu0, code, Bits.random(L, rng).value).value >> 1] += 1
+        padded = compress(code.codeword(mu0), code.max_len, Bits.random(L, rng).value)
+        counts[padded.value >> 1] += 1
     assert counts.min() > 0
     expected = draws / (1 << L)
     assert abs(counts.max() - expected) < 0.6 * expected
@@ -160,7 +161,8 @@ def test_decompress_round_trip_any_padding():
     code = build_prefix_code(d)
     for message in range(4):
         for padding in range(1 << code.max_len):
-            assert decompress(compress(message, code, padding), code) == message
+            padded = compress(code.codeword(message), code.max_len, padding)
+            assert decompress(padded, code) == message
 
 
 def test_decompress_example1_plain_branch():
@@ -185,7 +187,7 @@ def test_decompress_parse_error():
 def test_unknown_message_rejected():
     code = build_prefix_code(dist(0.5, 0.5))
     with pytest.raises(UnknownMessageError):
-        compress(7, code, 0)
+        code.codeword(7)
 
 
 # -- randomize / derandomize ----------------------------------------------------
@@ -256,7 +258,7 @@ def law_of_compress(source: DiscreteDistribution, code: PrefixCode) -> dict[int,
         codeword = code.codeword(m)
         pad = code.max_len - codeword.length
         for tail in range(1 << pad):
-            padded = compress(m, code, tail | (tail + 1) << pad)  # high bits dropped
+            padded = compress(codeword, code.max_len, tail | (tail + 1) << pad)  # high bits dropped
             assert padded == codeword.concat(Bits(tail, pad))
             law[padded.value] = law.get(padded.value, 0.0) + p / (1 << pad)
     return law
@@ -265,10 +267,10 @@ def law_of_compress(source: DiscreteDistribution, code: PrefixCode) -> dict[int,
 @pytest.mark.parametrize("L", range(1, 7))
 def test_example1_padded_is_the_law_of_compress(L):
     # the randomiser is certified on the padded law of example1(L); it must
-    # be exactly what compress(m, example1_code(L)) emits for m drawn from
-    # example1(L) and a uniform padding word
+    # be exactly what compress emits for m drawn from example1(L), the law
+    # example1_code(L) carries, and a uniform padding word
     code, source = example1_code(L), example1(L)
-    law = padded_law(source, code)
+    law = padded_law(code)
     assert dict(zip(law.outcomes.tolist(), law.probs.tolist())) == law_of_compress(source, code)
 
 
@@ -279,7 +281,7 @@ def test_padded_law_of_a_file_table_is_the_law_of_compress(tmp_path):
     source = load_distribution(path)
     code = build_prefix_code(source)
     assert len({code.codeword(m).length for m in (3, 0, 7, 1, 2, 5)}) > 2
-    law = padded_law(source, code)
+    law = padded_law(code)
     assert dict(zip(law.outcomes.tolist(), law.probs.tolist())) == law_of_compress(source, code)
 
 
@@ -337,7 +339,7 @@ def test_statistical_distance_exact_convolution():
     log = np.empty(size, dtype=np.int64)
     log[exp] = np.arange(group)
 
-    padded_dist = padded_law(example1(L), example1_code(L))
+    padded_dist = padded_law(example1_code(L))
     ids = padded_dist.outcomes
     probs = padded_dist.probs
     bins = np.zeros(1 << ell)
@@ -360,6 +362,30 @@ def test_code_text_round_trip(tmp_path):
     code.dump(path)
     loaded = PrefixCode.load(path)
     assert loaded.codewords == code.codewords
+    assert loaded == code and loaded.law is None  # the law is not written
+
+
+def test_a_code_without_a_law_has_no_padded_law_or_average_length(tmp_path):
+    path = tmp_path / "code.txt"
+    build_prefix_code(dist(0.5, 0.3, 0.2)).dump(path)
+    loaded = PrefixCode.load(path)
+    for call in (lambda: padded_law(loaded), loaded.average_length):
+        with pytest.raises(ValueError, match="has no law"):
+            call()
+
+
+def test_example1_code_builds_its_law_when_first_read():
+    code = example1_code(4)
+    assert "law" not in vars(code)  # a session's set-up builds the code, not the law
+    assert code.law is code.law and np.array_equal(code.law.probs, example1(4).probs)
+    assert code == example1_code(4)  # the law is not compared
+
+
+def test_a_law_with_a_message_off_the_table_is_refused():
+    table = build_prefix_code(dist(0.5, 0.5)).codewords
+    assert PrefixCode(table, dist(0.5, 0.5)).law is not None
+    with pytest.raises(ValueError, match="message with no codeword"):
+        PrefixCode(table, dist(0.5, 0.25, 0.25))
 
 
 @pytest.mark.parametrize(
@@ -378,6 +404,17 @@ def test_code_file_refusals_name_the_file(tmp_path, text, refusal):
     with pytest.raises(ValueError) as info:
         PrefixCode.load(path)
     assert str(info.value) == f"{path}: {refusal}"
+
+
+@pytest.mark.parametrize(
+    "above", ["0 1\n", "\n", "# a comment\n"], ids=["table-line", "blank", "comment"]
+)
+def test_a_record_whose_header_is_not_line_1_is_refused_as_such(tmp_path, above):
+    path = tmp_path / "code.txt"
+    path.write_text(above + "# tamperstore prefix_code v1\nsource = str:example1:4\n")
+    with pytest.raises(ValueError) as info:
+        PrefixCode.load(path)
+    assert str(info.value) == f"{path}, line 2: a record's header must be on line 1"
 
 
 def test_example1_code_dump_is_pinned(tmp_path):

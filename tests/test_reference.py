@@ -80,7 +80,8 @@ def test_zero_seed_trial_matches_per_call_draws_and_reference(strategy):
     u, a, b = (Bits.random(length, calls) for length in (params.n, params.lam, params.lam))
     assert state(rng) == state(calls)
 
-    rm = randomize(compress(message, prefix_code, padding.value), seeds[-1], params.ell)
+    m0 = compress(prefix_code.codeword(message), params.ell0, padding.value)
+    rm = randomize(m0, seeds[-1], params.ell)
     assert (bundle.w, bundle.u, secrets.m_nabla) == (seeds[-1], u, rm.m_nabla)
     assert secrets.layout.t == layout.t and (secrets.mac_key.a, secrets.mac_key.b) == (a.value, b.value)
     basis, value = bundle.register._records()

@@ -164,7 +164,7 @@ def test_random_many_equals_one_bytes_call_per_string(bit_generator, prior_words
 
 DISTRIBUTIONS = {
     "example1(L=12)": example1(12),
-    "example1_padded(L=4)": padded_law(example1(4), example1_code(4)),
+    "example1_padded(L=4)": padded_law(example1_code(4)),
     "uniform(1)": uniform(1),
     "uniform(7)": uniform(7),
     "skewed": DiscreteDistribution(np.array([5, 2, 9]), np.array([0.1, 0.6, 0.3])),
