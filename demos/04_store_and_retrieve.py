@@ -56,7 +56,8 @@ print(f"after a ciphertext bit flip: omega = {out.omega}, abort = {out.abort_rea
 # Tamper with the qubits instead: measuring them all in the standard
 # basis disturbs half the traps on average.
 
-from tamperstore.qsim import EveView, InterceptResend
+from tamperstore.experiments import InterceptResend
+from tamperstore.qsim import EveView
 
 bundle3, secrets3 = inst.store(message, rng)
 InterceptResend(policy="all-standard").apply(EveView(bundle3.register), {}, rng)

@@ -10,11 +10,11 @@ import numpy as np
 
 from tamperstore.experiments import (
     ExperimentConfig,
+    InterceptResend,
     build_instance,
     run_tamper_experiment,
     tamper_acceptance_bound,
 )
-from tamperstore.qsim import InterceptResend
 
 ###############################################################################
 # The analytic side first: the acceptance bound for each basis policy.
@@ -49,6 +49,5 @@ for policy in ("random-basis", "all-standard"):
           f"bound {report.bound_value:.2e}, verdict {report.verdict}, aborts {reasons}")
 
 ###############################################################################
-# The attacker does learn payload bits when a basis guess matches: the
-# report records the learned fraction, but only acceptance matters and
-# acceptance never happens.
+# The attacker does learn payload bits when a basis guess matches, but
+# only acceptance matters, and acceptance never happens.

@@ -8,8 +8,9 @@ reversible message randomisation (randomizer), syndrome codes
 state machines (protocol).  Two analyses sit on top and are imported by
 name only: the exact support-measurement attack lab on pure-state toy
 schemes (``tamperstore.attack_lab``) and the reproducible Monte-Carlo
-harness (``tamperstore.experiments``).  The CLI (``tamperstore.cli``)
-loads them only for the subcommands that run them.
+harness with its attack strategies (``tamperstore.experiments``).  The
+CLI (``tamperstore.cli``) loads them only for the subcommands that run
+them.
 """
 
 __version__ = "0.1.0"
@@ -41,8 +42,6 @@ from .linear_code import LinearCode, default_registry
 from .mac import MacKey, tag, verify
 from .qsim import (
     EveView,
-    InterceptResend,
-    PassiveEve,
     QubitRegister,
     TrapLayout,
     apply_storage_noise,

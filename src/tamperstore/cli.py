@@ -25,7 +25,6 @@ from .gf2 import phi
 from .linear_code import default_registry
 from .mac import MacKey, forgery_bound, tag as mac_tag
 from .params import (
-    InfeasibleParamsError,
     ProtocolParams,
     asymptotic_rates,
     correctness_bound,
@@ -141,7 +140,7 @@ def _cmd_attack_support(args) -> int:
     elif os.path.exists(args.scheme):
         scheme = ToyScheme.load(args.scheme)
     else:
-        raise InfeasibleParamsError(f"unknown scheme {args.scheme!r}", "cli")
+        raise ValueError(f"unknown scheme {args.scheme!r}")
     report = run_support(scheme)
     floor = advantage_floor(
         report.p_star, len(scheme.keys), len(scheme.messages)

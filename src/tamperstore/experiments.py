@@ -10,11 +10,13 @@ a trial count below one.  Frequencies come with Wilson 95% intervals; a
 bound is declared violated only when it lies below the interval's lower
 edge.
 
-Both scenarios run one trial loop: sample a message, store it, apply the
-storage noise, let a strategy act on the bundle, retrieve.  The correctness
-scenario's strategy is the passive one, which draws no randomness; the
-scenarios differ only in the event they count and the bound they hold it
-to.
+Both scenarios fold over ``run_trial``: sample a message from the
+session's law, store it, apply the storage noise, let a strategy act on
+the bundle, retrieve.  The correctness scenario's strategy is the passive
+one, which draws no randomness; the scenarios differ only in the event
+they count and the bound they hold it to.  The attack strategies live
+here, beside the name grammar (``make_strategy``) and the acceptance
+prediction (``tamper_acceptance_bound``).
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ import numpy as np
 from . import __version__
 from .entropy import parse_dist
 from .params import ProtocolParams, correctness_bound
-from .protocol import ProtocolInstance, ServerBundle
-from .qsim import ClassicalTamper, EveStrategy, EveView, InterceptResend, PassiveEve
-from .randomizer import prefix_code_for
+from .protocol import ProtocolInstance, RetrievalOutcome, ServerBundle
+from .qsim import EveView, _random_cells
+from .randomizer import _law, prefix_code_for
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -51,6 +53,57 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=master_seed, counter=[0, 0, index, 0]))
 
 
+class EveStrategy:
+    """An intervention acting through the legal interface only."""
+
+    def apply(self, view: EveView, transcript: dict, rng: np.random.Generator) -> None:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class PassiveEve(EveStrategy):
+    def apply(self, view, transcript, rng):
+        return None
+
+
+# basis policy -> the basis every cell is measured in, or None for a
+# uniform basis per cell; the first is the default
+_BASIS_POLICIES = {"random-basis": None, "all-standard": 0, "all-hadamard": 1}
+
+
+@dataclass(frozen=True)
+class InterceptResend(EveStrategy):
+    """Measure every cell under a basis policy; collapse re-prepares them."""
+
+    policy: str = next(iter(_BASIS_POLICIES))
+
+    def __post_init__(self):
+        if self.policy not in _BASIS_POLICIES:
+            raise ValueError(f"unknown basis policy {self.policy!r}")
+
+    def apply(self, view, transcript, rng):
+        n = view.size
+        basis = _BASIS_POLICIES[self.policy]
+        bases = _random_cells(n, rng) if basis is None else np.full(n, basis, dtype=np.uint8)
+        view.measure(np.arange(n), bases, rng)
+
+
+@dataclass(frozen=True)
+class ClassicalTamper(EveStrategy):
+    """Flip one bit of the ciphertext c, leave the qubits alone.
+
+    A bit outside c raises ``ValueError``; it is not wrapped.
+    """
+
+    bit: int = 0
+
+    def apply(self, view, transcript, rng):
+        c = transcript["c"]
+        if not 0 <= self.bit < c.length:
+            raise ValueError(f"bit {self.bit} outside the {c.length}-bit field c")
+        transcript["c"] = c.flip(self.bit)
+
+
 def make_strategy(name: str) -> EveStrategy:
     """Exactly "passive", "intercept-resend[/<policy>]" or "flip-c[/<bit>]",
     the bit a non-negative decimal; anything else raises ``ValueError``."""
@@ -58,9 +111,9 @@ def make_strategy(name: str) -> EveStrategy:
     if name == "passive":
         return PassiveEve()
     if kind == "intercept-resend" and (arg or not slash):
-        return InterceptResend(policy=arg or "random-basis")  # checks the policy
+        return InterceptResend(arg) if arg else InterceptResend()  # checks the policy
     if kind == "flip-c" and ((arg.isascii() and arg.isdecimal()) or not slash):
-        return ClassicalTamper(field="c", bit=int(arg or 0))
+        return ClassicalTamper(bit=int(arg or 0))
     raise ValueError(f"unknown strategy {name!r}")
 
 
@@ -171,6 +224,30 @@ def _apply_strategy(
     return replace(bundle, **{name: transcript[name] for name in fields}), transcript
 
 
+@dataclass(frozen=True)
+class TrialRecord:
+    index: int
+    message: int  # the message sampled and stored
+    outcome: RetrievalOutcome
+
+
+def run_trial(
+    instance: ProtocolInstance, strategy: EveStrategy, master_seed: int, index: int
+) -> TrialRecord:
+    """Trial ``index`` of the loop keyed by ``master_seed``: sample a message
+    from the law of the session's prefix code, store it, apply the storage
+    noise, let ``strategy`` act on the bundle, retrieve, all drawn from
+    ``trial_rng(master_seed, index)``.  A prefix code with no law (a table
+    read from a file) is a ``ValueError``."""
+    law = _law(instance.prefix_code)
+    rng = trial_rng(master_seed, index)
+    message = int(law.sample(rng))
+    bundle, secrets = instance.store(message, rng)
+    instance.apply_noise(bundle, rng)
+    bundle, _ = _apply_strategy(strategy, bundle, instance.params, rng)
+    return TrialRecord(index, message, instance.retrieve(bundle, secrets, rng))
+
+
 def log_binomial_cdf(k: int, n: int, p: float) -> float:
     """Natural log of Pr[Binomial(n, p) <= k] for 0 < p < 1.
 
@@ -193,12 +270,13 @@ def log_binomial_cdf(k: int, n: int, p: float) -> float:
 
 def tamper_acceptance_bound(params: ProtocolParams, strategy: EveStrategy) -> tuple[str, float]:
     if isinstance(strategy, InterceptResend):
-        if strategy.policy == "all-hadamard":
+        # a trap (Hadamard basis) measured in the other basis flips with
+        # probability 1/2, and a uniform basis is the other one half the time
+        basis = _BASIS_POLICIES[strategy.policy]
+        flip = 0.25 if basis is None else (1 - basis) / 2
+        if not flip:
             # traps undisturbed: the trap test cannot see this attack
             return "trivial_bound", 1.0
-        # a trap measured in the other basis flips with probability 1/2;
-        # "all-standard" puts every trap in the other basis
-        flip = 0.25 if strategy.policy == "random-basis" else 0.5
         threshold = math.floor(params.beta * params.r)
         log_tail = log_binomial_cdf(threshold, params.r, flip)
         # the name carries log10 of the tail, which stays finite where the
@@ -211,20 +289,6 @@ def tamper_acceptance_bound(params: ProtocolParams, strategy: EveStrategy) -> tu
     if isinstance(strategy, ClassicalTamper):
         return "mac_forgery_bound", params.eps_mac
     return "trivial_bound", 1.0
-
-
-def _eve_payload_proxy(transcript: dict, secrets) -> float | None:
-    """Fraction of payload bits Eve measured in their preparation basis.
-
-    Matching-basis outcomes equal the stored payload bits, so this is the
-    fraction of the payload the attacker actually learned.
-    """
-    records = transcript.get("eve_records")
-    if not records:
-        return None
-    payload_idx = secrets.layout.payload_indices
-    bases, _ = records[0]
-    return float((bases[payload_idx] == 0).mean())
 
 
 def _run(
@@ -245,26 +309,13 @@ def _run(
     instance = instance or build_instance(config)
     strategy = make_strategy(config.strategy)
     events = 0
-    proxies = []
     outcomes = []
     for index in range(config.trials):
-        rng = trial_rng(config.master_seed, index)
-        message = int(instance.prefix_code.law.sample(rng))
-        bundle, secrets = instance.store(message, rng)
-        instance.apply_noise(bundle, rng)
-        bundle, transcript = _apply_strategy(strategy, bundle, instance.params, rng)
-        out = instance.retrieve(bundle, secrets, rng)
-        events += counted(out, message)
-        if out.omega == 1:
-            proxy = _eve_payload_proxy(transcript, secrets)
-            if proxy is not None:
-                proxies.append(proxy)
-        outcomes.append((out.omega, out.abort_reason))
+        trial = run_trial(instance, strategy, config.master_seed, index)
+        events += counted(trial.outcome, trial.message)
+        outcomes.append((trial.outcome.omega, trial.outcome.abort_reason))
     low, high = wilson_interval(events, config.trials)
     bound_name, bound_value = bound(instance.params, strategy)
-    extras = {}
-    if proxies:
-        extras["payload_fraction_learned_given_acc"] = repr(float(np.mean(proxies)))
     return ExperimentReport(
         scenario=config.scenario,
         strategy=config.strategy,
@@ -279,7 +330,6 @@ def _run(
         bound_value=bound_value,
         verdict=_verdict(bound_value, low),
         params_summary=_params_summary(instance.params),
-        extras=extras,
         outcomes=outcomes,
     )
 

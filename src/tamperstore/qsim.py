@@ -11,8 +11,9 @@ from 32-bit words, four cells to a word (the top bit of each byte, low
 byte first): the values and generator state of ``rng.integers(0, 2, n,
 dtype=np.uint8)`` from one cheaper call.
 
-Attack strategies never see the hidden records; they act through
-:class:`EveView`, whose only read operation is a collapsing measurement.
+Attack strategies (``tamperstore.experiments``) never see the hidden
+records; they act through :class:`EveView`, whose only read operation is
+a collapsing measurement.
 
 The simulator speaks 0/1 uint8 arrays, one cell per qubit: ``prepare``
 takes the cell values and bases, ``measure`` returns the outcome array,
@@ -297,59 +298,3 @@ class EveView:
 
     def replace(self, indices, bases, values) -> None:
         replace_cells(self.__reg, indices, bases, values)
-
-
-class EveStrategy:
-    """An intervention acting through the legal interface only."""
-
-    def apply(self, view: EveView, transcript: dict, rng: np.random.Generator) -> None:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class PassiveEve(EveStrategy):
-    def apply(self, view, transcript, rng):
-        return None
-
-
-@dataclass(frozen=True)
-class InterceptResend(EveStrategy):
-    """Measure every cell under a basis policy; collapse re-prepares them.
-
-    Policies: "random-basis" (uniform per cell), "all-standard",
-    "all-hadamard".
-    """
-
-    policy: str = "random-basis"
-
-    def __post_init__(self):
-        if self.policy not in ("random-basis", "all-standard", "all-hadamard"):
-            raise ValueError(f"unknown basis policy {self.policy!r}")
-
-    def apply(self, view, transcript, rng):
-        n = view.size
-        if self.policy == "random-basis":
-            bases = _random_cells(n, rng)
-        elif self.policy == "all-standard":
-            bases = np.zeros(n, dtype=np.uint8)
-        else:
-            bases = np.ones(n, dtype=np.uint8)
-        outcomes = view.measure(np.arange(n), bases, rng)
-        transcript.setdefault("eve_records", []).append((bases, outcomes))
-
-
-@dataclass(frozen=True)
-class ClassicalTamper(EveStrategy):
-    """Flip one bit of a classical transcript field, leave the qubits alone.
-
-    A bit outside the field raises ``ValueError``; it is not wrapped.
-    """
-
-    field: str = "c"
-    bit: int = 0
-
-    def apply(self, view, transcript, rng):
-        word = transcript[self.field]
-        if not 0 <= self.bit < word.length:
-            raise ValueError(f"bit {self.bit} outside the {word.length}-bit field {self.field}")
-        transcript[self.field] = word.flip(self.bit)

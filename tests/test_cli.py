@@ -251,6 +251,7 @@ def test_attack_support_from_file(capsys, tmp_path):
 def test_attack_support_unknown_scheme(capsys):
     code, _, err = run(capsys, "attack-support", "--scheme", "missing")
     assert code == 1
+    assert err == "error: unknown scheme 'missing'\n"
 
 
 @pytest.mark.parametrize(

@@ -10,20 +10,30 @@ from tamperstore import cli, kv
 from tamperstore.bits import Bits
 from tamperstore.entropy import parse_dist
 from tamperstore.experiments import (
+    ClassicalTamper,
     ExperimentConfig,
+    InterceptResend,
+    PassiveEve,
     build_instance,
     log_binomial_cdf,
     make_strategy,
     run_correctness_experiment,
     run_tamper_experiment,
+    run_trial,
     tamper_acceptance_bound,
     trial_rng,
     wilson_interval,
 )
 from tamperstore.params import derive_params
 from tamperstore.protocol import ProtocolInstance
-from tamperstore.qsim import ClassicalTamper, InterceptResend, PassiveEve, apply_storage_noise
-from tamperstore.randomizer import build_prefix_code, example1_code, padded_law, prefix_code_for
+from tamperstore.qsim import apply_storage_noise
+from tamperstore.randomizer import (
+    PrefixCode,
+    build_prefix_code,
+    example1_code,
+    padded_law,
+    prefix_code_for,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +96,7 @@ def test_make_strategy():
     s = make_strategy("intercept-resend")
     assert isinstance(s, InterceptResend) and s.policy == "random-basis"
     t = make_strategy("flip-c")
-    assert isinstance(t, ClassicalTamper) and (t.field, t.bit) == ("c", 0)
+    assert isinstance(t, ClassicalTamper) and t.bit == 0
 
 
 GUESSED_NAMES = [
@@ -195,26 +205,6 @@ def test_tamper_bound_names(noiseless_instance):
     assert value == 1.0  # traps cannot see an attack in their own basis
 
 
-def test_eve_payload_proxy_unit():
-    from tamperstore.experiments import _eve_payload_proxy
-    from tamperstore.qsim import TrapLayout
-
-    rng = np.random.default_rng(8)
-    layout = TrapLayout.random(10, 3, rng)
-
-    class FakeSecrets:
-        pass
-
-    secrets = FakeSecrets()
-    secrets.layout = layout
-    bases = np.zeros(10, dtype=np.uint8)
-    bases[layout.payload_indices[:3]] = 1  # three payload cells in the wrong basis
-    transcript = {"eve_records": [(bases, np.zeros(10, dtype=np.uint8))]}
-    proxy = _eve_payload_proxy(transcript, secrets)
-    assert proxy == pytest.approx(4 / 7)
-    assert _eve_payload_proxy({}, secrets) is None
-
-
 def test_scenario_mismatch_rejected():
     config = ExperimentConfig("correctness", 0.05, 0.0, 4, trials=1)
     with pytest.raises(ValueError):
@@ -297,6 +287,40 @@ def test_report_digest_pinned(setting, digest):
     assert len(report["outcomes"]) == 50
     blob = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "setting", [setting for setting, _ in REPORT_DIGESTS],
+    ids=["correctness-A", "random-basis-C", "all-standard-C", "flip-c-C"],
+)
+def test_run_trial_is_the_reports_trial(setting):
+    # each trial has its own generator, so trials taken one at a time, in
+    # reverse, give back the report's outcomes in its order
+    scenario, epsilon, beta0, ell, strategy = setting
+    config = ExperimentConfig(
+        scenario, epsilon, beta0, ell, strategy=strategy, trials=50, master_seed=3
+    )
+    instance, eve = build_instance(config), make_strategy(strategy)
+    run = run_correctness_experiment if scenario == "correctness" else run_tamper_experiment
+    outcomes = run(config, instance).outcomes
+    law = instance.prefix_code.law
+    for index in reversed(range(config.trials)):
+        trial = run_trial(instance, eve, config.master_seed, index)
+        assert trial.index == index
+        assert (trial.outcome.omega, trial.outcome.abort_reason) == outcomes[index]
+        assert trial.message in law.outcomes
+
+
+def test_a_session_whose_prefix_code_has_no_law_is_refused(tmp_path):
+    # a table read back from a file carries no law to sample messages from
+    path = tmp_path / "prefix_code.txt"
+    prefix_code_for("uniform:8").dump(path)
+    instance = ProtocolInstance.derive(0.05, 0.0, 2, PrefixCode.load(path))
+    config = ExperimentConfig("correctness", 0.05, 0.0, 2, trials=1)
+    with pytest.raises(ValueError, match="prefix code has no law"):
+        run_correctness_experiment(config, instance)
+    with pytest.raises(ValueError, match="prefix code has no law"):
+        run_trial(instance, make_strategy("passive"), 0, 0)
 
 
 @pytest.mark.parametrize(

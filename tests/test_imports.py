@@ -226,6 +226,74 @@ def test_checker_sees_public_module_constants_only():
     assert _defined(tree) - _mentioned(tree) == {"C", "D", "E", "f"}
 
 
+def _name_of(node: ast.expr) -> str | None:
+    """The name a ``Name`` or ``Attribute`` node ends in; None for any other node."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _strategy_classes(tree: ast.Module) -> list[str]:
+    """``EveStrategy`` and every class that names it as a base."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and (node.name == "EveStrategy" or "EveStrategy" in map(_name_of, node.bases))
+    ]
+
+
+def _callers(tree: ast.Module, callee: str) -> list[str]:
+    """The innermost function around each call of ``callee``, "<module>" outside any."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and _name_of(node.func) == callee:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_checker_sees_strategies_and_their_callers():
+    tree = ast.parse(
+        "class EveStrategy: pass\nclass A(EveStrategy): pass\nclass B(m.EveStrategy): pass\n"
+        "class C(A): pass\nx = trial_rng(1, 2)\n"
+        "def f():\n    def g():\n        return m.trial_rng(1, 2)\n    return trial_rng(1, 2)\n"
+    )
+    assert _strategy_classes(tree) == ["EveStrategy", "A", "B"]
+    assert _callers(tree, "trial_rng") == ["<module>", "g", "f"]
+
+
+def test_the_harness_owns_the_trial():
+    # every attack is defined beside its prediction, and only run_trial
+    # starts a trial's generator
+    strategies, callers = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [f"{path.stem}.{where}" for where in _callers(tree, "trial_rng")]
+        if path.stem != "experiments":
+            strategies += [f"{path.stem}.{name}" for name in _strategy_classes(tree)]
+    assert not strategies, f"strategies defined outside experiments: {', '.join(strategies)}"
+    assert callers == ["experiments.run_trial"]
+
+
+def test_no_module_but_experiments_names_a_basis_policy():
+    from tamperstore.experiments import _BASIS_POLICIES
+
+    named = [
+        f"{path.stem}: {node.value!r}"
+        for path in MODULES
+        if path.stem != "experiments"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(policy in node.value for policy in _BASIS_POLICIES)
+    ]
+    assert not named, f"basis policies named outside experiments: {', '.join(named)}"
+
+
 _ENV_KNOB = re.compile(r"environ|getenv|expanduser")
 
 

@@ -157,7 +157,8 @@ def test_tampered_tag_rejected():
 
 
 def test_trap_abort_on_heavy_disturbance():
-    from tamperstore.qsim import EveView, InterceptResend
+    from tamperstore.experiments import InterceptResend
+    from tamperstore.qsim import EveView
 
     inst = params_a()
     rng = np.random.default_rng(6)

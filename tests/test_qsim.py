@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from tamperstore.bits import Bits
+from tamperstore.experiments import InterceptResend, PassiveEve
 from tamperstore.qsim import (
     EveView,
-    InterceptResend,
-    PassiveEve,
     QubitRegister,
     TrapLayout,
     apply_storage_noise,

@@ -19,10 +19,10 @@ import pytest
 from tamperstore import kv
 from tamperstore.bits import Bits, random_words
 from tamperstore.entropy import DiscreteDistribution, example1, uniform
-from tamperstore.experiments import trial_rng
+from tamperstore.experiments import InterceptResend, trial_rng
 from tamperstore.gf2 import GF2Field
 from tamperstore.protocol import ProtocolInstance, _draw_padding_seed_cells
-from tamperstore.qsim import EveView, InterceptResend, _random_cells
+from tamperstore.qsim import EveView, _random_cells
 from tamperstore.randomizer import example1_code, padded_law
 
 # SHA-256 of four trials at each params set, recorded before the draws
