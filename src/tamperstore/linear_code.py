@@ -13,26 +13,35 @@ syndrome map, its preimage (a closed-form Vandermonde inverse built once
 per code), the Chien search (at points also built once per code) and the
 Forney step each act on whole symbol arrays through its gathers; only
 Berlekamp-Massey runs symbol by symbol.
-The two fixed matrices, the syndrome map and the inverse, are kept as
-logs, so a product with one of them gathers only the vector's logs.
-The inner Reed-Muller code is used only through byte symbols (see
-``_InnerRM``), so no generic GF(2) matrix runs in ``syn`` or ``syn_dec``.
+
+Both syndrome maps are GF(2)-linear in the packed bytes of a word, so
+each is applied by byte lookup, as a CRC is: one gather of a table row
+per byte and one XOR over the rows.  The inner map takes a 128-cell
+block's 16 packed bytes to its 120 check bits and its symbol (``_InnerRM``,
+one 64 KB table); the outer map takes the symbols to the RS syndrome
+(one table per code, 256 rows per position: 82 KB at rs(20,4), 1.4 MB
+at rs(76,5), 15.7 MB at rs(255,16)).  Both tables are built once, by XOR
+doubling from the images of single bits.  The preimage's fixed matrix is
+kept as logs, so a product with it gathers only the vector's logs.
 
 Words are cells in, cells out: 0/1 uint8 arrays of length n.
 ``syn(cells)`` is the syndrome, a ``Bits``.  ``syn_dec(s, received)``, one
-mode, finds the pattern e, as cells, with syn(received ^ e) = s, so
-retrieval needs no syndrome of its measured word; a bare syndrome is
-decoded against zero cells.  It decodes in the received frame: each
-received block, with the inner part of s added, is ML-decoded, and the
-RS decoder moves those symbols into the coset of the outer part of s.
+mode, finds the pattern e, as cells, with syn(received ^ e) = s; a bare
+syndrome is decoded against zero cells.  It first compares the bytes of
+syn(received) with those of s, the check bytes and then, if those match,
+the outer bytes: when all are equal, as on every noise-free retrieval, e
+is zero and nothing more is done.  Otherwise it decodes in the received frame: each received block,
+with the inner part of s added, is ML-decoded, and the RS decoder moves
+those symbols into the coset of the outer part of s.
 
 ML decoding uses certified hard decisions.  A block's hard decision is
-the symbol read off its information positions.  A block within the inner
-radius of that symbol's codeword has it as its unique ML codeword, so
-the hard decision is certified and the block is not transformed; under
-storage noise at params C that is about two blocks in three.  Only the
-other blocks go through the Hadamard transform, one GEMM against the
-n x n +-1 matrix.
+the symbol read off its information positions, and its distance from
+that symbol's codeword is the weight of its check bytes plus the block's
+bytes of s.  A block within the inner radius of that codeword has it as
+its unique ML codeword, so the hard decision is certified and the block
+is not transformed; under storage noise at params C that is about two
+blocks in three.  Only the other blocks go through the Hadamard
+transform, one GEMM against the n x n +-1 matrix.
 
 The received-frame decode is the decode of the coset word of
 s ^ syn(received), bit for bit, without the two symbol-matrix products
@@ -153,12 +162,14 @@ class _InnerRM:
     is m0 ^ parity(a & v).  Position 0 holds m0 and position 2^j holds
     m0 ^ a_j, so these m+1 information positions fix the symbol; the other
     n - m - 1 positions are the check positions.  Encoding is one gather
-    from a table of all codewords.  The symbol a block's information
-    positions give is its hard decision; when the block is within the
-    inner radius of that codeword (``weights`` of the difference), the
-    hard decision is certified ML.  Otherwise the ML symbols are
-    ``symbols_at`` the largest |U| of the Hadamard transform ``transform``,
-    one GEMM.
+    from a table of all codewords.  ``symbols`` and ``syndrome`` define a
+    block's symbol and check bits; both are GF(2)-linear in the block, so
+    ``images`` applies them to packed blocks through a 64 KB byte table
+    built from them.  The symbol a block's information positions give is
+    its hard decision; when the block is within the inner radius of that
+    codeword (the weight of its check bits), the hard decision is
+    certified ML.  Otherwise the ML symbols are ``symbols_at`` the largest
+    |U| of the Hadamard transform ``transform``, one GEMM.
     """
 
     m = _RM_M
@@ -178,6 +189,24 @@ class _InnerRM:
         self.codewords = ((msgs @ self.gen) % 2).astype(np.uint8)  # 256 x n
         # the symmetric +-1 matrix H[a, v] = (-1)^parity(a & v): the codewords with m0 = 0
         self._hadamard = 1 - 2 * self.codewords[0::2].astype(np.float32)
+        self._block_table = self._image_table()
+        self._block_rows = 256 * np.arange(self.n // 8)[:, None]
+
+    def _image_table(self) -> np.ndarray:
+        """The block table, (n/8 * 256, 16) bytes, 64 KB.  Row 256 j + b is
+        the image of the block whose packed byte j is b and whose other
+        bytes are 0: its check bits as ``syndrome`` gives them, packed
+        (15 bytes), then its symbol byte.  The image is GF(2)-linear in
+        the block, so the rows are built by XOR doubling from the images
+        of the n single-cell blocks, 8 per byte position."""
+        unit = np.eye(self.n, dtype=np.uint8)
+        symbols = self.symbols(unit)
+        checks = np.packbits(self.syndrome(unit, symbols), axis=1, bitorder="little")
+        basis = np.concatenate((checks, symbols[:, None]), axis=1).reshape(self.n // 8, 8, 16)
+        table = np.zeros((self.n // 8, 256, 16), dtype=np.uint8)
+        for k in range(8):
+            table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ basis[:, k, None]
+        return table.reshape(-1, 16)
 
     def symbols(self, words: np.ndarray) -> np.ndarray:
         """(N, n) words -> (N,) symbols read off the information positions.
@@ -198,11 +227,13 @@ class _InnerRM:
         positions."""
         return (words ^ self.encode(symbols)).take(self.check, axis=1)
 
-    @staticmethod
-    def weights(words: np.ndarray) -> np.ndarray:
-        """(N, n) 0/1 words, C-contiguous -> (N,) Hamming weights: each
-        uint64 lane holds eight cells, so its popcount counts their ones."""
-        return np.bitwise_count(words.view(np.uint64)).sum(axis=1)
+    def images(self, packed: np.ndarray) -> np.ndarray:
+        """(N, n/8) blocks packed low bit first -> (N, 16) bytes: each
+        block's ``syndrome`` packed low bit first (15 bytes), then its
+        ``symbols`` byte.  One gather of a block table row per byte and
+        one XOR over them."""
+        rows = self._block_table.take(packed.T + self._block_rows, axis=0)
+        return np.bitwise_xor.reduce(rows, axis=0)
 
     def transform(self, words: np.ndarray) -> np.ndarray:
         """(N, n) 0/1 words -> (N, n) float32 U = y H - (n/2) e0.
@@ -260,10 +291,9 @@ class RmRsCode(LinearCode):
         self.t_out = self.redundancy // 2
         spec = self.spec_of(outer_n, outer_k)
         self.name, self.n, self.kappa, self.t_corr = spec.name, spec.n, spec.kappa, spec.t_corr
-        # syndrome map: row j-1 holds x_i^j for the symbol locator x_i = alpha^i,
-        # kept as logs (j i mod order) since it is only ever a multiplicand
         r = self.redundancy
-        self._powers_log = np.outer(np.arange(1, r + 1), np.arange(outer_n)) % self.table.order
+        self._rs_table = self._syndrome_table()
+        self._rs_rows = 256 * np.arange(outer_n)
         # inverse of the syndrome map restricted to the first `redundancy`
         # symbol positions, for syndrome preimages, and its logs
         self._v_inv = self._vandermonde_inverse(self.table.pow_alpha(np.arange(r)))
@@ -298,6 +328,22 @@ class RmRsCode(LinearCode):
             deriv = t.mul(deriv, x) ^ q[:, k]
         return t.mul(q, t.inv(t.mul(x, deriv))[:, None])
 
+    def _syndrome_table(self) -> np.ndarray:
+        """The RS syndrome table, (outer_n * 256, ceil(r/8)) uint64: row
+        256 i + v holds the syndrome of symbol v at position i, S_j =
+        v x_i^j for j = 1..r and the symbol locator x_i = alpha^i, as r
+        bytes.  S is GF(2)-linear in v, so rows are built by XOR doubling
+        from the syndromes of v = 1, 2, 4, ..., 128 at each position."""
+        t, n, r = self.table, self.outer_n, self.redundancy
+        powers_log = np.outer(np.arange(n), np.arange(1, r + 1)) % t.order  # logs of x_i^j
+        basis = np.zeros((n, 8, -(-r // 8) * 8), dtype=np.uint8)
+        basis[:, :, :r] = t.exp[powers_log[:, None] + t.log[1 << np.arange(8)][:, None]]
+        basis = basis.view(np.uint64)
+        table = np.zeros((n, 256, basis.shape[2]), dtype=np.uint64)
+        for k in range(8):
+            table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ basis[:, k, None]
+        return table.reshape(n * 256, -1)
+
     def _log_product(self, matrix_log: np.ndarray, symbols: np.ndarray) -> np.ndarray:
         """The product of a fixed symbol matrix, given by its logs, and a
         symbol vector: ``table.mul`` with the matrix's gather done once."""
@@ -305,7 +351,10 @@ class RmRsCode(LinearCode):
         return np.bitwise_xor.reduce(t.exp[matrix_log + t.log[symbols]], axis=1)
 
     def _rs_syndromes(self, symbols: np.ndarray) -> np.ndarray:
-        return self._log_product(self._powers_log, symbols)
+        """The RS syndrome of a symbol vector as r uint8 symbols: the XOR
+        of one syndrome table row per position."""
+        rows = self._rs_table.take(symbols + self._rs_rows, axis=0)
+        return np.bitwise_xor.reduce(rows, axis=0).view(np.uint8)[: self.redundancy]
 
     def _rs_preimage(self, syndromes: np.ndarray) -> np.ndarray:
         """Symbols supported on the first `redundancy` positions hitting them."""
@@ -357,9 +406,9 @@ class RmRsCode(LinearCode):
     # A syndrome is the inner check bits of every block, block by block,
     # then the outer syndrome symbols, one byte each, low bit first.  A
     # block has 120 check bits, so both parts are whole bytes: ``syn``
-    # reads each block's symbol once, feeds it to both the check bits and
-    # the RS syndrome, and turns the two parts into the syndrome's int with
-    # one ``int.from_bytes``; ``_unpack_syndrome`` reads them back.
+    # joins the check bytes of ``_images`` and the bytes of
+    # ``_rs_syndromes`` with one ``int.from_bytes``; ``_unpack_syndrome``
+    # reads s back into words for a decode that corrects something.
 
     def _unpack_syndrome(self, s: Bits) -> tuple[np.ndarray, np.ndarray]:
         """(N, n_in) words holding each block's inner syndrome on its check
@@ -371,17 +420,17 @@ class RmRsCode(LinearCode):
         words[:, self.inner.check] = inner_syn.reshape(self.outer_n, -1)
         return words, np.frombuffer(raw, np.uint8, offset=inner_bytes)
 
+    def _images(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (N, 15) check bytes and the (N,) symbols of the blocks of
+        ``cells``, by the block table."""
+        images = self.inner.images(np.packbits(cells, bitorder="little").reshape(self.outer_n, -1))
+        return images[:, :-1], images[:, -1]
+
     def syn(self, cells: np.ndarray) -> Bits:
         """The syndrome of the word ``cells``, refused as ``syn_dec`` refuses them."""
         self._check_cells(cells)
-        inner = self.inner
-        blocks = cells.reshape(self.outer_n, inner.n)
-        symbols = inner.symbols(blocks)
-        checks = inner.syndrome(blocks, symbols)
-        raw = (
-            np.packbits(checks, bitorder="little").tobytes()
-            + self._rs_syndromes(symbols).astype(np.uint8).tobytes()
-        )
+        checks, symbols = self._images(cells)
+        raw = checks.tobytes() + self._rs_syndromes(symbols).tobytes()
         return Bits(int.from_bytes(raw, "little"), self.syndrome_len)
 
     def syn_dec(self, s: Bits, received: np.ndarray) -> np.ndarray | None:
@@ -393,14 +442,23 @@ class RmRsCode(LinearCode):
         decodes s itself: ``syn_dec(syn(e), zeros)`` gives back every e of
         weight <= t_corr.
 
-        The decode runs in the received frame.  z is the received blocks
-        with s_inner added on the check positions, so e must make z ^ e a
-        string of inner codewords whose symbols have RS syndrome s_outer.
-        sym is z's hard decisions, read off the information positions, and
-        diff = z ^ encode(sym).  e = 0 exactly when diff = 0 and
-        rs_syn(sym) = s_outer.  Otherwise each block of z is ML-decoded to
-        a symbol of d, ``_rs_decode`` moves d into the coset of s_outer,
-        giving fixed, and e = z ^ encode(fixed).
+        The call starts as ``syn`` does, with the bytes of syn(received):
+        every block's check bytes and symbol, then the RS syndrome of the
+        symbols, which is formed only when the check bytes equal those of
+        s.  e = 0 exactly when all the bytes equal the bytes of s, and then
+        the call returns zeros: s is not unpacked and no block is
+        transformed.  That is every noise-free retrieval.
+
+        Otherwise the decode runs in the received frame.  z is the
+        received blocks with s_inner added on the check positions, so e
+        must make z ^ e a string of inner codewords whose symbols have RS
+        syndrome s_outer.  sym is z's hard decisions, read off the
+        information positions, where s_inner is zero: the received
+        symbols.  diff = z ^ encode(sym) is the check bits plus s_inner,
+        so its weight per block is the popcount of the check bytes XOR
+        the block's bytes of s.  Each block of z is ML-decoded to a symbol
+        of d, ``_rs_decode`` moves d into the coset of s_outer, giving
+        fixed, and e = z ^ encode(fixed).
 
         Certified hard decisions: a block of diff weight w <= t_in = 31 has
         |U| = 64 - w >= 33 at its hard decision's codeword and |U| <= 31
@@ -427,14 +485,19 @@ class RmRsCode(LinearCode):
         self._check_syndrome(s)
         self._check_cells(received)
         inner = self.inner
+        checks, symbols = self._images(received)
+        raw = s.value.to_bytes(s.length // 8, "little")
+        inner_bytes = checks.size
+        if (
+            checks.tobytes() == raw[:inner_bytes]
+            and self._rs_syndromes(symbols).tobytes() == raw[inner_bytes:]
+        ):
+            return np.zeros(self.n, dtype=np.uint8)
         inner_words, outer_syn = self._unpack_syndrome(s)
         z = received.reshape(self.outer_n, inner.n) ^ inner_words
-        symbols = inner.symbols(z)
-        diff = z ^ inner.encode(symbols)
-        if not diff.any() and np.array_equal(self._rs_syndromes(symbols), outer_syn):
-            return np.zeros(self.n, dtype=np.uint8)
         ml = symbols.astype(np.int64)
-        open_ = (inner.weights(diff) > inner.t_corr).nonzero()[0]  # not certified
+        diff = checks ^ np.frombuffer(raw, np.uint8, inner_bytes).reshape(checks.shape)
+        open_ = (np.bitwise_count(diff).sum(axis=1) > inner.t_corr).nonzero()[0]  # not certified
         if open_.size:
             U = inner.transform(z[open_])
             size = np.abs(U)

@@ -26,10 +26,12 @@ Variable homes (the classical state of one session):
 The code takes and returns 0/1 uint8 cells.  ``store`` gathers the
 payload x once as cells for ``code.syn`` and packs it once for the pad.
 Retrieval corrects the received cells x', the measured payload gathered
-once, toward the stored s in one call, ``code.syn_dec(s, x')``; the
-syndrome of x' is never formed, and x^ = x' ^ e is packed once, for the
-pad.  The decoder transforms only the blocks whose hard decisions it
-cannot certify (see ``linear_code``).
+once, toward the stored s in one call, ``code.syn_dec(s, x')``, and packs
+x^ = x' ^ e once, for the pad.  The decoder forms syn(x') by byte table
+lookups (a 64 KB block table, and an RS table of 82 KB at params A and
+1.4 MB at params C) and returns e = 0 when its bytes equal s's, as on
+every noise-free retrieval; otherwise it transforms only the blocks
+whose hard decisions it cannot certify (see ``linear_code``).
 
 Recursion, which would store the syndrome s in a further session, exists
 here only as ``ideal_recursion_accounting`` with capacity-rate codes.  A

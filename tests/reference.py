@@ -150,10 +150,18 @@ def coset_decode_ml(inner, words: np.ndarray) -> np.ndarray:
     return negative | best << 1
 
 
+def rs_syndromes(code: RmRsCode, symbols: np.ndarray) -> np.ndarray:
+    """S_j = sum_i y_i x_i^j, j = 1..r, with x_i = alpha^i: ``table.mul``
+    over the powers matrix, independent of the code's syndrome table."""
+    t = code.table
+    powers = t.pow_alpha(np.outer(np.arange(1, code.redundancy + 1), np.arange(code.outer_n)))
+    return np.bitwise_xor.reduce(t.mul(powers, symbols), axis=1)
+
+
 def coset_rs_decode(self: RmRsCode, symbols: np.ndarray) -> np.ndarray | None:
     """Errors-only bounded-distance decode toward the zero-syndrome codeword."""
     t = self.table
-    synd = self._rs_syndromes(symbols)
+    synd = rs_syndromes(self, symbols)
     if not synd.any():
         return symbols
     locator = _berlekamp_massey(t, synd.tolist())
@@ -176,7 +184,7 @@ def coset_rs_decode(self: RmRsCode, symbols: np.ndarray) -> np.ndarray | None:
         return None
     fixed = symbols.copy()
     fixed[positions] ^= t.mul(t.poly_eval(omega, x), t.inv(den))
-    if np.any(self._rs_syndromes(fixed)):
+    if np.any(rs_syndromes(self, fixed)):
         return None
     return fixed
 
@@ -193,7 +201,7 @@ def coset_syn_dec(self: RmRsCode, s: Bits, received: Bits | None = None) -> Bits
     blocks = received.to_array().reshape(self.outer_n, inner.n)
     symbols = inner.symbols(blocks)
     inner_words, outer_syn = self._unpack_syndrome(s)
-    outer_diff = outer_syn ^ self._rs_syndromes(symbols)
+    outer_diff = outer_syn ^ rs_syndromes(self, symbols)
     y0 = blocks ^ inner_words ^ inner.encode(symbols ^ self._rs_preimage(outer_diff))
     if not y0.any():
         return Bits.zeros(self.n)

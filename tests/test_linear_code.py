@@ -104,6 +104,23 @@ def test_inner_rm_ml_decoding():
         assert np.array_equal(syn_dec_ml(inner, noisy), symbols)
 
 
+def test_inner_block_table_matches_symbols_and_syndrome():
+    from tamperstore.linear_code import _inner_rm
+
+    inner = _inner_rm()
+    # every block with one nonzero byte, row 256 j + b holding byte j = b
+    single = np.zeros((inner.n // 8 * 256, inner.n // 8), dtype=np.uint8)
+    single[np.arange(len(single)), np.arange(len(single)) // 256] = np.arange(len(single)) % 256
+    rng = np.random.default_rng(8)
+    random_blocks = rng.integers(0, 256, (300, inner.n // 8), dtype=np.uint8)
+    for packed in (single, random_blocks):
+        words = np.unpackbits(packed, axis=1, bitorder="little")
+        symbols = inner.symbols(words)
+        checks = np.packbits(inner.syndrome(words, symbols), axis=1, bitorder="little")
+        assert np.array_equal(inner.images(packed), np.column_stack((checks, symbols)))
+    assert np.array_equal(inner.images(single), inner._block_table)
+
+
 def syn_dec_ml(inner, words: np.ndarray) -> np.ndarray:
     """The ML symbols as ``syn_dec`` reads them: ``symbols_at`` the first
     largest |U|."""
@@ -199,7 +216,7 @@ def test_rmrs_vandermonde_inverse_for_every_redundancy():
         assert np.array_equal(product, np.eye(r, dtype=np.int64)), (n, k)
 
 
-@pytest.mark.parametrize("n,k", [(12, 4), (76, 5)])
+@pytest.mark.parametrize("n,k", [(12, 4), (20, 4), (76, 5), (255, 16)])
 def test_rmrs_syndromes_match_scalar_loop(n, k):
     # s_j = sum_i y_i (alpha^i)^j, with the big-int field ops as reference
     code = RmRsCode(n, k)
@@ -346,6 +363,60 @@ def test_syn_dec_toward_received_equals_decoding_the_difference(n, k):
     assert failures > 0
     x = Bits.random(code.n, rng)
     assert as_bits(code.syn_dec(code.syn(x.to_array()), x.to_array())) == Bits.zeros(code.n)
+
+
+def refuse(*args):
+    raise AssertionError("the zero path unpacked s or transformed a block")
+
+
+@pytest.mark.parametrize("n,k", [(20, 4), (76, 5)])
+def test_honest_syn_dec_returns_on_the_syndrome_comparison(n, k, monkeypatch):
+    code = RmRsCode(n, k)
+    monkeypatch.setattr(code, "_unpack_syndrome", refuse)
+    monkeypatch.setattr(code.inner, "transform", refuse)
+    rng = np.random.default_rng(n + 4)
+    for _ in range(5):
+        x = rng.integers(0, 2, code.n, dtype=np.uint8)
+        pattern = code.syn_dec(code.syn(x), x)
+        assert pattern.dtype == np.uint8 and pattern.shape == (code.n,) and not pattern.any()
+
+
+@pytest.mark.parametrize("n,k", [(20, 4), (76, 5)])
+def test_syn_dec_outer_part_only(n, k, monkeypatch):
+    # an inner codeword added to one block keeps its check bits and moves
+    # its symbol: only the outer bytes differ, and no block is transformed
+    code = RmRsCode(n, k)
+    inner = code.inner
+    monkeypatch.setattr(inner, "transform", refuse)
+    rng = np.random.default_rng(n + 5)
+    inner_bits = code.outer_n * inner.check.size
+    for symbol in (1, 2, 0xFF, int(rng.integers(1, 256))):
+        x = rng.integers(0, 2, code.n, dtype=np.uint8)
+        s = code.syn(x)
+        block = int(rng.integers(code.outer_n))
+        e = np.zeros((code.outer_n, inner.n), dtype=np.uint8)
+        e[block] = inner.encode(np.array([symbol]))[0]
+        received = x ^ e.reshape(-1)
+        difference = (code.syn(received) ^ s).value
+        assert difference & ((1 << inner_bits) - 1) == 0 and difference >> inner_bits
+        assert np.array_equal(code.syn_dec(s, received), e.reshape(-1))
+
+
+@pytest.mark.parametrize("n,k", [(20, 4), (76, 5)])
+def test_syn_dec_inner_part_only(n, k):
+    # one flipped check bit leaves every symbol, so the outer bytes match
+    code = RmRsCode(n, k)
+    inner = code.inner
+    rng = np.random.default_rng(n + 6)
+    for _ in range(5):
+        x = rng.integers(0, 2, code.n, dtype=np.uint8)
+        s = code.syn(x)
+        e = np.zeros(code.n, dtype=np.uint8)
+        e[int(rng.integers(code.outer_n)) * inner.n + int(rng.choice(inner.check))] = 1
+        received = x ^ e
+        difference = (code.syn(received) ^ s).value
+        assert difference.bit_count() == 1 and difference < 1 << code.outer_n * inner.check.size
+        assert np.array_equal(code.syn_dec(s, received), e)
 
 
 def tied_blocks(code: RmRsCode, s: Bits, received: Bits) -> int:
