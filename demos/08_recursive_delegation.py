@@ -8,7 +8,7 @@ bits locally than it saves: each menu syndrome has at least 1,456 bits,
 while l stays under 128.
 """
 
-from tamperstore.protocol import ideal_recursion_accounting
+from tamperstore.params import ideal_recursion_accounting
 
 ###############################################################################
 # The ideal ledger at beta0 = 0.05 for a megabit message.

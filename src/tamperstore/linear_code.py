@@ -30,29 +30,21 @@ mode, finds the pattern e, as cells, with syn(received ^ e) = s; a bare
 syndrome is decoded against zero cells.  It first compares the bytes of
 syn(received) with those of s, the check bytes and then, if those match,
 the outer bytes: when all are equal, as on every noise-free retrieval, e
-is zero and nothing more is done.  Otherwise it decodes in the received frame: each received block,
-with the inner part of s added, is ML-decoded, and the RS decoder moves
-those symbols into the coset of the outer part of s.
+is zero and nothing more is done.
 
-ML decoding uses certified hard decisions.  A block's hard decision is
-the symbol read off its information positions, and its distance from
-that symbol's codeword is the weight of its check bytes plus the block's
-bytes of s.  A block within the inner radius of that codeword has it as
-its unique ML codeword, so the hard decision is certified and the block
-is not transformed; under storage noise at params C that is about two
-blocks in three.  Only the other blocks go through the Hadamard
-transform, one GEMM against the n x n +-1 matrix.
-
-The received-frame decode is the decode of the coset word of
-s ^ syn(received), bit for bit, without the two symbol-matrix products
-that form the coset word: adding an inner codeword to a block shifts its
-ML symbol by that codeword's, and the coset decode sees the same RS
-syndrome.  The one exception is the choice among equally near inner
-codewords, which needs a block beyond the inner radius; only then is the
-coset word's frame formed, to break the tie as that decode breaks it.
-The rule is kept so that no output depends on the frame:
-``syn_dec(s, r)`` equals ``syn_dec(s ^ syn(r), zeros)`` always, and retrieval
-outcomes match the coset-word decode's.
+Otherwise it decodes the difference E: the check bits of syn(received)
+XOR those of s, on each block's check positions, zeros elsewhere.  The
+received blocks plus s's inner part are E shifted by the codewords of the
+received symbols, and the coset word of s ^ syn(received) is E shifted
+by the codewords of an RS preimage.  A shift by an inner codeword shifts
+a block's ML symbol by that codeword's, so each block of E is ML-decoded
+once and the RS decoder moves the shifted symbols into the coset of s's
+outer part.  A block of E within the inner radius of zero is certified
+(its ML symbol is 0) and not transformed; under storage noise at params C
+that is about two blocks in three.  The others go through the Hadamard
+transform, one GEMM against the n x n +-1 matrix.  Equally near inner
+codewords are ranked as the coset word's decode ranks them, so
+``syn_dec(s, r)`` equals ``syn_dec(s ^ syn(r), zeros)`` always.
 
 ``t_corr`` is a guarantee: every error pattern of weight <= t_corr is
 decoded exactly.  Heavier patterns may decode to a wrong pattern or
@@ -371,8 +363,9 @@ class RmRsCode(LinearCode):
         rs_syn(symbols) ^ target, so Berlekamp-Massey, the Chien search
         and Forney run on that, exactly as a decode toward the code runs
         on a word of that syndrome; the final check is that the corrected
-        symbols have syndrome ``target``.  ``syn_dec`` decodes its received
-        frame this way, so no word of the code itself is ever formed.
+        symbols have syndrome ``target``.  ``syn_dec`` decodes the shifted
+        symbols of its difference E this way, so no word of the code
+        itself is ever formed.
         """
         t = self.table
         synd = self._rs_syndromes(symbols) ^ target
@@ -407,18 +400,9 @@ class RmRsCode(LinearCode):
     # then the outer syndrome symbols, one byte each, low bit first.  A
     # block has 120 check bits, so both parts are whole bytes: ``syn``
     # joins the check bytes of ``_images`` and the bytes of
-    # ``_rs_syndromes`` with one ``int.from_bytes``; ``_unpack_syndrome``
-    # reads s back into words for a decode that corrects something.
-
-    def _unpack_syndrome(self, s: Bits) -> tuple[np.ndarray, np.ndarray]:
-        """(N, n_in) words holding each block's inner syndrome on its check
-        positions and zeros elsewhere, and the outer syndrome symbols."""
-        raw = s.value.to_bytes(s.length // 8, "little")
-        inner_bytes = self.outer_n * self.inner.check.size // 8
-        inner_syn = np.unpackbits(np.frombuffer(raw, np.uint8, inner_bytes), bitorder="little")
-        words = np.zeros((self.outer_n, self.inner.n), dtype=np.uint8)
-        words[:, self.inner.check] = inner_syn.reshape(self.outer_n, -1)
-        return words, np.frombuffer(raw, np.uint8, offset=inner_bytes)
+    # ``_rs_syndromes`` with one ``int.from_bytes``; ``syn_dec`` scatters
+    # the check bytes XOR s's onto the check positions only when it
+    # corrects something.
 
     def _images(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (N, 15) check bytes and the (N,) symbols of the blocks of
@@ -446,41 +430,33 @@ class RmRsCode(LinearCode):
         every block's check bytes and symbol, then the RS syndrome of the
         symbols, which is formed only when the check bytes equal those of
         s.  e = 0 exactly when all the bytes equal the bytes of s, and then
-        the call returns zeros: s is not unpacked and no block is
+        the call returns zeros: E is not formed and no block is
         transformed.  That is every noise-free retrieval.
 
-        Otherwise the decode runs in the received frame.  z is the
-        received blocks with s_inner added on the check positions, so e
-        must make z ^ e a string of inner codewords whose symbols have RS
-        syndrome s_outer.  sym is z's hard decisions, read off the
-        information positions, where s_inner is zero: the received
-        symbols.  diff = z ^ encode(sym) is the check bits plus s_inner,
-        so its weight per block is the popcount of the check bytes XOR
-        the block's bytes of s.  Each block of z is ML-decoded to a symbol
-        of d, ``_rs_decode`` moves d into the coset of s_outer, giving
-        fixed, and e = z ^ encode(fixed).
+        Otherwise the decode runs on E, the (N, n) blocks holding
+        diff = the check bytes ^ s's inner bytes on their check positions
+        and zeros elsewhere.  With sym the received symbols, the received
+        blocks plus s_inner are E ^ encode(sym), so e must make
+        E ^ e = encode(sym ^ fixed) with rs_syn(fixed) = s_outer.  Each
+        block of E is ML-decoded to a symbol d, ``_rs_decode`` moves
+        sym ^ d into the coset of s_outer, giving fixed, and
+        e = E ^ encode(sym ^ fixed).
 
-        Certified hard decisions: a block of diff weight w <= t_in = 31 has
-        |U| = 64 - w >= 33 at its hard decision's codeword and |U| <= 31
-        at every other (that codeword is n/2 from all others but its
-        complement), so its ML symbol is its hard decision, and it is the
-        unique first maximiser.  Only blocks of weight above 31 are
-        transformed.
+        Certified blocks: a block of E of weight w <= t_in = 31 has
+        |U| = 64 - w >= 33 at symbol 0 and |U| <= 31 at every other (the
+        zero codeword is n/2 from all others but its complement), so its
+        ML symbol is 0, the unique first maximiser.  Only blocks of weight
+        above 31 are transformed.
 
         This is the decode of the coset word of s ^ syn(received),
-        y0 = z ^ encode(q) with q = sym ^ preimage(s_outer ^ rs_syn(sym)),
-        which ``syn_dec(s ^ syn(received), zeros)`` decodes.  y0's blocks are z's
-        plus inner codewords, which ML decoding carries through (y0's
-        symbols are d ^ q), and rs_syn(d ^ q) = rs_syn(d) ^ s_outer is
-        the syndrome the coset decode sees, so the outer products that
-        form q are not needed.  Only the tie rule tells the frames apart:
-        y0's first maximiser a' is the maximiser a of z with the least
-        a ^ (q >> 1).  A tie needs a block 32 or more bits from every
-        codeword (top |U| <= n/4, beyond the inner radius, so never a
-        certified one), so q is formed and that rule applied only when
-        such a block occurs.  Every output is then the coset word's
-        decode, bit for bit, and ``syn_dec(s, r)`` equals
-        ``syn_dec(s ^ syn(r), zeros)`` on ties too.
+        y0 = E ^ encode(p) with p = preimage(s_outer ^ rs_syn(sym)), which
+        ``syn_dec(s ^ syn(received), zeros)`` decodes: y0's ML symbols are
+        d ^ p, whose RS syndrome rs_syn(sym ^ d) ^ s_outer is the one
+        ``_rs_decode`` sees.  Only the tie rule tells them apart: y0's
+        first maximiser is E's maximiser a with the least a ^ (p >> 1).
+        A tie needs a block 32 or more bits from every codeword (top
+        |U| <= n/4, never a certified one), so p is formed and that rule
+        applied only when such a block occurs.
         """
         self._check_syndrome(s)
         self._check_cells(received)
@@ -493,27 +469,28 @@ class RmRsCode(LinearCode):
             and self._rs_syndromes(symbols).tobytes() == raw[inner_bytes:]
         ):
             return np.zeros(self.n, dtype=np.uint8)
-        inner_words, outer_syn = self._unpack_syndrome(s)
-        z = received.reshape(self.outer_n, inner.n) ^ inner_words
-        ml = symbols.astype(np.int64)
+        outer_syn = np.frombuffer(raw, np.uint8, offset=inner_bytes)
         diff = checks ^ np.frombuffer(raw, np.uint8, inner_bytes).reshape(checks.shape)
+        E = np.zeros((self.outer_n, inner.n), dtype=np.uint8)
+        E[:, inner.check] = np.unpackbits(diff, axis=1, bitorder="little")
+        ml = symbols.astype(np.int64)
         open_ = (np.bitwise_count(diff).sum(axis=1) > inner.t_corr).nonzero()[0]  # not certified
         if open_.size:
-            U = inner.transform(z[open_])
+            U = inner.transform(E[open_])
             size = np.abs(U)
             best = np.argmax(size, axis=1)
             top = size[np.arange(open_.size), best]
             far = (top <= inner.n // 4).nonzero()[0]
             if far.size:
-                q = symbols ^ self._rs_preimage(outer_syn ^ self._rs_syndromes(symbols))
-                # rank each far block's maximisers a by a ^ a_q, their index in y0
-                rank = np.arange(inner.n) ^ (q[open_[far]] >> 1)[:, None]
+                p = self._rs_preimage(outer_syn ^ self._rs_syndromes(symbols))
+                # rank each far block's maximisers a by a ^ a_p, their index in y0
+                rank = np.arange(inner.n) ^ (p[open_[far]] >> 1)[:, None]
                 best[far] = np.argmin(np.where(size[far] == top[far, None], rank, inner.n), axis=1)
-            ml[open_] = inner.symbols_at(U, best)
+            ml[open_] ^= inner.symbols_at(U, best)
         fixed = self._rs_decode(ml, outer_syn)
         if fixed is None:
             return None
-        return (z ^ inner.encode(fixed)).reshape(-1)
+        return (E ^ inner.encode(symbols ^ fixed)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

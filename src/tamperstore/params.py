@@ -342,6 +342,44 @@ def asymptotic_rates(beta0: float) -> AsymptoticRates:
     )
 
 
+def ideal_recursion_accounting(beta0: float, ell: float, residual_threshold: float) -> dict:
+    """Geometric bookkeeping of the recursion with capacity-rate codes.
+
+    Recursion stores the syndrome s in a further session.  Each level
+    stores a message of m_i bits with m_i * n_per_ell qubits and leaves a
+    syndrome of m_i * syndrome_per_ell bits for the next level, so the
+    total tends to ell * recursive_per_ell.  Stops when the residual drops
+    under the threshold, which must be positive.  A concrete chain cannot
+    shorten the key: every menu code has a syndrome of at least 1,456 bits
+    and kappa <= 128, so ell < 128, and each extra level keeps its own
+    syndrome plus all but ell bits of the one it stores.
+    """
+    if not residual_threshold > 0:
+        raise ValueError("need a positive residual threshold to stop at")
+    rates = asymptotic_rates(beta0)
+    if math.isinf(rates.recursive_per_ell):
+        raise ValueError("beta0 at or above the usefulness threshold")
+    rows = []
+    message_bits = float(ell)
+    total_qubits = 0.0
+    while not rows or message_bits >= residual_threshold:
+        row = {
+            "level": len(rows) + 1,
+            "message_bits": message_bits,
+            "qubits": message_bits * rates.n_per_ell,
+            "syndrome_bits": message_bits * rates.syndrome_per_ell,
+        }
+        rows.append(row)
+        total_qubits += row["qubits"]
+        message_bits = row["syndrome_bits"]
+    return {
+        "levels": rows,
+        "total_qubits": total_qubits,
+        "residual_bits": message_bits,
+        "limit_qubits": ell * rates.recursive_per_ell,
+    }
+
+
 def ideal_code_scaling(
     beta0: float,
     epsilon: float,

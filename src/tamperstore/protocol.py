@@ -1,5 +1,5 @@
-"""The delegated-storage state machines (store, retrieve), usefulness
-accounting, and the ideal ledger of recursive delegation.
+"""The delegated-storage state machines (store, retrieve) and usefulness
+accounting.
 
 ``store`` runs the five preparation steps (compress, randomise, encode
 into qubits with hidden traps, extract a one-time pad and syndrome, tag)
@@ -32,13 +32,6 @@ lookups (a 64 KB block table, and an RS table of 82 KB at params A and
 1.4 MB at params C) and returns e = 0 when its bytes equal s's, as on
 every noise-free retrieval; otherwise it transforms only the blocks
 whose hard decisions it cannot certify (see ``linear_code``).
-
-Recursion, which would store the syndrome s in a further session, exists
-here only as ``ideal_recursion_accounting`` with capacity-rate codes.  A
-concrete chain cannot shorten the key: every code of the registry's menu
-has a syndrome of at least 1,456 bits and kappa <= 128, so ell < 128, and
-each extra level keeps its own syndrome plus all but ell bits of the one
-it stores.
 """
 
 from __future__ import annotations
@@ -50,7 +43,6 @@ import numpy as np
 
 from . import kv
 from .bits import Bits, _word_count, random_words
-from .entropy import binary_entropy
 from .gf2 import phi
 from .linear_code import CodeRegistry, LinearCode, default_registry
 from .mac import MacKey, tag, verify
@@ -316,51 +308,6 @@ def usefulness(secrets: ClientSecrets, message_bits: float) -> float:
     if message_bits <= 0:
         raise ValueError("message_bits must be positive")
     return (message_bits - secrets.storage_bits()) / message_bits
-
-
-# ---------------------------------------------------------------------------
-# recursion, in the capacity-rate limit only
-# ---------------------------------------------------------------------------
-
-def ideal_recursion_accounting(beta0: float, ell: float, residual_threshold: float) -> dict:
-    """Geometric bookkeeping of the recursion with capacity-rate codes.
-
-    Each level stores a message of m_i bits with m_i/(1 - h) qubits and
-    leaves a syndrome of m_i * h/(1 - h) bits for the next level.  Stops
-    when the residual drops under the threshold, which must be positive.
-    """
-    if not residual_threshold > 0:
-        raise ValueError("need a positive residual threshold to stop at")
-    h = binary_entropy(beta0)
-    if 1 - 2 * h <= 0:
-        raise ValueError("beta0 at or above the usefulness threshold")
-    g = h / (1 - h)
-    rows = []
-    message_bits = float(ell)
-    total_qubits = 0.0
-    level = 0
-    while True:
-        level += 1
-        qubits = message_bits / (1 - h)
-        syndrome = message_bits * g
-        total_qubits += qubits
-        rows.append(
-            {
-                "level": level,
-                "message_bits": message_bits,
-                "qubits": qubits,
-                "syndrome_bits": syndrome,
-            }
-        )
-        message_bits = syndrome
-        if message_bits < residual_threshold:
-            break
-    return {
-        "levels": rows,
-        "total_qubits": total_qubits,
-        "residual_bits": message_bits,
-        "limit_qubits": ell / (1 - 2 * h),
-    }
 
 
 # ---------------------------------------------------------------------------

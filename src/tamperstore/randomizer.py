@@ -178,10 +178,14 @@ example1_code = Example1Code
 def prefix_code_for(spec: str, dist: DiscreteDistribution | None = None) -> PrefixCode:
     """The explicit code of "example1:<L>", else the Huffman code of the
     distribution ``spec`` names; either carries that distribution as its law.
-    A caller that has read it passes it as ``dist``, so a "file:" table is read once."""
+    A caller that has read it passes it as ``dist``, so a "file:" table is
+    read and an example1 law built once."""
     kind, _, arg = spec.partition(":")
     if kind == "example1":
-        return example1_code(kv.decimal(arg))
+        code = example1_code(kv.decimal(arg))
+        if dist is not None:
+            code.__dict__["law"] = dist  # seeds the cached law with the caller's
+        return code
     return build_prefix_code(parse_dist(spec) if dist is None else dist)
 
 

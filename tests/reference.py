@@ -19,8 +19,10 @@ it does not bring a copy of the code it replaces.
 * The syndrome is the dense parity-check matrix built from the generator
   alone (``parity_check_matrix``), one Python int per row.
 * The decoder is the coset-word decoder (``coset_syn_dec``), the decoder
-  as it stood before it ran in the received frame.  Its pattern e must
-  satisfy H(x' ^ e) = s.
+  as it stood before it decoded the syndrome difference.  It reads s bit
+  by bit (``unpack_syndrome``) and solves for y0's RS preimage by
+  elimination (``rs_preimage``).  Its pattern e must satisfy
+  H(x' ^ e) = s.
 * The message code is a table built from ``example1``'s rule as strings
   (``example1_table``); ``store`` looks the codeword up and retrieval scans
   the table for the one that prefixes m0.
@@ -189,6 +191,40 @@ def coset_rs_decode(self: RmRsCode, symbols: np.ndarray) -> np.ndarray | None:
     return fixed
 
 
+def unpack_syndrome(code: RmRsCode, s: Bits) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n_in) words holding each block's inner syndrome bits on its check
+    positions and zeros elsewhere, and the outer syndrome symbols, read from
+    the bits of s in ``syn``'s order."""
+    inner = code.inner
+    bits = s.to_array()
+    inner_len = code.outer_n * inner.check.size
+    words = np.zeros((code.outer_n, inner.n), dtype=np.uint8)
+    words[:, inner.check] = bits[:inner_len].reshape(code.outer_n, -1)
+    outer = bits[inner_len:].reshape(code.redundancy, inner.k) << np.arange(inner.k)
+    return words, outer.sum(axis=1)
+
+
+def rs_preimage(code: RmRsCode, syndromes: np.ndarray) -> np.ndarray:
+    """Symbols supported on the first r positions with RS syndromes
+    ``syndromes``: Gauss-Jordan elimination of [V | S], V[j-1, i] = x_i^j,
+    over ``table.mul``."""
+    t = code.table
+    r = code.redundancy
+    a = np.zeros((r, r + 1), dtype=np.int64)
+    a[:, :r] = t.pow_alpha(np.outer(np.arange(1, r + 1), np.arange(r)))
+    a[:, r] = syndromes
+    for col in range(r):
+        pivot = col + np.flatnonzero(a[col:, col])[0]
+        a[[col, pivot]] = a[[pivot, col]]
+        a[col] = t.mul(t.inv(a[col, col]), a[col])
+        factors = a[:, col].copy()
+        factors[col] = 0
+        a ^= t.mul(factors[:, None], a[col])
+    out = np.zeros(code.outer_n, dtype=np.int64)
+    out[:r] = a[:, r]
+    return out
+
+
 def coset_syn_dec(self: RmRsCode, s: Bits, received: Bits | None = None) -> Bits | None:
     """The pattern e with syn(received ^ e) = s, found by decoding the coset
     word y0 of s ^ syn(received) toward the code, or None."""
@@ -200,9 +236,9 @@ def coset_syn_dec(self: RmRsCode, s: Bits, received: Bits | None = None) -> Bits
     inner = self.inner
     blocks = received.to_array().reshape(self.outer_n, inner.n)
     symbols = inner.symbols(blocks)
-    inner_words, outer_syn = self._unpack_syndrome(s)
+    inner_words, outer_syn = unpack_syndrome(self, s)
     outer_diff = outer_syn ^ rs_syndromes(self, symbols)
-    y0 = blocks ^ inner_words ^ inner.encode(symbols ^ self._rs_preimage(outer_diff))
+    y0 = blocks ^ inner_words ^ inner.encode(symbols ^ rs_preimage(self, outer_diff))
     if not y0.any():
         return Bits.zeros(self.n)
     # decode y0 toward the code

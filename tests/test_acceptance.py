@@ -28,8 +28,8 @@ from tamperstore.experiments import (
 )
 from tamperstore.gf2 import phi
 from tamperstore.mac import MacKey, forgery_bound, tag, verify
-from tamperstore.params import asymptotic_rates, sampling_bad_event_bound
-from tamperstore.protocol import ProtocolInstance, ideal_recursion_accounting
+from tamperstore.params import asymptotic_rates, ideal_recursion_accounting, sampling_bad_event_bound
+from tamperstore.protocol import ProtocolInstance
 from tamperstore.randomizer import example1_code, padded_law
 
 

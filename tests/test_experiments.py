@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tamperstore import cli, kv
+from tamperstore import cli, entropy, kv, randomizer
 from tamperstore.bits import Bits
 from tamperstore.entropy import parse_dist
 from tamperstore.experiments import (
@@ -83,6 +83,24 @@ def test_build_instance_reads_a_file_table_once(tmp_path, monkeypatch):
     # both stay callable with the spec alone, one read each
     assert prefix_code_for(config.dist) == instance.prefix_code and len(reads) == 2
     assert np.array_equal(parse_dist(config.dist).probs, dist.probs) and len(reads) == 3
+
+
+def test_build_instance_builds_the_example1_law_once(monkeypatch):
+    # the law parse_dist builds is the one the prefix code samples from
+    builds = []
+    example1 = entropy.example1
+
+    def counting(L):
+        builds.append(L)
+        return example1(L)
+
+    monkeypatch.setattr(entropy, "example1", counting)
+    monkeypatch.setattr(randomizer, "example1", counting)
+    config = ExperimentConfig("correctness", 0.05, 0.0, 4, dist="example1:12")
+    instance = build_instance(config)
+    assert run_trial(instance, PassiveEve(), 3, 0).outcome.omega == 1
+    assert builds == [12]
+    assert prefix_code_for("example1:12", instance.prefix_code.law).law is instance.prefix_code.law
 
 
 def test_make_strategy():

@@ -9,7 +9,14 @@ from tamperstore.linear_code import (
     RmRsCode,
     default_registry,
 )
-from reference import coset_syn_dec, gf2_nullspace, parity_check_matrix, row_int, syndrome
+from reference import (
+    coset_syn_dec,
+    gf2_nullspace,
+    parity_check_matrix,
+    row_int,
+    syndrome,
+    unpack_syndrome,
+)
 
 
 def rank_via_ints(rows: list[int]) -> int:
@@ -366,19 +373,40 @@ def test_syn_dec_toward_received_equals_decoding_the_difference(n, k):
 
 
 def refuse(*args):
-    raise AssertionError("the zero path unpacked s or transformed a block")
+    raise AssertionError("the zero path decoded or transformed a block")
 
 
 @pytest.mark.parametrize("n,k", [(20, 4), (76, 5)])
 def test_honest_syn_dec_returns_on_the_syndrome_comparison(n, k, monkeypatch):
     code = RmRsCode(n, k)
-    monkeypatch.setattr(code, "_unpack_syndrome", refuse)
+    monkeypatch.setattr(code, "_rs_decode", refuse)
     monkeypatch.setattr(code.inner, "transform", refuse)
     rng = np.random.default_rng(n + 4)
     for _ in range(5):
         x = rng.integers(0, 2, code.n, dtype=np.uint8)
         pattern = code.syn_dec(code.syn(x), x)
         assert pattern.dtype == np.uint8 and pattern.shape == (code.n,) and not pattern.any()
+
+
+@pytest.mark.parametrize("n,k", [(20, 4), (76, 5)])
+def test_syn_dec_reads_the_received_word_only_through_its_images(n, k, monkeypatch):
+    # the decode needs only the check bytes and symbols of the received
+    # word: handed zeros but the images of r, it decodes as it decodes r
+    code = RmRsCode(n, k)
+    rng = np.random.default_rng(n + 7)
+    images = code._images
+    for _ in range(3):
+        x = rng.integers(0, 2, code.n, dtype=np.uint8)
+        s = code.syn(x)
+        noise = (rng.random((code.outer_n, code.inner.n)) < 0.05).astype(np.uint8)
+        far = rng.choice(code.outer_n, code.t_out, replace=False)  # transformed blocks
+        noise[far] = rng.integers(0, 2, (code.t_out, code.inner.n))
+        received = x ^ noise.reshape(-1)
+        expected = code.syn_dec(s, received)
+        assert np.array_equal(received ^ expected, x)
+        monkeypatch.setattr(code, "_images", lambda cells: images(received))
+        assert np.array_equal(code.syn_dec(s, zeros(code)), expected)
+        monkeypatch.setattr(code, "_images", images)
 
 
 @pytest.mark.parametrize("n,k", [(20, 4), (76, 5)])
@@ -421,7 +449,7 @@ def test_syn_dec_inner_part_only(n, k):
 
 def tied_blocks(code: RmRsCode, s: Bits, received: Bits) -> int:
     """Blocks of the word decoded with two or more nearest inner codewords."""
-    inner_words, _ = code._unpack_syndrome(s)
+    inner_words, _ = unpack_syndrome(code, s)
     z = received.to_array().reshape(code.outer_n, -1) ^ inner_words
     T = np.abs(butterfly_transform(z, code.inner.m))
     return int(np.sum((T == T.max(axis=1, keepdims=True)).sum(axis=1) > 1))
@@ -620,16 +648,18 @@ def test_transform_sees_only_uncertified_blocks(n, k, monkeypatch):
     e = Bits.from_array(errors.reshape(-1))
     assert as_bits(code.syn_dec(s, (x ^ e).to_array())) == e
     assert seen == []
-    # otherwise exactly the blocks more than the radius from their hard decision
-    inner_words, _ = code._unpack_syndrome(s)
+    # otherwise exactly the blocks more than the radius from their hard
+    # decision, as their difference from its codeword
+    inner_words, _ = unpack_syndrome(code, s)
     for rate in (0.05, 0.15, 0.3):
         cells = (x ^ Bits.from_array((rng.random(code.n) < rate).astype(np.uint8))).to_array()
         z = cells.reshape(code.outer_n, inner.n) ^ inner_words
-        far = (z ^ inner.encode(inner.symbols(z))).sum(axis=1) > inner.t_corr
+        difference = z ^ inner.encode(inner.symbols(z))
+        far = difference.sum(axis=1) > inner.t_corr
         seen.clear()
         code.syn_dec(s, cells)
         if far.any():
-            assert len(seen) == 1 and np.array_equal(seen[0], z[far]), rate
+            assert len(seen) == 1 and np.array_equal(seen[0], difference[far]), rate
         else:
             assert seen == []
     assert far.any()

@@ -10,13 +10,17 @@ from tamperstore.bits import Bits
 from tamperstore.gf2 import GF2Field
 from tamperstore.linear_code import default_registry
 from tamperstore.mac import MacKey, verify
-from tamperstore.params import InfeasibleParamsError, ProtocolParams, derive_params
+from tamperstore.params import (
+    InfeasibleParamsError,
+    ProtocolParams,
+    derive_params,
+    ideal_recursion_accounting,
+)
 from tamperstore.protocol import (
     ClientSecrets,
     ProtocolInstance,
     RetrievalOutcome,
     ServerBundle,
-    ideal_recursion_accounting,
     one_time_pad,
     usefulness,
 )

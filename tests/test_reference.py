@@ -8,8 +8,10 @@ step; "storage-noise" runs it and nothing else.  The decode path is reached
 by flipping payload cells on both sides alike, with the secrets in hand.
 """
 
+import ast
 import json
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,22 @@ def instance_and_h(name: str):
     """The params set's session and its dense H, built once per module."""
     instance = ProtocolInstance.derive(*PARAMS[name], example1_code(12))
     return instance, reference.parity_check_matrix(instance.code)
+
+
+def test_reference_uses_few_private_names():
+    """The oracle shares no fast-path internals with the package: the only
+    private names it reaches are Berlekamp-Massey and the syndrome length
+    check.  The unpack of s and the RS preimage are its own."""
+    tree = ast.parse(Path(reference.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("tamperstore")
+        for alias in node.names
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    private = {name for name in imported | attributes if name.startswith("_") and not name.startswith("__")}
+    assert private == {"_berlekamp_massey", "_check_syndrome"}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
